@@ -21,7 +21,7 @@ from heis_spectra import (
 
 ALPHA = 0.25
 A = weyl_constant(ALPHA)
-print(f"A_{ALPHA} = {A.value:.12f}  (quadrature error {A.quadrature_error:.1e})")
+print(f"A_{ALPHA} = {A.value:.12f}  (rounding bound {A.quadrature_error:.1e})")
 print(f"A_0 = {weyl_constant(0.0).value:.12f}, endpoint A_1 = {weyl_constant(1.0).value:.12f}")
 
 manifold = standard_rect(1)

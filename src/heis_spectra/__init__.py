@@ -31,7 +31,7 @@ from .group import (
     torsion_witness,
     translation_motion,
 )
-from .hermite import hermite_function, hermite_poly, oscillator_weight, scaled_hermite
+from .hermite import hermite_function, hermite_poly, oscillator_weight, scaled_hermite, seed_scale
 from .invariants import (
     CharacterTable,
     CoefficientVector,
@@ -68,6 +68,7 @@ from .weil_brezin import (
     WBIndex,
     schrodinger_act,
     wb_eigenfunction,
+    wb_eigenfunction_values,
     weil_brezin_eval,
 )
 from .weyl import (

@@ -33,7 +33,7 @@ from .invariants import (
 )
 from .spectrum import OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites, set_pullback_perturbation
-from .weil_brezin import WBIndex, wb_eigenfunction
+from .weil_brezin import WBIndex, wb_eigenfunction_values
 from .weyl import (
     bieberbach_spectrum,
     counting_function,
@@ -171,16 +171,14 @@ def cmd_eigenfunction(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "q", "s", "re", "im"])
     try:
-        # p and s cover two periods so periodicity is visible inside one file
+        # p and s cover two periods so periodicity is visible inside one file;
+        # one call per row in p, so the row shares one series window
         for i in range(2 * g):
             p = i * sp / g
-            for k in range(g):
-                q = k * sq / g
-                for m in range(2 * g):
-                    s = m / g
-                    val = wb_eigenfunction(idx, args.lam, manifold,
-                                           PolarizedPoint(p, q, s), args.tol)
-                    writer.writerow([_g(p), _g(q), _g(s), _g(val.real), _g(val.imag)])
+            row = [PolarizedPoint(p, k * sq / g, m / g) for k in range(g) for m in range(2 * g)]
+            vals = wb_eigenfunction_values(idx, args.lam, manifold, row, args.tol)
+            for pt, val in zip(row, vals):
+                writer.writerow([_g(pt.p), _g(pt.q), _g(pt.s), _g(val.real), _g(val.imag)])
     except ValueError as exc:
         raise _CliError(2, str(exc)) from exc
     _write_output(args.out, buf.getvalue())

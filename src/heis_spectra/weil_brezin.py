@@ -10,6 +10,14 @@ for the rectangular lattice Z x LZ x Z.  The b-shift divides by the signed
 frequency; only that convention makes the quarter-turn pullback formulas close.
 Square-lattice quotients evaluate through the rescaling that carries their
 lattice onto the rectangular one of width 2l.
+
+The series is cut to a window k0 - K .. k0 + K about the smallest |p + k + off|,
+with K the first K >= 2 at which both edge terms are below tol/10: tol is an
+absolute bound on the tail.  The seeds depend on p alone (Auslander and
+Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a window is
+built from one array evaluation of the Hermite seed and reused while p repeats:
+a grid walked row by row in p builds one window per row, and only the phases
+e^{2 pi i n (k + off) q} and the central character are formed per point.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import LatticeSpec, PolarizedPoint, apply_symplectic, scaling_map
-from .hermite import scaled_hermite
+from .hermite import _function, seed_scale
 
 
 class TruncationError(RuntimeError):
@@ -63,6 +71,62 @@ def schrodinger_act(beta: float, h: PolarizedPoint, g, x: float) -> complex:
 
 
 _MAX_WINDOW = 100_000
+# half-width of the first block of seeds; a block that ends before the window
+# rule is met is doubled
+_FIRST_BLOCK = 8
+
+
+def _series_window(values, n: int, p: float, off: float, tol: float, what: str):
+    """Seeds g(p + k + off) on the series window k0 - K .. k0 + K, k0 = -round(p + off).
+
+    K is the first K >= 2 at which both edge terms fall under tol/10.  values
+    maps an array of arguments to the seeds there; it is called once per block
+    of k, and a block that ends before the rule is met is doubled.  Edge sums
+    that fail to shrink 61 times running (a seed without decay), or a window
+    wider than _MAX_WINDOW terms, raise TruncationError; a window holding a seed
+    that is not finite raises ValueError.  Returns the exponents
+    2 pi i n (k + off) of the phases, before the factor q, and the seeds.
+    """
+    thr = 0.1 * tol
+    k0 = -round(p + off)
+    top = (_MAX_WINDOW - 1) // 2  # the widest half-width allowed
+    B = _FIRST_BLOCK
+    while True:
+        ks = np.arange(k0 - B, k0 + B + 1)
+        seeds = values(p + ks + off)
+        mags = np.abs(seeds)
+        # edge terms for K = 2 .. B; fmax, like `or`, lets a nan edge close the window
+        left, right = mags[B - 2::-1], mags[B + 2:]
+        wide = np.fmax(left, right) >= thr
+        K = 2 + int(wide.argmin())
+        shut = not wide[K - 2]
+        # 61 growing edge sums in a row need K >= 63
+        if not shut or K >= 63:
+            edge = left + right
+            grew = edge[1:] >= edge[:-1]  # K = 3 .. B
+            at = np.arange(grew.size)
+            run = at - np.maximum.accumulate(np.where(grew, -1, at))
+            stalled = np.flatnonzero(run > 60)
+            if stalled.size and (not shut or 3 + stalled[0] <= K):
+                raise TruncationError("series terms are not shrinking; seed lacks decay")
+        if shut:
+            break
+        if B == top:
+            raise TruncationError("window exceeded %d terms without decay" % _MAX_WINDOW)
+        B = min(2 * B, top)
+    ks, seeds = ks[B - K:B + K + 1], seeds[B - K:B + K + 1]
+    bad = ~np.isfinite(seeds)
+    if bad.any():
+        raise ValueError(f"{what} is not finite at x = {p + int(ks[bad][0]) + off!r}")
+    return 2j * math.pi * n * (ks + off), seeds.astype(complex)
+
+
+def _series_value(n: int, window, pt: PolarizedPoint) -> complex:
+    exponents, seeds = window
+    phases = np.exp(exponents * pt.q)
+    # ascending-k summation order for reproducible floating point
+    total = np.sum(seeds * phases)
+    return complex(np.exp(2j * math.pi * n * pt.s) * total)
 
 
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:
@@ -70,44 +134,51 @@ def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) ->
 
     The window is symmetric about the argmin of |p + k + off| and grows until
     both edge terms fall under tol/10; terms that stop shrinking (a seed
-    without decay) raise TruncationError.
+    without decay) raise TruncationError.  g is called on one float at a time.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = idx.n
     off = idx.offset
-    thr = 0.1 * tol
 
-    cache: dict[int, complex] = {}
+    def values(xs):
+        return np.array([complex(g(x)) for x in xs.tolist()], dtype=complex)
 
-    def seed(k: int) -> complex:
-        if k not in cache:
-            cache[k] = complex(g(pt.p + k + off))
-        return cache[k]
+    return _series_value(idx.n, _series_window(values, idx.n, pt.p, off, tol, "the seed"), pt)
 
-    k0 = -round(pt.p + off)
-    K = 2
-    stall = 0
-    prev = abs(seed(k0 - K)) + abs(seed(k0 + K))
-    while abs(seed(k0 - K)) >= thr or abs(seed(k0 + K)) >= thr:
-        K += 1
-        if 2 * K + 1 > _MAX_WINDOW:
-            raise TruncationError("window exceeded %d terms without decay" % _MAX_WINDOW)
-        cur = abs(seed(k0 - K)) + abs(seed(k0 + K))
-        if cur >= prev:
-            stall += 1
-            if stall > 60:
-                raise TruncationError("series terms are not shrinking; seed lacks decay")
-        else:
-            stall = 0
-        prev = cur
 
-    ks = np.arange(k0 - K, k0 + K + 1)
-    vals = np.array([seed(int(k)) for k in ks], dtype=complex)
-    phases = np.exp(2j * math.pi * n * (ks + off) * pt.q)
-    # ascending-k summation order for reproducible floating point
-    total = np.sum(vals * phases)
-    return complex(np.exp(2j * math.pi * n * pt.s) * total)
+def wb_eigenfunction_values(idx: WBIndex, lam: int, lattice: LatticeSpec, pts,
+                            tol: float = 1e-12) -> list[complex]:
+    """wb_eigenfunction at each point of pts.
+
+    The seeds depend on the point's p alone, once carried onto the rectangular
+    lattice, so consecutive points with the same p share one series window, and
+    each window comes from one array evaluation of the Hermite seed.  A grid
+    walked row by row in p thus builds one window per row.
+    """
+    if lattice.kind == "standard-rect":
+        if idx.l != lattice.l:
+            raise ValueError("idx.l must equal the rectangular lattice width")
+        to_rect, l, scaling = None, 1, "plain"
+    else:
+        if idx.l != 2 * lattice.l:
+            raise ValueError("idx.l must equal 2l for the square lattice of parameter l")
+        to_rect, l, scaling = scaling_map(lattice.l), lattice.l, "sqrt2l"
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    scale = seed_scale(idx.n, l, scaling)
+    seeds = lambda xs: _function(lam, scale * xs)
+    what = f"the Hermite seed of order {lam}"
+    off = idx.offset
+    out = []
+    window = p = None
+    for pt in pts:
+        if to_rect is not None:
+            pt = apply_symplectic(to_rect, pt)
+        if window is None or pt.p != p:
+            p = pt.p
+            window = _series_window(seeds, idx.n, p, off, tol, what)
+        out.append(_series_value(idx.n, window, pt))
+    return out
 
 
 def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: PolarizedPoint,
@@ -119,11 +190,4 @@ def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: Polarized
     rescaled point, which is where their quotient is carried onto the
     rectangular one.
     """
-    if lattice.kind == "standard-rect":
-        if idx.l != lattice.l:
-            raise ValueError("idx.l must equal the rectangular lattice width")
-        return weil_brezin_eval(idx, lambda x: scaled_hermite(idx.n, lam, 1, "plain", x), pt, tol)
-    if idx.l != 2 * lattice.l:
-        raise ValueError("idx.l must equal 2l for the square lattice of parameter l")
-    seed = lambda x: scaled_hermite(idx.n, lam, lattice.l, "sqrt2l", x)
-    return weil_brezin_eval(idx, seed, apply_symplectic(scaling_map(lattice.l), pt), tol)
+    return wb_eigenfunction_values(idx, lam, lattice, (pt,), tol)[0]

@@ -4,20 +4,21 @@ Counting N(t) splits into the oscillator sector (frequencies n != 0) and the
 torus sector (dual-lattice characters).  The limit N(t)/t^2 is A_alpha times
 the quotient volume, with
 
-    A_alpha = (1/pi^2) Int_R x/sinh(x) e^{-alpha x} dx        (|alpha| < 1)
-    A_{+-1} = (1/2 pi^2) Int_R (x/sinh(x))^2 dx = 1/6,
+    A_alpha = (1/pi^2) Int_R x/sinh(x) e^{-alpha x} dx = 1/(2 cos^2(pi alpha/2))
+                                                              (|alpha| < 1)
+    A_{+-1} = (1/2 pi^2) Int_R (x/sinh(x))^2 dx = 1/6.
 
-both integrals evaluated on [0, L] and doubled by symmetry.  Note A_alpha grows
-as |alpha| -> 1 and the endpoint values are an isolated case: the kernel that
+The closed form follows from Sum_k 1/(k + x)^2 = pi^2/sin^2(pi x); the
+integrals are kept as oracles in the tests.  Note A_alpha grows as
+|alpha| -> 1 and the endpoint values are an isolated case: the kernel that
 appears at |alpha| = 1 is excluded from the count.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .group import BieberbachSpec, LatticeSpec
 from .invariants import dim_phi_invariant, dim_psi_invariant
@@ -41,6 +42,8 @@ def volume(spec) -> float:
 
 @dataclass(frozen=True)
 class WeylConstant:
+    """A_alpha and a bound on the error of its floating-point value."""
+
     alpha: float
     value: float
     quadrature_error: float
@@ -50,34 +53,20 @@ class WeylConstant:
             raise ValueError("the constant must be positive")
 
 
-def _kernel(x: float) -> float:
-    # x/sinh x with the removable singularity filled by its limit
-    if abs(x) < 1e-8:
-        return 1.0 - x * x / 6.0
-    return 2.0 * x * math.exp(-x) / (1.0 - math.exp(-2.0 * x))
-
-
-def _damped_kernel(x: float, alpha: float) -> float:
-    # x/sinh(x) cosh(alpha x), grouped so neither factor overflows at large x
-    if x < 1e-8:
-        return 1.0 - (1.0 - 3.0 * alpha * alpha) * x * x / 6.0
-    return x * (math.exp(-(1 - alpha) * x) + math.exp(-(1 + alpha) * x)) / (1.0 - math.exp(-2.0 * x))
-
-
 def weyl_constant(alpha: float) -> WeylConstant:
-    """A_alpha by adaptive quadrature on [0, L], doubled by symmetry."""
+    """A_alpha in closed form: 1/(2 cos^2(pi alpha/2)), and 1/6 at |alpha| = 1.
+
+    The cosine is taken as sin(pi (1 - |alpha|)/2), where 1 - |alpha| is exact
+    near the endpoints, so the value stays accurate to a few ulps as alpha -> 1;
+    quadrature_error bounds that rounding.
+    """
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     if abs(alpha) == 1.0:
-        L = 60.0
-        val, err = quad(lambda x: _kernel(x) ** 2, 0.0, L, epsabs=1e-13, epsrel=1e-13, limit=300)
-        scale = 1.0 / math.pi**2
+        value = 1.0 / 6.0
     else:
-        L = min(40.0 / (1.0 - abs(alpha)), 2000.0)
-        val, err = quad(lambda x: _damped_kernel(x, alpha), 0.0, L,
-                        epsabs=1e-13, epsrel=1e-13, limit=500)
-        scale = 2.0 / math.pi**2
-    return WeylConstant(alpha, scale * val, scale * err)
+        value = 0.5 / math.sin(0.5 * math.pi * (1.0 - abs(alpha))) ** 2
+    return WeylConstant(alpha, value, 8 * sys.float_info.epsilon * value)
 
 
 @dataclass(frozen=True)

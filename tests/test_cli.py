@@ -1,8 +1,12 @@
 import csv
+import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,53 @@ def test_eigenfunction_rejects_bad_requests(capsys):
     assert main(["eigenfunction", "--manifold", "gamma-pi", "--n", "1"]) == 2
     assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--a", "5"]) == 2
     capsys.readouterr()
+
+
+def test_eigenfunction_overflow_exits_2(capsys, tmp_path):
+    # at lam = 170 the Hermite recurrence overflows inside the series window
+    out = tmp_path / "grid.csv"
+    rc = main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", "170",
+               "--grid", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "order 170" in captured.err and "not finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+# sha256 of stdout, recorded with the per-seed window loop before grids were
+# evaluated one window per row
+PINNED_GRIDS = [
+    (["--manifold", "nl", "--l", "1", "--n", "1", "--lam", "0", "--grid", "4"],
+     "40a3aff4d61d5b727fc5a9d3ef2dbc1100dcebd6042e6f785cba53c62ff6f554"),
+    (["--manifold", "nl", "--l", "2", "--n", "-3", "--a", "2", "--b", "1", "--lam", "6",
+      "--grid", "4"],
+     "180be05b82472b50066c16b3925ad5e2f23437e9196ae5217f3897dd55ee0357"),
+    (["--manifold", "nl", "--l", "3", "--n", "2", "--a", "1", "--b", "2", "--lam", "20",
+      "--grid", "1", "--alpha", "-0.25"],
+     "5e384e8c39c20d679fa8d1809c9bc8c4cf48764c0f605b6a71a432903d5a2feb"),
+    (["--manifold", "nprime", "--l", "1", "--n", "-1", "--b", "1", "--lam", "0", "--grid", "1"],
+     "95acf427ce739eaeffc18fda2a35e2ff4efe6aa0029fb7f90f49ca4b045356ef"),
+    (["--manifold", "nprime", "--l", "2", "--n", "3", "--a", "1", "--b", "3", "--lam", "6",
+      "--grid", "4", "--alpha", "0.5"],
+     "83a88e3bef31272cc09c58b5d414123b30f78df7e9ba505c431902d2c17022e9"),
+    (["--manifold", "nprime", "--l", "1", "--n", "-2", "--a", "1", "--b", "1", "--lam", "20",
+      "--grid", "4", "--tol", "1e-10"],
+     "833f03ed41a795fac6a7ed91c70bce0e41d54498fd682cd88c16b7993084b43f"),
+]
+
+
+def test_eigenfunction_pinned_bytes_in_fresh_processes():
+    # each grid in its own interpreter through `python -m`, which needs no
+    # console script; the processes run side by side
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [subprocess.Popen([sys.executable, "-m", "heis_spectra.cli", "eigenfunction", *argv],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv, _ in PINNED_GRIDS]
+    for (argv, digest), proc in zip(PINNED_GRIDS, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
 def test_dims_quarter_quotient_bottom_row(capsys):

@@ -114,3 +114,23 @@ def test_fourier_transform_phase():
             got = complex(re, im) / math.sqrt(2 * math.pi)
             want = np.exp(1.5j * math.pi * lam) * hermite_function(lam, xi)
             assert abs(got - want) < 1e-8
+
+
+def test_overflow_raises_naming_order_and_argument():
+    # the recurrence overflows far below MAX_ORDER; inf * 0 used to give nan
+    with pytest.raises(ValueError, match=r"order 200 .*y = 25\.0"):
+        hermite_function(200, 25.0)
+    with pytest.raises(ValueError, match=r"order 170 .*y = 40\.0"):
+        hermite_function(170, np.array([0.0, 1.0, 40.0]))
+    with pytest.raises(ValueError, match=r"polynomial of order 200 .*y = 1000\.0"):
+        hermite_poly(200, 1e3)
+    with pytest.raises(ValueError, match="order 170"):
+        scaled_hermite(1, 170, 1, "plain", 16.0)
+
+
+def test_finite_values_unchanged_near_overflow():
+    # a finite polynomial times an underflowed Gaussian is a finite zero
+    assert hermite_function(10, 40.0) == 0.0
+    y = np.linspace(-20.0, 20.0, 41)
+    assert np.all(np.isfinite(hermite_function(170, y)))
+    assert np.array_equal(hermite_function(170, y), [hermite_function(170, v) for v in y])

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 from scipy.special import polygamma
 
 from heis_spectra.group import gamma_pi, gamma_pi_half, scaled_square, standard_rect
@@ -61,8 +62,48 @@ def test_constant_closed_values():
 @pytest.mark.parametrize("a", [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
 def test_constant_trigamma_route(a):
     # independent evaluation through the 1/sinh series
-    oracle = (polygamma(1, (1 + a) / 2) + polygamma(1, (1 - a) / 2)) / (2 * math.pi**2)
-    assert abs(weyl_constant(a).value - oracle) < 1e-8
+    assert abs(weyl_constant(a).value - _trigamma_oracle(a)) < 1e-8
+
+
+def _trigamma_oracle(a):
+    # the 1/sinh series summed by the trigamma function
+    return (polygamma(1, (1 + a) / 2) + polygamma(1, (1 - a) / 2)) / (2 * math.pi**2)
+
+
+@pytest.mark.parametrize("a", [0.999, -0.999, 0.9999, -0.9999])
+def test_constant_near_endpoints(a):
+    # the kernel decays like e^{-(1-|a|)x}; a cut-off integral loses 41% at 0.999
+    oracle = _trigamma_oracle(a)
+    assert abs(weyl_constant(a).value - oracle) <= 1e-12 * oracle
+
+
+def _damped_kernel(x, a):
+    # x/sinh(x) cosh(a x), grouped so neither factor overflows at large x
+    if x < 1e-8:
+        return 1.0 - (1.0 - 3.0 * a * a) * x * x / 6.0
+    return x * (math.exp(-(1 - a) * x) + math.exp(-(1 + a) * x)) / (1.0 - math.exp(-2.0 * x))
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.2, 0.7, 0.9])
+def test_constant_quadrature_oracle(a):
+    # A_a = (2/pi^2) Int_0^inf x/sinh(x) cosh(a x) dx, integrated to infinity
+    val, _ = quad(lambda x: _damped_kernel(x, a), 0.0, math.inf,
+                  epsabs=1e-13, epsrel=1e-12, limit=500)
+    assert abs(2.0 * val / math.pi**2 - weyl_constant(a).value) <= 1e-9 * weyl_constant(a).value
+
+
+def test_endpoint_quadrature_oracle():
+    # A_1 = (1/pi^2) Int_0^inf (x/sinh x)^2 dx
+    val, _ = quad(lambda x: _damped_kernel(x, 0.0) ** 2, 0.0, math.inf,
+                  epsabs=1e-13, epsrel=1e-12, limit=300)
+    assert abs(val / math.pi**2 - weyl_constant(1.0).value) < 1e-12
+
+
+def test_constant_rounding_bound():
+    for a in (0.0, 0.3, 0.999, 0.9999, 1.0):
+        w = weyl_constant(a)
+        exact = 1.0 / 6.0 if a == 1.0 else _trigamma_oracle(a)
+        assert abs(w.value - exact) <= w.quadrature_error + 1e-14 * exact
 
 
 def test_constant_grows_toward_endpoints():
