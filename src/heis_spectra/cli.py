@@ -32,7 +32,7 @@ from .invariants import (
     psi_pullback_matrix,
 )
 from .spectrum import OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
-from .verify import available_suites, run_suites, set_pullback_perturbation
+from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_values
 from .weyl import (
     bieberbach_spectrum,
@@ -281,13 +281,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite if args.suite else None
-    if args.inject_pullback_error:
-        set_pullback_perturbation(args.inject_pullback_error)
-    try:
-        results = run_suites(names, max_workers=args.threads)
-    finally:
-        if args.inject_pullback_error:
-            set_pullback_perturbation(0.0)
+    results = run_suites(names, pullback_perturbation=args.inject_pullback_error)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"suite {r.name}: {status} ({r.detail})\n")
@@ -351,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=available_suites(),
                    help="run only the named suite (repeatable)")
     p.add_argument("--threads", type=int, default=None,
-                   help="thread cap (default HEIS_SPECTRA_THREADS or 4)")
+                   help="accepted and ignored: the suites run one after another")
     p.add_argument("--inject-pullback-error", type=float, default=0.0,
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

@@ -1,11 +1,15 @@
 """Action of the crystallographic generators on eigenfunction bases.
 
 For central frequency n != 0 the quotient eigenspace has the Weil-Brezin basis
-indexed by (a, b) with a in [0,|n|), b in [0,2l), ordered a-major.  The
-half-turn acts by a signed permutation, the quarter-turn by a dense unitary
-closely related to a discrete Fourier matrix; fixed-subspace dimensions follow
-either from closed forms, from characters and Gauss sums, or from an SVD
-nullity oracle, and the three routes are kept separate so they can be compared.
+indexed by (a, b) with a in [0,|n|), b in [0,2l), ordered a-major.  With
+N = 2l|n| the basis position of (a, b) carries the index
+k = 2l a + sgn(n) b mod N (`_sector_index`), and on that index the generators
+are exact Fourier objects: the quarter-turn pullback is i^(n+lam) F for n > 0
+and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
+half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
+Fixed-subspace dimensions follow either from closed forms, from characters and
+Gauss sums, or from an SVD nullity oracle, and the three routes are kept
+separate so they can be compared.
 """
 
 from __future__ import annotations
@@ -48,50 +52,40 @@ class PullbackMatrix:
         return 2 * self.l * abs(self.n)
 
 
-def _phi_target(a: int, b: int, n: int, two_l: int) -> tuple[int, int]:
-    """Index map of the half-turn pullback: (a,b) -> (a',b')."""
-    m = abs(n)
-    if b == 0:
-        return (-a) % m, 0
-    if n > 0:
-        return (-a - 1) % m, (two_l - b) % two_l
-    return (-a + 1) % m, (two_l - b) % two_l
+def _sector_index(n: int, l: int) -> np.ndarray:
+    """DFT index k = 2l a + sgn(n) b mod N of each basis position a*2l + b."""
+    two_l = 2 * l
+    dim = two_l * abs(n)
+    a, b = np.divmod(np.arange(dim), two_l)
+    return (two_l * a + (b if n > 0 else -b)) % dim
 
 
 def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Signed permutation with single entry (-1)^(n+lam) per column."""
+    """Signed permutation k -> -k mod N with single entry (-1)^(n+lam) per column."""
     _check_nl(n, lam, l)
-    m = abs(n)
-    two_l = 2 * l
-    dim = m * two_l
-    phase = -1.0 if (n + lam) % 2 else 1.0
+    k = _sector_index(n, l)
+    dim = k.size
+    pos = np.empty(dim, dtype=int)
+    pos[k] = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    for a in range(m):
-        for b in range(two_l):
-            a2, b2 = _phi_target(a, b, n, two_l)
-            mat[a2 * two_l + b2, a * two_l + b] = phase
+    mat[pos[-k % dim], np.arange(dim)] = -1.0 if (n + lam) % 2 else 1.0
     return PullbackMatrix("phi", n, lam, l, mat)
 
 
 def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Dense unitary of the quarter-turn pullback; its square is the half-turn's."""
+    """Dense unitary of the quarter-turn pullback; its square is the half-turn's.
+
+    The DFT exponent k k' is reduced mod N in integers, so the phase argument
+    stays below 2 pi whatever the size.
+    """
     _check_nl(n, lam, l)
-    m = abs(n)
-    two_l = 2 * l
-    dim = m * two_l
+    k = _sector_index(n, l)
+    dim = k.size
     if n > 0:
-        pref = np.exp(0.5j * math.pi * (n + lam)) / math.sqrt(two_l * n)
+        phase, sign = 1j ** ((n + lam) % 4), -1.0
     else:
-        pref = np.exp(0.5j * math.pi * (n + 3 * lam)) / math.sqrt(two_l * m)
-    mat = np.empty((dim, dim), dtype=complex)
-    for jp in range(m):
-        for up in range(two_l):
-            xp = jp / m + up / (two_l * n)
-            for j in range(m):
-                for u in range(two_l):
-                    x = j / m + u / (two_l * n)
-                    mat[jp * two_l + up, j * two_l + u] = pref * np.exp(
-                        -4j * l * n * math.pi * xp * x)
+        phase, sign = 1j ** ((n + 3 * lam) % 4), 1.0
+    mat = (phase / math.sqrt(dim)) * np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
     return PullbackMatrix("psi", n, lam, l, mat)
 
 
@@ -221,51 +215,25 @@ class CoefficientVector:
             raise ValueError("entry vector has the wrong length")
 
 
-def _nullspace_basis(A: np.ndarray, n: int, l: int) -> list[CoefficientVector]:
-    basis = null_space(A)
-    return [CoefficientVector(n, l, basis[:, j].copy()) for j in range(basis.shape[1])]
+def _nullspace_basis(M: PullbackMatrix) -> list[CoefficientVector]:
+    """Orthonormal basis of the coefficient relations c = Mc, the null space of I - M."""
+    basis = null_space(np.eye(M.dim) - M.matrix)
+    return [CoefficientVector(M.n, M.l, basis[:, j].copy()) for j in range(basis.shape[1])]
 
 
 def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
     """Orthonormal solutions of the half-turn coefficient relations.
 
     The relations pair (a, b) with its pullback target: e c^{a,b} = c^{a',b'}
-    with e = (-1)^(n+lam); assembled directly as displayed, one row per pair.
+    with e = (-1)^(n+lam).  The pullback is a symmetric involution, so these
+    rows are e (I - M) and share the null space of I - M.
     """
-    _check_nl(n, lam, l)
-    m = abs(n)
-    two_l = 2 * l
-    dim = m * two_l
-    e = -1.0 if (n + lam) % 2 else 1.0
-    rows = np.zeros((dim, dim), dtype=complex)
-    for a in range(m):
-        for b in range(two_l):
-            a2, b2 = _phi_target(a, b, n, two_l)
-            rows[a * two_l + b, a * two_l + b] += e
-            rows[a * two_l + b, a2 * two_l + b2] -= 1.0
-    return _nullspace_basis(rows, n, l)
+    return _nullspace_basis(phi_pullback_matrix(n, lam, l))
 
 
 def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
     """Orthonormal solutions of the quarter-turn coefficient relations c = Mc."""
-    _check_nl(n, lam, l)
-    m = abs(n)
-    two_l = 2 * l
-    dim = m * two_l
-    if n > 0:
-        pref = np.exp(0.5j * math.pi * (n + lam)) / math.sqrt(two_l * n)
-    else:
-        pref = np.exp(0.5j * math.pi * (n + 3 * lam)) / math.sqrt(two_l * m)
-    rows = np.eye(dim, dtype=complex)
-    for jp in range(m):
-        for up in range(two_l):
-            xp = jp / m + up / (two_l * n)
-            for j in range(m):
-                for u in range(two_l):
-                    x = j / m + u / (two_l * n)
-                    rows[jp * two_l + up, j * two_l + u] -= pref * np.exp(
-                        -4j * l * n * math.pi * xp * x)
-    return _nullspace_basis(rows, n, l)
+    return _nullspace_basis(psi_pullback_matrix(n, lam, l))
 
 
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,

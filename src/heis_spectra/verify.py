@@ -1,15 +1,13 @@
 """Named self-check suites runnable from the CLI.
 
 Each suite re-derives a slice of the library's guarantees from scratch and
-raises VerificationError on the first violation.  Suites are independent, so
-they run on a small thread pool; HEIS_SPECTRA_THREADS caps the pool size.
+raises VerificationError on the first violation.  Suites run one after
+another: every suite is Python work that holds the interpreter lock.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +56,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-
-
-# test-harness hook: a nonzero value is added to every pullback matrix entry
-# inside the pullback suite, which must then fail (negative control)
-_pullback_perturbation = 0.0
-
-
-def set_pullback_perturbation(eps: float) -> None:
-    global _pullback_perturbation
-    _pullback_perturbation = float(eps)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -167,12 +155,13 @@ def _pullback_cases():
     ]
 
 
-def _suite_pullback() -> str:
+def _suite_pullback(perturbation: float = 0.0) -> str:
+    """A nonzero perturbation is added to every matrix entry; the suite must then fail."""
     rng = np.random.default_rng(1004)
     checked = 0
     for gen, builder, lattice_of, cases in _pullback_cases():
         for n, lam, l in cases:
-            M = builder(n, lam, l).matrix + _pullback_perturbation
+            M = builder(n, lam, l).matrix + perturbation
             lattice = lattice_of(l)
             idxs = [WBIndex(n, a, b, 2 * l) for a in range(abs(n)) for b in range(2 * l)]
             for _ in range(4):
@@ -279,28 +268,20 @@ def available_suites() -> list[str]:
     return list(SUITES)
 
 
-def thread_cap(default: int = 4) -> int:
-    raw = os.environ.get("HEIS_SPECTRA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, default)
+def run_suites(names=None, pullback_perturbation: float = 0.0) -> list[SuiteResult]:
+    """Run the requested suites (all by default) and report in input order.
 
-
-def run_suites(names=None, max_workers: int | None = None) -> list[SuiteResult]:
-    """Run the requested suites (all by default) and report in input order."""
+    A nonzero pullback_perturbation is the pullback suite's negative control.
+    """
     names = list(names) if names is not None else available_suites()
     unknown = sorted(set(names) - set(SUITES))
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    if max_workers is None:
-        max_workers = min(thread_cap(), max(1, len(names)))
-
-    def run_one(name: str) -> SuiteResult:
+    results = []
+    for name in names:
         try:
-            return SuiteResult(name, True, SUITES[name]())
+            detail = SUITES[name](pullback_perturbation) if name == "pullback" else SUITES[name]()
+            results.append(SuiteResult(name, True, detail))
         except Exception as exc:
-            return SuiteResult(name, False, f"{type(exc).__name__}: {exc}")
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_one, names))
+            results.append(SuiteResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

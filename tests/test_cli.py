@@ -255,6 +255,10 @@ def test_verify_all_and_subset(capsys):
     rc, out = run_cli(capsys, "verify", "--suite", "gauss")
     assert rc == 0
     assert out.splitlines() == lines[6:7]
+    # --threads is still accepted; the suites run one after another
+    rc, out = run_cli(capsys, "verify", "--suite", "gauss", "--threads", "3")
+    assert rc == 0
+    assert out.splitlines() == lines[6:7]
 
 
 def test_verify_negative_control(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from heis_spectra.group import (
     PolarizedPoint,
@@ -30,6 +31,126 @@ from heis_spectra.invariants import (
 )
 
 SWEEP = [(n, lam, l) for n in (-3, -2, -1, 1, 2, 3) for lam in range(4) for l in (1, 2)]
+
+# l <= 5, 1 <= |n| <= 12: the sectors on which the structured matrices are
+# compared against the paper's entry formulas
+SECTORS = [(n, l) for l in range(1, 6) for m in range(1, 13) for n in (m, -m)]
+
+
+# ---------------------------------------------------------------------------
+# the paper's formulas, entry by entry, as oracles for the structured pullback
+
+
+def _psi_prefactor(n, lam, l):
+    if n > 0:
+        return np.exp(0.5j * math.pi * (n + lam)) / math.sqrt(2 * l * n)
+    return np.exp(0.5j * math.pi * (n + 3 * lam)) / math.sqrt(2 * l * abs(n))
+
+
+def _psi_kernel_loop(n, l):
+    """exp(-4 pi i l n x' x) with x = j/|n| + u/(2l n), the quarter-turn entry without its prefactor."""
+    m = abs(n)
+    two_l = 2 * l
+    dim = m * two_l
+    mat = np.empty((dim, dim), dtype=complex)
+    for jp in range(m):
+        for up in range(two_l):
+            xp = jp / m + up / (two_l * n)
+            for j in range(m):
+                for u in range(two_l):
+                    x = j / m + u / (two_l * n)
+                    mat[jp * two_l + up, j * two_l + u] = np.exp(-4j * l * n * math.pi * xp * x)
+    return mat
+
+
+def _phi_target(a, b, n, two_l):
+    """Index map of the half-turn pullback: (a,b) -> (a',b')."""
+    m = abs(n)
+    if b == 0:
+        return (-a) % m, 0
+    if n > 0:
+        return (-a - 1) % m, (two_l - b) % two_l
+    return (-a + 1) % m, (two_l - b) % two_l
+
+
+def _phi_loop(n, lam, l):
+    m, two_l = abs(n), 2 * l
+    mat = np.zeros((m * two_l, m * two_l), dtype=complex)
+    for a in range(m):
+        for b in range(two_l):
+            a2, b2 = _phi_target(a, b, n, two_l)
+            mat[a2 * two_l + b2, a * two_l + b] = -1.0 if (n + lam) % 2 else 1.0
+    return mat
+
+
+def _phi_relation_rows(n, lam, l):
+    """The displayed relations e c^{a,b} = c^{a',b'}, e = (-1)^(n+lam), one row per pair."""
+    m, two_l = abs(n), 2 * l
+    dim = m * two_l
+    e = -1.0 if (n + lam) % 2 else 1.0
+    rows = np.zeros((dim, dim), dtype=complex)
+    for a in range(m):
+        for b in range(two_l):
+            a2, b2 = _phi_target(a, b, n, two_l)
+            rows[a * two_l + b, a * two_l + b] += e
+            rows[a * two_l + b, a2 * two_l + b2] -= 1.0
+    return rows
+
+
+def test_structured_pullbacks_equal_the_entry_formulas():
+    for n, l in SECTORS:
+        kernel = _psi_kernel_loop(n, l)
+        for lam in range(8):
+            assert np.array_equal(phi_pullback_matrix(n, lam, l).matrix, _phi_loop(n, lam, l))
+            want = _psi_prefactor(n, lam, l) * kernel
+            assert np.max(np.abs(psi_pullback_matrix(n, lam, l).matrix - want)) < 1e-12
+
+
+def _projector(V):
+    return V @ V.conj().T
+
+
+def test_constraint_bases_span_the_displayed_relations():
+    for n, l in [(n, l) for n, l in SECTORS if l <= 3 and abs(n) <= 6]:
+        kernel = _psi_kernel_loop(n, l)
+        for lam in range(4):
+            for solver, rows in (
+                    (phi_constraint_solve, _phi_relation_rows(n, lam, l)),
+                    (psi_constraint_solve, np.eye(kernel.shape[0]) - _psi_prefactor(n, lam, l) * kernel)):
+                basis = solver(n, lam, l)
+                want = null_space(rows)
+                assert len(basis) == want.shape[1]
+                if basis:
+                    V = np.column_stack([v.entries for v in basis])
+                    assert np.linalg.norm(V.conj().T @ V - np.eye(len(basis))) < 1e-10
+                    assert np.linalg.norm(_projector(V) - _projector(want)) < 1e-9
+
+
+def test_dim_psi_is_the_mcclellan_parks_multiplicity():
+    # the unitary DFT of size N has eigenvalue (-i)^r with these multiplicities
+    # (McClellan and Parks 1972); psi = i^(n+lam) F fixes the class r = n+lam,
+    # and psi = i^(n+3 lam) conj(F) for n < 0 fixes r = -(n+3 lam)
+    checked = 0
+    for l in range(1, 6):
+        for m in range(1, 10):
+            N = 2 * l * m
+            mult = (N // 4 + 1, (N + 1) // 4, (N + 2) // 4, (N - 1) // 4)
+            for n in (m, -m):
+                for lam in range(8):
+                    r = (n + lam) % 4 if n > 0 else -(n + 3 * lam) % 4
+                    assert dim_psi_invariant(n, lam, l) == mult[r], (n, lam, l)
+                    checked += 1
+    assert checked == 720
+
+
+def test_psi_kernel_margin_at_large_sector():
+    # N = 320: a float phase argument growing like k k'/N leaves the kernel of
+    # psi - I near 1e-13; the integer reduction keeps it at rounding level
+    n, lam, l = 40, 1, 4
+    M = psi_pullback_matrix(n, lam, l).matrix
+    svals = np.linalg.svd(M - np.eye(M.shape[0]), compute_uv=False)
+    kernel = svals[-dim_psi_invariant(n, lam, l):]
+    assert np.max(kernel) < 1e-14
 
 
 def test_phi_matrix_small_cases():
