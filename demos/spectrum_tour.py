@@ -9,7 +9,6 @@ cutoff and print the lines with their origins.
 import math
 
 from heis_spectra import (
-    bieberbach_spectrum,
     enumerate_spectrum,
     gamma_pi,
     gamma_pi_half,
@@ -42,8 +41,8 @@ show("scaled-square l=1", enumerate_spectrum(scaled_square(1), ALPHA, TMAX))
 # the crystallographic quotients thin the oscillator lines: the half turn
 # keeps roughly half of each multiplicity, the quarter turn roughly a quarter,
 # and the bottom pair n=+-1, lam=0 disappears entirely
-show("gamma-pi l=1", bieberbach_spectrum(gamma_pi(1), ALPHA, TMAX))
-show("gamma-pi-half l=1", bieberbach_spectrum(gamma_pi_half(1), ALPHA, TMAX))
+show("gamma-pi l=1", enumerate_spectrum(gamma_pi(1), ALPHA, TMAX))
+show("gamma-pi-half l=1", enumerate_spectrum(gamma_pi_half(1), ALPHA, TMAX))
 
 # the lowest oscillator value itself
 print(f"\nbottom oscillator value on the lattice quotients: {math.pi / 2:.6f}")

@@ -75,7 +75,6 @@ from .weyl import (
     CountingSeries,
     ParitySetCounts,
     WeylConstant,
-    bieberbach_spectrum,
     counting_function,
     default_tgrid,
     manifold_tag,

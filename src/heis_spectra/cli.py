@@ -35,8 +35,8 @@ from .spectrum import OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalu
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_values
 from .weyl import (
-    bieberbach_spectrum,
     counting_function,
+    default_tgrid,
     manifold_tag,
     oscillator_pair_sums,
     parity_counts,
@@ -86,10 +86,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _spectral_lines(manifold, alpha: float, tmax: float):
     try:
-        if isinstance(manifold, LatticeSpec):
-            lines = enumerate_spectrum(manifold, alpha, tmax)
-        else:
-            lines = bieberbach_spectrum(manifold, alpha, tmax)
+        lines = enumerate_spectrum(manifold, alpha, tmax)
     except ValueError as exc:
         raise _CliError(2, str(exc)) from exc
     # files list the positive spectrum; the zero mode is implicit
@@ -234,21 +231,16 @@ def cmd_dims(args) -> int:
 
 def cmd_weyl(args) -> int:
     manifold = _resolve_manifold(args.manifold, args.l)
-    if not -1.0 <= args.alpha <= 1.0:
-        raise _CliError(2, "alpha must lie in [-1, 1]")
     if args.samples < 2:
         raise _CliError(2, "need at least two samples")
     if not 0 < args.tmin < args.tmax:
         raise _CliError(2, "need 0 < tmin < tmax")
-    ratio = (args.tmax / args.tmin) ** (1.0 / (args.samples - 1))
-    tgrid = [args.tmin * ratio**i for i in range(args.samples)]
+    tgrid = default_tgrid(args.samples, args.tmin, args.tmax)
     series = counting_function(manifold, args.alpha, tgrid)
     target = weyl_constant(args.alpha).value * volume(manifold)
     buf = io.StringIO()
     buf.write(f"# weyl manifold={series.manifold} alpha={_g(args.alpha)} "
               f"target={_g(target)}\n")
-    if series.torus_heuristic:
-        buf.write("# torus counts are character-orbit averages\n")
     header = ["t", "oscillator", "torus", "count", "ratio", "target", "deviation"]
     extra = None
     if isinstance(manifold, BieberbachSpec) and manifold.kind == "gamma-pi":

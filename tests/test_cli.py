@@ -88,6 +88,9 @@ def test_spectrum_invalid_selector(capsys):
 def test_spectrum_bad_parameters(capsys):
     assert main(["spectrum", "--manifold", "nl", "--l", "0", "--tmax", "1"]) == 2
     assert main(["spectrum", "--manifold", "nl", "--tmax", "-3"]) == 2
+    assert main(["spectrum", "--manifold", "nl", "--alpha", "1.5", "--tmax", "5"]) == 2
+    assert main(["spectrum", "--manifold", "nl", "--tmax", "inf"]) == 2
+    assert main(["weyl", "--manifold", "gamma-pi", "--tmax", "inf"]) == 2
     capsys.readouterr()
 
 
@@ -165,18 +168,44 @@ PINNED_GRIDS = [
 ]
 
 
-def test_eigenfunction_pinned_bytes_in_fresh_processes():
-    # each grid in its own interpreter through `python -m`, which needs no
+def _assert_pinned_in_fresh_processes(pins):
+    # each command in its own interpreter through `python -m`, which needs no
     # console script; the processes run side by side
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    procs = [subprocess.Popen([sys.executable, "-m", "heis_spectra.cli", "eigenfunction", *argv],
+    procs = [subprocess.Popen([sys.executable, "-m", "heis_spectra.cli", *argv],
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-             for argv, _ in PINNED_GRIDS]
-    for (argv, digest), proc in zip(PINNED_GRIDS, procs):
+             for argv, _ in pins]
+    for (argv, digest), proc in zip(pins, procs):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err.decode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+def test_eigenfunction_pinned_bytes_in_fresh_processes():
+    _assert_pinned_in_fresh_processes([(["eigenfunction", *argv], digest)
+                                       for argv, digest in PINNED_GRIDS])
+
+
+# sha256 of stdout, recorded when the counting core became integer-keyed: line
+# values are the oscillator_eigenvalue expression and pi^2 num / den
+PINNED_COUNTS = [
+    (["spectrum", "--manifold", "nprime", "--l", "1", "--alpha", "0.25", "--tmax", "200"],
+     "c8b2797ac66303c05955da2bf43dc1117964673dd1a44acb715c2f08ddd4ce0e"),
+    (["spectrum", "--manifold", "gamma-pi2", "--l", "3", "--alpha", "-0.5", "--tmax", "150",
+      "--format", "csv"],
+     "c30f00ee220d0b3736f2b4bcecbaf46843ba1bd37090c4413e0dd7e155d9f9db"),
+    (["weyl", "--manifold", "nl", "--l", "3", "--alpha", "0.3", "--samples", "12",
+      "--tmax", "800"],
+     "3657ac1c77b4673829c261303b3ad05b439dd975acd3747dfd4c6013d1cb7b37"),
+    (["weyl", "--manifold", "gamma-pi", "--l", "2", "--alpha", "-1", "--samples", "10",
+      "--tmax", "500"],
+     "80714fcb27ba61e8d2a9d2a443099e45888aa2a5b417dc77f640af62aef8ecb1"),
+]
+
+
+def test_spectrum_and_weyl_pinned_bytes_in_fresh_processes():
+    _assert_pinned_in_fresh_processes(PINNED_COUNTS)
 
 
 def test_dims_quarter_quotient_bottom_row(capsys):

@@ -9,7 +9,6 @@ from heis_spectra.spectrum import OscillatorOrigin, TorusOrigin, enumerate_spect
 from heis_spectra.weyl import (
     CountingSeries,
     ParitySetCounts,
-    bieberbach_spectrum,
     counting_function,
     default_tgrid,
     oscillator_pair_sums,
@@ -181,7 +180,6 @@ def test_counting_rect_example():
     assert series.torus == (0,)
     assert series.counts == (6,)
     assert series.manifold == "standard-rect(l=1)"
-    assert not series.torus_heuristic
 
 
 def test_counting_below_bottom():
@@ -208,16 +206,17 @@ def test_counting_validation():
     with pytest.raises(ValueError):
         counting_function(standard_rect(1), 0.0, [-1.0])
     with pytest.raises(ValueError):
+        counting_function(standard_rect(1), 0.0, [1.0, math.inf])
+    with pytest.raises(ValueError):
         counting_function(standard_rect(1), 1.5, [1.0])
     with pytest.raises(ValueError):
-        CountingSeries("x", 0.0, (1.0, 2.0), (5, 4), (0, 0), False)
+        CountingSeries("x", 0.0, (1.0, 2.0), (5, 4), (0, 0))
 
 
 def test_counting_nondecreasing_on_default_grid():
     series = counting_function(gamma_pi(1), 0.25, default_tgrid(12))
     counts = series.counts
     assert all(b >= a for a, b in zip(counts, counts[1:]))
-    assert series.torus_heuristic
 
 
 def test_default_tgrid_shape():
@@ -267,7 +266,7 @@ def test_ratio_check_quotient():
 
 
 def test_bieberbach_spectrum_half_quotient():
-    lines = bieberbach_spectrum(gamma_pi(1), 0.0, 3.2)
+    lines = enumerate_spectrum(gamma_pi(1), 0.0, 3.2)
     assert [(round(l.value, 12), l.multiplicity) for l in lines] == [
         (0.0, 1),
         (round(math.pi**2 / 4, 12), 1),
@@ -284,7 +283,7 @@ def test_bieberbach_spectrum_half_quotient():
 
 
 def test_bieberbach_spectrum_quarter_quotient():
-    lines = bieberbach_spectrum(gamma_pi_half(1), 0.0, 7.0)
+    lines = enumerate_spectrum(gamma_pi_half(1), 0.0, 7.0)
     expected = [
         (0.0, 1, "torus"),
         (math.pi, 1, -2),
@@ -310,7 +309,7 @@ def test_bieberbach_spectrum_quarter_quotient():
 
 @pytest.mark.parametrize("spec,a,t", [(gamma_pi(1), 0.0, 20.0), (gamma_pi_half(2), 0.4, 15.0)])
 def test_bieberbach_spectrum_matches_counting(spec, a, t):
-    lines = bieberbach_spectrum(spec, a, t)
+    lines = enumerate_spectrum(spec, a, t)
     series = counting_function(spec, a, [t])
     osc = sum(l.multiplicity for l in lines if isinstance(l.origin, OscillatorOrigin))
     tor = sum(l.multiplicity for l in lines if isinstance(l.origin, TorusOrigin) and l.value > 0)
@@ -320,4 +319,4 @@ def test_bieberbach_spectrum_matches_counting(spec, a, t):
 
 def test_bieberbach_spectrum_validation():
     with pytest.raises(ValueError):
-        bieberbach_spectrum(gamma_pi(1), 0.0, 0.0)
+        enumerate_spectrum(gamma_pi(1), 0.0, 0.0)
