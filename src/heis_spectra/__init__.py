@@ -75,6 +75,7 @@ from .weyl import (
     CountingSeries,
     ParitySetCounts,
     WeylConstant,
+    counting_columns,
     counting_function,
     default_tgrid,
     manifold_tag,

@@ -34,15 +34,7 @@ from .invariants import (
 from .spectrum import OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_values
-from .weyl import (
-    counting_function,
-    default_tgrid,
-    manifold_tag,
-    oscillator_pair_sums,
-    parity_counts,
-    volume,
-    weyl_constant,
-)
+from .weyl import counting_columns, default_tgrid, manifold_tag, volume, weyl_constant
 
 _FAMILIES = ("nl", "nprime", "gamma-pi", "gamma-pi2")
 
@@ -199,6 +191,11 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
     return closed, oracle, char, agree
 
 
+# dims refuses sectors of size N = 2l|n| above this: the matrix oracle holds about
+# 48 N^2 bytes (0.8 GB at the limit) and its SVD costs O(N^3).
+MAX_ORACLE_DIM = 4096
+
+
 def cmd_dims(args) -> int:
     manifold = _resolve_manifold(args.manifold, args.l)
     if not isinstance(manifold, BieberbachSpec):
@@ -215,6 +212,10 @@ def cmd_dims(args) -> int:
     lams = [args.lam] if args.lam is not None else list(range(args.lmax + 1))
     if any(lam < 0 for lam in lams):
         raise _CliError(2, "lambda must be nonnegative")
+    size = 2 * args.l * max((abs(n) for n in ns), default=0)
+    if size > MAX_ORACLE_DIM:
+        raise _CliError(2, f"the matrix oracle would have size N = 2l|n| = {size}, "
+                           f"above the limit of {MAX_ORACLE_DIM}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "lambda", "closed", "oracle", "character", "agree"])
@@ -236,7 +237,8 @@ def cmd_weyl(args) -> int:
     if not 0 < args.tmin < args.tmax:
         raise _CliError(2, "need 0 < tmin < tmax")
     tgrid = default_tgrid(args.samples, args.tmin, args.tmax)
-    series = counting_function(manifold, args.alpha, tgrid)
+    # one pass over the oscillator levels gives every column
+    series, cover, parity, pairs = counting_columns(manifold, args.alpha, tgrid)
     target = weyl_constant(args.alpha).value * volume(manifold)
     buf = io.StringIO()
     buf.write(f"# weyl manifold={series.manifold} alpha={_g(args.alpha)} "
@@ -246,25 +248,22 @@ def cmd_weyl(args) -> int:
     if isinstance(manifold, BieberbachSpec) and manifold.kind == "gamma-pi":
         header += ["cover_half", "half_diff", "parity_diff"]
         extra = "half"
-        cover = counting_function(standard_rect(2 * args.l), args.alpha, tgrid)
     elif isinstance(manifold, BieberbachSpec):
         header += ["quarter_ratio", "pair_bound"]
         extra = "quarter"
-        cover = counting_function(scaled_square(args.l), args.alpha, tgrid)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for i, t in enumerate(series.t):
-        count = series.counts[i]
+    for i, (t, count) in enumerate(zip(series.t, series.counts)):
         row = [_g(t), series.oscillator[i], series.torus[i], count,
                _g(count / t**2), _g(target), _g(abs(count / t**2 - target) / target)]
         if extra == "half":
-            half = cover.oscillator[i] / 2.0
-            pc = parity_counts(t, args.alpha)
+            half = cover[i] / 2.0
+            pc = parity[i]
             row += [_g(half), _g(abs(series.oscillator[i] - half)),
                     abs(pc.even_count - pc.odd_count)]
         elif extra == "quarter":
-            ones, mults = oscillator_pair_sums(t, args.alpha, args.l)
-            row += [_g(series.oscillator[i] / cover.oscillator[i] if cover.oscillator[i] else 0.0),
+            ones, mults = pairs[i]
+            row += [_g(series.oscillator[i] / cover[i] if cover[i] else 0.0),
                     _g(ones / mults if mults else 0.0)]
         writer.writerow(row)
     _write_output(args.out, buf.getvalue())

@@ -44,7 +44,7 @@ from .invariants import (
 )
 from .spectrum import OscillatorOrigin, enumerate_spectrum
 from .weil_brezin import WBIndex, schrodinger_act, weil_brezin_eval, wb_eigenfunction
-from .weyl import counting_function, oscillator_pair_sums, parity_counts, weyl_constant
+from .weyl import counting_columns, oscillator_pair_sums, weyl_constant
 
 
 class VerificationError(RuntimeError):
@@ -242,10 +242,9 @@ def _suite_weyl() -> str:
         _require(abs(weyl_constant(a).value - weyl_constant(-a).value) < 1e-10,
                  "constant is not even in alpha")
     _require(oscillator_pair_sums(math.pi, 0.0, 1) == (4, 12), "pair sums changed")
-    for t in (30.0, 90.0):
-        n_half = counting_function(gamma_pi(1), 0.0, [t]).oscillator[0]
-        n_cover = counting_function(standard_rect(2), 0.0, [t]).oscillator[0]
-        pc = parity_counts(t, 0.0)
+    # the half quotient, its cover standard-rect(2) and the parity sets in one pass
+    halves, covers, parity, _ = counting_columns(gamma_pi(1), 0.0, [30.0, 90.0])
+    for n_half, n_cover, pc in zip(halves.oscillator, covers, parity):
         _require(abs(2 * n_half - n_cover) == 2 * abs(pc.even_count - pc.odd_count),
                  "half-count relation failed")
     return "constants, pair sums, half-count relation"

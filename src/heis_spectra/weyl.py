@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .group import BieberbachSpec, LatticeSpec
-from .spectrum import _counts, _oscillator_sum, _pair_count
+from .spectrum import _oscillator_sums, _sectors, _torus_points
 
 
 def volume(spec) -> float:
@@ -73,19 +73,32 @@ class ParitySetCounts:
             raise ValueError("parity counts violate the cancellation bound")
 
 
+def _one(n: int, lam: int) -> int:
+    return 1
+
+
+def _even(n: int, lam: int) -> int:
+    return (abs(n) + lam + 1) % 2
+
+
+def _pair_width(l: int):
+    return lambda n, lam: 2 * l * abs(n)
+
+
 def parity_counts(t: float, alpha: float) -> ParitySetCounts:
     """Exact sizes of the even / odd |n|+lambda admissible sets."""
     if t <= 0:
         raise ValueError("t must be positive")
-    even = _oscillator_sum(lambda n, lam: (abs(n) + lam + 1) % 2, alpha, t)
-    return ParitySetCounts(t, even, _pair_count(alpha, t) - even)
+    (even,), (pairs,) = _oscillator_sums([_even, _one], alpha, [t])
+    return ParitySetCounts(t, even, pairs - even)
 
 
 def oscillator_pair_sums(t: float, alpha: float, l: int) -> tuple[int, int]:
     """(number of admissible (n,lambda) pairs, their total 2l|n| multiplicity)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return _pair_count(alpha, t), _oscillator_sum(lambda n, lam: 2 * l * abs(n), alpha, t)
+    (pairs,), (mults,) = _oscillator_sums([_one, _pair_width(l)], alpha, [t])
+    return pairs, mults
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,20 @@ def manifold_tag(spec) -> str:
     return f"{spec.kind}(l={spec.l})"
 
 
+def _checked_grid(tgrid) -> list[float]:
+    tgrid = list(tgrid)
+    if not tgrid or any(not 0 < t < math.inf for t in tgrid) or sorted(tgrid) != tgrid:
+        raise ValueError("tgrid must be positive, finite and sorted ascending")
+    return tgrid
+
+
+def _series(manifold, alpha: float, tgrid, oscillator) -> CountingSeries:
+    _, lattice, orbits = _sectors(manifold)
+    torus = tuple(orbits(_torus_points(lattice, t) - 1) for t in tgrid)
+    return CountingSeries(manifold_tag(manifold), alpha, tuple(float(t) for t in tgrid),
+                          tuple(oscillator), torus)
+
+
 def counting_function(manifold, alpha: float, tgrid) -> CountingSeries:
     """Counts of positive eigenvalues <= t with multiplicity, per sample t.
 
@@ -118,12 +145,27 @@ def counting_function(manifold, alpha: float, tgrid) -> CountingSeries:
     enumerate_spectrum lists at tmax = t, fixed-subspace dimensions and rotation
     orbits of characters on the crystallographic quotients included.
     """
-    tgrid = list(tgrid)
-    if not tgrid or any(not 0 < t < math.inf for t in tgrid) or sorted(tgrid) != tgrid:
-        raise ValueError("tgrid must be positive, finite and sorted ascending")
-    osc, torus = zip(*(_counts(manifold, alpha, t) for t in tgrid))
-    return CountingSeries(manifold_tag(manifold), alpha, tuple(float(t) for t in tgrid),
-                          osc, torus)
+    tgrid = _checked_grid(tgrid)
+    (osc,) = _oscillator_sums([_sectors(manifold)[0]], alpha, tgrid)
+    return _series(manifold, alpha, tgrid, osc)
+
+
+def counting_columns(manifold, alpha: float, tgrid):
+    """(series, cover, parity, pairs): the columns of `weyl`, from one pass over the
+    oscillator levels of the whole grid.
+
+    series is counting_function(manifold, alpha, tgrid); per sample t, cover holds
+    the oscillator count of the covering lattice (the manifold itself on a
+    lattice), parity holds parity_counts(t, alpha) and pairs holds
+    oscillator_pair_sums(t, alpha, manifold.l).
+    """
+    tgrid = _checked_grid(tgrid)
+    f, lattice, _ = _sectors(manifold)
+    osc, cover, even, pairs, mults = _oscillator_sums(
+        [f, _sectors(lattice)[0], _even, _one, _pair_width(manifold.l)], alpha, tgrid)
+    parity = tuple(ParitySetCounts(t, e, p - e) for t, e, p in zip(tgrid, even, pairs))
+    return (_series(manifold, alpha, tgrid, osc), tuple(cover), parity,
+            tuple(zip(pairs, mults)))
 
 
 def default_tgrid(n_samples: int = 20, t_lo: float = math.pi / 2, t_hi: float = 1e3):

@@ -3,16 +3,20 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from heis_spectra.cli import main
+from heis_spectra import cli
+from heis_spectra.cli import MAX_ORACLE_DIM, main
 from heis_spectra.group import standard_rect
-from heis_spectra.spectrum import enumerate_spectrum
+from heis_spectra.spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -204,8 +208,68 @@ PINNED_COUNTS = [
 ]
 
 
+# sha256 of stdout, recorded with the per-sample scalar counting loop before the
+# counts were taken over the whole t-grid at once: quarter columns and the
+# endpoint and negative alpha
+PINNED_WEYL_GRIDS = [
+    (["weyl", "--manifold", "gamma-pi2", "--l", "2", "--alpha", "1", "--samples", "40",
+      "--tmax", "3000"],
+     "dcd56b7254a96773baf757b9dd770e7e83b85803208f7c8a0aa8ef3a8ede0662"),
+    (["weyl", "--manifold", "gamma-pi2", "--l", "2", "--alpha", "-0.45", "--samples", "40",
+      "--tmax", "3000"],
+     "9a981e7ead6c88753157cc36f36ef7cf1b7d4fa9525cbc8f58b7c74d8c4844d0"),
+    (["weyl", "--manifold", "nprime", "--l", "3", "--alpha", "1", "--samples", "40",
+      "--tmax", "3000"],
+     "94762ec0fe175bbd720673b10c67390a2f9b3494d1b7f8edad7e626a58f44921"),
+    (["weyl", "--manifold", "nprime", "--l", "3", "--alpha", "-0.45", "--samples", "40",
+      "--tmax", "3000"],
+     "76e3d18cf790f19eb35dc167e3e5085acab0f79ade75f8161310fc84ede98be6"),
+]
+
+
 def test_spectrum_and_weyl_pinned_bytes_in_fresh_processes():
-    _assert_pinned_in_fresh_processes(PINNED_COUNTS)
+    _assert_pinned_in_fresh_processes(PINNED_COUNTS + PINNED_WEYL_GRIDS)
+
+
+def test_spectrum_refuses_a_line_count_past_the_limit_at_once():
+    # the lam = 0 level alone holds about 6.4e9 lines; the child gets a 1 GiB
+    # address space and 60 s, and must exit 2 well within both
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heis_spectra.cli", "spectrum", "--manifold", "nl",
+                           "--alpha", "0.99999999", "--tmax", "100"],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert time.perf_counter() - start < 30
+    assert proc.stdout == ""
+    assert "6366197917" in proc.stderr and str(MAX_SPECTRUM_LINES) in proc.stderr
+
+
+def test_spectrum_refusals_need_no_enumeration():
+    with pytest.raises(ValueError, match="at least"):
+        enumerate_spectrum(standard_rect(1), 0.0, 1e6)
+    # tops past 2^62 are never stepped: the estimate refuses first
+    with pytest.raises(ValueError, match="more than 4.6e"):
+        enumerate_spectrum(standard_rect(1), 1 - 2**-53, 1e4)
+    with pytest.raises(ValueError, match="more than 4.6e"):
+        enumerate_spectrum(standard_rect(1), 0.5, 1e300)
+
+
+def test_spectrum_near_alpha_one_still_enumerates(capsys):
+    rc, out = run_cli(capsys, "spectrum", "--manifold", "nl", "--alpha", "0.9999",
+                      "--tmax", "10", "--format", "csv")
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    # the lam = 0 level of n > 0 holds the values (pi m / 2) 1e-4 <= 10
+    bottom = [r for r in rows if r["kind"] == "oscillator" and r["lambda"] == "0" and int(r["n"]) > 0]
+    assert len(bottom) == int(10 / (math.pi / 2 * (1 - 0.9999)))
+    assert len(rows) == len(enumerate_spectrum(standard_rect(1), 0.9999, 10.0)) - 1
 
 
 def test_dims_quarter_quotient_bottom_row(capsys):
@@ -232,6 +296,27 @@ def test_dims_negative_range_skips_zero(capsys):
     assert rc == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [int(r["n"]) for r in rows] == [-2, -1, 1, 2]
+
+
+def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pullback matrix was built")
+
+    monkeypatch.setattr(cli, "psi_pullback_matrix", refuse)
+    monkeypatch.setattr(cli, "phi_pullback_matrix", refuse)
+    tracemalloc.start()
+    try:
+        rc = main(["dims", "--manifold", "gamma-pi2", "--n", "2000", "--l", "8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "32000" in err and str(MAX_ORACLE_DIM) in err
+    assert peak < 1 << 20
+    # a range is refused as a whole, before its first row
+    assert main(["dims", "--manifold", "gamma-pi", "--nmin", "1", "--nmax", "3000"]) == 2
+    assert "6000" in capsys.readouterr().err
 
 
 def test_dims_rejects_bad_requests(capsys):

@@ -3,19 +3,23 @@
 Every spectrum, count and side column goes through one core in
 heis_spectra.spectrum.  The independent routes live here as oracles: a
 per-pair loop over (n, lambda) with the multiplicity of each pair, a 2-D loop
-over dual-lattice points with no row bound, and the action of the generator on
+over dual-lattice points with no row bound, the action of the generator on
 the characters, whose orbit-averaging projector ranks the torus sector of a
-crystallographic quotient.
+crystallographic quotient, and the per-sample scalar loop over levels that
+the array core over the whole t-grid replaced.
 """
 
 import bisect
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heis_spectra import weyl
 from heis_spectra.group import (
     LatticeSpec,
     PolarizedPoint,
@@ -29,12 +33,18 @@ from heis_spectra.invariants import dim_phi_invariant, dim_psi_invariant
 from heis_spectra.spectrum import (
     DualLatticePoint,
     TorusOrigin,
+    _oscillator_sums,
     dual_lattice,
     enumerate_spectrum,
     oscillator_eigenvalue,
     torus_character,
 )
-from heis_spectra.weyl import counting_function, oscillator_pair_sums, parity_counts
+from heis_spectra.weyl import (
+    counting_columns,
+    counting_function,
+    oscillator_pair_sums,
+    parity_counts,
+)
 
 FAMILIES = (standard_rect, scaled_square, gamma_pi, gamma_pi_half)
 
@@ -195,3 +205,158 @@ def test_torus_counts_are_exact_orbit_counts(kind, l, t):
     assert rank == 1 + counting_function(spec, 0.0, [t]).torus[0]
     assert rank == sum(ln.multiplicity for ln in enumerate_spectrum(spec, 0.0, t)
                        if isinstance(ln.origin, TorusOrigin))
+
+
+# ---------------------------------------------------------------------------
+# the array core over a t-grid against the per-sample scalar loop it replaced
+
+
+def _scalar_levels(alpha, t):
+    """(sgn, lam, c, M) per level with an eigenvalue in (0, t]: M is the largest m
+    with (pi m / 2) c <= t, the floor guess stepped one at a time."""
+    for sgn in (1, -1):
+        for lam in itertools.count():
+            c = 2 * lam + 1 - alpha * sgn
+            if c <= 0:
+                continue
+            top = int(t / (math.pi / 2.0 * c))
+            while (math.pi * (top + 1) / 2.0) * c <= t:
+                top += 1
+            while top > 0 and (math.pi * top / 2.0) * c > t:
+                top -= 1
+            if top == 0:
+                break
+            yield sgn, lam, c, top
+
+
+def _scalar_level_sum(f, sgn, lam, top):
+    """Sum of f(sgn m, lam) over 1 <= m <= top, class by class of m mod 4."""
+    total = 0
+    for first in range(1, min(top, 4) + 1):
+        k = (top - first) // 4 + 1
+        f0 = f(sgn * first, lam)
+        total += k * f0
+        if k > 1:
+            total += (f(sgn * (first + 4), lam) - f0) * (k * (k - 1) // 2)
+    return total
+
+
+def _scalar_sums(fs, alpha, tgrid):
+    """The per-sample loop: one pass over the levels below each t, in Python ints."""
+    out = [[0] * len(tgrid) for _ in fs]
+    for s, t in enumerate(tgrid):
+        for sgn, lam, _, top in _scalar_levels(alpha, t):
+            for row, f in zip(out, fs):
+                row[s] += _scalar_level_sum(f, sgn, lam, top)
+    return out
+
+
+def _passed_multiplicities(l):
+    """Every multiplicity function the counting entry points hand to the core."""
+    seen = []
+    real = weyl._oscillator_sums
+
+    def record(fs, *args, **kwargs):
+        seen.extend(fs)
+        return real(fs, *args, **kwargs)
+
+    with mock.patch.object(weyl, "_oscillator_sums", record):
+        parity_counts(10.0, 0.0)
+        oscillator_pair_sums(10.0, 0.0, l)
+        for family in FAMILIES:
+            counting_function(family(l), 0.0, [10.0])
+            counting_columns(family(l), 0.0, [10.0])
+    return seen
+
+
+def _four_multiplicities(l):
+    """w|n|, the half- and quarter-turn dimensions and the parity indicator."""
+    return [lambda n, lam: 2 * l * abs(n),
+            lambda n, lam: dim_phi_invariant(n, lam, l),
+            lambda n, lam: dim_psi_invariant(n, lam, l),
+            lambda n, lam: (abs(n) + lam + 1) % 2]
+
+
+@st.composite
+def _grids(draw):
+    """(alpha, tgrid): sorted samples among exact line values, the float just below
+    a line value, and free values."""
+    alpha = draw(_ALPHA)
+    ts = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["line", "below", "free"]))
+        if kind == "free":
+            ts.append(draw(st.floats(0.05, 400.0)))
+            continue
+        n = draw(st.integers(1, 40)) * draw(st.sampled_from([1, -1]))
+        value = oscillator_eigenvalue(n, draw(st.integers(0, 30)), alpha)
+        if 0 < value <= 400.0:
+            ts.append(value if kind == "line" else math.nextafter(value, 0.0))
+    return alpha, sorted(ts) or [400.0]
+
+
+def _signed(n, lam):
+    """Within the contract but odd in the sign of n, unlike the program's own."""
+    return (3 if n > 0 else 1) * abs(n) + (lam % 4) * (n % 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids(), l=st.integers(1, 6), chunk=st.sampled_from([1, 5, 64, 1 << 17]),
+       n=st.integers(-50, 50).filter(bool), lam=st.integers(0, 100))
+def test_grid_core_equals_the_scalar_loop(grid, l, chunk, n, lam):
+    alpha, tgrid = grid
+    fs = _four_multiplicities(l) + [_signed]
+    assert _oscillator_sums(fs, alpha, tgrid, chunk) == _scalar_sums(fs, alpha, tgrid)
+    # the contract the core relies on, for the multiplicities the program passes
+    for f in _passed_multiplicities(l):
+        assert f(n, lam) == f(n, lam % 4)
+
+
+def test_passed_multiplicities_are_affine_on_classes():
+    for l in range(1, 6):
+        for f in _passed_multiplicities(l):
+            for n in [*range(-24, 0), *range(1, 25)]:
+                step = 4 if n > 0 else -4
+                for lam in range(4):
+                    assert f(n + 2 * step, lam) - f(n + step, lam) == f(n + step, lam) - f(n, lam)
+
+
+@pytest.mark.parametrize("alpha", [1 - 1e-10, -(1 - 1e-10), 0.999999, -0.999999])
+def test_counts_past_int64_equal_the_scalar_loop(alpha):
+    # the lam = 0 level holds about 2 t / (pi (1 - |alpha|)) lines, and its
+    # sums pass 2^63 at t = 1e5
+    fs = _four_multiplicities(2)
+    tgrid = [3000.0, 1e5]
+    got = _oscillator_sums(fs, alpha, tgrid)
+    assert got == _scalar_sums(fs, alpha, tgrid)
+    assert max(row[1] for row in got) > 2**63
+
+
+def test_quarter_quotient_count_past_int64():
+    alpha = 1 - 1e-10
+    series = counting_function(gamma_pi_half(2), alpha, [1e5])
+    (expected,) = _scalar_sums([lambda n, lam: dim_psi_invariant(n, lam, 2)], alpha, [1e5])
+    assert list(series.oscillator) == expected
+    assert series.oscillator[0] == pytest.approx(2.03e29, rel=0.01)
+
+
+@pytest.mark.parametrize("alpha", [1 - 2**-53, -(1 - 2**-53)])
+def test_tops_past_2_62_equal_the_scalar_loop(alpha):
+    # c = 2^-53 at lam = 0: the tops there pass 2^62 and are kept as Python ints
+    fs = _four_multiplicities(1)
+    tgrid = [1.0, 50.0, 3000.0]
+    got = _oscillator_sums(fs, alpha, tgrid, chunk=7)
+    assert got == _scalar_sums(fs, alpha, tgrid)
+    assert got[0][-1] > 2**80
+
+
+def test_multiplicities_past_int64_are_summed_exactly():
+    huge = [lambda n, lam: 2**70 * abs(n) + lam % 4, lambda n, lam: 1]
+    tgrid = [10.0, 200.0]
+    assert _oscillator_sums(huge, 0.3, tgrid) == _scalar_sums(huge, 0.3, tgrid)
+
+
+def test_chunked_core_equals_one_chunk_at_large_t():
+    fs = _four_multiplicities(3)
+    for alpha, tgrid in ((0.3, [1e6]), (1 - 1e-10, [2e3, 1e5, 1e6])):
+        assert _oscillator_sums(fs, alpha, tgrid) == _oscillator_sums(fs, alpha, tgrid, chunk=1 << 40)

@@ -9,6 +9,7 @@ from heis_spectra.spectrum import OscillatorOrigin, TorusOrigin, enumerate_spect
 from heis_spectra.weyl import (
     CountingSeries,
     ParitySetCounts,
+    counting_columns,
     counting_function,
     default_tgrid,
     oscillator_pair_sums,
@@ -249,6 +250,27 @@ def test_quarter_sandwich(l, a, t):
     r = ones / mults
     ratio = n_quarter / n_cover
     assert 0.25 - r <= ratio <= 0.25 + r
+
+
+@pytest.mark.parametrize("family", [standard_rect, scaled_square, gamma_pi, gamma_pi_half])
+@pytest.mark.parametrize("a", [-1.0, -0.45, 0.0, 0.7, 1.0])
+def test_counting_columns_equal_the_separate_calls(family, a):
+    # one pass over the levels gives what the public functions give one by one
+    spec = family(2)
+    tgrid = default_tgrid(15, math.pi / 2, 600.0)
+    series, cover, parity, pairs = counting_columns(spec, a, tgrid)
+    assert series == counting_function(spec, a, tgrid)
+    lattice = spec if family in (standard_rect, scaled_square) else spec.base_lattice
+    assert cover == counting_function(lattice, a, tgrid).oscillator
+    assert parity == tuple(parity_counts(t, a) for t in tgrid)
+    assert pairs == tuple(oscillator_pair_sums(t, a, 2) for t in tgrid)
+
+
+def test_counting_columns_validation():
+    with pytest.raises(ValueError):
+        counting_columns(gamma_pi(1), 0.0, [10.0, 5.0])
+    with pytest.raises(ValueError):
+        counting_columns(gamma_pi(1), 1.5, [10.0])
 
 
 def test_ratio_check_rect():
