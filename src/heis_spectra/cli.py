@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -279,6 +280,7 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heis-spectra",
@@ -298,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0, help="operator parameter (default 0)")
     p.add_argument("--tmax", type=float, required=True, help="upper eigenvalue bound")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("eigenfunction", help="sample one eigenfunction on a grid")
     add_common(p)
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="operator parameter recorded in the header (default 0)")
     p.add_argument("--grid", type=int, default=4, help="samples per unit step (default 4)")
     p.add_argument("--tol", type=float, default=1e-12, help="series tolerance (default 1e-12)")
-    p.set_defaults(func=cmd_eigenfunction)
 
     p = sub.add_parser("dims", help="invariant-subspace dimension table")
     add_common(p)
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, default=3, help="level range end (default 3)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="rank threshold for the matrix oracle (default 1e-8)")
-    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("weyl", help="eigenvalue counting diagnostics")
     add_common(p)
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, default=1.5707963267948966,
                    help="first sample (default pi/2)")
     p.add_argument("--tmax", type=float, default=1e3, help="last sample (default 1e3)")
-    p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("verify", help="run the library self-check suites")
     p.add_argument("--suite", action="append", choices=available_suites(),
@@ -339,15 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and ignored: the suites run one after another")
     p.add_argument("--inject-pullback-error", type=float, default=0.0,
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a rebound cmd_* function takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except _CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

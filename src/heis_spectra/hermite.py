@@ -95,9 +95,3 @@ def scaled_hermite(n: int, lam: int, l, scaling: str, x):
     out = hermite_function(lam, scale * x)
     return float(out) if x.ndim == 0 else out
 
-
-def oscillator_weight(n: int, lam: int, l, scaling: str) -> float:
-    """Gaussian width parameter c with |seed(x)| <= |H(scale x)| e^{-c x^2}."""
-    if scaling == "plain":
-        return math.pi * abs(n)
-    return 2.0 * math.pi * l * abs(n)

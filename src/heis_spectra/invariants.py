@@ -7,6 +7,9 @@ k = 2l a + sgn(n) b mod N (`_sector_index`), and on that index the generators
 are exact Fourier objects: the quarter-turn pullback is i^(n+lam) F for n > 0
 and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
 half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
+On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
+(1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step);
+each residue's edge terms are under tol/10, so the tail is at most ~tol sum |c|.
 Fixed-subspace dimensions follow either from closed forms, from characters and
 Gauss sums, or from an SVD nullity oracle, and the three routes are kept
 separate so they can be compared.
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .group import LatticeSpec
-from .weil_brezin import WBIndex, wb_eigenfunction
+from .weil_brezin import _hermite_windows, _series_value
 
 
 class IllConditionedError(RuntimeError):
@@ -238,15 +241,10 @@ def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
 
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,
                               pt, tol: float = 1e-12) -> complex:
-    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient."""
-    if lattice.covering_width != 2 * coef.l:
-        raise ValueError("lattice covering width must equal 2l of the coefficients")
-    two_l = 2 * coef.l
-    total = 0j
-    for a in range(abs(coef.n)):
-        for b in range(two_l):
-            c = coef.entries[a * two_l + b]
-            if c == 0:
-                continue
-            total += c * wb_eigenfunction(WBIndex(coef.n, a, b, two_l), lam, lattice, pt, tol)
-    return total
+    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series."""
+    to_rect, window_at = _hermite_windows(coef.n, 2 * coef.l, lam, lattice, tol)
+    dim = coef.entries.size
+    weights = coef.entries[np.argsort(_sector_index(coef.n, coef.l))]  # c at residue k
+    pt = to_rect(pt)
+    exponents, seeds = window_at(pt.p, np.arange(dim) / dim)
+    return _series_value(coef.n, (exponents, (seeds.reshape(-1, dim) * weights).ravel()), pt)

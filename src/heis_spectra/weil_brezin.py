@@ -13,15 +13,20 @@ lattice onto the rectangular one of width 2l.
 
 The series is cut to a window k0 - K .. k0 + K about the smallest |p + k + off|,
 with K the first K >= 2 at which both edge terms are below tol/10: tol is an
-absolute bound on the tail.  The seeds depend on p alone (Auslander and
-Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a window is
-built from one array evaluation of the Hermite seed and reused while p repeats:
-a grid walked row by row in p builds one window per row, and only the phases
-e^{2 pi i n (k + off) q} and the central character are formed per point.
+absolute bound on the tail.  A window may hold a (k x residue) matrix of seeds,
+one column per offset, its edge rows judged by their largest seed: an invariant
+combination Sum c^{a,b} f^{a,b} is one series over the N = L|n| residues r/N
+(invariants.eigenfunction_combination), every residue's edge terms are under
+tol/10, and its tail is at most about tol * Sum |c|.  The seeds depend on p
+alone (Auslander and Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43,
+1988), so a window is built from one array evaluation of the seed and reused
+while p repeats, and only the phases and the central character are formed per
+point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,25 +81,35 @@ _MAX_WINDOW = 100_000
 _FIRST_BLOCK = 8
 
 
-def _series_window(values, n: int, p: float, off: float, tol: float, what: str):
-    """Seeds g(p + k + off) on the series window k0 - K .. k0 + K, k0 = -round(p + off).
+def _outer(ks, offs):  # k + off for every k and offset, k-major and flat
+    return ks + offs if offs.size == 1 else np.add.outer(ks, offs).ravel()
 
-    K is the first K >= 2 at which both edge terms fall under tol/10.  values
-    maps an array of arguments to the seeds there; it is called once per block
-    of k, and a block that ends before the rule is met is doubled.  Edge sums
-    that fail to shrink 61 times running (a seed without decay), or a window
-    wider than _MAX_WINDOW terms, raise TruncationError; a window holding a seed
-    that is not finite raises ValueError.  Returns the exponents
-    2 pi i n (k + off) of the phases, before the factor q, and the seeds.
+
+def _series_window(values, n: int, p: float, offs, tol: float, what: str):
+    """Seeds g(p + k + off) on the window k0 - K .. k0 + K for each offset off in offs.
+
+    k0 = -round(p + m), m the mean of the first and last offset.  Each block of
+    seeds is a (k x residue) matrix from one call of values; K is the first K >= 2
+    at which the largest seed of each edge row is under tol/10, and a block that
+    ends before that is doubled.  Edge sums that fail to shrink 61 unit steps of k
+    running (a seed without decay), or a window wider than _MAX_WINDOW rows, raise
+    TruncationError; a seed in the window that is not finite raises ValueError.
+    Returns the exponents 2 pi i n (k + off), before the factor q, and the seeds,
+    flat and k-major.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     thr = 0.1 * tol
-    k0 = -round(p + off)
+    k0 = -round(p + float(offs[0] + offs[-1]) / 2)
     top = (_MAX_WINDOW - 1) // 2  # the widest half-width allowed
     B = _FIRST_BLOCK
     while True:
         ks = np.arange(k0 - B, k0 + B + 1)
-        seeds = values(p + ks + off)
+        xs = _outer(p + ks, offs)
+        seeds = values(xs)
         mags = np.abs(seeds)
+        if offs.size > 1:
+            mags = mags.reshape(-1, offs.size).max(axis=1)
         # edge terms for K = 2 .. B; fmax, like `or`, lets a nan edge close the window
         left, right = mags[B - 2::-1], mags[B + 2:]
         wide = np.fmax(left, right) >= thr
@@ -114,11 +129,12 @@ def _series_window(values, n: int, p: float, off: float, tol: float, what: str):
         if B == top:
             raise TruncationError("window exceeded %d terms without decay" % _MAX_WINDOW)
         B = min(2 * B, top)
-    ks, seeds = ks[B - K:B + K + 1], seeds[B - K:B + K + 1]
+    rows = slice((B - K) * offs.size, (B + K + 1) * offs.size)
+    xs, seeds = xs[rows], seeds[rows]
     bad = ~np.isfinite(seeds)
     if bad.any():
-        raise ValueError(f"{what} is not finite at x = {p + int(ks[bad][0]) + off!r}")
-    return 2j * math.pi * n * (ks + off), seeds.astype(complex)
+        raise ValueError(f"{what} is not finite at x = {float(xs[bad][0])!r}")
+    return 2j * math.pi * n * _outer(ks[B - K:B + K + 1], offs), seeds.astype(complex)
 
 
 def _series_value(n: int, window, pt: PolarizedPoint) -> complex:
@@ -132,18 +148,28 @@ def _series_value(n: int, window, pt: PolarizedPoint) -> complex:
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:
     """Truncated evaluation of the series with absolute tail bound below tol.
 
-    The window is symmetric about the argmin of |p + k + off| and grows until
-    both edge terms fall under tol/10; terms that stop shrinking (a seed
-    without decay) raise TruncationError.  g is called on one float at a time.
+    The window is that of _series_window; g is called on one float at a time.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    off = idx.offset
-
     def values(xs):
         return np.array([complex(g(x)) for x in xs.tolist()], dtype=complex)
 
-    return _series_value(idx.n, _series_window(values, idx.n, pt.p, off, tol, "the seed"), pt)
+    window = _series_window(values, idx.n, pt.p, np.array([idx.offset]), tol, "the seed")
+    return _series_value(idx.n, window, pt)
+
+
+def _hermite_windows(n: int, width: int, lam: int, lattice: LatticeSpec, tol: float):
+    """The map of a point onto the rectangular cover and the _series_window of the
+    Hermite seed of order lam as a function of p and offsets."""
+    if width != lattice.covering_width:
+        raise ValueError(f"width {width} is not the covering width of {lattice}")
+    if lattice.kind == "standard-rect":
+        to_rect, scale = (lambda pt: pt), seed_scale(n, 1, "plain")
+    else:
+        to_rect = functools.partial(apply_symplectic, scaling_map(lattice.l))
+        scale = seed_scale(n, lattice.l, "sqrt2l")
+    seeds = lambda xs: _function(lam, scale * xs)
+    what = f"the Hermite seed of order {lam}"
+    return to_rect, lambda p, offs: _series_window(seeds, n, p, offs, tol, what)
 
 
 def wb_eigenfunction_values(idx: WBIndex, lam: int, lattice: LatticeSpec, pts,
@@ -151,32 +177,18 @@ def wb_eigenfunction_values(idx: WBIndex, lam: int, lattice: LatticeSpec, pts,
     """wb_eigenfunction at each point of pts.
 
     The seeds depend on the point's p alone, once carried onto the rectangular
-    lattice, so consecutive points with the same p share one series window, and
-    each window comes from one array evaluation of the Hermite seed.  A grid
-    walked row by row in p thus builds one window per row.
+    lattice, so consecutive points with the same p share one series window: a
+    grid walked row by row in p builds one window per row.
     """
-    if lattice.kind == "standard-rect":
-        if idx.l != lattice.l:
-            raise ValueError("idx.l must equal the rectangular lattice width")
-        to_rect, l, scaling = None, 1, "plain"
-    else:
-        if idx.l != 2 * lattice.l:
-            raise ValueError("idx.l must equal 2l for the square lattice of parameter l")
-        to_rect, l, scaling = scaling_map(lattice.l), lattice.l, "sqrt2l"
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = seed_scale(idx.n, l, scaling)
-    seeds = lambda xs: _function(lam, scale * xs)
-    what = f"the Hermite seed of order {lam}"
-    off = idx.offset
+    to_rect, window_at = _hermite_windows(idx.n, idx.l, lam, lattice, tol)
+    offs = np.array([idx.offset])
     out = []
     window = p = None
     for pt in pts:
-        if to_rect is not None:
-            pt = apply_symplectic(to_rect, pt)
+        pt = to_rect(pt)
         if window is None or pt.p != p:
             p = pt.p
-            window = _series_window(seeds, idx.n, p, off, tol, what)
+            window = window_at(p, offs)
         out.append(_series_value(idx.n, window, pt))
     return out
 
@@ -186,8 +198,7 @@ def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: Polarized
     """Eigenfunction of the sub-Laplacian family on the given lattice quotient.
 
     Rectangular lattices seed the transform with the plain-scaled Hermite
-    function; square lattices seed with the sqrt2l scaling and evaluate at the
-    rescaled point, which is where their quotient is carried onto the
-    rectangular one.
+    function; square lattices with the sqrt2l scaling, at the point carried onto
+    their rectangular cover.
     """
     return wb_eigenfunction_values(idx, lam, lattice, (pt,), tol)[0]

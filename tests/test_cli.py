@@ -105,6 +105,32 @@ def test_io_failure_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_commands_keep_their_exit_codes(capsys, tmp_path):
+    # the parser is shared between calls: no command's options or defaults
+    # reach the next one, whichever order they come in
+    calls = [
+        (["verify", "--suite", "pullback", "--inject-pullback-error", "1e-3"], 1),
+        (["eigenfunction", "--manifold", "nl", "--n", "2", "--lam", "1", "--grid", "1",
+          "--tol", "1e-6", "--out", str(tmp_path / "f.csv")], 0),
+        (["dims", "--manifold", "gamma-pi", "--out", str(tmp_path / "dims.csv")], 0),
+        (["eigenfunction", "--manifold", "gamma-pi", "--n", "1", "--lam", "0"], 2),
+        (["weyl", "--manifold", "gamma-pi2", "--samples", "3", "--tmax", "50"], 0),
+        (["spectrum", "--manifold", "nl", "--tmax", "5", "--out", str(tmp_path / "no" / "x")], 3),
+        (["verify", "--suite", "pullback"], 0),
+    ]
+    for order in (calls, calls[::-1]):
+        for argv, code in order:
+            assert main(argv) == code, argv
+            # dims keeps its own range and rank threshold after eigenfunction's --n and --tol
+            if argv[0] == "dims":
+                assert len((tmp_path / "dims.csv").read_text().splitlines()) == 17
+    capsys.readouterr()
+
+
 def _grid_rows(out):
     body = [ln for ln in out.splitlines() if not ln.startswith("#")]
     rows = {}

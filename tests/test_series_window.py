@@ -1,8 +1,11 @@
 """The block-evaluated series window against the scalar window loop it replaced.
 
 The reference below is the per-seed loop that evaluated the Weil-Brezin series
-one seed at a time.  The array window must pick the same window and give the
-same floating-point value, compared with ==.
+one seed at a time.  For a single basis function the array window must pick the
+same window and give the same floating-point value, compared with ==.  An
+invariant combination is one series over all N residues of the sector, so it
+is compared with the per-(a, b) sum of reference series within a bound, and its
+invariance under the generator is checked at N up to 128.
 """
 
 import math
@@ -12,15 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heis_spectra import weil_brezin
 from heis_spectra.group import (
     PolarizedPoint,
     apply_symplectic,
+    gamma_pi,
+    gamma_pi_half,
+    motion_apply,
     scaled_square,
     scaling_map,
     standard_rect,
 )
-from heis_spectra.hermite import scaled_hermite
-from heis_spectra.invariants import CoefficientVector, eigenfunction_combination
+from heis_spectra.hermite import hermite_function, scaled_hermite
+from heis_spectra.invariants import (
+    CoefficientVector,
+    eigenfunction_combination,
+    phi_constraint_solve,
+    psi_constraint_solve,
+)
 from heis_spectra.weil_brezin import (
     TruncationError,
     WBIndex,
@@ -119,13 +131,76 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
     parts = st.floats(-2.0, 2.0, allow_nan=False)
     entries = np.array([complex(*data.draw(st.tuples(parts, parts))) for _ in range(dim)])
     coef = CoefficientVector(n, l, entries)
-    want = 0j
+    want, scale = 0j, 0.0
     for a in range(abs(n)):
         for b in range(2 * l):
             c = entries[a * 2 * l + b]
             if c != 0:
-                want += c * reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
-    assert eigenfunction_combination(coef, lam, lattice, pt) == want
+                term = c * reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
+                want += term
+                scale += abs(term)
+    # one series over all residues sums in another order and cuts its window by
+    # the largest seed of each edge row, so it agrees within rounding and the tail
+    got = eigenfunction_combination(coef, lam, lattice, pt)
+    assert abs(got - want) <= 1e-13 * scale + 1e-12 * np.sum(np.abs(entries))
+
+
+@pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
+def test_combination_builds_one_window_per_point(monkeypatch, n, l, lattice):
+    calls = []
+    window = weil_brezin._series_window
+
+    def counted(*args):
+        calls.append(args)
+        return window(*args)
+
+    monkeypatch.setattr(weil_brezin, "_series_window", counted)
+    rng = np.random.default_rng(7)
+    coef = CoefficientVector(n, l, rng.normal(size=2 * l * abs(n)) + 0j)
+    for i in range(5):
+        eigenfunction_combination(coef, 3, lattice, PolarizedPoint(*rng.uniform(-2, 2, 3)))
+        assert len(calls) == i + 1
+
+
+def test_every_residue_keeps_the_window_open():
+    # the seed vanishes at residues 0 and 1 (fractional part below 1/2) and decays
+    # slowly at 2 and 3: the window closes only when the largest seed of each
+    # edge row is under tol/10, and matches the per-offset windows' sum
+    def g(x):
+        return math.exp(-abs(x)) if x % 1 >= 0.5 else 0.0
+
+    tol, pt = 1e-12, PolarizedPoint(0.3, 0.0, 0.0)
+    values = lambda xs: np.array([complex(g(x)) for x in xs.tolist()])
+    _, seeds = weil_brezin._series_window(values, 4, pt.p, np.arange(4) / 4, tol, "the seed")
+    rows = np.abs(seeds).reshape(-1, 4).max(axis=1)
+    assert max(rows[0], rows[-1]) < tol / 10 <= max(rows[1], rows[-2])
+    want = sum(reference_eval(WBIndex(4, r, 0, 1), g, pt, tol) for r in range(4))
+    assert abs(np.sum(seeds) - want) <= 4 * tol
+
+
+@pytest.mark.parametrize("kind,l,m", [("gamma-pi", 2, 9), ("gamma-pi2", 3, 6),
+                                      ("gamma-pi", 2, 16), ("gamma-pi2", 1, 32),
+                                      ("gamma-pi", 4, 16), ("gamma-pi2", 2, 32)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("lam", [0, 3, 7])
+def test_invariant_combinations_are_invariant_at_large_n(kind, l, m, sign, lam):
+    # sectors of N = 2l|n| = 36, 64 and 128 on both Bieberbach quotients
+    n = sign * m
+    spec = gamma_pi(l) if kind == "gamma-pi" else gamma_pi_half(l)
+    solve = phi_constraint_solve if kind == "gamma-pi" else psi_constraint_solve
+    basis = np.column_stack([v.entries for v in solve(n, lam, l)])
+    rng = np.random.default_rng(1000 * l + 10 * n + lam)
+    peak = np.max(np.abs(hermite_function(lam, np.linspace(-12, 12, 4801))))
+    for _ in range(2):
+        weights = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+        coef = CoefficientVector(n, l, basis @ weights)
+        scale = peak * np.sum(np.abs(coef.entries))
+        for _ in range(3):
+            pt = PolarizedPoint(*rng.uniform(-1.5, 1.5, 3))
+            image = motion_apply(spec.generator, pt)
+            got = eigenfunction_combination(coef, lam, spec.base_lattice, image)
+            want = eigenfunction_combination(coef, lam, spec.base_lattice, pt)
+            assert abs(got - want) <= 1e-9 * scale
 
 
 def _slow_seed(x):
