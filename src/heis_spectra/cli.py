@@ -32,7 +32,7 @@ from .invariants import (
     phi_pullback_matrix,
     psi_pullback_matrix,
 )
-from .spectrum import OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
+from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_values
 from .weyl import counting_columns, default_tgrid, manifold_tag, volume, weyl_constant
@@ -128,6 +128,12 @@ def _spectrum_csv(lines) -> str:
     return buf.getvalue()
 
 
+def _check_rows(rows: int) -> None:  # before any row is computed
+    if rows > MAX_SPECTRUM_LINES:
+        raise _CliError(2, f"the output would have {rows} rows, above the limit of "
+                           f"{MAX_SPECTRUM_LINES}")
+
+
 def cmd_spectrum(args) -> int:
     manifold = _resolve_manifold(args.manifold, args.l)
     lines = _spectral_lines(manifold, args.alpha, args.tmax)
@@ -147,6 +153,7 @@ def cmd_eigenfunction(args) -> int:
                            "(selectors nl, nprime)")
     if args.grid < 1:
         raise _CliError(2, "grid must be at least 1")
+    _check_rows(4 * args.grid**3)
     try:
         idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
         value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
@@ -235,6 +242,7 @@ def cmd_weyl(args) -> int:
     manifold = _resolve_manifold(args.manifold, args.l)
     if args.samples < 2:
         raise _CliError(2, "need at least two samples")
+    _check_rows(args.samples)
     if not 0 < args.tmin < args.tmax:
         raise _CliError(2, "need 0 < tmin < tmax")
     tgrid = default_tgrid(args.samples, args.tmin, args.tmax)
@@ -310,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0,
                    help="operator parameter recorded in the header (default 0)")
     p.add_argument("--grid", type=int, default=4, help="samples per unit step (default 4)")
-    p.add_argument("--tol", type=float, default=1e-12, help="series tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="series tail bound relative to the seed's largest value (default 1e-12)")
 
     p = sub.add_parser("dims", help="invariant-subspace dimension table")
     add_common(p)

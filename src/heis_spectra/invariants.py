@@ -9,7 +9,8 @@ and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
 half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
 On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
 (1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step);
-each residue's edge terms are under tol/10, so the tail is at most ~tol sum |c|.
+its window takes every term some residue needs, each dropped term is under
+tol/10 of sup|psi_lam|, and the tail is at most ~tol sup|psi_lam| sum |c|.
 Fixed-subspace dimensions follow either from closed forms, from characters and
 Gauss sums, or from an SVD nullity oracle, and the three routes are kept
 separate so they can be compared.

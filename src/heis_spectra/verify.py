@@ -114,6 +114,13 @@ def _suite_hermite() -> str:
             scale = max(1.0, (2 * lam + 1) * abs(hermite_function(lam, y)))
             _require(resid / scale < 1e-4,
                      f"oscillator equation residual {resid:.2e} at order {lam}")
+    # unit norm by the trapezoid rule, exact for steps under pi / (sqrt(2 lam + 1) + 6)
+    for lam in (0, 5, 201):
+        turn = math.sqrt(2 * lam + 1)
+        h = math.pi / (turn + 6.0)
+        sq = hermite_function(lam, np.arange(0.0, turn + 8.0, h)) ** 2
+        norm = h * (2.0 * np.sum(sq) - sq[0])
+        _require(abs(norm - 1.0) < 1e-12, f"norm of order {lam} is 1 + {norm - 1.0:.1e}")
     return "recurrence and oscillator equation"
 
 
@@ -121,7 +128,8 @@ def _suite_weil_brezin() -> str:
     origin = PolarizedPoint(0.0, 0.0, 0.0)
     idx = WBIndex(1, 0, 0, 1)
     val = wb_eigenfunction(idx, 0, standard_rect(1), origin)
-    _require(abs(val - 1.08643481121330801) < 1e-12, "theta value at the origin drifted")
+    # pi^{-1/4} theta_3(e^{-pi}) = 1/Gamma(3/4)
+    _require(abs(val - 1.0 / math.gamma(0.75)) < 1e-12, "theta value at the origin drifted")
     rng = np.random.default_rng(1003)
     for lattice in (standard_rect(1), standard_rect(2), scaled_square(1)):
         width = lattice.covering_width

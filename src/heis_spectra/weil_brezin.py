@@ -11,29 +11,28 @@ frequency; only that convention makes the quarter-turn pullback formulas close.
 Square-lattice quotients evaluate through the rescaling that carries their
 lattice onto the rectangular one of width 2l.
 
-The series is cut to a window k0 - K .. k0 + K about the smallest |p + k + off|,
-with K the first K >= 2 at which both edge terms are below tol/10: tol is an
-absolute bound on the tail.  A window may hold a (k x residue) matrix of seeds,
-one column per offset, its edge rows judged by their largest seed: an invariant
-combination Sum c^{a,b} f^{a,b} is one series over the N = L|n| residues r/N
-(invariants.eigenfunction_combination), every residue's edge terms are under
-tol/10, and its tail is at most about tol * Sum |c|.  The seeds depend on p
-alone (Auslander and Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43,
-1988), so a window is built from one array evaluation of the seed and reused
-while p repeats, and only the phases and the central character are formed per
-point.
+tol is relative to the seed's largest value.  A Hermite seed psi_lam(scale x) keeps
+every term with |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol)); past
+the turning point its tail is Gaussian, so each dropped term is under tol/10 of
+sup|psi_lam|.  A window may hold a (k x residue) matrix of seeds, one column per
+offset: an invariant combination Sum c^{a,b} f^{a,b} is one series over the
+N = L|n| residues r/N (invariants.eigenfunction_combination), with a tail of at
+most about tol * sup|psi_lam| * Sum |c|.  The seeds depend on p alone (Auslander
+and Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a window
+is built from one array evaluation and reused while p repeats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import LatticeSpec, PolarizedPoint, apply_symplectic, scaling_map
-from .hermite import _function, seed_scale
+from .hermite import _check_order, _psi, seed_scale
 
 
 class TruncationError(RuntimeError):
@@ -75,66 +74,33 @@ def schrodinger_act(beta: float, h: PolarizedPoint, g, x: float) -> complex:
     return np.exp(2j * math.pi * beta * (h.s + h.q * x)) * g(x + h.p)
 
 
+# widest window of the generic path, in terms
 _MAX_WINDOW = 100_000
-# half-width of the first block of seeds; a block that ends before the window
-# rule is met is doubled
-_FIRST_BLOCK = 8
 
 
 def _outer(ks, offs):  # k + off for every k and offset, k-major and flat
     return ks + offs if offs.size == 1 else np.add.outer(ks, offs).ravel()
 
 
-def _series_window(values, n: int, p: float, offs, tol: float, what: str):
-    """Seeds g(p + k + off) on the window k0 - K .. k0 + K for each offset off in offs.
-
-    k0 = -round(p + m), m the mean of the first and last offset.  Each block of
-    seeds is a (k x residue) matrix from one call of values; K is the first K >= 2
-    at which the largest seed of each edge row is under tol/10, and a block that
-    ends before that is doubled.  Edge sums that fail to shrink 61 unit steps of k
-    running (a seed without decay), or a window wider than _MAX_WINDOW rows, raise
-    TruncationError; a seed in the window that is not finite raises ValueError.
-    Returns the exponents 2 pi i n (k + off), before the factor q, and the seeds,
-    flat and k-major.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    thr = 0.1 * tol
-    k0 = -round(p + float(offs[0] + offs[-1]) / 2)
-    top = (_MAX_WINDOW - 1) // 2  # the widest half-width allowed
-    B = _FIRST_BLOCK
-    while True:
-        ks = np.arange(k0 - B, k0 + B + 1)
-        xs = _outer(p + ks, offs)
-        seeds = values(xs)
-        mags = np.abs(seeds)
-        if offs.size > 1:
-            mags = mags.reshape(-1, offs.size).max(axis=1)
-        # edge terms for K = 2 .. B; fmax, like `or`, lets a nan edge close the window
-        left, right = mags[B - 2::-1], mags[B + 2:]
-        wide = np.fmax(left, right) >= thr
-        K = 2 + int(wide.argmin())
-        shut = not wide[K - 2]
-        # 61 growing edge sums in a row need K >= 63
-        if not shut or K >= 63:
-            edge = left + right
-            grew = edge[1:] >= edge[:-1]  # K = 3 .. B
-            at = np.arange(grew.size)
-            run = at - np.maximum.accumulate(np.where(grew, -1, at))
-            stalled = np.flatnonzero(run > 60)
-            if stalled.size and (not shut or 3 + stalled[0] <= K):
-                raise TruncationError("series terms are not shrinking; seed lacks decay")
-        if shut:
-            break
-        if B == top:
-            raise TruncationError("window exceeded %d terms without decay" % _MAX_WINDOW)
-        B = min(2 * B, top)
-    rows = slice((B - K) * offs.size, (B + K + 1) * offs.size)
-    xs, seeds = xs[rows], seeds[rows]
+def _window(n: int, ks, offs, xs, seeds, what: str):
+    """The exponents 2 pi i n (k + off), before the factor q, and the complex seeds,
+    flat and k-major; a seed that is not finite raises ValueError."""
     bad = ~np.isfinite(seeds)
     if bad.any():
         raise ValueError(f"{what} is not finite at x = {float(xs[bad][0])!r}")
-    return 2j * math.pi * n * _outer(ks[B - K:B + K + 1], offs), seeds.astype(complex)
+    return 2j * math.pi * n * _outer(ks, offs), seeds.astype(complex)
+
+
+def _series_window(lam: int, scale: float, n: int, p: float, offs, tol: float):
+    """The window of seeds psi_lam(scale (p + k + off)), off in offs, from one Hermite
+    call: every k with |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol))
+    for some offset, so that every residue's dropped terms are under tol/10."""
+    reach = (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0)))) / scale
+    ks = np.arange(math.ceil(-reach - p - float(offs.max())),
+                   math.floor(reach - p - float(offs.min())) + 1)
+    xs = _outer(p + ks, offs)
+    return _window(n, ks, offs, xs, _psi(lam, scale * xs),
+                   f"the Hermite seed of order {lam}")
 
 
 def _series_value(n: int, window, pt: PolarizedPoint) -> complex:
@@ -146,14 +112,30 @@ def _series_value(n: int, window, pt: PolarizedPoint) -> complex:
 
 
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:
-    """Truncated evaluation of the series with absolute tail bound below tol.
+    """Truncated evaluation of the series for a seed g of unknown decay.
 
-    The window is that of _series_window; g is called on one float at a time.
+    g is called on one float at a time.  The window k0 - K .. k0 + K about the
+    smallest |p + k + off| grows from K = 2 until both edge terms are at most
+    tol/10 of the largest term seen; past _MAX_WINDOW terms it raises
+    TruncationError.
     """
-    def values(xs):
-        return np.array([complex(g(x)) for x in xs.tolist()], dtype=complex)
-
-    window = _series_window(values, idx.n, pt.p, np.array([idx.offset]), tol, "the seed")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    off = idx.offset
+    k0 = -round(pt.p + off)
+    seed = lambda k: complex(g(pt.p + k + off))
+    K = 2
+    terms = deque(seed(k) for k in range(k0 - K, k0 + K + 1))
+    peak = max(map(abs, terms))
+    while abs(terms[0]) > 0.1 * tol * peak or abs(terms[-1]) > 0.1 * tol * peak:
+        if 2 * K + 3 > _MAX_WINDOW:
+            raise TruncationError("window exceeded %d terms without decay" % _MAX_WINDOW)
+        K += 1
+        terms.appendleft(seed(k0 - K))
+        terms.append(seed(k0 + K))
+        peak = max(peak, abs(terms[0]), abs(terms[-1]))
+    ks, offs = np.arange(k0 - K, k0 + K + 1), np.array([off])
+    window = _window(idx.n, ks, offs, _outer(pt.p + ks, offs), np.array(terms), "the seed")
     return _series_value(idx.n, window, pt)
 
 
@@ -162,14 +144,15 @@ def _hermite_windows(n: int, width: int, lam: int, lattice: LatticeSpec, tol: fl
     Hermite seed of order lam as a function of p and offsets."""
     if width != lattice.covering_width:
         raise ValueError(f"width {width} is not the covering width of {lattice}")
+    lam = _check_order(lam)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if lattice.kind == "standard-rect":
         to_rect, scale = (lambda pt: pt), seed_scale(n, 1, "plain")
     else:
         to_rect = functools.partial(apply_symplectic, scaling_map(lattice.l))
         scale = seed_scale(n, lattice.l, "sqrt2l")
-    seeds = lambda xs: _function(lam, scale * xs)
-    what = f"the Hermite seed of order {lam}"
-    return to_rect, lambda p, offs: _series_window(seeds, n, p, offs, tol, what)
+    return to_rect, lambda p, offs: _series_window(lam, scale, n, p, offs, tol)
 
 
 def wb_eigenfunction_values(idx: WBIndex, lam: int, lattice: LatticeSpec, pts,

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import pytest
 
 from heis_spectra import cli
 from heis_spectra.cli import MAX_ORACLE_DIM, main
-from heis_spectra.group import standard_rect
+from heis_spectra.group import PolarizedPoint, standard_rect
 from heis_spectra.spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum
+from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 
 
 def run_cli(capsys, *argv):
@@ -148,7 +150,8 @@ def test_eigenfunction_grid(capsys):
     assert "eigenvalue=1.5707963267948966" in header
     rows = _grid_rows(out)
     assert len(rows) == 4 * 2 * 4
-    assert abs(rows[(0.0, 0.0, 0.0)] - 1.08643481121330801) < 1e-12
+    # pi^{-1/4} theta_3(e^{-pi}) = 1/Gamma(3/4)
+    assert abs(rows[(0.0, 0.0, 0.0)] - 1 / math.gamma(0.75)) < 1e-12
     for (p, q, s), val in rows.items():
         # central period: s and s+1 rows match
         if s < 1.0:
@@ -162,39 +165,95 @@ def test_eigenfunction_rejects_bad_requests(capsys):
     assert main(["eigenfunction", "--manifold", "nl", "--n", "0"]) == 2
     assert main(["eigenfunction", "--manifold", "gamma-pi", "--n", "1"]) == 2
     assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--a", "5"]) == 2
+    assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--tol", "nan"]) == 2
+    assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", "-1"]) == 2
     capsys.readouterr()
 
 
-def test_eigenfunction_overflow_exits_2(capsys, tmp_path):
-    # at lam = 170 the Hermite recurrence overflows inside the series window
-    out = tmp_path / "grid.csv"
-    rc = main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", "170",
-               "--grid", "1", "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "order 170" in captured.err and "not finite" in captured.err
-    assert captured.out == "" and not out.exists()
+@pytest.mark.parametrize("manifold,l,n,lam", [("nl", 1, 1, 170), ("nl", 1, 1, 2000),
+                                              ("nprime", 2, -3, 2000)])
+def test_eigenfunction_at_high_levels_writes_finite_rows(capsys, manifold, l, n, lam):
+    # the unnormalised recurrence overflowed here; the normalised one has no cap
+    rc, out = run_cli(capsys, "eigenfunction", "--manifold", manifold, "--l", str(l),
+                      "--n", str(n), "--lam", str(lam), "--grid", "1")
+    assert rc == 0
+    rows = _grid_rows(out)
+    assert len(rows) == 4
+    lattice = cli._resolve_manifold(manifold, l)
+    idx = WBIndex(n, 0, 0, lattice.covering_width)
+    for (p, q, s), val in rows.items():
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+        assert val == wb_eigenfunction(idx, lam, lattice, PolarizedPoint(p, q, s))
 
 
-# sha256 of stdout, recorded with the per-seed window loop before grids were
-# evaluated one window per row
+def _refuse(*args):
+    raise AssertionError("an evaluation started")
+
+
+def test_eigenfunction_refuses_a_grid_past_the_row_limit(capsys, monkeypatch):
+    # --grid g writes 4 g^3 rows: g = 1000 asks for 4e9 rows, g = 80 for 2048000
+    monkeypatch.setattr(cli, "wb_eigenfunction_values", _refuse)
+    tracemalloc.start()
+    try:
+        rc = main(["eigenfunction", "--manifold", "nl", "--n", "1", "--grid", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2 and peak < 1 << 20
+    assert "4000000000" in err and str(MAX_SPECTRUM_LINES) in err
+    assert main(["eigenfunction", "--manifold", "nprime", "--n", "1", "--grid", "80"]) == 2
+    assert "2048000" in capsys.readouterr().err
+
+
+def test_weyl_refuses_samples_past_the_row_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "default_tgrid", _refuse)
+    monkeypatch.setattr(cli, "counting_columns", _refuse)
+    tracemalloc.start()
+    try:
+        rc = main(["weyl", "--manifold", "gamma-pi", "--samples", "1000000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2 and peak < 1 << 20
+    assert "1000000000000" in err and str(MAX_SPECTRUM_LINES) in err
+    assert main(["weyl", "--manifold", "nl", "--samples", str(MAX_SPECTRUM_LINES + 1)]) == 2
+    capsys.readouterr()
+
+
+def test_row_limit_admits_the_largest_allowed_sizes(capsys, monkeypatch):
+    # 4 * 79^3 = 1972156 rows and MAX_SPECTRUM_LINES samples reach the evaluators
+    calls = []
+    monkeypatch.setattr(cli, "wb_eigenfunction_values", lambda *a: calls.append(a) or _refuse())
+    monkeypatch.setattr(cli, "default_tgrid", lambda *a: calls.append(a) or _refuse())
+    for argv in (["eigenfunction", "--manifold", "nl", "--n", "1", "--grid", "79"],
+                 ["weyl", "--manifold", "nl", "--samples", str(MAX_SPECTRUM_LINES)]):
+        with pytest.raises(AssertionError, match="an evaluation started"):
+            main(argv)
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
+# sha256 of stdout, recorded when the seeds became the L2-normalised Hermite
+# functions and the window R = sqrt(2 lam + 1) + sqrt(2 ln(10/tol)) over scale
 PINNED_GRIDS = [
     (["--manifold", "nl", "--l", "1", "--n", "1", "--lam", "0", "--grid", "4"],
-     "40a3aff4d61d5b727fc5a9d3ef2dbc1100dcebd6042e6f785cba53c62ff6f554"),
+     "d4b0cf05ea486ea48696a36e3599e4ef8800768a06ec608725310ed8351c7013"),
     (["--manifold", "nl", "--l", "2", "--n", "-3", "--a", "2", "--b", "1", "--lam", "6",
       "--grid", "4"],
-     "180be05b82472b50066c16b3925ad5e2f23437e9196ae5217f3897dd55ee0357"),
+     "ca10329395b649f96f86a9435f684d15ca9dd78bd8df6386926c87b68cda219b"),
     (["--manifold", "nl", "--l", "3", "--n", "2", "--a", "1", "--b", "2", "--lam", "20",
       "--grid", "1", "--alpha", "-0.25"],
-     "5e384e8c39c20d679fa8d1809c9bc8c4cf48764c0f605b6a71a432903d5a2feb"),
+     "0169aad7ab7bfe9c72009e1d85db7e2dffb34595998950ec3455145f0e85c585"),
     (["--manifold", "nprime", "--l", "1", "--n", "-1", "--b", "1", "--lam", "0", "--grid", "1"],
-     "95acf427ce739eaeffc18fda2a35e2ff4efe6aa0029fb7f90f49ca4b045356ef"),
+     "c1ca38158c62289d4b9331712b34805b9c6af9b7341e28fc2b204cedc21b8ac5"),
     (["--manifold", "nprime", "--l", "2", "--n", "3", "--a", "1", "--b", "3", "--lam", "6",
       "--grid", "4", "--alpha", "0.5"],
-     "83a88e3bef31272cc09c58b5d414123b30f78df7e9ba505c431902d2c17022e9"),
+     "01ab8a483b4ca7a1b3061bb11013eb61add87a63c91df41c5c6256dcc5fe7548"),
     (["--manifold", "nprime", "--l", "1", "--n", "-2", "--a", "1", "--b", "1", "--lam", "20",
       "--grid", "4", "--tol", "1e-10"],
-     "833f03ed41a795fac6a7ed91c70bce0e41d54498fd682cd88c16b7993084b43f"),
+     "67dd2a0d07c2a03a6487d97d8af92b2b5a6dea0569a1c55c5d2f1385ffecf324"),
 ]
 
 
@@ -411,11 +470,27 @@ def test_verify_negative_control(capsys):
     assert rc == 0
 
 
-@pytest.mark.skipif(shutil.which("heis-spectra") is None, reason="script not on PATH")
+def _console_script_command():
+    """The installed `heis-spectra` script, or else its [project.scripts] target from
+    pyproject.toml run in a fresh interpreter on the source tree."""
+    script = shutil.which("heis-spectra")
+    if script is not None:
+        return [script], None
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["heis-spectra"]
+    module, func = target.split(":")
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code], dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
 def test_console_script_deterministic():
-    cmd = ["heis-spectra", "spectrum", "--manifold", "nl", "--l", "1",
-           "--alpha", "0.25", "--tmax", "20"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    prefix, env = _console_script_command()
+    cmd = prefix + ["spectrum", "--manifold", "nl", "--l", "1", "--alpha", "0.25", "--tmax", "20"]
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["lines"]
+    bad = subprocess.run(prefix + ["spectrum", "--manifold", "nl", "--tmax", "-3"],
+                         capture_output=True, env=env)
+    assert bad.returncode == 2 and bad.stdout == b""

@@ -1,13 +1,20 @@
-"""The block-evaluated series window against the scalar window loop it replaced.
+"""The series windows against scalar window loops.
 
-The reference below is the per-seed loop that evaluated the Weil-Brezin series
-one seed at a time.  For a single basis function the array window must pick the
-same window and give the same floating-point value, compared with ==.  An
-invariant combination is one series over all N residues of the sector, so it
-is compared with the per-(a, b) sum of reference series within a bound, and its
-invariance under the generator is checked at N up to 128.
+`window_loop` sums the window rule's terms one psi_lam seed at a time; a basis
+function must give its floats exactly, compared with ==, and so must a row that
+shares one window.  `reference_eval` is the per-seed loop that the windows
+replaced, on the unnormalised seeds F_lam = H_lam e^{-y^2/2} with an absolute
+tail bound.  The seeds are now psi_lam = F_lam / sqrt(2^lam lam! sqrt(pi)) and
+tol is relative to sup|psi_lam|, so a basis function must equal that loop's
+value times 1/sqrt(2^lam lam! sqrt(pi)) within 2e-12 sup|psi_lam|.  An invariant
+combination is one series over all N residues of the sector; it is compared with
+the per-(a, b) sum of reference series within a bound, and its invariance under
+the generator is checked at N up to 128.  Up to lam = 2000 and |n| = 50 both are
+compared with the same series on a window 20 rows wider.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -26,9 +33,10 @@ from heis_spectra.group import (
     scaling_map,
     standard_rect,
 )
-from heis_spectra.hermite import hermite_function, scaled_hermite
+from heis_spectra.hermite import hermite_function, hermite_poly, seed_scale
 from heis_spectra.invariants import (
     CoefficientVector,
+    _sector_index,
     eigenfunction_combination,
     phi_constraint_solve,
     psi_constraint_solve,
@@ -81,10 +89,28 @@ def reference_eval(idx, g, pt, tol=1e-12):
     return complex(np.exp(2j * math.pi * n * pt.s) * total)
 
 
+def unnormalised_seed(lam, scale):
+    """x -> F_lam(scale x) = H_lam(y) e^{-y^2/2}, the seed before normalisation."""
+    return lambda x: hermite_poly(lam, scale * x) * math.exp(-0.5 * (scale * x) ** 2)
+
+
+def norm_factor(lam):
+    return 1.0 / math.sqrt(2.0**lam * math.factorial(lam) * math.sqrt(math.pi))
+
+
+@functools.cache
+def sup_psi(lam):
+    """max |psi_lam| on a grid of 40 points per oscillation length 2 pi / sqrt(2 lam + 1)."""
+    turn = math.sqrt(2 * lam + 1)
+    return float(np.max(np.abs(hermite_function(lam, np.arange(0.0, turn + 2.0,
+                                                                0.05 * math.pi / turn)))))
+
+
 def reference_eigenfunction(idx, lam, lattice, pt, tol=1e-12):
+    """The loop's value on the unnormalised seed (absolute tail bound tol)."""
     if lattice.kind == "standard-rect":
-        return reference_eval(idx, lambda x: scaled_hermite(idx.n, lam, 1, "plain", x), pt, tol)
-    seed = lambda x: scaled_hermite(idx.n, lam, lattice.l, "sqrt2l", x)
+        return reference_eval(idx, unnormalised_seed(lam, seed_scale(idx.n, 1, "plain")), pt, tol)
+    seed = unnormalised_seed(lam, seed_scale(idx.n, lattice.l, "sqrt2l"))
     return reference_eval(idx, seed, apply_symplectic(scaling_map(lattice.l), pt), tol)
 
 
@@ -103,13 +129,42 @@ def eigenfunctions(draw):
     return idx, draw(st.integers(0, 20)), lattice
 
 
+def window_loop(idx, lam, lattice, pt, tol=1e-12):
+    """The series over the window rule, one psi_lam seed at a time: every k with
+    |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol))."""
+    if lattice.kind == "standard-rect":
+        scale = seed_scale(idx.n, 1, "plain")
+    else:
+        scale = seed_scale(idx.n, lattice.l, "sqrt2l")
+        pt = apply_symplectic(scaling_map(lattice.l), pt)
+    reach = math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))
+    off = idx.offset
+    ks = [k for k in range(-int(pt.p) - 200, -int(pt.p) + 200)
+          if abs(scale * (pt.p + k + off)) <= reach]
+    assert ks and ks[0] > -int(pt.p) - 200 and ks[-1] < -int(pt.p) + 199
+    vals = np.array([hermite_function(lam, scale * (pt.p + k + off)) for k in ks], dtype=complex)
+    phases = np.exp(2j * math.pi * idx.n * (np.array(ks) + off) * pt.q)
+    return complex(np.exp(2j * math.pi * idx.n * pt.s) * np.sum(vals * phases))
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(eigenfunctions(), st.lists(points, min_size=1, max_size=4))
 def test_eigenfunction_bit_equal_to_scalar_loop(ef, pts):
     idx, lam, lattice = ef
-    want = [reference_eigenfunction(idx, lam, lattice, pt) for pt in pts]
+    want = [window_loop(idx, lam, lattice, pt) for pt in pts]
     assert [wb_eigenfunction(idx, lam, lattice, pt) for pt in pts] == want
     assert wb_eigenfunction_values(idx, lam, lattice, pts) == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(eigenfunctions(), st.lists(points, min_size=1, max_size=4))
+def test_eigenfunction_is_the_normalised_unnormalised_loop(ef, pts):
+    # new = old / sqrt(2^lam lam! sqrt(pi)) within the relative tail bound
+    idx, lam, lattice = ef
+    c = norm_factor(lam)
+    want = [c * reference_eigenfunction(idx, lam, lattice, pt) for pt in pts]
+    got = wb_eigenfunction_values(idx, lam, lattice, pts)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * sup_psi(lam)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -118,7 +173,7 @@ def test_row_reuses_window_bit_equal(ef, p, qs):
     # points sharing p share one window; each value still equals its own loop
     idx, lam, lattice = ef
     pts = [PolarizedPoint(p, q, s) for q, s in qs]
-    want = [reference_eigenfunction(idx, lam, lattice, pt) for pt in pts]
+    want = [window_loop(idx, lam, lattice, pt) for pt in pts]
     assert wb_eigenfunction_values(idx, lam, lattice, pts) == want
 
 
@@ -131,18 +186,20 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
     parts = st.floats(-2.0, 2.0, allow_nan=False)
     entries = np.array([complex(*data.draw(st.tuples(parts, parts))) for _ in range(dim)])
     coef = CoefficientVector(n, l, entries)
+    norm = norm_factor(lam)
     want, scale = 0j, 0.0
     for a in range(abs(n)):
         for b in range(2 * l):
             c = entries[a * 2 * l + b]
             if c != 0:
-                term = c * reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
+                term = c * norm * reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam,
+                                                          lattice, pt)
                 want += term
                 scale += abs(term)
-    # one series over all residues sums in another order and cuts its window by
-    # the largest seed of each edge row, so it agrees within rounding and the tail
+    # one series over all residues sums in another order and keeps every row some
+    # residue needs, so it agrees within rounding and the tail bound
     got = eigenfunction_combination(coef, lam, lattice, pt)
-    assert abs(got - want) <= 1e-13 * scale + 1e-12 * np.sum(np.abs(entries))
+    assert abs(got - want) <= 1e-13 * scale + 2e-12 * sup_psi(lam) * np.sum(np.abs(entries))
 
 
 @pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
@@ -163,19 +220,24 @@ def test_combination_builds_one_window_per_point(monkeypatch, n, l, lattice):
 
 
 def test_every_residue_keeps_the_window_open():
-    # the seed vanishes at residues 0 and 1 (fractional part below 1/2) and decays
-    # slowly at 2 and 3: the window closes only when the largest seed of each
-    # edge row is under tol/10, and matches the per-offset windows' sum
-    def g(x):
-        return math.exp(-abs(x)) if x % 1 >= 0.5 else 0.0
-
-    tol, pt = 1e-12, PolarizedPoint(0.3, 0.0, 0.0)
-    values = lambda xs: np.array([complex(g(x)) for x in xs.tolist()])
-    _, seeds = weil_brezin._series_window(values, 4, pt.p, np.arange(4) / 4, tol, "the seed")
-    rows = np.abs(seeds).reshape(-1, 4).max(axis=1)
-    assert max(rows[0], rows[-1]) < tol / 10 <= max(rows[1], rows[-2])
-    want = sum(reference_eval(WBIndex(4, r, 0, 1), g, pt, tol) for r in range(4))
-    assert abs(np.sum(seeds) - want) <= 4 * tol
+    # the window keeps each k that some residue needs, and each residue's first
+    # dropped term on either side lies past R, under tol/10 of sup|psi_lam|
+    cases = [(0, math.sqrt(2 * math.pi), 4), (6, 2.0, 36), (170, math.sqrt(2 * math.pi), 8),
+             (2000, 30.0, 64)]
+    for (lam, scale, N), tol in itertools.product(cases, (1e-12, 1e-6, 1e-3)):
+        reach = math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))
+        offs = np.arange(N) / N
+        for p in np.random.default_rng(lam).uniform(-3.0, 3.0, size=5):
+            exponents, seeds = weil_brezin._series_window(lam, scale, 3, p, offs, tol)
+            ks = np.round((exponents[::N] / (2j * math.pi * 3)).real).astype(int)
+            assert np.array_equal(ks, np.arange(ks[0], ks[-1] + 1))
+            ys = scale * np.add.outer(p + ks, offs)
+            assert np.array_equal(seeds.reshape(-1, N), hermite_function(lam, ys))
+            assert np.min(np.abs(ys[0])) <= reach and np.min(np.abs(ys[-1])) <= reach
+            for k in (ks[0] - 1, ks[-1] + 1):
+                y = scale * (p + k + offs)
+                assert np.all(np.abs(y) > reach)
+                assert np.max(np.abs(hermite_function(lam, y))) < 0.1 * tol * sup_psi(lam)
 
 
 @pytest.mark.parametrize("kind,l,m", [("gamma-pi", 2, 9), ("gamma-pi2", 3, 6),
@@ -212,69 +274,56 @@ def _complex_seed(x):
                            lambda y: math.exp(-math.pi * (y - 0.2) ** 2), x)
 
 
+def _shifted_seed(x):  # the largest term lies outside the first window K = 2
+    return math.exp(-(x - 6.0) ** 2)
+
+
 @pytest.mark.parametrize("g,tol", [
-    (_slow_seed, 1e-3),  # window of about 100 terms: several doubled blocks
+    (_slow_seed, 1e-3),  # window of about 100 terms
     (_slow_seed, 1e-6),
     (_complex_seed, 1e-12),
     (lambda x: math.exp(-abs(x)) * (2.0 + math.cos(7 * x)), 1e-12),
+    (_shifted_seed, 1e-12),
 ])
 def test_generic_seed_bit_equal(g, tol):
+    # the window is the first K >= 2 at which both edge terms are at most tol/10
+    # of the largest term seen, and the value is the loop's sum over it
     rng = np.random.default_rng(41)
     for n in (1, -3):
         idx = WBIndex(n, 1 % abs(n), 1, 2)
         for _ in range(5):
             pt = PolarizedPoint(*rng.uniform(-3, 3, size=3))
-            assert weil_brezin_eval(idx, g, pt, tol) == reference_eval(idx, g, pt, tol)
+            calls = []
+            got = weil_brezin_eval(idx, lambda x: calls.append(x) or g(x), pt, tol)
+            ks = sorted({round(x - pt.p - idx.offset) for x in calls})
+            K = (len(ks) - 1) // 2
+            terms = {k: abs(g(pt.p + k + idx.offset)) for k in ks}
+            k0 = ks[K]
+            assert ks == list(range(k0 - K, k0 + K + 1)) and k0 == -round(pt.p + idx.offset)
+            peak = max(terms[k] for k in range(k0 - 2, k0 + 3))
+            for j in range(2, K + 1):
+                peak = max(peak, terms[k0 - j], terms[k0 + j])
+                if max(terms[k0 - j], terms[k0 + j]) <= 0.1 * tol * peak:
+                    break
+            assert j == K and max(terms[k0 - K], terms[k0 + K]) <= 0.1 * tol * peak
+            phases = np.exp(2j * math.pi * n * (np.array(ks) + idx.offset) * pt.q)
+            vals = np.array([complex(g(pt.p + k + idx.offset)) for k in ks])
+            assert got == complex(np.exp(2j * math.pi * n * pt.s) * np.sum(vals * phases))
+            # the old absolute rule cuts at the same place up to the threshold's scale
+            if g is not _slow_seed:
+                assert abs(got - reference_eval(idx, g, pt, tol)) <= tol * max(terms.values())
 
 
 @pytest.mark.parametrize("g", [lambda x: 1.0, lambda x: abs(x), lambda x: 1.0 + math.cos(x)])
 def test_seeds_without_decay_stall_like_the_loop(g):
+    # the loop stopped such seeds by its stall count; the window now grows until
+    # it passes the widest window, and raises the same error type
     idx = WBIndex(1, 0, 0, 1)
     pt = PolarizedPoint(0.4, 0.1, 0.0)
-    with pytest.raises(TruncationError) as want:
+    with pytest.raises(TruncationError):
         reference_eval(idx, g, pt)
-    with pytest.raises(TruncationError) as got:
+    with pytest.raises(TruncationError, match="window exceeded 100000 terms"):
         weil_brezin_eval(idx, g, pt)
-    assert str(got.value) == str(want.value)
-
-
-def test_stall_count_boundary():
-    # flat edges grow (>=) from K = 3 on; the 61st growth in a row, at K = 63, stalls
-    idx = WBIndex(1, 0, 0, 1)
-    pt = PolarizedPoint(0.0, 0.2, 0.1)
-    flat_to_62 = lambda x: 1.0 if abs(x) < 62.5 else 0.0
-    assert weil_brezin_eval(idx, flat_to_62, pt) == reference_eval(idx, flat_to_62, pt)
-    flat_to_63 = lambda x: 1.0 if abs(x) < 63.5 else 0.0
-    with pytest.raises(TruncationError, match="not shrinking"):
-        reference_eval(idx, flat_to_63, pt)
-    with pytest.raises(TruncationError, match="not shrinking"):
-        weil_brezin_eval(idx, flat_to_63, pt)
-
-
-def test_stall_on_the_closing_edge():
-    # edge sums grow 61 times up to K = 63, where both edges first fall under
-    # tol/10 = 0.1: the stall is checked before the window closes
-    def g(x):
-        if abs(x) == 63:
-            return 0.09
-        return 0.1 * (1 + x / 1000) if 2 <= x <= 62 else 0.0
-
-    idx = WBIndex(1, 0, 0, 1)
-    pt = PolarizedPoint(0.0, 0.2, 0.1)
-    for f in (reference_eval, weil_brezin_eval):
-        with pytest.raises(TruncationError, match="not shrinking"):
-            f(idx, g, pt, 1.0)
-
-
-def test_nan_edge_keeps_the_window_open_while_the_other_is_wide():
-    # a nan edge counts as small, as in `nan >= thr or ...`; the flat right
-    # edge then stalls before the window closes
-    g = lambda x: math.nan if x == -2.0 else (1.0 if x > 0 else math.exp(x))
-    idx = WBIndex(1, 0, 0, 1)
-    pt = PolarizedPoint(0.0, 0.0, 0.0)
-    for f in (reference_eval, weil_brezin_eval):
-        with pytest.raises(TruncationError, match="not shrinking"):
-            f(idx, g, pt)
 
 
 def test_nonfinite_seed_raises():
@@ -283,5 +332,61 @@ def test_nonfinite_seed_raises():
     seed = lambda x: math.nan if x == 1.0 else math.exp(-x * x)
     with pytest.raises(ValueError, match=r"not finite at x = 1\.0"):
         weil_brezin_eval(idx, seed, origin)
-    with pytest.raises(ValueError, match="Hermite seed of order 170"):
-        wb_eigenfunction(idx, 170, standard_rect(1), origin)
+    with pytest.raises(ValueError):
+        wb_eigenfunction(idx, 0, standard_rect(1), PolarizedPoint(math.nan, 0.0, 0.0))
+
+
+def widened_sum(n, lam, scale, pt, offs, weights, rows=20):
+    """The series over every k within R of some offset and 20 rows more on each side,
+    from the public Hermite function."""
+    reach = (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(1e13))) / scale
+    ks = np.arange(math.ceil(-reach - pt.p - offs.max()) - rows,
+                   math.floor(reach - pt.p - offs.min()) + rows + 1)
+    x = np.add.outer(ks, offs)
+    phases = np.exp(2j * math.pi * n * x * pt.q)
+    terms = hermite_function(lam, scale * (pt.p + x)) * weights * phases
+    return complex(np.exp(2j * math.pi * n * pt.s) * np.sum(terms))
+
+
+@st.composite
+def high_levels(draw):
+    """(n, l, square lattice?, lam) with |n| <= 50, l <= 2 and lam up to 2000."""
+    n = draw(st.integers(1, 50)) * draw(st.sampled_from([1, -1]))
+    lam = draw(st.one_of(st.integers(0, 30), st.integers(0, 2000)))
+    return n, draw(st.integers(1, 2)), draw(st.booleans()), lam
+
+
+def _cover(lattice, n, pt):
+    if lattice.kind == "standard-rect":
+        return seed_scale(n, 1, "plain"), pt
+    return seed_scale(n, lattice.l, "sqrt2l"), apply_symplectic(scaling_map(lattice.l), pt)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(high_levels(), points, st.data())
+def test_basis_function_tail_against_a_wider_window(level, pt, data):
+    n, l, square, lam = level
+    lattice = scaled_square(l) if square else standard_rect(l)
+    width = lattice.covering_width
+    idx = WBIndex(n, data.draw(st.integers(0, abs(n) - 1)), data.draw(st.integers(0, width - 1)),
+                  width)
+    got = wb_eigenfunction(idx, lam, lattice, pt)
+    scale, rect = _cover(lattice, n, pt)
+    want = widened_sum(n, lam, scale, rect, np.array([idx.offset]), 1.0)
+    assert abs(got - want) <= 1e-12 * sup_psi(lam)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(high_levels(), points, st.data())
+def test_combination_tail_against_a_wider_window(level, pt, data):
+    n, l, square, lam = level
+    lattice = scaled_square(l) if square else standard_rect(2 * l)
+    dim = 2 * l * abs(n)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    coef = CoefficientVector(n, l, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    got = eigenfunction_combination(coef, lam, lattice, pt)
+    scale, rect = _cover(lattice, n, pt)
+    weights = coef.entries[np.argsort(_sector_index(n, l))]  # c at residue k
+    want = widened_sum(n, lam, scale, rect, np.arange(dim) / dim, weights)
+    assert abs(got - want) <= 1e-12 * sup_psi(lam) * np.sum(np.abs(coef.entries))

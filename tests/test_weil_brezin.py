@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heis_spectra.group import PolarizedPoint, polarized_mul, scaled_square, standard_rect
-from heis_spectra.hermite import scaled_hermite
+from heis_spectra.hermite import hermite_function, scaled_hermite
 from heis_spectra.weil_brezin import (
     TruncationError,
     WBIndex,
@@ -13,10 +13,12 @@ from heis_spectra.weil_brezin import (
     wb_eigenfunction,
 )
 
-# frozen theta values (30-digit oracle)
-THETA_PI = 1.08643481121330801457531612151
-THETA_2PI = 1.00373488548773909104767959507
-E_MINUS_PI = 0.0432139182637722497744177371717
+# frozen theta values (30-digit oracle), times pi^{-1/4} = psi_0(0) for the
+# normalised seeds: pi^{-1/4} theta_3(e^{-pi}) = 1/Gamma(3/4)
+PI_MINUS_QUARTER = 0.751125544464942482861010433688
+THETA_PI = 1.08643481121330801457531612151 * PI_MINUS_QUARTER
+THETA_2PI = 1.00373488548773909104767959507 * PI_MINUS_QUARTER
+E_MINUS_PI = 0.0432139182637722497744177371717 * PI_MINUS_QUARTER
 
 ORIGIN = PolarizedPoint(0.0, 0.0, 0.0)
 
@@ -42,6 +44,7 @@ def test_index_validation():
 def test_theta_sum_at_origin():
     val = weil_brezin_eval(WBIndex(1, 0, 0, 1), _plain_seed(1, 0), ORIGIN, tol=1e-14)
     assert abs(val - THETA_PI) < 1e-12
+    assert abs(val - 1 / math.gamma(0.75)) < 1e-15
 
 
 def test_central_periodicity():
@@ -68,8 +71,15 @@ def test_truncation_error_for_nondecaying_seed():
 
 
 def test_tol_validation():
-    with pytest.raises(ValueError):
-        weil_brezin_eval(WBIndex(1, 0, 0, 1), _plain_seed(1, 0), ORIGIN, tol=0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            weil_brezin_eval(WBIndex(1, 0, 0, 1), _plain_seed(1, 0), ORIGIN, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            wb_eigenfunction(WBIndex(1, 0, 0, 1), 0, standard_rect(1), ORIGIN, tol=tol)
+    # a relative tol of 10 or more keeps only the oscillation range |y| <= sqrt(2 lam + 1)
+    for tol in (10.0, 1e3, math.inf):
+        val = wb_eigenfunction(WBIndex(1, 0, 0, 1), 0, standard_rect(1), ORIGIN, tol=tol)
+        assert val == hermite_function(0, 0.0)
 
 
 def test_eigenfunction_rect_origin():
