@@ -24,6 +24,7 @@ from .group import (
     standard_rect,
 )
 from .invariants import (
+    IllConditionedError,
     character_table,
     dim_from_characters,
     dim_phi_invariant,
@@ -52,17 +53,14 @@ def _g(x: float) -> str:
 
 
 def _resolve_manifold(name: str, l: int):
-    try:
-        if name == "nl":
-            return standard_rect(l)
-        if name == "nprime":
-            return scaled_square(l)
-        if name == "gamma-pi":
-            return gamma_pi(l)
-        if name == "gamma-pi2":
-            return gamma_pi_half(l)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    if name == "nl":
+        return standard_rect(l)
+    if name == "nprime":
+        return scaled_square(l)
+    if name == "gamma-pi":
+        return gamma_pi(l)
+    if name == "gamma-pi2":
+        return gamma_pi_half(l)
     raise _CliError(2, f"unknown manifold selector {name!r}")
 
 
@@ -78,12 +76,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _spectral_lines(manifold, alpha: float, tmax: float):
-    try:
-        lines = enumerate_spectrum(manifold, alpha, tmax)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
     # files list the positive spectrum; the zero mode is implicit
-    return [ln for ln in lines if ln.value > 0]
+    return [ln for ln in enumerate_spectrum(manifold, alpha, tmax) if ln.value > 0]
 
 
 def _origin_fields(line):
@@ -154,11 +148,8 @@ def cmd_eigenfunction(args) -> int:
     if args.grid < 1:
         raise _CliError(2, "grid must be at least 1")
     _check_rows(4 * args.grid**3)
-    try:
-        idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
-        value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
+    value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
     sp, sq = manifold.steps
     g = args.grid
     buf = io.StringIO()
@@ -167,17 +158,14 @@ def cmd_eigenfunction(args) -> int:
     buf.write(f"# eigenvalue={_g(value)} alpha={_g(args.alpha)} tol={_g(args.tol)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "q", "s", "re", "im"])
-    try:
-        # p and s cover two periods so periodicity is visible inside one file;
-        # one call per row in p, so the row shares one series window
-        for i in range(2 * g):
-            p = i * sp / g
-            row = [PolarizedPoint(p, k * sq / g, m / g) for k in range(g) for m in range(2 * g)]
-            vals = wb_eigenfunction_values(idx, args.lam, manifold, row, args.tol)
-            for pt, val in zip(row, vals):
-                writer.writerow([_g(pt.p), _g(pt.q), _g(pt.s), _g(val.real), _g(val.imag)])
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    # p and s cover two periods so periodicity is visible inside one file;
+    # one call per row in p, so the row shares one series window
+    for i in range(2 * g):
+        p = i * sp / g
+        row = [PolarizedPoint(p, k * sq / g, m / g) for k in range(g) for m in range(2 * g)]
+        vals = wb_eigenfunction_values(idx, args.lam, manifold, row, args.tol)
+        for pt, val in zip(row, vals):
+            writer.writerow([_g(pt.p), _g(pt.q), _g(pt.s), _g(val.real), _g(val.imag)])
     _write_output(args.out, buf.getvalue())
     return 0
 
@@ -232,8 +220,8 @@ def cmd_dims(args) -> int:
             for lam in lams:
                 closed, oracle, char, agree = _dims_row(args.manifold, n, lam, args.l, args.tol)
                 writer.writerow([n, lam, closed, oracle, char, "true" if agree else "false"])
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    except (ValueError, IllConditionedError) as exc:
+        raise _CliError(2, f"{exc} (row n = {n}, lambda = {lam})") from exc
     _write_output(args.out, buf.getvalue())
     return 0
 

@@ -51,8 +51,9 @@ def hermite_poly(lam: int, y):
     lam = _check_order(lam)
     y = np.asarray(y, dtype=float)
     h_prev, h = np.ones_like(y), (2.0 * y if lam else np.ones_like(y))
-    for k in range(1, lam):
-        h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, lam):
+            h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
     bad = ~np.isfinite(h)
     if bad.any():
         raise ValueError(f"the Hermite polynomial of order {lam} is not finite at "

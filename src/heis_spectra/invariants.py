@@ -11,9 +11,10 @@ On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
 (1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step);
 its window takes every term some residue needs, each dropped term is under
 tol/10 of sup|psi_lam|, and the tail is at most ~tol sup|psi_lam| sum |c|.
-Fixed-subspace dimensions follow either from closed forms, from characters and
-Gauss sums, or from an SVD nullity oracle, and the three routes are kept
-separate so they can be compared.
+Fixed-subspace dimensions follow from closed forms, from characters and Gauss
+sums, or from an SVD nullity oracle, kept separate so they can be compared; the
+oracle and the invariant bases share one rank rule on I - M (singular values
+below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .group import LatticeSpec
 from .weil_brezin import _hermite_windows, _series_value
@@ -93,18 +93,20 @@ def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     return PullbackMatrix("psi", n, lam, l, mat)
 
 
-def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
-    """Dimension of the +1 eigenspace as the SVD nullity of (M - I).
-
-    Singular values falling inside [tol/10, 10 tol] make the count unreliable
-    and raise IllConditionedError.
-    """
-    mat = getattr(M, "matrix", M)
-    mat = np.asarray(mat, dtype=complex)
-    svals = np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False)
+def _nullity(svals: np.ndarray, tol: float) -> int:
+    """The rank rule: the count of singular values below tol, refused with
+    IllConditionedError when one lies inside [tol/10, 10 tol]."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if np.any((svals >= tol / 10) & (svals <= tol * 10)):
-        raise IllConditionedError("singular value inside the threshold band")
+        raise IllConditionedError(f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}")
     return int(np.sum(svals < tol))
+
+
+def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
+    """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule."""
+    mat = np.asarray(getattr(M, "matrix", M), dtype=complex)
+    return _nullity(np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
@@ -220,23 +222,25 @@ class CoefficientVector:
 
 
 def _nullspace_basis(M: PullbackMatrix) -> list[CoefficientVector]:
-    """Orthonormal basis of the coefficient relations c = Mc, the null space of I - M."""
-    basis = null_space(np.eye(M.dim) - M.matrix)
-    return [CoefficientVector(M.n, M.l, basis[:, j].copy()) for j in range(basis.shape[1])]
+    """Orthonormal basis of c = Mc: the last fixed_subspace_dim(M) right singular vectors."""
+    _, svals, vh = np.linalg.svd(np.eye(M.dim) - M.matrix)
+    return [CoefficientVector(M.n, M.l, v.conj()) for v in vh[M.dim - _nullity(svals, 1e-8):]]
 
 
 def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
-    """Orthonormal solutions of the half-turn coefficient relations.
+    """The fixed_subspace_dim(M) orthonormal solutions of the half-turn relations.
 
     The relations pair (a, b) with its pullback target: e c^{a,b} = c^{a',b'}
     with e = (-1)^(n+lam).  The pullback is a symmetric involution, so these
-    rows are e (I - M) and share the null space of I - M.
+    rows are e (I - M) and share the null space of I - M; a singular value in
+    the rank rule's band raises IllConditionedError.
     """
     return _nullspace_basis(phi_pullback_matrix(n, lam, l))
 
 
 def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
-    """Orthonormal solutions of the quarter-turn coefficient relations c = Mc."""
+    """The fixed_subspace_dim(M) orthonormal solutions of the quarter-turn relations
+    c = Mc; a singular value in the rank rule's band raises IllConditionedError."""
     return _nullspace_basis(psi_pullback_matrix(n, lam, l))
 
 

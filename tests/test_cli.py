@@ -411,6 +411,35 @@ def test_dims_rejects_bad_requests(capsys):
     capsys.readouterr()
 
 
+def test_dims_refuses_a_bad_or_ill_conditioned_tol(capsys):
+    argv = ["dims", "--manifold", "gamma-pi2", "--n", "2", "--lam", "0", "--tol"]
+    # the singular value sqrt(2) of I - M lies in the band [tol/10, 10 tol] at tol = 1
+    assert main(argv + ["1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "inside the band [tol/10, 10 tol], tol = 1.0 (row n = 2, lambda = 0)" in err
+    for tol in ("-1", "0", "nan", "inf"):
+        assert main(argv + [tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tol must be positive and finite" in err
+
+
+def test_runtime_never_imports_scipy():
+    # scipy is only a test oracle: a fresh interpreter running a dims table and a
+    # constraint solve, lazy imports included, must not load any of it
+    code = ("import sys\n"
+            "from heis_spectra import cli\n"
+            "from heis_spectra.invariants import psi_constraint_solve\n"
+            "assert cli.main(['dims', '--manifold', 'gamma-pi2', '--n', '3', '--lam', '1']) == 0\n"
+            "assert len(psi_constraint_solve(3, 1, 2)) == 4\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_weyl_half_difference_column(capsys):
     rc, out = run_cli(capsys, "weyl", "--manifold", "gamma-pi", "--l", "1",
                       "--alpha", "0", "--samples", "6", "--tmax", "200")

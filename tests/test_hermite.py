@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -175,8 +176,9 @@ def test_fourier_transform_phase():
 
 
 def test_overflow_raises_naming_order_and_argument():
-    # the unnormalised polynomial overflows and raises
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the unnormalised polynomial overflows and raises, without a numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"order 200 .*y = 25\.0"):
             hermite_poly(200, 25.0)
         with pytest.raises(ValueError, match=r"order 170 .*y = 40\.0"):

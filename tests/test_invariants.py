@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from heis_spectra.group import (
@@ -15,6 +17,8 @@ from heis_spectra.group import (
 from heis_spectra.invariants import (
     CharacterTable,
     IllConditionedError,
+    PullbackMatrix,
+    _nullspace_basis,
     character_table,
     dim_from_characters,
     dim_phi_invariant,
@@ -111,15 +115,19 @@ def _projector(V):
 
 
 def test_constraint_bases_span_the_displayed_relations():
-    for n, l in [(n, l) for n, l in SECTORS if l <= 3 and abs(n) <= 6]:
+    # the swept sectors and one of N = 2l|n| = 256, the largest of the dims-table workload
+    for n, l in [(n, l) for n, l in SECTORS if l <= 3 and abs(n) <= 6] + [(-32, 4)]:
         kernel = _psi_kernel_loop(n, l)
         for lam in range(4):
-            for solver, rows in (
-                    (phi_constraint_solve, _phi_relation_rows(n, lam, l)),
-                    (psi_constraint_solve, np.eye(kernel.shape[0]) - _psi_prefactor(n, lam, l) * kernel)):
+            for solver, pullback, closed, rows in (
+                    (phi_constraint_solve, phi_pullback_matrix, dim_phi_invariant,
+                     _phi_relation_rows(n, lam, l)),
+                    (psi_constraint_solve, psi_pullback_matrix, dim_psi_invariant,
+                     np.eye(kernel.shape[0]) - _psi_prefactor(n, lam, l) * kernel)):
                 basis = solver(n, lam, l)
                 want = null_space(rows)
-                assert len(basis) == want.shape[1]
+                assert len(basis) == want.shape[1] == fixed_subspace_dim(pullback(n, lam, l))
+                assert len(basis) == closed(n, lam, l)
                 if basis:
                     V = np.column_stack([v.entries for v in basis])
                     assert np.linalg.norm(V.conj().T @ V - np.eye(len(basis))) < 1e-10
@@ -197,10 +205,50 @@ def test_fixed_subspace_dim_basics():
 
 
 def test_fixed_subspace_dim_flags_threshold_band():
-    M = np.eye(3, dtype=complex)
+    M = np.eye(4, dtype=complex)
     M[0, 0] += 1e-8
     with pytest.raises(IllConditionedError):
         fixed_subspace_dim(M, tol=1e-8)
+    # the basis route counts by the same rank rule and refuses the same band
+    with pytest.raises(IllConditionedError):
+        _nullspace_basis(PullbackMatrix("psi", 2, 0, 1, M))
+
+
+# planted singular values of I - M: kernel (< tol/10), the band at tol = 1e-8, and rank
+_PLANTED = st.sampled_from([0.0, 1e-13, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 0.5, 2.0])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(svals=st.integers(1, 4).flatmap(lambda k: st.lists(_PLANTED, min_size=2 * k,
+                                                          max_size=2 * k)),
+       seed=st.integers(0, 2**32 - 1))
+def test_count_and_basis_follow_one_rank_rule(svals, seed):
+    # I - M = U diag(svals) V^H with random unitaries: the oracle and the basis
+    # either both refuse the band or both find the planted kernel
+    rng = np.random.default_rng(seed)
+    dim = len(svals)
+    U, V = (np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            for _ in range(2))
+    A = U @ np.diag(svals) @ V.conj().T
+    pullback = PullbackMatrix("psi", dim // 2, 0, 1, np.eye(dim) - A)
+    if any(1e-9 <= s <= 1e-7 for s in svals):
+        with pytest.raises(IllConditionedError):
+            fixed_subspace_dim(pullback)
+        with pytest.raises(IllConditionedError):
+            _nullspace_basis(pullback)
+        return
+    basis = _nullspace_basis(pullback)
+    assert len(basis) == fixed_subspace_dim(pullback) == sum(s < 1e-8 for s in svals)
+    if basis:
+        B = np.column_stack([v.entries for v in basis])
+        assert np.linalg.norm(B.conj().T @ B - np.eye(len(basis))) < 1e-10
+        assert np.linalg.norm(A @ B) < 1e-9
+
+
+def test_rank_rule_needs_a_positive_finite_tol():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fixed_subspace_dim(np.eye(2), tol=tol)
 
 
 def test_dim_phi_closed_form():
