@@ -188,7 +188,8 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
 
 
 # dims refuses sectors of size N = 2l|n| above this: the matrix oracle holds about
-# 48 N^2 bytes (0.8 GB at the limit) and its SVD costs O(N^3).
+# 48 N^2 bytes (0.8 GB at the limit).  The half-turn oracle takes the SVDs of the
+# 1x1 and 2x2 blocks of I - M, so only a quarter-turn sector costs O(N^3).
 MAX_ORACLE_DIM = 4096
 
 

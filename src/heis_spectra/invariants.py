@@ -15,6 +15,10 @@ Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from an SVD nullity oracle, kept separate so they can be compared; the
 oracle and the invariant bases share one rank rule on I - M (singular values
 below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError).
+The oracle takes those singular values block by block: I - M splits into the
+connected components of its nonzero pattern (1x1 and 2x2 blocks for the
+half-turn, one dense block for the quarter-turn), and the blocks together have
+the dense matrix's singular values, so the rank rule is the same.
 """
 
 from __future__ import annotations
@@ -103,10 +107,59 @@ def _nullity(svals: np.ndarray, tol: float) -> int:
     return int(np.sum(svals < tol))
 
 
+# Up to this size one dense SVD is cheaper than the split: the split's numpy calls
+# take 60-100 us, a dense SVD 18, 43 and 72 us at N = 8, 16 and 24 (timeit, 2-core
+# x86 box), and the verify suite `dims` makes 160 oracle calls at N <= 16.
+_DENSE_MAX = 32
+
+
+def _singular_values(A: np.ndarray) -> np.ndarray:
+    """The singular values of the square complex matrix A in descending order, as
+    np.linalg.svd(A, compute_uv=False) gives them, taken one block at a time.
+
+    The blocks are the connected components of the pattern (A != 0) | (A^T != 0),
+    labelled by min-label propagation; permuting A to block-diagonal form keeps its
+    singular values, so those of the blocks together are A's.  Blocks of one size
+    go to one batched SVD; a 1x1 block's value is |a|.  A with a row or a column
+    free of zeros is one block, so it goes straight to the dense SVD, as does an A
+    of size at most _DENSE_MAX.
+    """
+    dim = A.shape[0]
+    if dim <= _DENSE_MAX or A[0].all() or A[:, 0].all():
+        return np.linalg.svd(A, compute_uv=False)
+    A = np.ascontiguousarray(A, dtype=complex)
+    # each nonzero real or imaginary part of the row-major A names its entry
+    row, col = np.divmod(np.flatnonzero(A.view(float) != 0) >> 1, dim)
+    src, dst = np.concatenate((row, col)), np.concatenate((col, row))
+    label = np.arange(dim)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))  # by block size, then block
+    svals = []
+    for s in np.unique(size).tolist():
+        index = order[size[order] == s].reshape(-1, s)
+        blocks = A[index[:, :, None], index[:, None, :]]
+        svals.append(np.abs(blocks.ravel()) if s == 1 else
+                     np.linalg.svd(blocks, compute_uv=False).ravel())
+    return np.sort(np.concatenate(svals))[::-1]
+
+
 def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
-    """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule."""
-    mat = np.asarray(getattr(M, "matrix", M), dtype=complex)
-    return _nullity(np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False), tol)
+    """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule.
+
+    The singular values come from the blocks of M - I (`_singular_values`), which
+    its nonzero pattern alone finds; they are those of the dense SVD, so the rank
+    rule and its band are unchanged.
+    """
+    A = np.array(getattr(M, "matrix", M), dtype=complex)
+    A.reshape(-1)[::A.shape[0] + 1] -= 1  # the diagonal of the row-major copy
+    return _nullity(_singular_values(A), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:

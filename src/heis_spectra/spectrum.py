@@ -36,6 +36,7 @@ MAX_SPECTRUM_LINES.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,13 +178,32 @@ def _level_tops(alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES):
         yield sgn, lam, c, rows, _tops(c, t[rows], False)
 
 
-def _class_table(fs) -> tuple[np.ndarray, np.ndarray]:
-    """(f0, d)[code, j - 1, i] for the level classes code = 4 (sgn < 0) + lam mod 4,
-    the classes j = 1..4 of m mod 4 and f = fs[i], as Python ints:
-    f(sgn j, lam) and f(sgn (j + 4), lam) - f(sgn j, lam)."""
+# Entries kept by the caches of _class_table and _sectors: the program asks for a
+# handful of manifolds, and of tuples of multiplicities (one per call site and
+# manifold), so each table is built once.
+_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _class_table(fs: tuple):
+    """(f0, d, f0_float, d_float, size, slope) for the multiplicities fs, read-only.
+
+    f0[code, j - 1, i] = f(sgn j, lam) and d = f(sgn (j + 4), lam) - f(sgn j, lam)
+    for the level classes code = 4 (sgn < 0) + lam mod 4, the classes j = 1..4 of
+    m mod 4 and f = fs[i], as Python ints, and in float64.  A class holds at most
+    kmax terms, each at most |f0| + |d| (kmax - 1); size and slope bound these per
+    code, the factors 2 covering the rounding of the bound itself.
+    """
     table = np.array([[[f(sgn * m, r) for f in fs] for m in range(1, 9)]
                       for sgn in (1, -1) for r in range(4)], dtype=object)
-    return table[:, :4], table[:, 4:] - table[:, :4]
+    f0, d = table[:, :4], table[:, 4:] - table[:, :4]
+    f0_float, d_float = f0.astype(float), d.astype(float)
+    size = 2.0 * np.abs(f0_float).sum(axis=1).max(axis=1)
+    slope = 2.0 * np.abs(d_float).sum(axis=1).max(axis=1) + 2.0
+    out = (f0, d, f0_float, d_float, size, slope)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _class_sums(tops, classes, f0, d):
@@ -211,14 +231,10 @@ def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES) -> li
     of the (samples x levels) class sizes, the (levels x 8) indicator of each
     level's sign and lam mod 4, and the table.  Each level's terms are bounded
     first: the levels whose sums could pass _EXACT_FLOAT together are summed in
-    Python ints, the others in float64.
+    Python ints, the others in float64.  The table is kept per tuple fs
+    (`_class_table`), so a caller that passes the same functions again reuses it.
     """
-    f0, d = _class_table(fs)
-    f0_float, d_float = f0.astype(float), d.astype(float)
-    # a class holds at most kmax terms, each at most |f0| + |d| (kmax - 1); the
-    # factors 2 cover the rounding of the bound itself
-    size = 2.0 * np.abs(f0_float).sum(axis=1).max(axis=1)
-    slope = 2.0 * np.abs(d_float).sum(axis=1).max(axis=1) + 2.0
+    f0, d, f0_float, d_float, size, slope = _class_table(tuple(fs))
     totals = [[0] * len(tgrid) for _ in fs]
     for sgn, lam, _, rows, tops in _level_tops(alpha, tgrid, chunk):
         code = 4 * (sgn < 0) + lam % 4
@@ -258,10 +274,12 @@ def _torus_rows(lattice: LatticeSpec, t: float):
     return a, den, [(i, math.isqrt(top - a * i * i)) for i in range(-imax, imax + 1)]
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def _sectors(manifold):
     """(f, lattice, orbits): f(n, lam) is the multiplicity of an oscillator
     eigenvalue on the manifold; its torus sector is that of the lattice, and
-    orbits(points) the number of rotation orbits among that many nonzero points."""
+    orbits(points) the number of rotation orbits among that many nonzero points.
+    Kept per manifold, so f is the same function, and its class table is reused."""
     if isinstance(manifold, LatticeSpec):
         width = manifold.covering_width
         return (lambda n, lam: width * abs(n)), manifold, (lambda points: points)

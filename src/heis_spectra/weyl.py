@@ -81,8 +81,9 @@ def _even(n: int, lam: int) -> int:
     return (abs(n) + lam + 1) % 2
 
 
-def _pair_width(l: int):
-    return lambda n, lam: 2 * l * abs(n)
+def _width(n: int, lam: int) -> int:
+    """2|n|: the multiplicity 2l|n| of a pair, over l."""
+    return 2 * abs(n)
 
 
 def parity_counts(t: float, alpha: float) -> ParitySetCounts:
@@ -97,8 +98,8 @@ def oscillator_pair_sums(t: float, alpha: float, l: int) -> tuple[int, int]:
     """(number of admissible (n,lambda) pairs, their total 2l|n| multiplicity)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    (pairs,), (mults,) = _oscillator_sums([_one, _pair_width(l)], alpha, [t])
-    return pairs, mults
+    (pairs,), (widths,) = _oscillator_sums([_one, _width], alpha, [t])
+    return pairs, l * widths
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,11 @@ def counting_columns(manifold, alpha: float, tgrid):
     """
     tgrid = _checked_grid(tgrid)
     f, lattice, _ = _sectors(manifold)
-    osc, cover, even, pairs, mults = _oscillator_sums(
-        [f, _sectors(lattice)[0], _even, _one, _pair_width(manifold.l)], alpha, tgrid)
+    osc, cover, even, pairs, widths = _oscillator_sums(
+        [f, _sectors(lattice)[0], _even, _one, _width], alpha, tgrid)
     parity = tuple(ParitySetCounts(t, e, p - e) for t, e, p in zip(tgrid, even, pairs))
     return (_series(manifold, alpha, tgrid, osc), tuple(cover), parity,
-            tuple(zip(pairs, mults)))
+            tuple((p, manifold.l * w) for p, w in zip(pairs, widths)))
 
 
 def default_tgrid(n_samples: int = 20, t_lo: float = math.pi / 2, t_hi: float = 1e3):

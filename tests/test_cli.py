@@ -375,6 +375,14 @@ def test_dims_sweep_all_agree(capsys):
         assert all(r["closed"] == r["oracle"] == r["character"] for r in rows)
 
 
+def test_dims_half_turn_agrees_at_a_sector_of_1024(capsys):
+    # N = 2l|n| = 1024: the half-turn oracle takes its blocks, not one dense SVD
+    rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--l", "4",
+                      "--n", "128", "--lam", "1")
+    assert rc == 0
+    assert out.splitlines()[1] == "128,1,511,511,511,true"
+
+
 def test_dims_negative_range_skips_zero(capsys):
     rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--l", "1",
                       "--nmin", "-2", "--nmax", "2", "--lmax", "0")

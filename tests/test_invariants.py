@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 
 from heis_spectra.group import (
     PolarizedPoint,
@@ -18,7 +19,9 @@ from heis_spectra.invariants import (
     CharacterTable,
     IllConditionedError,
     PullbackMatrix,
+    _nullity,
     _nullspace_basis,
+    _singular_values,
     character_table,
     dim_from_characters,
     dim_phi_invariant,
@@ -35,6 +38,11 @@ from heis_spectra.invariants import (
 )
 
 SWEEP = [(n, lam, l) for n in (-3, -2, -1, 1, 2, 3) for lam in range(4) for l in (1, 2)]
+
+# N = 2l|n| = 34, 64, 160 and 256: above the size where the oracle stops taking
+# one dense SVD and splits I - M into blocks
+ABOVE_CROSSOVER = [(n, lam, l) for m, l in ((17, 1), (16, 2), (20, 4), (32, 4))
+                   for n in (m, -m) for lam in range(4)]
 
 # l <= 5, 1 <= |n| <= 12: the sectors on which the structured matrices are
 # compared against the paper's entry formulas
@@ -245,6 +253,69 @@ def test_count_and_basis_follow_one_rank_rule(svals, seed):
         assert np.linalg.norm(A @ B) < 1e-9
 
 
+def _block(rng, size, planted):
+    """A size x size complex block: random entries, about a third of them zero, or
+    with planted singular values, P diag(planted) G for a phased permutation P and
+    a chain of Givens rotations G, whose entries below the subdiagonal are zero."""
+    if planted is None:
+        block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        return np.where(rng.random((size, size)) < 0.3, 0, block)
+    G = np.eye(size, dtype=complex)
+    for i in range(size - 1):
+        theta = rng.uniform(0.3, 1.2)
+        c, s = np.cos(theta), np.sin(theta) * np.exp(2j * math.pi * rng.random())
+        rot = np.eye(size, dtype=complex)
+        rot[i:i + 2, i:i + 2] = [[c, -np.conj(s)], [s, c]]
+        G = G @ rot
+    P = np.exp(2j * math.pi * rng.random(size))[:, None] * np.eye(size)[rng.permutation(size)]
+    return P @ np.diag(planted) @ G
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=8, max_size=24),
+       planted=st.lists(_PLANTED.filter(lambda s: not 1e-9 <= s <= 1e-7), min_size=120,
+                        max_size=120),
+       band=st.none() | st.sampled_from([3e-9, 1e-8, 3e-8]), symmetric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_split_keeps_the_singular_values_and_the_count(blocks, planted, band, symmetric,
+                                                             seed):
+    # a permuted block-diagonal I - M above the dense crossover, at most one planted
+    # value in the band: its blocks' singular values are the dense SVD's, so the
+    # count and the refusal are too
+    rng = np.random.default_rng(seed)
+    while sum(size for size, _ in blocks) <= 32:
+        blocks = blocks + [(5, False)]
+    values = iter(planted if band is None else [band] + planted)
+    parts = [_block(rng, size, [next(values) for _ in range(size)] if plant else None)
+             for size, plant in blocks]
+    B = block_diag(*parts)
+    dim = len(B)
+    rows = rng.permutation(dim)
+    A = B[rows][:, rows if symmetric else rng.permutation(dim)]
+    dense = np.linalg.svd(A, compute_uv=False)
+    assert np.max(np.abs(_singular_values(A) - dense), initial=0) <= 1e-12 * dense[0]
+    M = np.eye(dim) + A
+    try:
+        want = _nullity(np.linalg.svd(M - np.eye(dim), compute_uv=False), 1e-8)
+    except IllConditionedError:
+        with pytest.raises(IllConditionedError):
+            fixed_subspace_dim(M)
+        return
+    assert fixed_subspace_dim(M) == want
+    assert want == null_space(A, rcond=1e-8 / max(dense[0], 1e-300)).shape[1]
+
+
+def test_one_dense_svd_per_psi_sector_and_one_batch_per_block_size():
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        # N = 128: the first row of I - M has no zero, so one dense SVD
+        assert fixed_subspace_dim(psi_pullback_matrix(16, 1, 4)) == dim_psi_invariant(16, 1, 4)
+        assert [call.args[0].shape for call in svd.call_args_list] == [(128, 128)]
+        svd.reset_mock()
+        # N = 256: the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest
+        assert fixed_subspace_dim(phi_pullback_matrix(128, 1, 1)) == dim_phi_invariant(128, 1, 1)
+        assert [call.args[0].shape for call in svd.call_args_list] == [(127, 2, 2)]
+
+
 def test_rank_rule_needs_a_positive_finite_tol():
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -264,7 +335,7 @@ def test_dim_psi_closed_form():
 
 
 def test_oracle_equivalence_subset():
-    for n, lam, l in SWEEP:
+    for n, lam, l in SWEEP + ABOVE_CROSSOVER:
         assert fixed_subspace_dim(phi_pullback_matrix(n, lam, l)) == dim_phi_invariant(n, lam, l)
         assert fixed_subspace_dim(psi_pullback_matrix(n, lam, l)) == dim_psi_invariant(n, lam, l)
 
