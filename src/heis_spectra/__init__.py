@@ -31,7 +31,7 @@ from .group import (
     torsion_witness,
     translation_motion,
 )
-from .hermite import hermite_function, hermite_poly, scaled_hermite, seed_scale
+from .hermite import hermite_function, hermite_poly
 from .invariants import (
     CharacterTable,
     CoefficientVector,

@@ -36,9 +36,11 @@ from .invariants import (
 from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_values
-from .weyl import counting_columns, default_tgrid, manifold_tag, volume, weyl_constant
+from .weyl import _ratio_grid, counting_columns, default_tgrid, manifold_tag, volume, weyl_constant
 
-_FAMILIES = ("nl", "nprime", "gamma-pi", "gamma-pi2")
+# the --manifold selectors and the quotient each one names
+_MANIFOLDS = {"nl": standard_rect, "nprime": scaled_square, "gamma-pi": gamma_pi,
+              "gamma-pi2": gamma_pi_half}
 
 
 class _CliError(Exception):
@@ -50,18 +52,6 @@ class _CliError(Exception):
 
 def _g(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _resolve_manifold(name: str, l: int):
-    if name == "nl":
-        return standard_rect(l)
-    if name == "nprime":
-        return scaled_square(l)
-    if name == "gamma-pi":
-        return gamma_pi(l)
-    if name == "gamma-pi2":
-        return gamma_pi_half(l)
-    raise _CliError(2, f"unknown manifold selector {name!r}")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -129,7 +119,7 @@ def _check_rows(rows: int) -> None:  # before any row is computed
 
 
 def cmd_spectrum(args) -> int:
-    manifold = _resolve_manifold(args.manifold, args.l)
+    manifold = _MANIFOLDS[args.manifold](args.l)
     lines = _spectral_lines(manifold, args.alpha, args.tmax)
     tag = manifold_tag(manifold)
     if args.format == "json":
@@ -141,7 +131,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenfunction(args) -> int:
-    manifold = _resolve_manifold(args.manifold, args.l)
+    manifold = _MANIFOLDS[args.manifold](args.l)
     if not isinstance(manifold, LatticeSpec):
         raise _CliError(2, "eigenfunction grids are defined on the lattice quotients "
                            "(selectors nl, nprime)")
@@ -194,7 +184,7 @@ MAX_ORACLE_DIM = 4096
 
 
 def cmd_dims(args) -> int:
-    manifold = _resolve_manifold(args.manifold, args.l)
+    manifold = _MANIFOLDS[args.manifold](args.l)
     if not isinstance(manifold, BieberbachSpec):
         raise _CliError(2, "dimension tables are defined for the crystallographic "
                            "quotients (selectors gamma-pi, gamma-pi2)")
@@ -219,7 +209,7 @@ def cmd_dims(args) -> int:
     try:
         for n in ns:
             for lam in lams:
-                closed, oracle, char, agree = _dims_row(args.manifold, n, lam, args.l, args.tol)
+                closed, oracle, char, agree = _dims_row(manifold.kind, n, lam, args.l, args.tol)
                 writer.writerow([n, lam, closed, oracle, char, "true" if agree else "false"])
     except (ValueError, IllConditionedError) as exc:
         raise _CliError(2, f"{exc} (row n = {n}, lambda = {lam})") from exc
@@ -228,13 +218,13 @@ def cmd_dims(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    manifold = _resolve_manifold(args.manifold, args.l)
+    manifold = _MANIFOLDS[args.manifold](args.l)
     if args.samples < 2:
         raise _CliError(2, "need at least two samples")
     _check_rows(args.samples)
     if not 0 < args.tmin < args.tmax:
         raise _CliError(2, "need 0 < tmin < tmax")
-    tgrid = default_tgrid(args.samples, args.tmin, args.tmax)
+    tgrid = _ratio_grid(default_tgrid(args.samples, args.tmin, args.tmax))
     # one pass over the oscillator levels gives every column
     series, cover, parity, pairs = counting_columns(manifold, args.alpha, tgrid)
     target = weyl_constant(args.alpha).value * volume(manifold)
@@ -270,7 +260,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite if args.suite else None
-    results = run_suites(names, pullback_perturbation=args.inject_pullback_error)
+    results = run_suites(names)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"suite {r.name}: {status} ({r.detail})\n")
@@ -286,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, manifolds=_FAMILIES):
-        p.add_argument("--manifold", required=True, choices=manifolds,
+    def add_common(p):
+        p.add_argument("--manifold", required=True, choices=_MANIFOLDS,
                        help="quotient family")
         p.add_argument("--l", type=int, default=1, help="lattice width parameter (default 1)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -333,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only the named suite (repeatable)")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored: the suites run one after another")
-    p.add_argument("--inject-pullback-error", type=float, default=0.0,
-                   help=argparse.SUPPRESS)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Physicists' Hermite polynomials, L2-normalised Hermite functions, and their scalings.
+"""Physicists' Hermite polynomials and L2-normalised Hermite functions.
 
 psi_lam(y) = H_lam(y) e^{-y^2/2} / sqrt(2^lam lam! sqrt(pi)), the oscillator
 eigenfunction of eigenvalue 2 lam + 1 and unit L2 norm, comes from the recurrence
@@ -9,8 +9,7 @@ steps: start from pi^{-1/4}, multiply by g = e^{-y^2/(2 lam)} once per step, and
 every 64 steps rescale both running terms by one power of two; no intermediate
 overflows at any order, and a value costs O(lam) array steps.  Past the turning
 point sqrt(2 lam + 1), |psi_lam| decays at least like e^{-(|y| - sqrt(2 lam + 1))^2/2}
-times its value there (Sturm comparison).  The seeds downstream rescale y by
-sqrt(2 pi |n|) (rectangular lattices) or 2 sqrt(pi l |n|) (square ones).
+times its value there (Sturm comparison).
 """
 
 from __future__ import annotations
@@ -67,25 +66,3 @@ def hermite_function(lam: int, y):
     out = _psi(_check_order(lam), y)
     return float(out) if y.ndim == 0 else out
 
-
-def seed_scale(n: int, l, scaling: str) -> float:
-    """The factor s with scaled_hermite(n, lam, l, scaling, x) = psi_lam(s x)."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if scaling == "plain":
-        return math.sqrt(2.0 * math.pi * abs(n))
-    if scaling == "sqrt2l":
-        if not l > 0:
-            raise ValueError("l must be positive")
-        return 2.0 * math.sqrt(math.pi * l * abs(n))
-    raise ValueError(f"unknown scaling {scaling!r}")
-
-
-def scaled_hermite(n: int, lam: int, l, scaling: str, x):
-    """Rescaled Hermite function used as the transform's line-function seed.
-
-    scaling "plain":  psi_lam(sqrt(2 pi |n|) x), the rectangular-lattice width.
-    scaling "sqrt2l": psi_lam(2 sqrt(pi l |n|) x); at l = 1/2 this degenerates to
-    the plain scaling, which is exercised only as a test relation.
-    """
-    return hermite_function(lam, seed_scale(n, l, scaling) * np.asarray(x, dtype=float))

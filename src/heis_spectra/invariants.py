@@ -270,6 +270,8 @@ class CoefficientVector:
     entries: np.ndarray
 
     def __post_init__(self):
+        if self.n == 0:
+            raise ValueError("n must be nonzero")
         if self.entries.shape != (2 * self.l * abs(self.n),):
             raise ValueError("entry vector has the wrong length")
 

@@ -76,11 +76,10 @@ def torus_character(mu_nu: DualLatticePoint, pt: PolarizedPoint) -> complex:
 
 
 def dual_lattice(lattice: LatticeSpec) -> tuple[DualLatticePoint, DualLatticePoint]:
-    """Generators of the dual of the projected (p,q) lattice."""
-    if lattice.kind == "standard-rect":
-        return DualLatticePoint(1.0, 0.0), DualLatticePoint(0.0, 1.0 / lattice.l)
-    w = 1.0 / math.sqrt(2.0 * lattice.l)
-    return DualLatticePoint(w, 0.0), DualLatticePoint(0.0, w)
+    """Generators of the dual of the projected (p,q) lattice: its steps are
+    orthogonal, so the dual steps are their reciprocals."""
+    sp, sq = lattice.steps
+    return DualLatticePoint(1.0 / sp, 0.0), DualLatticePoint(0.0, 1.0 / sq)
 
 
 def _torus_value(num: int, den: int) -> float:
@@ -103,6 +102,11 @@ def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
 # allowed spectrum takes about 0.6 GB.  Near |alpha| = 1 the lam = 0 level alone
 # holds about 2 tmax / (pi (1 - |alpha|)) lines.
 MAX_SPECTRUM_LINES = 2_000_000
+# _oscillator_sums refuses a grid that would visit more (sample, level) entries
+# than this, about sum_s 2 (floor(t_s / pi) + 2): an entry costs about 1e-7 s on
+# a 2-core box with numpy 2.4, so the largest allowed count (one sample at
+# t = 1.5e8) takes about 10 s.
+MAX_COUNT_ENTRIES = 10**8
 # Levels are processed in chunks of about this many (sample, level) entries: a
 # chunk's temporaries take 128 KB each at any t and stay in cache (chunks of
 # 2^16 entries ran the benchmark's weyl commands about 40% slower).
@@ -233,7 +237,12 @@ def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES) -> li
     first: the levels whose sums could pass _EXACT_FLOAT together are summed in
     Python ints, the others in float64.  The table is kept per tuple fs
     (`_class_table`), so a caller that passes the same functions again reuses it.
+    A grid past MAX_COUNT_ENTRIES raises ValueError before any counting.
     """
+    entries = sum(2.0 * (t // math.pi + 2) for t in tgrid)
+    if not entries <= MAX_COUNT_ENTRIES:
+        raise ValueError(f"counting up to t = {max(tgrid)!r} would visit about {entries:.3g} "
+                         f"(sample, level) entries, more than the limit of {MAX_COUNT_ENTRIES}")
     f0, d, f0_float, d_float, size, slope = _class_table(tuple(fs))
     totals = [[0] * len(tgrid) for _ in fs]
     for sgn, lam, _, rows, tops in _level_tops(alpha, tgrid, chunk):

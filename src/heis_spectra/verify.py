@@ -154,24 +154,18 @@ def _suite_weil_brezin() -> str:
     return "theta value, invariance, intertwining"
 
 
-def _pullback_cases():
-    return [
-        (phi_generator(), phi_pullback_matrix, lambda l: standard_rect(2 * l),
-         [(1, 0, 1), (2, 1, 1), (-2, 0, 1)]),
-        (psi_generator(), psi_pullback_matrix, lambda l: scaled_square(l),
-         [(1, 1, 1), (2, 0, 1), (-1, 0, 1)]),
-    ]
-
-
-def _suite_pullback(perturbation: float = 0.0) -> str:
-    """A nonzero perturbation is added to every matrix entry; the suite must then fail."""
+def _suite_pullback() -> str:
     rng = np.random.default_rng(1004)
     checked = 0
-    for gen, builder, lattice_of, cases in _pullback_cases():
-        for n, lam, l in cases:
-            M = builder(n, lam, l).matrix + perturbation
-            lattice = lattice_of(l)
-            idxs = [WBIndex(n, a, b, 2 * l) for a in range(abs(n)) for b in range(2 * l)]
+    cases = ((gamma_pi, phi_pullback_matrix, [(1, 0, 1), (2, 1, 1), (-2, 0, 1)]),
+             (gamma_pi_half, psi_pullback_matrix, [(1, 1, 1), (2, 0, 1), (-1, 0, 1)]))
+    for quotient, builder, sectors in cases:
+        for n, lam, l in sectors:
+            M = builder(n, lam, l).matrix
+            spec = quotient(l)
+            gen, lattice = spec.generator, spec.base_lattice
+            width = lattice.covering_width
+            idxs = [WBIndex(n, a, b, width) for a in range(abs(n)) for b in range(width)]
             for _ in range(4):
                 pt = PolarizedPoint(*rng.uniform(-1, 1, size=3))
                 f_pt = np.array([wb_eigenfunction(i, lam, lattice, pt) for i in idxs])
@@ -275,11 +269,8 @@ def available_suites() -> list[str]:
     return list(SUITES)
 
 
-def run_suites(names=None, pullback_perturbation: float = 0.0) -> list[SuiteResult]:
-    """Run the requested suites (all by default) and report in input order.
-
-    A nonzero pullback_perturbation is the pullback suite's negative control.
-    """
+def run_suites(names=None) -> list[SuiteResult]:
+    """Run the requested suites (all by default) and report in input order."""
     names = list(names) if names is not None else available_suites()
     unknown = sorted(set(names) - set(SUITES))
     if unknown:
@@ -287,7 +278,7 @@ def run_suites(names=None, pullback_perturbation: float = 0.0) -> list[SuiteResu
     results = []
     for name in names:
         try:
-            detail = SUITES[name](pullback_perturbation) if name == "pullback" else SUITES[name]()
+            detail = SUITES[name]()
             results.append(SuiteResult(name, True, detail))
         except Exception as exc:
             results.append(SuiteResult(name, False, f"{type(exc).__name__}: {exc}"))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import LatticeSpec, PolarizedPoint, apply_symplectic, scaling_map
-from .hermite import _check_order, _psi, seed_scale
+from .hermite import _check_order, _psi
 
 
 class TruncationError(RuntimeError):
@@ -79,7 +79,7 @@ _MAX_WINDOW = 100_000
 
 
 def _outer(ks, offs):  # k + off for every k and offset, k-major and flat
-    return ks + offs if offs.size == 1 else np.add.outer(ks, offs).ravel()
+    return np.add.outer(ks, offs).ravel()
 
 
 def _window(n: int, ks, offs, xs, seeds, what: str):
@@ -147,11 +147,13 @@ def _hermite_windows(n: int, width: int, lam: int, lattice: LatticeSpec, tol: fl
     lam = _check_order(lam)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    # psi_lam(scale x): scale is sqrt(2 pi |n|) on a rectangular lattice, and
+    # 2 sqrt(pi l |n|) on a square one, read on its cover of width 2l
     if lattice.kind == "standard-rect":
-        to_rect, scale = (lambda pt: pt), seed_scale(n, 1, "plain")
+        to_rect, scale = (lambda pt: pt), math.sqrt(2.0 * math.pi * abs(n))
     else:
         to_rect = functools.partial(apply_symplectic, scaling_map(lattice.l))
-        scale = seed_scale(n, lattice.l, "sqrt2l")
+        scale = 2.0 * math.sqrt(math.pi * lattice.l * abs(n))
     return to_rect, lambda p, offs: _series_window(lam, scale, n, p, offs, tol)
 
 
@@ -180,8 +182,8 @@ def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: Polarized
                      tol: float = 1e-12) -> complex:
     """Eigenfunction of the sub-Laplacian family on the given lattice quotient.
 
-    Rectangular lattices seed the transform with the plain-scaled Hermite
-    function; square lattices with the sqrt2l scaling, at the point carried onto
-    their rectangular cover.
+    The transform's seed is the Hermite function psi_lam, rescaled to the
+    lattice; square lattices are evaluated at the point carried onto their
+    rectangular cover.
     """
     return wb_eigenfunction_values(idx, lam, lattice, (pt,), tol)[0]

@@ -25,9 +25,10 @@ from .spectrum import _oscillator_sums, _sectors, _torus_points
 
 
 def volume(spec) -> float:
-    """Lebesgue volume of a fundamental domain of the quotient."""
+    """Lebesgue volume of a fundamental domain of the quotient: the covering width
+    (the square lattice's rescaling onto its cover keeps volume) over the index."""
     if isinstance(spec, LatticeSpec):
-        return float(spec.l if spec.kind == "standard-rect" else 2 * spec.l)
+        return float(spec.covering_width)
     if isinstance(spec, BieberbachSpec):
         return volume(spec.base_lattice) / spec.index
     raise TypeError("spec must be a LatticeSpec or BieberbachSpec")
@@ -131,6 +132,16 @@ def _checked_grid(tgrid) -> list[float]:
     return tgrid
 
 
+def _ratio_grid(tgrid) -> list[float]:
+    """The checked grid, refused where N(t)/t^2 is undefined: t * t underflows to 0
+    below about t = 1.6e-162."""
+    tgrid = _checked_grid(tgrid)
+    if tgrid[0] * tgrid[0] == 0:
+        raise ValueError(f"t = {tgrid[0]!r} is too small: t^2 underflows to 0, "
+                         "so N(t)/t^2 is undefined")
+    return tgrid
+
+
 def _series(manifold, alpha: float, tgrid, oscillator) -> CountingSeries:
     _, lattice, orbits = _sectors(manifold)
     torus = tuple(orbits(_torus_points(lattice, t) - 1) for t in tgrid)
@@ -177,7 +188,7 @@ def default_tgrid(n_samples: int = 20, t_lo: float = math.pi / 2, t_hi: float = 
 
 def weyl_ratio_check(manifold, alpha: float, tgrid) -> list[tuple[float, float, float, float]]:
     """(t, N(t)/t^2, target, relative deviation) per sample."""
-    series = counting_function(manifold, alpha, tgrid)
+    series = counting_function(manifold, alpha, _ratio_grid(tgrid))
     target = weyl_constant(alpha).value * volume(manifold)
     out = []
     for t, count in zip(series.t, series.counts):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from heis_spectra import cli
+from heis_spectra import cli, spectrum, verify
 from heis_spectra.cli import MAX_ORACLE_DIM, main
 from heis_spectra.group import PolarizedPoint, standard_rect
-from heis_spectra.spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum
+from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 
 
@@ -111,11 +112,23 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_back_to_back_commands_keep_their_exit_codes(capsys, tmp_path):
+def _perturb_pullbacks(monkeypatch):
+    """Add 1e-3 to every entry of the matrices the verifier's pullback suite
+    builds: its negative control, which must make the suite fail."""
+    for name in ("phi_pullback_matrix", "psi_pullback_matrix"):
+        def perturbed(*args, build=getattr(verify, name)):
+            m = build(*args)
+            return dataclasses.replace(m, matrix=m.matrix + 1e-3)
+
+        monkeypatch.setattr(verify, name, perturbed)
+
+
+def test_back_to_back_commands_keep_their_exit_codes(capsys, tmp_path, monkeypatch):
     # the parser is shared between calls: no command's options or defaults
-    # reach the next one, whichever order they come in
+    # reach the next one, whichever order they come in; the verify call that
+    # expects exit code 1 runs on perturbed pullback matrices
     calls = [
-        (["verify", "--suite", "pullback", "--inject-pullback-error", "1e-3"], 1),
+        (["verify", "--suite", "pullback"], 1),
         (["eigenfunction", "--manifold", "nl", "--n", "2", "--lam", "1", "--grid", "1",
           "--tol", "1e-6", "--out", str(tmp_path / "f.csv")], 0),
         (["dims", "--manifold", "gamma-pi", "--out", str(tmp_path / "dims.csv")], 0),
@@ -126,7 +139,10 @@ def test_back_to_back_commands_keep_their_exit_codes(capsys, tmp_path):
     ]
     for order in (calls, calls[::-1]):
         for argv, code in order:
-            assert main(argv) == code, argv
+            with monkeypatch.context() as patch:
+                if code == 1:
+                    _perturb_pullbacks(patch)
+                assert main(argv) == code, argv
             # dims keeps its own range and rank threshold after eigenfunction's --n and --tol
             if argv[0] == "dims":
                 assert len((tmp_path / "dims.csv").read_text().splitlines()) == 17
@@ -179,7 +195,7 @@ def test_eigenfunction_at_high_levels_writes_finite_rows(capsys, manifold, l, n,
     assert rc == 0
     rows = _grid_rows(out)
     assert len(rows) == 4
-    lattice = cli._resolve_manifold(manifold, l)
+    lattice = cli._MANIFOLDS[manifold](l)
     idx = WBIndex(n, 0, 0, lattice.covering_width)
     for (p, q, s), val in rows.items():
         assert math.isfinite(val.real) and math.isfinite(val.imag)
@@ -314,6 +330,59 @@ PINNED_WEYL_GRIDS = [
 
 def test_spectrum_and_weyl_pinned_bytes_in_fresh_processes():
     _assert_pinned_in_fresh_processes(PINNED_COUNTS + PINNED_WEYL_GRIDS)
+
+
+# sha256 of stdout, recorded before the dual lattice, the volume and the selector
+# table were read off the lattice specs: a spectrum of each remaining selector
+# and a dims table of each crystallographic quotient
+PINNED_GEOMETRY = [
+    (["spectrum", "--manifold", "nl", "--l", "2", "--alpha", "0.25", "--tmax", "150"],
+     "3f2e5ded4978bb0117153df6128e081984641264e957fbc988f1cbd26441a1d9"),
+    (["spectrum", "--manifold", "gamma-pi", "--l", "2", "--alpha", "-0.5", "--tmax", "150",
+      "--format", "csv"],
+     "2022d1f5d25d543d3c6c16f67d1fc6a1ada94c20cb22581298b27b68ba202be0"),
+    (["dims", "--manifold", "gamma-pi", "--l", "2", "--nmin", "-4", "--nmax", "4", "--lmax", "3"],
+     "08da69d780d5abbc9d84ee3dc58cfb19161e2695ff0f40a887a85ecc7258f630"),
+    (["dims", "--manifold", "gamma-pi2", "--l", "2", "--nmin", "-4", "--nmax", "4", "--lmax", "3"],
+     "8ac8d8bc20f415479b6279da0259217cda42fe8f1a35bd4134971ad91d7c27a6"),
+]
+
+
+def test_spectrum_and_dims_pinned_bytes_in_fresh_processes():
+    _assert_pinned_in_fresh_processes(PINNED_GEOMETRY)
+
+
+def test_weyl_refuses_a_t_whose_square_underflows(capsys):
+    # t * t is 0 below about 1.6e-162, where N(t)/t^2 divided by zero
+    argv = ["weyl", "--manifold", "nprime", "--alpha", "0.5", "--tmin", "1e-300",
+            "--tmax", "1e-299", "--samples", "2"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: t = 1e-300 is too small")
+    # the smallest t with a nonzero square still writes its table
+    assert main(argv[:5] + ["--tmin", "1.6e-162", "--tmax", "1", "--samples", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_weyl_refuses_a_grid_past_the_counting_limit_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(spectrum, "_level_tops", _refuse)
+    start = time.perf_counter()
+    assert main(["weyl", "--manifold", "nl", "--tmax", "1e308"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "(sample, level) entries" in err and str(MAX_COUNT_ENTRIES) in err
+
+
+def test_counting_limit_admits_the_documented_commands(capsys, monkeypatch):
+    # every command reaches the counting core: the 40-sample quarter-turn grid to
+    # t = 1e7, and the largest weyl grid the benchmark asks for
+    monkeypatch.setattr(spectrum, "_level_tops", _refuse)
+    for argv in (["weyl", "--manifold", "gamma-pi2", "--tmax", "1e7", "--samples", "40"],
+                 ["weyl", "--manifold", "nprime", "--l", "2", "--tmax", "3000", "--samples", "40"]):
+        with pytest.raises(AssertionError, match="an evaluation started"):
+            main(argv)
+    capsys.readouterr()
 
 
 def test_spectrum_refuses_a_line_count_past_the_limit_at_once():
@@ -497,12 +566,13 @@ def test_verify_all_and_subset(capsys):
     assert out.splitlines() == lines[6:7]
 
 
-def test_verify_negative_control(capsys):
-    rc, out = run_cli(capsys, "verify", "--suite", "pullback",
-                      "--inject-pullback-error", "1e-3")
+def test_verify_negative_control(capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        _perturb_pullbacks(patch)
+        rc, out = run_cli(capsys, "verify", "--suite", "pullback")
     assert rc == 1
     assert "FAIL" in out
-    # the hook does not leak into later runs
+    # the perturbation does not leak into later runs
     rc, out = run_cli(capsys, "verify", "--suite", "pullback")
     assert rc == 0
 

@@ -7,7 +7,9 @@ import pytest
 from numpy.polynomial import hermite as nph
 from scipy.integrate import quad
 
-from heis_spectra.hermite import hermite_function, hermite_poly, scaled_hermite
+from heis_spectra.group import LatticeSpec, scaled_square
+from heis_spectra.hermite import hermite_function, hermite_poly
+from heis_spectra.weil_brezin import WBIndex
 
 # frozen oracle values (30-digit evaluation)
 E_MINUS_HALF = 0.606530659712633423603799534991
@@ -83,7 +85,7 @@ def test_against_mpmath_at_the_high_order_probe():
     assert abs(hermite_function(2000, 62.0) - mp_psi(2000, 62.0)) < 1e-12
     assert abs(hermite_function(2000, 62.0)) > 0.2
     y = 16.0 * math.sqrt(2 * math.pi)
-    assert abs(scaled_hermite(1, 170, 1, "plain", 16.0) - mp_psi(170, y)) < 1e-13
+    assert abs(hermite_function(170, math.sqrt(2 * math.pi) * 16.0) - mp_psi(170, y)) < 1e-13
 
 
 def test_oscillator_ode_by_finite_differences():
@@ -123,40 +125,36 @@ def test_unit_norm_by_trapezoid(lam):
 
 
 def test_scaled_values():
-    assert scaled_hermite(1, 0, 1, "plain", 0.0) == hermite_function(0, 0.0)
-    assert scaled_hermite(1, 0, 1, "sqrt2l", 0.0) == hermite_function(0, 0.0)
-    assert abs(scaled_hermite(1, 0, 1, "plain", 1.0) - PI_MINUS_QUARTER * E_MINUS_PI) < 1e-16
-
-
-def test_sqrt2l_reduces_to_plain_at_half():
-    rng = np.random.default_rng(23)
-    x = rng.uniform(-2, 2, size=20)
-    for n in (1, -2, 3):
-        for lam in (0, 1, 4):
-            a = scaled_hermite(n, lam, 0.5, "sqrt2l", x)
-            b = scaled_hermite(n, lam, 1, "plain", x)
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+    # the seeds are psi_lam(scale x), scale = sqrt(2 pi |n|) on a rectangular lattice
+    # and 2 sqrt(pi l |n|) on a square one; both fix x = 0
+    for scale in (math.sqrt(2 * math.pi), 2 * math.sqrt(math.pi)):
+        assert hermite_function(0, scale * 0.0) == hermite_function(0, 0.0)
+    # psi_0(sqrt(2 pi)) = pi^{-1/4} e^{-pi}
+    assert abs(hermite_function(0, math.sqrt(2 * math.pi) * 1.0) - PI_MINUS_QUARTER * E_MINUS_PI) < 1e-16
 
 
 def test_scaled_input_validation():
+    # the seed's inputs are refused by the objects that carry them: the sector
+    # index (n = 0) and the lattice (a width below 1, an unknown kind)
     with pytest.raises(ValueError):
-        scaled_hermite(0, 0, 1, "plain", 0.0)
+        WBIndex(0, 0, 0, 1)
     with pytest.raises(ValueError):
-        scaled_hermite(1, 0, 1, "other", 0.0)
+        LatticeSpec("other", 1)
     with pytest.raises(ValueError):
-        scaled_hermite(1, 0, 0, "sqrt2l", 0.0)
+        scaled_square(0)
 
 
 @pytest.mark.parametrize("scaling,n,l", [("plain", 1, 1), ("plain", -2, 1), ("sqrt2l", 1, 1), ("sqrt2l", 2, 3)])
 def test_scaled_oscillator_ode(scaling, n, l):
     # after y = scale*x the ODE reads -f'' + scale^4 x^2 f = (2 lam+1) scale^2 f
     scale2 = 2 * math.pi * abs(n) if scaling == "plain" else 4 * math.pi * l * abs(n)
+    scale = math.sqrt(scale2)
     h = 1e-4
     for lam in (0, 1, 3):
         for x in (-0.4, 0.1, 0.55):
-            f = scaled_hermite(n, lam, l, scaling, x)
-            d2 = (scaled_hermite(n, lam, l, scaling, x + h) - 2 * f
-                  + scaled_hermite(n, lam, l, scaling, x - h)) / h**2
+            f = hermite_function(lam, scale * x)
+            d2 = (hermite_function(lam, scale * (x + h)) - 2 * f
+                  + hermite_function(lam, scale * (x - h))) / h**2
             lhs = -d2 + scale2**2 * x * x * f
             rhs = (2 * lam + 1) * scale2 * f
             assert abs(lhs - rhs) < 1e-3 * max(1.0, abs(rhs))

@@ -33,7 +33,7 @@ from heis_spectra.group import (
     scaling_map,
     standard_rect,
 )
-from heis_spectra.hermite import hermite_function, hermite_poly, seed_scale
+from heis_spectra.hermite import hermite_function, hermite_poly
 from heis_spectra.invariants import (
     CoefficientVector,
     _sector_index,
@@ -106,12 +106,19 @@ def sup_psi(lam):
                                                                 0.05 * math.pi / turn)))))
 
 
+def _cover(lattice, n, pt):
+    """(scale, pt carried onto the rectangular cover): the seed is psi_lam(scale x),
+    scale = sqrt(2 pi |n|) on a rectangular lattice and 2 sqrt(pi l |n|) on a square one."""
+    if lattice.kind == "standard-rect":
+        return math.sqrt(2.0 * math.pi * abs(n)), pt
+    return (2.0 * math.sqrt(math.pi * lattice.l * abs(n)),
+            apply_symplectic(scaling_map(lattice.l), pt))
+
+
 def reference_eigenfunction(idx, lam, lattice, pt, tol=1e-12):
     """The loop's value on the unnormalised seed (absolute tail bound tol)."""
-    if lattice.kind == "standard-rect":
-        return reference_eval(idx, unnormalised_seed(lam, seed_scale(idx.n, 1, "plain")), pt, tol)
-    seed = unnormalised_seed(lam, seed_scale(idx.n, lattice.l, "sqrt2l"))
-    return reference_eval(idx, seed, apply_symplectic(scaling_map(lattice.l), pt), tol)
+    scale, pt = _cover(lattice, idx.n, pt)
+    return reference_eval(idx, unnormalised_seed(lam, scale), pt, tol)
 
 
 coords = st.floats(-3.0, 3.0, allow_nan=False)
@@ -132,11 +139,7 @@ def eigenfunctions(draw):
 def window_loop(idx, lam, lattice, pt, tol=1e-12):
     """The series over the window rule, one psi_lam seed at a time: every k with
     |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol))."""
-    if lattice.kind == "standard-rect":
-        scale = seed_scale(idx.n, 1, "plain")
-    else:
-        scale = seed_scale(idx.n, lattice.l, "sqrt2l")
-        pt = apply_symplectic(scaling_map(lattice.l), pt)
+    scale, pt = _cover(lattice, idx.n, pt)
     reach = math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))
     off = idx.offset
     ks = [k for k in range(-int(pt.p) - 200, -int(pt.p) + 200)
@@ -354,12 +357,6 @@ def high_levels(draw):
     n = draw(st.integers(1, 50)) * draw(st.sampled_from([1, -1]))
     lam = draw(st.one_of(st.integers(0, 30), st.integers(0, 2000)))
     return n, draw(st.integers(1, 2)), draw(st.booleans()), lam
-
-
-def _cover(lattice, n, pt):
-    if lattice.kind == "standard-rect":
-        return seed_scale(n, 1, "plain"), pt
-    return seed_scale(n, lattice.l, "sqrt2l"), apply_symplectic(scaling_map(lattice.l), pt)
 
 
 @settings(max_examples=40, deadline=None, database=None)

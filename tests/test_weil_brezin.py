@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heis_spectra.group import PolarizedPoint, polarized_mul, scaled_square, standard_rect
-from heis_spectra.hermite import hermite_function, scaled_hermite
+from heis_spectra.hermite import hermite_function
 from heis_spectra.weil_brezin import (
     TruncationError,
     WBIndex,
@@ -24,7 +24,8 @@ ORIGIN = PolarizedPoint(0.0, 0.0, 0.0)
 
 
 def _plain_seed(n, lam):
-    return lambda x: scaled_hermite(n, lam, 1, "plain", x)
+    # psi_lam(sqrt(2 pi |n|) x), the rectangular lattice's seed
+    return lambda x: hermite_function(lam, math.sqrt(2 * math.pi * abs(n)) * x)
 
 
 def test_index_validation():

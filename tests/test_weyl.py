@@ -4,8 +4,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import polygamma
 
+from heis_spectra import spectrum
 from heis_spectra.group import gamma_pi, gamma_pi_half, scaled_square, standard_rect
-from heis_spectra.spectrum import OscillatorOrigin, TorusOrigin, enumerate_spectrum
+from heis_spectra.spectrum import MAX_COUNT_ENTRIES, OscillatorOrigin, TorusOrigin, enumerate_spectrum
 from heis_spectra.weyl import (
     CountingSeries,
     ParitySetCounts,
@@ -285,6 +286,32 @@ def test_ratio_check_quotient():
     t, ratio, target, dev = rows[0]
     assert abs(target - 0.5) < 1e-8
     assert dev < 0.1
+
+
+def test_ratio_check_refuses_a_t_whose_square_underflows():
+    with pytest.raises(ValueError, match="t = 1e-200 is too small"):
+        weyl_ratio_check(standard_rect(1), 0.0, [1e-200, 1.0])
+    assert weyl_ratio_check(standard_rect(1), 0.0, [1.6e-162])[0][1] == 0.0
+
+
+def _no_counting(*args):
+    raise AssertionError("counting started")
+
+
+def test_counting_refuses_past_its_limit_before_counting(monkeypatch):
+    # one sample at t = 1e12 would visit about 6.4e11 (sample, level) entries
+    monkeypatch.setattr(spectrum, "_level_tops", _no_counting)
+    for call in (lambda: counting_function(standard_rect(1), 0.3, [1e12]),
+                 lambda: counting_columns(gamma_pi(1), 0.3, [1.0, 1e12]),
+                 lambda: parity_counts(1e12, 0.3),
+                 lambda: oscillator_pair_sums(1e12, 0.3, 1),
+                 lambda: counting_function(standard_rect(1), 0.3, [8e7, 8e7])):
+        with pytest.raises(ValueError, match=f"more than the limit of {MAX_COUNT_ENTRIES}"):
+            call()
+    # the demo's grid to t = 1e6 and one sample at t = 1.5e8 reach the core
+    for tgrid in (default_tgrid(25, 1e2, 1e6), [1.5e8]):
+        with pytest.raises(AssertionError, match="counting started"):
+            counting_function(standard_rect(1), 0.3, tgrid)
 
 
 def test_bieberbach_spectrum_half_quotient():
