@@ -68,7 +68,7 @@ from .weil_brezin import (
     WBIndex,
     schrodinger_act,
     wb_eigenfunction,
-    wb_eigenfunction_values,
+    wb_eigenfunction_grid,
     weil_brezin_eval,
 )
 from .weyl import (

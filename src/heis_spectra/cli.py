@@ -17,7 +17,6 @@ import sys
 from .group import (
     BieberbachSpec,
     LatticeSpec,
-    PolarizedPoint,
     gamma_pi,
     gamma_pi_half,
     scaled_square,
@@ -35,8 +34,16 @@ from .invariants import (
 )
 from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
-from .weil_brezin import WBIndex, wb_eigenfunction_values
-from .weyl import _ratio_grid, counting_columns, default_tgrid, manifold_tag, volume, weyl_constant
+from .weil_brezin import WBIndex, wb_eigenfunction_grid
+from .weyl import (
+    _ratio_grid,
+    counting_columns,
+    default_tgrid,
+    manifold_tag,
+    volume,
+    weyl_constant,
+    weyl_ratio,
+)
 
 # the --manifold selectors and the quotient each one names
 _MANIFOLDS = {"nl": standard_rect, "nprime": scaled_square, "gamma-pi": gamma_pi,
@@ -142,20 +149,22 @@ def cmd_eigenfunction(args) -> int:
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
     sp, sq = manifold.steps
     g = args.grid
+    # p and s cover two periods so periodicity is visible inside one file
+    ps = [i * sp / g for i in range(2 * g)]
+    qs = [k * sq / g for k in range(g)]
+    ss = [m / g for m in range(2 * g)]
     buf = io.StringIO()
     buf.write(f"# eigenfunction n={args.n} a={args.a} b={args.b} lambda={args.lam} "
               f"lattice={manifold_tag(manifold)}\n")
     buf.write(f"# eigenvalue={_g(value)} alpha={_g(args.alpha)} tol={_g(args.tol)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "q", "s", "re", "im"])
-    # p and s cover two periods so periodicity is visible inside one file;
-    # one call per row in p, so the row shares one series window
-    for i in range(2 * g):
-        p = i * sp / g
-        row = [PolarizedPoint(p, k * sq / g, m / g) for k in range(g) for m in range(2 * g)]
-        vals = wb_eigenfunction_values(idx, args.lam, manifold, row, args.tol)
-        for pt, val in zip(row, vals):
-            writer.writerow([_g(pt.p), _g(pt.q), _g(pt.s), _g(val.real), _g(val.imag)])
+    buf.write("p,q,s,re,im\n")
+    rows = wb_eigenfunction_grid(idx, args.lam, manifold, ps, qs, ss, args.tol)
+    # "%.17g" % x is _g(x); every row repeats the same (q, s) fields
+    qs_fields = ["%.17g,%.17g," % (q, s) for q in qs for s in ss]
+    for p, vals in zip(ps, rows):
+        line = "%.17g,%%s%%.17g,%%.17g\n" % p  # one line template per row
+        buf.write("".join([line % fields for fields in
+                           zip(qs_fields, vals.real.ravel().tolist(), vals.imag.ravel().tolist())]))
     _write_output(args.out, buf.getvalue())
     return 0
 
@@ -242,8 +251,9 @@ def cmd_weyl(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for i, (t, count) in enumerate(zip(series.t, series.counts)):
+        ratio, deviation = weyl_ratio(count, t, target)
         row = [_g(t), series.oscillator[i], series.torus[i], count,
-               _g(count / t**2), _g(target), _g(abs(count / t**2 - target) / target)]
+               _g(ratio), _g(target), _g(deviation)]
         if extra == "half":
             half = cover[i] / 2.0
             pc = parity[i]

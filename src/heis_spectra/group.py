@@ -123,10 +123,15 @@ class SymplecticMap:
             raise ValueError("AD - BC must equal 1")
 
 
+def symplectic_coords(m: SymplecticMap, p, q, s):
+    """The map on coordinates: floats, or numpy arrays that broadcast together."""
+    p_new = m.C * q + m.D * p
+    q_new = m.A * q + m.B * p
+    return p_new, q_new, s + 0.5 * (q_new * p_new - p * q)
+
+
 def apply_symplectic(m: SymplecticMap, g: PolarizedPoint) -> PolarizedPoint:
-    p_new = m.C * g.q + m.D * g.p
-    q_new = m.A * g.q + m.B * g.p
-    return PolarizedPoint(p_new, q_new, g.s + 0.5 * (q_new * p_new - g.p * g.q))
+    return PolarizedPoint(*symplectic_coords(m, g.p, g.q, g.s))
 
 
 def scaling_map(l: int) -> SymplecticMap:
@@ -213,12 +218,17 @@ class LatticeSpec:
             raise ValueError("l must be a positive integer")
 
     @property
+    def squared_steps(self) -> tuple[int, int]:
+        """The squares (P, Q) of the generator steps along p and q: (1, l^2) or (2l, 2l)."""
+        if self.kind == "standard-rect":
+            return 1, self.l**2
+        return 2 * self.l, 2 * self.l
+
+    @property
     def steps(self) -> tuple[float, float]:
         """Generator step sizes along p and q."""
-        if self.kind == "standard-rect":
-            return 1.0, float(self.l)
-        w = math.sqrt(2.0 * self.l)
-        return w, w
+        P, Q = self.squared_steps
+        return math.sqrt(P), math.sqrt(Q)
 
     @property
     def covering_width(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import LatticeSpec
-from .weil_brezin import _hermite_windows, _series_value
+from .weil_brezin import _hermite_windows, _on_cover, _series_value
 
 
 class IllConditionedError(RuntimeError):
@@ -302,9 +302,10 @@ def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,
                               pt, tol: float = 1e-12) -> complex:
     """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series."""
-    to_rect, window_at = _hermite_windows(coef.n, 2 * coef.l, lam, lattice, tol)
+    cover, window_at = _hermite_windows(coef.n, 2 * coef.l, lam, lattice, tol)
     dim = coef.entries.size
     weights = coef.entries[np.argsort(_sector_index(coef.n, coef.l))]  # c at residue k
-    pt = to_rect(pt)
+    pt = _on_cover(cover, pt)
     exponents, seeds = window_at(pt.p, np.arange(dim) / dim)
-    return _series_value(coef.n, (exponents, (seeds.reshape(-1, dim) * weights).ravel()), pt)
+    return _series_value(coef.n, (exponents, (seeds.reshape(-1, dim) * weights).ravel()),
+                         pt.q, pt.s)

@@ -270,10 +270,9 @@ def _torus_rows(lattice: LatticeSpec, t: float):
     """(a, den, rows): the point i g1 + k g2 of the dual lattice has the value
     _torus_value(a i^2 + k^2, den), and those with value <= t are the (i, k) with
     |k| <= kmax, for (i, kmax) in rows."""
-    if lattice.kind == "standard-rect":
-        a, den = lattice.l**2, lattice.l**2
-    else:
-        a, den = 1, 2 * lattice.l
+    # pi^2 (i^2 / P + k^2 / Q) with squared steps (P, Q), where P divides Q
+    P, den = lattice.squared_steps
+    a = den // P
     top = int(t * den / math.pi**2)
     while _torus_value(top + 1, den) <= t:
         top += 1

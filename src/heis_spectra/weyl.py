@@ -181,9 +181,28 @@ def counting_columns(manifold, alpha: float, tgrid):
 
 
 def default_tgrid(n_samples: int = 20, t_lo: float = math.pi / 2, t_hi: float = 1e3):
-    """Geometric grid used by the diagnostics when none is given."""
+    """Geometric grid used by the diagnostics when none is given.
+
+    Where t_hi / t_lo or a sample overflows, the inner samples are stepped in log
+    space instead and kept within [t_lo, t_hi], so any finite 0 < t_lo < t_hi
+    gives finite, ascending samples from t_lo to t_hi.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     ratio = (t_hi / t_lo) ** (1.0 / (n_samples - 1))
-    return [t_lo * ratio**i for i in range(n_samples)]
+    grid = [t_lo * ratio**i for i in range(n_samples)]
+    if 0 < t_lo < t_hi < math.inf and not all(map(math.isfinite, grid)):
+        lo = math.log(t_lo)
+        step = (math.log(t_hi) - lo) / (n_samples - 1)
+        grid = [min(max(math.exp(lo + i * step), t_lo), t_hi) for i in range(n_samples)]
+        grid[0], grid[-1] = t_lo, t_hi
+    return grid
+
+
+def weyl_ratio(count: int, t: float, target: float) -> tuple[float, float]:
+    """(N(t)/t^2, its relative deviation from the target)."""
+    ratio = count / t**2
+    return ratio, abs(ratio - target) / target
 
 
 def weyl_ratio_check(manifold, alpha: float, tgrid) -> list[tuple[float, float, float, float]]:
@@ -192,6 +211,6 @@ def weyl_ratio_check(manifold, alpha: float, tgrid) -> list[tuple[float, float, 
     target = weyl_constant(alpha).value * volume(manifold)
     out = []
     for t, count in zip(series.t, series.counts):
-        ratio = count / t**2
-        out.append((t, ratio, target, abs(ratio - target) / target))
+        ratio, deviation = weyl_ratio(count, t, target)
+        out.append((t, ratio, target, deviation))
     return out

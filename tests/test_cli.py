@@ -208,7 +208,7 @@ def _refuse(*args):
 
 def test_eigenfunction_refuses_a_grid_past_the_row_limit(capsys, monkeypatch):
     # --grid g writes 4 g^3 rows: g = 1000 asks for 4e9 rows, g = 80 for 2048000
-    monkeypatch.setattr(cli, "wb_eigenfunction_values", _refuse)
+    monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
     tracemalloc.start()
     try:
         rc = main(["eigenfunction", "--manifold", "nl", "--n", "1", "--grid", "1000"])
@@ -241,7 +241,7 @@ def test_weyl_refuses_samples_past_the_row_limit(capsys, monkeypatch):
 def test_row_limit_admits_the_largest_allowed_sizes(capsys, monkeypatch):
     # 4 * 79^3 = 1972156 rows and MAX_SPECTRUM_LINES samples reach the evaluators
     calls = []
-    monkeypatch.setattr(cli, "wb_eigenfunction_values", lambda *a: calls.append(a) or _refuse())
+    monkeypatch.setattr(cli, "wb_eigenfunction_grid", lambda *a: calls.append(a) or _refuse())
     monkeypatch.setattr(cli, "default_tgrid", lambda *a: calls.append(a) or _refuse())
     for argv in (["eigenfunction", "--manifold", "nl", "--n", "1", "--grid", "79"],
                  ["weyl", "--manifold", "nl", "--samples", str(MAX_SPECTRUM_LINES)]):
@@ -350,6 +350,15 @@ PINNED_GEOMETRY = [
 
 def test_spectrum_and_dims_pinned_bytes_in_fresh_processes():
     _assert_pinned_in_fresh_processes(PINNED_GEOMETRY)
+
+
+def test_weyl_over_an_overflowing_ratio_meets_the_cost_bound(capsys):
+    # tmax / tmin = 1e450 overflowed the grid's ratio to inf, and the run was
+    # refused as a grid that is not finite
+    argv = ["weyl", "--manifold", "nl", "--tmin", "1e-150", "--tmax", "1e300", "--samples", "2"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: counting up to t = 1e+300 would visit")
 
 
 def test_weyl_refuses_a_t_whose_square_underflows(capsys):

@@ -16,6 +16,7 @@ compared with the same series on a window 20 rows wider.
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from heis_spectra.weil_brezin import (
     WBIndex,
     schrodinger_act,
     wb_eigenfunction,
-    wb_eigenfunction_values,
+    wb_eigenfunction_grid,
     weil_brezin_eval,
 )
 
@@ -150,13 +151,26 @@ def window_loop(idx, lam, lattice, pt, tol=1e-12):
     return complex(np.exp(2j * math.pi * idx.n * pt.s) * np.sum(vals * phases))
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(eigenfunctions(), st.lists(points, min_size=1, max_size=4))
-def test_eigenfunction_bit_equal_to_scalar_loop(ef, pts):
+def axis(size):
+    return st.lists(coords, min_size=1, max_size=size)
+
+
+def grid_values(idx, lam, lattice, ps, qs, ss, tol):
+    """wb_eigenfunction_grid's values, flat in the order p, q, s."""
+    rows = list(wb_eigenfunction_grid(idx, lam, lattice, ps, qs, ss, tol))
+    assert all(row.shape == (len(qs), len(ss)) for row in rows)
+    return [complex(v) for row in rows for v in row.ravel()]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(eigenfunctions(), axis(2), axis(3), axis(2))
+def test_eigenfunction_bit_equal_to_scalar_loop(ef, ps, qs, ss):
     idx, lam, lattice = ef
-    want = [window_loop(idx, lam, lattice, pt) for pt in pts]
-    assert [wb_eigenfunction(idx, lam, lattice, pt) for pt in pts] == want
-    assert wb_eigenfunction_values(idx, lam, lattice, pts) == want
+    pts = [PolarizedPoint(p, q, s) for p in ps for q in qs for s in ss]
+    for tol in (1e-12, 1e-10):
+        want = [window_loop(idx, lam, lattice, pt, tol) for pt in pts]
+        assert [wb_eigenfunction(idx, lam, lattice, pt, tol) for pt in pts] == want
+        assert grid_values(idx, lam, lattice, ps, qs, ss, tol) == want
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -166,18 +180,40 @@ def test_eigenfunction_is_the_normalised_unnormalised_loop(ef, pts):
     idx, lam, lattice = ef
     c = norm_factor(lam)
     want = [c * reference_eigenfunction(idx, lam, lattice, pt) for pt in pts]
-    got = wb_eigenfunction_values(idx, lam, lattice, pts)
+    got = [wb_eigenfunction(idx, lam, lattice, pt) for pt in pts]
     assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * sup_psi(lam)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(eigenfunctions(), coords, st.lists(st.tuples(coords, coords), min_size=1, max_size=6))
-def test_row_reuses_window_bit_equal(ef, p, qs):
-    # points sharing p share one window; each value still equals its own loop
+@given(eigenfunctions(), st.lists(st.one_of(st.sampled_from([-1.5, 0.0, 2.0]), coords),
+                                  min_size=1, max_size=3), axis(6), axis(4))
+def test_row_reuses_window_bit_equal(ef, ps, qs, ss):
+    # each p-row builds one window, a repeated p included; each value still
+    # equals its own loop
     idx, lam, lattice = ef
-    pts = [PolarizedPoint(p, q, s) for q, s in qs]
-    want = [window_loop(idx, lam, lattice, pt) for pt in pts]
-    assert wb_eigenfunction_values(idx, lam, lattice, pts) == want
+    pts = [PolarizedPoint(p, q, s) for p in ps for q in qs for s in ss]
+    window = weil_brezin._series_window
+    for tol in (1e-12, 1e-10):
+        calls = []
+        with mock.patch.object(weil_brezin, "_series_window",
+                               lambda *args: calls.append(args) or window(*args)):
+            got = grid_values(idx, lam, lattice, ps, qs, ss, tol)
+        assert len(calls) == len(ps)
+        assert got == [window_loop(idx, lam, lattice, pt, tol) for pt in pts]
+
+
+def test_grid_refuses_empty_axes_and_nonfinite_coordinates():
+    idx, lattice = WBIndex(2, 1, 3, 4), scaled_square(2)
+    for qs, ss in (([], [0.0]), ([0.0], [])):
+        with pytest.raises(ValueError, match="must not be empty"):
+            wb_eigenfunction_grid(idx, 1, lattice, [0.0], qs, ss)
+    for ps, qs, ss in (([math.inf], [0.0], [0.0]), ([0.0], [math.nan], [0.0]),
+                       ([0.0], [0.0], [-math.inf]), ([0.0], [1e308], [0.0])):
+        for lat in (lattice, standard_rect(4)):
+            if lat.kind == "standard-rect" and qs == [1e308]:
+                continue  # no rescaling, so q stays finite
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                list(wb_eigenfunction_grid(idx, 1, lat, ps, qs, ss))
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heis_spectra import spectrum
 from heis_spectra.group import PolarizedPoint, scaled_square, standard_rect
 from heis_spectra.spectrum import (
     DualLatticePoint,
@@ -22,6 +23,17 @@ def test_dual_generators():
     assert (g2.mu, g2.nu) == (0.0, 0.5)
     g1, g2 = dual_lattice(scaled_square(1))
     assert abs(g1.mu - 1 / math.sqrt(2)) < 1e-15 and abs(g2.nu - 1 / math.sqrt(2)) < 1e-15
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 7, 50, 12345])
+def test_steps_and_torus_values_from_the_squared_steps(l):
+    # (P, Q) = (1, l^2) or (2l, 2l); the steps and the dual lattice's (a, den)
+    # are those each kind once spelled out
+    for lattice, steps, a, den in ((standard_rect(l), (1.0, float(l)), l**2, l**2),
+                                   (scaled_square(l), (math.sqrt(2.0 * l),) * 2, 1, 2 * l)):
+        P, Q = lattice.squared_steps
+        assert steps == lattice.steps == (math.sqrt(P), math.sqrt(Q))
+        assert spectrum._torus_rows(lattice, 50.0)[:2] == (a, den)
 
 
 @pytest.mark.parametrize("lattice", [standard_rect(1), standard_rect(3), scaled_square(2)])

@@ -17,6 +17,7 @@ from heis_spectra.weyl import (
     parity_counts,
     volume,
     weyl_constant,
+    weyl_ratio,
     weyl_ratio_check,
 )
 
@@ -228,6 +229,43 @@ def test_default_tgrid_shape():
     assert abs(grid[-1] - 1e3) < 1e-9
     ratios = [b / a for a, b in zip(grid, grid[1:])]
     assert max(ratios) - min(ratios) < 1e-12
+
+
+@pytest.mark.parametrize("n,t_lo,t_hi", [(2, 1e-150, 1e300), (3, 1e-300, 1e10),
+                                         (2, 5e-324, 1.7976931348623157e308),
+                                         (7, 5e-324, 1.7976931348623157e308),
+                                         (40, 1e-200, 1e200), (1000, 1e-10, 1e300)])
+def test_default_tgrid_stays_finite_where_the_ratio_overflows(n, t_lo, t_hi):
+    # (t_hi / t_lo)^(1/(n-1)) was inf here, and so was every sample after the first
+    assert (t_hi / t_lo) ** (1.0 / (n - 1)) == math.inf
+    grid = default_tgrid(n, t_lo, t_hi)
+    assert len(grid) == n and grid[0] == t_lo and grid[-1] == t_hi
+    assert all(map(math.isfinite, grid)) and sorted(grid) == grid
+    # still geometric: equal steps in log t, within rounding
+    steps = [math.log(b) - math.log(a) for a, b in zip(grid, grid[1:])]
+    assert max(steps) - min(steps) <= 1e-9 * max(steps)
+
+
+@pytest.mark.parametrize("n,t_lo,t_hi", [(20, math.pi / 2, 1e3), (40, math.pi / 2, 3000.0),
+                                         (25, 1e2, 1e6), (2, 1e-300, 1e-299),
+                                         (5, 1e-150, 1e150), (3, 1.0, 1e308)])
+def test_default_tgrid_keeps_its_finite_values(n, t_lo, t_hi):
+    ratio = (t_hi / t_lo) ** (1.0 / (n - 1))
+    assert default_tgrid(n, t_lo, t_hi) == [t_lo * ratio**i for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_default_tgrid_needs_two_samples(n):
+    with pytest.raises(ValueError, match="at least two samples"):
+        default_tgrid(n, 1.0, 2.0)
+
+
+def test_weyl_ratio_is_the_check_columns():
+    rows = weyl_ratio_check(gamma_pi(1), 0.25, [3.0, 40.0, 700.0])
+    series = counting_function(gamma_pi(1), 0.25, [3.0, 40.0, 700.0])
+    for (t, ratio, target, dev), count in zip(rows, series.counts):
+        assert (ratio, dev) == weyl_ratio(count, t, target)
+        assert (ratio, dev) == (count / t**2, abs(count / t**2 - target) / target)
 
 
 @pytest.mark.parametrize("l", [1, 2])
