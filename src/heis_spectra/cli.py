@@ -9,7 +9,6 @@ files round-trip bit for bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import sys
@@ -50,17 +49,6 @@ _MANIFOLDS = {"nl": standard_rect, "nprime": scaled_square, "gamma-pi": gamma_pi
               "gamma-pi2": gamma_pi_half}
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_output(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -69,7 +57,7 @@ def _write_output(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(3, f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _spectral_lines(manifold, alpha: float, tmax: float):
@@ -77,62 +65,52 @@ def _spectral_lines(manifold, alpha: float, tmax: float):
     return [ln for ln in enumerate_spectrum(manifold, alpha, tmax) if ln.value > 0]
 
 
-def _origin_fields(line):
-    if isinstance(line.origin, OscillatorOrigin):
-        return "oscillator", line.origin.n, line.origin.lam, None, None
-    rep = line.origin.points[0]
-    return "torus", None, None, rep.mu, rep.nu
+# Every table is written from %-templates, one literal per row kind: %.17g for
+# each float (17 significant digits round-trip) and %d for each integer, exact
+# at any size.  No field holds a comma, a quote or a newline.
+_JSON_HEAD = '{\n  "manifold": "%s",\n  "alpha": %.17g,\n  "tmax": %.17g,\n  "lines": '
+_JSON_OSCILLATOR = ('    {"value": %.17g, "multiplicity": %d, '
+                    '"origin": {"kind": "oscillator", "n": %d, "lambda": %d}}')
+_JSON_TORUS = ('    {"value": %.17g, "multiplicity": %d, '
+               '"origin": {"kind": "torus", "mu": %.17g, "nu": %.17g}}')
+_CSV_OSCILLATOR = "%.17g,%d,oscillator,%d,%d,,\n"
+_CSV_TORUS = "%.17g,%d,torus,,,%.17g,%.17g\n"
 
 
-def _spectrum_json(tag: str, alpha: float, tmax: float, lines) -> str:
+def _spectrum_rows(lines, oscillator: str, torus: str) -> list[str]:
+    """Each line filled into the template of its origin's kind; a torus line
+    writes the first of its points."""
     rows = []
     for ln in lines:
-        kind, n, lam, mu, nu = _origin_fields(ln)
-        if kind == "oscillator":
-            origin = f'{{"kind": "oscillator", "n": {n}, "lambda": {lam}}}'
+        origin = ln.origin
+        if isinstance(origin, OscillatorOrigin):
+            rows.append(oscillator % (ln.value, ln.multiplicity, origin.n, origin.lam))
         else:
-            origin = f'{{"kind": "torus", "mu": {_g(mu)}, "nu": {_g(nu)}}}'
-        rows.append(f'    {{"value": {_g(ln.value)}, "multiplicity": {ln.multiplicity}, '
-                    f'"origin": {origin}}}')
-    body = "[]" if not rows else "[\n" + ",\n".join(rows) + "\n  ]"
-    return (
-        "{\n"
-        f'  "manifold": "{tag}",\n'
-        f'  "alpha": {_g(alpha)},\n'
-        f'  "tmax": {_g(tmax)},\n'
-        f'  "lines": {body}\n'
-        "}\n"
-    )
+            point = origin.points[0]
+            rows.append(torus % (ln.value, ln.multiplicity, point.mu, point.nu))
+    return rows
 
 
-def _spectrum_csv(lines) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["value", "multiplicity", "kind", "n", "lambda", "mu", "nu"])
-    for ln in lines:
-        kind, n, lam, mu, nu = _origin_fields(ln)
-        writer.writerow([
-            _g(ln.value), ln.multiplicity, kind,
-            "" if n is None else n, "" if lam is None else lam,
-            "" if mu is None else _g(mu), "" if nu is None else _g(nu),
-        ])
-    return buf.getvalue()
+def _spectrum_text(fmt: str, tag: str, alpha: float, tmax: float, lines) -> str:
+    # the lines and rows are freed on return, before the text is written
+    if fmt == "csv":
+        return ("value,multiplicity,kind,n,lambda,mu,nu\n"
+                + "".join(_spectrum_rows(lines, _CSV_OSCILLATOR, _CSV_TORUS)))
+    rows = _spectrum_rows(lines, _JSON_OSCILLATOR, _JSON_TORUS)
+    body = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
+    return "".join((_JSON_HEAD % (tag, alpha, tmax), *body, "\n}\n"))
 
 
 def _check_rows(rows: int) -> None:  # before any row is computed
     if rows > MAX_SPECTRUM_LINES:
-        raise _CliError(2, f"the output would have {rows} rows, above the limit of "
-                           f"{MAX_SPECTRUM_LINES}")
+        raise ValueError(f"the output would have {rows} rows, above the limit of "
+                         f"{MAX_SPECTRUM_LINES}")
 
 
 def cmd_spectrum(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
-    lines = _spectral_lines(manifold, args.alpha, args.tmax)
-    tag = manifold_tag(manifold)
-    if args.format == "json":
-        text = _spectrum_json(tag, args.alpha, args.tmax, lines)
-    else:
-        text = _spectrum_csv(lines)
+    text = _spectrum_text(args.format, manifold_tag(manifold), args.alpha, args.tmax,
+                          _spectral_lines(manifold, args.alpha, args.tmax))
     _write_output(args.out, text)
     return 0
 
@@ -140,10 +118,10 @@ def cmd_spectrum(args) -> int:
 def cmd_eigenfunction(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
     if not isinstance(manifold, LatticeSpec):
-        raise _CliError(2, "eigenfunction grids are defined on the lattice quotients "
-                           "(selectors nl, nprime)")
+        raise ValueError("eigenfunction grids are defined on the lattice quotients "
+                         "(selectors nl, nprime)")
     if args.grid < 1:
-        raise _CliError(2, "grid must be at least 1")
+        raise ValueError("grid must be at least 1")
     _check_rows(4 * args.grid**3)
     idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
@@ -154,12 +132,12 @@ def cmd_eigenfunction(args) -> int:
     qs = [k * sq / g for k in range(g)]
     ss = [m / g for m in range(2 * g)]
     buf = io.StringIO()
-    buf.write(f"# eigenfunction n={args.n} a={args.a} b={args.b} lambda={args.lam} "
-              f"lattice={manifold_tag(manifold)}\n")
-    buf.write(f"# eigenvalue={_g(value)} alpha={_g(args.alpha)} tol={_g(args.tol)}\n")
-    buf.write("p,q,s,re,im\n")
+    buf.write("# eigenfunction n=%d a=%d b=%d lambda=%d lattice=%s\n"
+              "# eigenvalue=%.17g alpha=%.17g tol=%.17g\np,q,s,re,im\n"
+              % (args.n, args.a, args.b, args.lam, manifold_tag(manifold),
+                 value, args.alpha, args.tol))
     rows = wb_eigenfunction_grid(idx, args.lam, manifold, ps, qs, ss, args.tol)
-    # "%.17g" % x is _g(x); every row repeats the same (q, s) fields
+    # every row repeats the same (q, s) fields
     qs_fields = ["%.17g,%.17g," % (q, s) for q in qs for s in ss]
     for p, vals in zip(ps, rows):
         line = "%.17g,%%s%%.17g,%%.17g\n" % p  # one line template per row
@@ -176,7 +154,7 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
         trace = (matrix.matrix.trace().real + matrix.dim) / 2.0
         char = int(round(trace))
         if abs(trace - char) > 1e-9:
-            raise _CliError(2, "character average is not integral")
+            raise ValueError("character average is not integral")
     else:
         closed = dim_psi_invariant(n, lam, l)
         matrix = psi_pullback_matrix(n, lam, l)
@@ -195,75 +173,76 @@ MAX_ORACLE_DIM = 4096
 def cmd_dims(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
     if not isinstance(manifold, BieberbachSpec):
-        raise _CliError(2, "dimension tables are defined for the crystallographic "
-                           "quotients (selectors gamma-pi, gamma-pi2)")
+        raise ValueError("dimension tables are defined for the crystallographic "
+                         "quotients (selectors gamma-pi, gamma-pi2)")
     if args.n is not None:
         if args.n == 0:
-            raise _CliError(2, "n must be nonzero")
+            raise ValueError("n must be nonzero")
         ns = [args.n]
     else:
         if args.nmin > args.nmax:
-            raise _CliError(2, "nmin must not exceed nmax")
+            raise ValueError("nmin must not exceed nmax")
         ns = [n for n in range(args.nmin, args.nmax + 1) if n != 0]
     lams = [args.lam] if args.lam is not None else list(range(args.lmax + 1))
     if any(lam < 0 for lam in lams):
-        raise _CliError(2, "lambda must be nonnegative")
+        raise ValueError("lambda must be nonnegative")
     size = 2 * args.l * max((abs(n) for n in ns), default=0)
     if size > MAX_ORACLE_DIM:
-        raise _CliError(2, f"the matrix oracle would have size N = 2l|n| = {size}, "
-                           f"above the limit of {MAX_ORACLE_DIM}")
+        raise ValueError(f"the matrix oracle would have size N = 2l|n| = {size}, "
+                         f"above the limit of {MAX_ORACLE_DIM}")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "lambda", "closed", "oracle", "character", "agree"])
+    buf.write("n,lambda,closed,oracle,character,agree\n")
     try:
         for n in ns:
             for lam in lams:
                 closed, oracle, char, agree = _dims_row(manifold.kind, n, lam, args.l, args.tol)
-                writer.writerow([n, lam, closed, oracle, char, "true" if agree else "false"])
+                buf.write("%d,%d,%d,%d,%d,%s\n"
+                          % (n, lam, closed, oracle, char, "true" if agree else "false"))
     except (ValueError, IllConditionedError) as exc:
-        raise _CliError(2, f"{exc} (row n = {n}, lambda = {lam})") from exc
+        raise ValueError(f"{exc} (row n = {n}, lambda = {lam})") from exc
     _write_output(args.out, buf.getvalue())
     return 0
+
+
+# per quotient kind: the weyl table's header and its row template
+_WEYL_TABLES = {
+    "lattice": ("t,oscillator,torus,count,ratio,target,deviation\n",
+                "%.17g,%d,%d,%d,%.17g,%.17g,%.17g\n"),
+    "gamma-pi": ("t,oscillator,torus,count,ratio,target,deviation,cover_half,half_diff,"
+                 "parity_diff\n", "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"),
+    "gamma-pi-half": ("t,oscillator,torus,count,ratio,target,deviation,quarter_ratio,"
+                      "pair_bound\n", "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"),
+}
 
 
 def cmd_weyl(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
     if args.samples < 2:
-        raise _CliError(2, "need at least two samples")
+        raise ValueError("need at least two samples")
     _check_rows(args.samples)
     if not 0 < args.tmin < args.tmax:
-        raise _CliError(2, "need 0 < tmin < tmax")
+        raise ValueError("need 0 < tmin < tmax")
     tgrid = _ratio_grid(default_tgrid(args.samples, args.tmin, args.tmax))
     # one pass over the oscillator levels gives every column
     series, cover, parity, pairs = counting_columns(manifold, args.alpha, tgrid)
     target = weyl_constant(args.alpha).value * volume(manifold)
+    kind = manifold.kind if isinstance(manifold, BieberbachSpec) else "lattice"
+    header, row = _WEYL_TABLES[kind]
     buf = io.StringIO()
-    buf.write(f"# weyl manifold={series.manifold} alpha={_g(args.alpha)} "
-              f"target={_g(target)}\n")
-    header = ["t", "oscillator", "torus", "count", "ratio", "target", "deviation"]
-    extra = None
-    if isinstance(manifold, BieberbachSpec) and manifold.kind == "gamma-pi":
-        header += ["cover_half", "half_diff", "parity_diff"]
-        extra = "half"
-    elif isinstance(manifold, BieberbachSpec):
-        header += ["quarter_ratio", "pair_bound"]
-        extra = "quarter"
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    buf.write("# weyl manifold=%s alpha=%.17g target=%.17g\n%s"
+              % (series.manifold, args.alpha, target, header))
     for i, (t, count) in enumerate(zip(series.t, series.counts)):
         ratio, deviation = weyl_ratio(count, t, target)
-        row = [_g(t), series.oscillator[i], series.torus[i], count,
-               _g(ratio), _g(target), _g(deviation)]
-        if extra == "half":
+        fields = (t, series.oscillator[i], series.torus[i], count, ratio, target, deviation)
+        if kind == "gamma-pi":
             half = cover[i] / 2.0
             pc = parity[i]
-            row += [_g(half), _g(abs(series.oscillator[i] - half)),
-                    abs(pc.even_count - pc.odd_count)]
-        elif extra == "quarter":
+            fields += (half, abs(series.oscillator[i] - half), abs(pc.even_count - pc.odd_count))
+        elif kind == "gamma-pi-half":
             ones, mults = pairs[i]
-            row += [_g(series.oscillator[i] / cover[i] if cover[i] else 0.0),
-                    _g(ones / mults if mults else 0.0)]
-        writer.writerow(row)
+            fields += (series.oscillator[i] / cover[i] if cover[i] else 0.0,
+                       ones / mults if mults else 0.0)
+        buf.write(row % fields)
     _write_output(args.out, buf.getvalue())
     return 0
 
@@ -341,9 +320,6 @@ def main(argv=None) -> int:
     try:
         # looked up by name on each call, so a rebound cmd_* function takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ a lattice together with the half-turn ``phi`` or the quarter-turn ``psi``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _FINITE_MSG = "coordinates must be finite"
@@ -216,6 +217,10 @@ class LatticeSpec:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if not isinstance(self.l, int) or self.l < 1:
             raise ValueError("l must be a positive integer")
+        # steps, dual lattice and torus values are floats of the squared steps
+        if max(self.squared_steps) > sys.float_info.max:
+            raise ValueError(f"l is too large ({len(str(self.l))} digits): the squared steps "
+                             f"of the {self.kind} lattice pass the largest float, about 1.8e308")
 
     @property
     def squared_steps(self) -> tuple[int, int]:
@@ -265,6 +270,7 @@ class BieberbachSpec:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
         if not isinstance(self.l, int) or self.l < 1:
             raise ValueError("l must be a positive integer")
+        self.base_lattice  # refuses an l too large for the lattice
 
     @property
     def base_lattice(self) -> LatticeSpec:

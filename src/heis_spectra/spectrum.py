@@ -107,6 +107,12 @@ MAX_SPECTRUM_LINES = 2_000_000
 # a 2-core box with numpy 2.4, so the largest allowed count (one sample at
 # t = 1.5e8) takes about 10 s.
 MAX_COUNT_ENTRIES = 10**8
+# _torus_rows refuses a torus sector of more rows (i, kmax) than this before it
+# makes any: a row costs about 0.4 us and 125 bytes, so a sector at the limit
+# takes about 0.4 s and 125 MB on a 2-core box, once per weyl sample.  The points
+# grow as about (pi/4) rows^2, so a spectrum within MAX_SPECTRUM_LINES has fewer
+# than 2000 rows; only a weyl count on a scaled square of large l gets near it.
+MAX_TORUS_ROWS = 10**6
 # Levels are processed in chunks of about this many (sample, level) entries: a
 # chunk's temporaries take 128 KB each at any t and stay in cache (chunks of
 # 2^16 entries ran the benchmark's weyl commands about 40% slower).
@@ -273,12 +279,31 @@ def _torus_rows(lattice: LatticeSpec, t: float):
     # pi^2 (i^2 / P + k^2 / Q) with squared steps (P, Q), where P divides Q
     P, den = lattice.squared_steps
     a = den // P
-    top = int(t * den / math.pi**2)
-    while _torus_value(top + 1, den) <= t:
-        top += 1
+    guess = t * den / math.pi**2
+    if not guess < math.inf:
+        raise ValueError(f"l is too large for the torus values up to t = {t!r}: "
+                         f"pi^2 num / den passes the largest float")
+    # top, the largest num with _torus_value(num, den) <= t: the guess is off by
+    # about guess * 2^-52, so it is bracketed in doubling steps against that same
+    # expression, which is monotone in num and 0 at num = 0, then bisected
+    top = high = int(guess)
+    step = 1
+    while _torus_value(high, den) <= t:
+        top, high, step = high, high + step, 2 * step
+    step = 1
     while _torus_value(top, den) > t:
-        top -= 1
+        high, top, step = top, max(top - step, 0), 2 * step
+    while high - top > 1:
+        mid = (top + high) // 2
+        if _torus_value(mid, den) <= t:
+            top = mid
+        else:
+            high = mid
     imax = math.isqrt(top // a)
+    if 2 * imax + 1 > MAX_TORUS_ROWS:
+        raise ValueError(f"the torus sector up to t = {t!r} at l = {lattice.l} has "
+                         f"{2 * imax + 1} rows of dual-lattice points, more than the "
+                         f"limit of {MAX_TORUS_ROWS}")
     return a, den, [(i, math.isqrt(top - a * i * i)) for i in range(-imax, imax + 1)]
 
 

@@ -273,17 +273,27 @@ PINNED_GRIDS = [
 ]
 
 
-def _assert_pinned_in_fresh_processes(pins):
-    # each command in its own interpreter through `python -m`, which needs no
-    # console script; the processes run side by side
+def _run_in_fresh_processes(argvs, timeout=120, batch=4):
+    """(exit code, stdout, stderr) of each command, as bytes, each in its own
+    interpreter through `python -m`, which needs no console script; up to batch
+    processes run side by side."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    procs = [subprocess.Popen([sys.executable, "-m", "heis_spectra.cli", *argv],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-             for argv, _ in pins]
-    for (argv, digest), proc in zip(pins, procs):
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err.decode()
+    out = []
+    for first in range(0, len(argvs), batch):
+        procs = [subprocess.Popen([sys.executable, "-m", "heis_spectra.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for argv in argvs[first:first + batch]]
+        for proc in procs:
+            stdout, stderr = proc.communicate(timeout=timeout)
+            out.append((proc.returncode, stdout, stderr))
+    return out
+
+
+def _assert_pinned_in_fresh_processes(pins):
+    results = _run_in_fresh_processes([argv for argv, _ in pins])
+    for (argv, digest), (rc, out, err) in zip(pins, results):
+        assert rc == 0, err.decode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
@@ -352,6 +362,59 @@ def test_spectrum_and_dims_pinned_bytes_in_fresh_processes():
     _assert_pinned_in_fresh_processes(PINNED_GEOMETRY)
 
 
+# sha256 of stdout, recorded while the tables were still written by csv.writer and
+# f-strings: both origin kinds in both formats, the empty spectrum in both
+# formats, and weyl counts past 2^63 in the half-turn and quarter-turn columns
+PINNED_ROW_TEMPLATES = [
+    (["spectrum", "--manifold", "gamma-pi", "--alpha", "0.3", "--tmax", "150"],
+     "f23e8a06f53955952ce561542fbbc93563a93c24a100b1a5476641fffcf1b1e4"),
+    (["spectrum", "--manifold", "gamma-pi2", "--l", "2", "--alpha", "-0.75", "--tmax", "150"],
+     "feea6a066b236b693e538544a5f353d71ead4c5314b09209ee582706fb85c574"),
+    (["spectrum", "--manifold", "nl", "--l", "3", "--alpha", "1", "--tmax", "150",
+      "--format", "csv"],
+     "156e86a4a336afa1fb40bd57423e7a7be0792784ec257916d9c5189f3926051f"),
+    (["spectrum", "--manifold", "nprime", "--l", "2", "--alpha", "-0.3", "--tmax", "150",
+      "--format", "csv"],
+     "33f53d47de1250f6e1404cf11b6eb78dc19e9e61a628b7406cc45f74805da146"),
+    (["spectrum", "--manifold", "nl", "--tmax", "0.5"],
+     "ed09f26b8f7d8f01108d84fd7719527bd0421b107c2072abc260ca543d0eb7e8"),
+    (["spectrum", "--manifold", "nl", "--tmax", "0.5", "--format", "csv"],
+     "be44aa12277b4b96ecf52204574b6647d4587b40e7a4c9f7c7bcfeef2a257a5f"),
+    (["weyl", "--manifold", "gamma-pi2", "--alpha", "0.9999999999", "--tmax", "1e6",
+      "--samples", "5"],
+     "13a57e9d9348f6558add677d5b6e2043ee12fa725cb9cb38ece943e589ad8381"),
+    (["weyl", "--manifold", "gamma-pi", "--l", "2", "--alpha", "-0.9999999999", "--tmax", "1e6",
+      "--samples", "5"],
+     "22f77edde481ab617526f71a862fbaa583d12ec3925d9a664d7ee13a31b5d0bb"),
+]
+
+
+def test_row_templates_pinned_bytes_in_fresh_processes():
+    _assert_pinned_in_fresh_processes(PINNED_ROW_TEMPLATES)
+
+
+# the whole stderr and the exit code of a refusal, recorded with the same code
+PINNED_REFUSALS = [
+    (["spectrum", "--manifold", "nl", "--tmax", "5", "--out", "/nonexistent-dir/out.json"], 3,
+     "error: cannot write /nonexistent-dir/out.json: [Errno 2] No such file or directory: "
+     "'/nonexistent-dir/out.json'\n"),
+    (["dims", "--manifold", "gamma-pi2", "--n", "2", "--lam", "0", "--tol", "1"], 2,
+     "error: singular value inside the band [tol/10, 10 tol], tol = 1.0 "
+     "(row n = 2, lambda = 0)\n"),
+    (["weyl", "--manifold", "nprime", "--alpha", "0.5", "--tmin", "1e-300", "--tmax", "1e-299",
+      "--samples", "2"], 2,
+     "error: t = 1e-300 is too small: t^2 underflows to 0, so N(t)/t^2 is undefined\n"),
+    (["eigenfunction", "--manifold", "gamma-pi", "--n", "1"], 2,
+     "error: eigenfunction grids are defined on the lattice quotients (selectors nl, nprime)\n"),
+]
+
+
+def test_refusals_pinned_stderr_in_fresh_processes():
+    results = _run_in_fresh_processes([argv for argv, _, _ in PINNED_REFUSALS])
+    for (argv, code, err), (rc, stdout, stderr) in zip(PINNED_REFUSALS, results):
+        assert (rc, stdout, stderr.decode()) == (code, b"", err), argv
+
+
 def test_weyl_over_an_overflowing_ratio_meets_the_cost_bound(capsys):
     # tmax / tmin = 1e450 overflowed the grid's ratio to inf, and the run was
     # refused as a grid that is not finite
@@ -412,6 +475,40 @@ def test_spectrum_refuses_a_line_count_past_the_limit_at_once():
     assert time.perf_counter() - start < 30
     assert proc.stdout == ""
     assert "6366197917" in proc.stderr and str(MAX_SPECTRUM_LINES) in proc.stderr
+
+
+L_160, L_400, L_20 = str(10**160), str(10**400), str(10**20)
+# l past float range in the squared steps (10^160 and 10^400 once raised
+# OverflowError), a torus sector of about 9e10 rows (once ran for minutes) and
+# torus values past the largest float
+HUGE_L_COMMANDS = [
+    ["spectrum", "--manifold", "nl", "--l", L_160, "--tmax", "10"],
+    ["weyl", "--manifold", "nl", "--l", L_160, "--tmax", "10"],
+    *[[cmd, "--manifold", m, "--l", L_400, "--tmax", "10"]
+      for cmd in ("spectrum", "weyl") for m in ("nl", "nprime", "gamma-pi", "gamma-pi2")],
+    ["eigenfunction", "--manifold", "nl", "--l", L_400, "--n", "1"],
+    ["eigenfunction", "--manifold", "nprime", "--l", L_400, "--n", "1"],
+    ["dims", "--manifold", "gamma-pi", "--l", L_400],
+    ["spectrum", "--manifold", "nprime", "--l", L_20, "--tmax", "10"],
+    ["weyl", "--manifold", "nprime", "--l", L_20, "--tmax", "10"],
+    ["weyl", "--manifold", "gamma-pi2", "--l", L_20, "--tmax", "10"],
+    ["weyl", "--manifold", "nl", "--l", str(10**153), "--tmax", "1e3"],
+]
+
+
+def test_huge_l_is_refused_at_once_in_fresh_processes(capsys):
+    results = _run_in_fresh_processes(HUGE_L_COMMANDS, timeout=60)
+    for argv, (rc, out, err) in zip(HUGE_L_COMMANDS, results):
+        err = err.decode()
+        assert (rc, out) == (2, b""), (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "l is too large" in err or f"at l = {argv[4]} has" in err, err
+    # in-process, where the interpreter's start is not timed, each takes well under 1 s
+    for argv in HUGE_L_COMMANDS:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
+    capsys.readouterr()
 
 
 def test_spectrum_refusals_need_no_enumeration():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ def test_lattice_spec_validation():
         standard_rect(0)
     with pytest.raises(ValueError):
         BieberbachSpec("gamma-pi", -1)
+
+
+def test_lattice_specs_refuse_an_l_whose_squared_steps_leave_float_range():
+    # the squared steps are (1, l^2) and (2l, 2l); gamma-pi extends Z x 2lZ x Z
+    top = int(sys.float_info.max)
+    for make, largest in ((standard_rect, math.isqrt(top)), (scaled_square, top // 2),
+                          (gamma_pi, math.isqrt(top) // 2), (gamma_pi_half, top // 2)):
+        assert make(largest).l == largest
+        with pytest.raises(ValueError, match=r"l is too large \(\d+ digits\)"):
+            make(largest + 1)
 
 
 def test_reduce_rect_spot_check():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,39 @@ def test_steps_and_torus_values_from_the_squared_steps(l):
         P, Q = lattice.squared_steps
         assert steps == lattice.steps == (math.sqrt(P), math.sqrt(Q))
         assert spectrum._torus_rows(lattice, 50.0)[:2] == (a, den)
+
+
+@pytest.mark.parametrize("lattice, t", [
+    (standard_rect(1), 50.0), (scaled_square(3), 1e4), (standard_rect(10**8), 1e6),
+    (standard_rect(10**12), 1e3), (scaled_square(10**12), 0.01), (standard_rect(10**150), 1e6),
+    (standard_rect(math.isqrt(int(sys.float_info.max))), 0.5)])
+def test_torus_rows_hold_exactly_the_points_with_value_at_most_t(lattice, t):
+    # past num = 2^53 many nums share one float value; each row's last point and
+    # the next one straddle t in the float expression the lines carry
+    a, den, rows = spectrum._torus_rows(lattice, t)
+    imax = rows[-1][0]
+    assert [i for i, _ in rows] == list(range(-imax, imax + 1))
+    assert spectrum._torus_value(a * (imax + 1) ** 2, den) > t
+    for i, kmax in rows:
+        assert spectrum._torus_value(a * i * i + kmax * kmax, den) <= t
+        assert spectrum._torus_value(a * i * i + (kmax + 1) ** 2, den) > t
+
+
+def test_torus_rows_refuse_a_sector_past_the_limits_before_any_row():
+    with pytest.raises(ValueError, match="28470501737 rows of dual-lattice points"):
+        spectrum._torus_rows(scaled_square(10**20), 10.0)
+    # pi^2 num / den overflows for num near t den / pi^2
+    with pytest.raises(ValueError, match="passes the largest float"):
+        spectrum._torus_rows(standard_rect(10**153), 1e3)
+    with pytest.raises(ValueError, match="passes the largest float"):
+        spectrum._torus_rows(standard_rect(math.isqrt(int(sys.float_info.max))), 10.0)
+    # a scaled square has about 2 sqrt(2 l t) / pi rows: a sector just within the
+    # limit is made, one just past it refused
+    limit, lattice = spectrum.MAX_TORUS_ROWS, scaled_square(10**9)
+    t = (math.pi * limit / 2) ** 2 / (2 * lattice.l)
+    assert 0.97 * limit < len(spectrum._torus_rows(lattice, 0.98**2 * t)[2]) <= limit
+    with pytest.raises(ValueError, match=f"more than the limit of {limit}"):
+        spectrum._torus_rows(lattice, 1.02**2 * t)
 
 
 @pytest.mark.parametrize("lattice", [standard_rect(1), standard_rect(3), scaled_square(2)])
