@@ -29,7 +29,7 @@ from .invariants import (
     dim_psi_invariant,
     fixed_subspace_dim,
     phi_pullback_matrix,
-    psi_pullback_matrix,
+    psi_fixed_subspace_dim,
 )
 from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
@@ -122,6 +122,10 @@ def cmd_eigenfunction(args) -> int:
                          "(selectors nl, nprime)")
     if args.grid < 1:
         raise ValueError("grid must be at least 1")
+    for name, value in (("n", args.n), ("lam", args.lam)):
+        if abs(value) > sys.float_info.max:  # an exact int-float comparison
+            raise ValueError(f"--{name} is too large: the eigenvalue and the series take "
+                             f"it as a float, and it passes the largest, about 1.8e308")
     _check_rows(4 * args.grid**3)
     idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
@@ -155,18 +159,20 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
         char = int(round(trace))
         if abs(trace - char) > 1e-9:
             raise ValueError("character average is not integral")
+        oracle = fixed_subspace_dim(matrix, tol)
     else:
         closed = dim_psi_invariant(n, lam, l)
-        matrix = psi_pullback_matrix(n, lam, l)
         char = dim_from_characters(character_table(n, lam, l))
-    oracle = fixed_subspace_dim(matrix, tol)
+        oracle = psi_fixed_subspace_dim(n, lam, l, tol)
     agree = closed == oracle == char
     return closed, oracle, char, agree
 
 
-# dims refuses sectors of size N = 2l|n| above this: the matrix oracle holds about
-# 48 N^2 bytes (0.8 GB at the limit).  The half-turn oracle takes the SVDs of the
-# 1x1 and 2x2 blocks of I - M, so only a quarter-turn sector costs O(N^3).
+# dims refuses sectors of size N = 2l|n| above this.  A half-turn row holds about
+# 34 N^2 bytes (0.57 GB at the limit) and takes the SVDs of the 1x1 and 2x2 blocks
+# of I - M; a quarter-turn row takes the real SVDs of two orbit blocks of sizes
+# N/2 +- 1 at O(N^3) cost and holds about 6 N^2 bytes (numpy's, by tracemalloc),
+# of which the blocks' tables, about 4 N^2 bytes, stay held for the last N.
 MAX_ORACLE_DIM = 4096
 
 
@@ -178,18 +184,22 @@ def cmd_dims(args) -> int:
     if args.n is not None:
         if args.n == 0:
             raise ValueError("n must be nonzero")
-        ns = [args.n]
+        nmin = nmax = args.n
     else:
         if args.nmin > args.nmax:
             raise ValueError("nmin must not exceed nmax")
-        ns = [n for n in range(args.nmin, args.nmax + 1) if n != 0]
-    lams = [args.lam] if args.lam is not None else list(range(args.lmax + 1))
-    if any(lam < 0 for lam in lams):
+        nmin, nmax = args.nmin, args.nmax
+    if args.lam is not None and args.lam < 0:
         raise ValueError("lambda must be nonnegative")
-    size = 2 * args.l * max((abs(n) for n in ns), default=0)
+    # the sizes come from the ends of the ranges, before any range is listed
+    size = 2 * args.l * max(abs(nmin), abs(nmax))
     if size > MAX_ORACLE_DIM:
         raise ValueError(f"the matrix oracle would have size N = 2l|n| = {size}, "
                          f"above the limit of {MAX_ORACLE_DIM}")
+    levels = 1 if args.lam is not None else max(args.lmax + 1, 0)
+    _check_rows((nmax - nmin + 1 - (nmin <= 0 <= nmax)) * levels)
+    ns = [n for n in range(nmin, nmax + 1) if n != 0]
+    lams = [args.lam] if args.lam is not None else range(args.lmax + 1)
     buf = io.StringIO()
     buf.write("n,lambda,closed,oracle,character,agree\n")
     try:

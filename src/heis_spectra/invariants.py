@@ -15,14 +15,19 @@ Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from an SVD nullity oracle, kept separate so they can be compared; the
 oracle and the invariant bases share one rank rule on I - M (singular values
 below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError).
-The oracle takes those singular values block by block: I - M splits into the
-connected components of its nonzero pattern (1x1 and 2x2 blocks for the
-half-turn, one dense block for the quarter-turn), and the blocks together have
-the dense matrix's singular values, so the rank rule is the same.
+The oracle takes those singular values block by block, and the blocks together
+have the dense matrix's singular values, so the rank rule is the same.  For a
+matrix, I - M splits into the connected components of its nonzero pattern (1x1
+and 2x2 blocks for the half-turn).  The quarter-turn commutes with its square,
+the reversal, so on the reversal's even and odd orbit vectors (e_k +- e_{-k})/sqrt 2
+it is two real blocks times a phase, of sizes N/2 + 1 and N/2 - 1
+(`psi_fixed_subspace_dim`; the even/odd split of the DFT, McClellan and Parks,
+IEEE Trans. Audio Electroacoust. 20, 1972).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +85,13 @@ def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     return PullbackMatrix("phi", n, lam, l, mat)
 
 
+def _psi_phase(n: int, lam: int) -> tuple[int, float]:
+    """(r, sign): the quarter-turn pullback is i^r exp(sign 2 pi i k k'/N)/sqrt N."""
+    if n > 0:
+        return (n + lam) % 4, -1.0
+    return (n + 3 * lam) % 4, 1.0
+
+
 def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     """Dense unitary of the quarter-turn pullback; its square is the half-turn's.
 
@@ -89,11 +101,8 @@ def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     _check_nl(n, lam, l)
     k = _sector_index(n, l)
     dim = k.size
-    if n > 0:
-        phase, sign = 1j ** ((n + lam) % 4), -1.0
-    else:
-        phase, sign = 1j ** ((n + 3 * lam) % 4), 1.0
-    mat = (phase / math.sqrt(dim)) * np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
+    r, sign = _psi_phase(n, lam)
+    mat = (1j**r / math.sqrt(dim)) * np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
     return PullbackMatrix("psi", n, lam, l, mat)
 
 
@@ -160,6 +169,65 @@ def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
     A = np.array(getattr(M, "matrix", M), dtype=complex)
     A.reshape(-1)[::A.shape[0] + 1] -= 1  # the diagonal of the row-major copy
     return _nullity(_singular_values(A), tol)
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S): the unitary DFT of size dim on the even and on the odd orbit vectors
+    of the reversal k -> -k mod dim, up to the pullback's phase.
+
+    With h = dim/2 the even basis is e_0, e_h and (e_j + e_{dim-j})/sqrt 2 for
+    0 < j < h, the odd basis (e_j - e_{dim-j})/sqrt 2 for 0 < j < h; then
+    C[j, k] = w_j w_k cos(2 pi (jk mod dim)/dim)/sqrt dim, w = 1 at j in {0, h} and
+    sqrt 2 elsewhere, and S[j, k] = 2 sin(2 pi (jk mod dim)/dim)/sqrt dim.  Both are
+    real and symmetric and depend on dim alone; the last size is kept, as a dims
+    range asks for it once per level, and stays held (about 4 dim^2 bytes) until
+    another size replaces it.
+    """
+    h = dim // 2
+    j = np.arange(h + 1)
+    jk = np.outer(j, j) % dim
+    angle = (2 * math.pi / dim) * np.arange(dim)
+    even = (np.cos(angle) / math.sqrt(dim))[jk]
+    even[1:h] *= math.sqrt(2.0)
+    even[:, 1:h] *= math.sqrt(2.0)
+    odd = (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
+    for block in (even, odd):
+        block.flags.writeable = False
+    return even, odd
+
+
+def _block_singular_values(T: np.ndarray, r: int) -> np.ndarray:
+    """The singular values of i^r T - I for a real symmetric T, from one real SVD.
+
+    A real phase i^r = +-1 leaves the real matrix +-T - I.  An imaginary one leaves
+    A = +-iT - I with A^H A = I + T^2, whose singular values are sqrt(1 + s^2) over
+    the singular values s of T.
+    """
+    if r % 2:
+        s = np.linalg.svd(T, compute_uv=False)
+        return np.sqrt(1.0 + s * s)
+    B = T.copy() if r % 4 == 0 else -T
+    B.reshape(-1)[::len(T) + 1] -= 1.0  # the diagonal
+    return np.linalg.svd(B, compute_uv=False)
+
+
+def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
+    """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol), without the dense
+    matrix: two real SVDs of about half its size (one of size 2 and one of size 0
+    at N = 2).
+
+    The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
+    reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
+    (`_orbit_blocks`), and no entry joins the two.  Their singular values of B - I
+    together are those of the dense I - M, so the rank rule is unchanged.
+    """
+    _check_nl(n, lam, l)
+    r, sign = _psi_phase(n, lam)
+    even, odd = _orbit_blocks(2 * l * abs(n))
+    svals = (_block_singular_values(even, r),
+             _block_singular_values(odd, r + (3 if sign < 0 else 1)))  # sign i = i^3 or i
+    return _nullity(np.concatenate(svals), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
@@ -232,10 +300,9 @@ def character_table(n: int, lam: int, l: int) -> CharacterTable:
     _check_nl(n, lam, l)
     m = abs(n)
     chi0 = complex(2 * l * m)
-    if n > 0:
-        chi1 = np.exp(0.5j * math.pi * (n + lam)) * np.conj(gauss_sum(2 * l * n)) / math.sqrt(2 * l * n)
-    else:
-        chi1 = np.exp(0.5j * math.pi * (n + 3 * lam)) * gauss_sum(2 * l * m) / math.sqrt(2 * l * m)
+    r, sign = _psi_phase(n, lam)
+    gauss = gauss_sum(2 * l * m)
+    chi1 = 1j**r * (gauss.conjugate() if sign < 0 else gauss) / math.sqrt(2 * l * m)
     chi2 = complex(2 * (-1.0 if (n + lam) % 2 else 1.0))
     return CharacterTable(n, lam, l, (chi0, complex(chi1), chi2, complex(np.conj(chi1))))
 

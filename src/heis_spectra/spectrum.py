@@ -108,8 +108,9 @@ MAX_SPECTRUM_LINES = 2_000_000
 # t = 1.5e8) takes about 10 s.
 MAX_COUNT_ENTRIES = 10**8
 # _torus_rows refuses a torus sector of more rows (i, kmax) than this before it
-# makes any: a row costs about 0.4 us and 125 bytes, so a sector at the limit
-# takes about 0.4 s and 125 MB on a 2-core box, once per weyl sample.  The points
+# makes any: the rows come one at a time, about 0.5 us each, so a sector at the
+# limit takes about 0.5 s on a 2-core box, once per weyl sample; a spectrum lists
+# them, at about 125 bytes a row.  The points
 # grow as about (pi/4) rows^2, so a spectrum within MAX_SPECTRUM_LINES has fewer
 # than 2000 rows; only a weyl count on a scaled square of large l gets near it.
 MAX_TORUS_ROWS = 10**6
@@ -229,7 +230,8 @@ def _class_sums(tops, classes, f0, d):
     return sums
 
 
-def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES) -> list[list[int]]:
+def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES,
+                     lattice: LatticeSpec | None = None) -> list[list[int]]:
     """For each multiplicity f in fs, the sums of f(n, lam) over the pairs with
     oscillator eigenvalue in (0, t], one per t in tgrid.
 
@@ -243,12 +245,16 @@ def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES) -> li
     first: the levels whose sums could pass _EXACT_FLOAT together are summed in
     Python ints, the others in float64.  The table is kept per tuple fs
     (`_class_table`), so a caller that passes the same functions again reuses it.
-    A grid past MAX_COUNT_ENTRIES raises ValueError before any counting.
+    A grid past MAX_COUNT_ENTRIES raises ValueError before any counting, and then,
+    for a caller that counts the torus sector of lattice too, a sector past the
+    limits of `_torus_rows` at the largest t.
     """
     entries = sum(2.0 * (t // math.pi + 2) for t in tgrid)
     if not entries <= MAX_COUNT_ENTRIES:
         raise ValueError(f"counting up to t = {max(tgrid)!r} would visit about {entries:.3g} "
                          f"(sample, level) entries, more than the limit of {MAX_COUNT_ENTRIES}")
+    if lattice is not None:
+        _torus_rows(lattice, max(tgrid))
     f0, d, f0_float, d_float, size, slope = _class_table(tuple(fs))
     totals = [[0] * len(tgrid) for _ in fs]
     for sgn, lam, _, rows, tops in _level_tops(alpha, tgrid, chunk):
@@ -275,7 +281,8 @@ def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES) -> li
 def _torus_rows(lattice: LatticeSpec, t: float):
     """(a, den, rows): the point i g1 + k g2 of the dual lattice has the value
     _torus_value(a i^2 + k^2, den), and those with value <= t are the (i, k) with
-    |k| <= kmax, for (i, kmax) in rows."""
+    |k| <= kmax, for (i, kmax) in rows.  rows is an iterator, made one at a time; a
+    sector past the limits is refused before it is returned."""
     # pi^2 (i^2 / P + k^2 / Q) with squared steps (P, Q), where P divides Q
     P, den = lattice.squared_steps
     a = den // P
@@ -304,7 +311,7 @@ def _torus_rows(lattice: LatticeSpec, t: float):
         raise ValueError(f"the torus sector up to t = {t!r} at l = {lattice.l} has "
                          f"{2 * imax + 1} rows of dual-lattice points, more than the "
                          f"limit of {MAX_TORUS_ROWS}")
-    return a, den, [(i, math.isqrt(top - a * i * i)) for i in range(-imax, imax + 1)]
+    return a, den, ((i, math.isqrt(top - a * i * i)) for i in range(-imax, imax + 1))
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -364,6 +371,7 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
                 break
         else:
             a, den, rows = _torus_rows(lattice, tmax)
+            rows = list(rows)
             count += sum(2 * kmax + 1 for _, kmax in rows)
     if estimate >= _WIDE_TOP or count > MAX_SPECTRUM_LINES:
         found = f"at least {count}" if count else f"more than {_WIDE_TOP:.2g}"

@@ -158,7 +158,8 @@ def counting_function(manifold, alpha: float, tgrid) -> CountingSeries:
     orbits of characters on the crystallographic quotients included.
     """
     tgrid = _checked_grid(tgrid)
-    (osc,) = _oscillator_sums([_sectors(manifold)[0]], alpha, tgrid)
+    f, lattice, _ = _sectors(manifold)
+    (osc,) = _oscillator_sums([f], alpha, tgrid, lattice=lattice)
     return _series(manifold, alpha, tgrid, osc)
 
 
@@ -174,7 +175,7 @@ def counting_columns(manifold, alpha: float, tgrid):
     tgrid = _checked_grid(tgrid)
     f, lattice, _ = _sectors(manifold)
     osc, cover, even, pairs, widths = _oscillator_sums(
-        [f, _sectors(lattice)[0], _even, _one, _width], alpha, tgrid)
+        [f, _sectors(lattice)[0], _even, _one, _width], alpha, tgrid, lattice=lattice)
     parity = tuple(ParitySetCounts(t, e, p - e) for t, e, p in zip(tgrid, even, pairs))
     return (_series(manifold, alpha, tgrid, osc), tuple(cover), parity,
             tuple((p, manifold.l * w) for p, w in zip(pairs, widths)))

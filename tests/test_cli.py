@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -13,11 +14,13 @@ import tomllib
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heis_spectra import cli, spectrum, verify
 from heis_spectra.cli import MAX_ORACLE_DIM, main
 from heis_spectra.group import PolarizedPoint, standard_rect
+from heis_spectra.invariants import _nullity, psi_pullback_matrix
 from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 
@@ -220,6 +223,19 @@ def test_eigenfunction_refuses_a_grid_past_the_row_limit(capsys, monkeypatch):
     assert "4000000000" in err and str(MAX_SPECTRUM_LINES) in err
     assert main(["eigenfunction", "--manifold", "nprime", "--n", "1", "--grid", "80"]) == 2
     assert "2048000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["n", "lam"])
+def test_eigenfunction_refuses_an_integer_past_float_range(capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
+    for value in (10**400, -10**400, 2**1024):
+        if name == "lam" and value < 0:
+            continue
+        argv = {"n": "1", "lam": "0", name: str(value)}
+        rc = main(["eigenfunction", "--manifold", "nl", "--n", argv["n"], "--lam", argv["lam"]])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: --{name} is too large") and err.count("\n") == 1, err
 
 
 def test_weyl_refuses_samples_past_the_row_limit(capsys, monkeypatch):
@@ -492,6 +508,9 @@ HUGE_L_COMMANDS = [
     ["spectrum", "--manifold", "nprime", "--l", L_20, "--tmax", "10"],
     ["weyl", "--manifold", "nprime", "--l", L_20, "--tmax", "10"],
     ["weyl", "--manifold", "gamma-pi2", "--l", L_20, "--tmax", "10"],
+    # the torus refusal comes before the levels, counted in Python ints at this l
+    # (once past 30 s)
+    ["weyl", "--manifold", "nprime", "--l", L_20, "--tmax", "1.5e8", "--samples", "2"],
     ["weyl", "--manifold", "nl", "--l", str(10**153), "--tmax", "1e3"],
 ]
 
@@ -570,7 +589,7 @@ def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkey
     def refuse(*args):
         raise AssertionError("a pullback matrix was built")
 
-    monkeypatch.setattr(cli, "psi_pullback_matrix", refuse)
+    monkeypatch.setattr(cli, "psi_fixed_subspace_dim", refuse)
     monkeypatch.setattr(cli, "phi_pullback_matrix", refuse)
     tracemalloc.start()
     try:
@@ -585,6 +604,71 @@ def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkey
     # a range is refused as a whole, before its first row
     assert main(["dims", "--manifold", "gamma-pi", "--nmin", "1", "--nmax", "3000"]) == 2
     assert "6000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["--nmin", "1", "--nmax", str(10**12)], ["2000000000000", str(MAX_ORACLE_DIM)]),
+    (["--nmin", str(-10**12), "--nmax", "1"], ["2000000000000", str(MAX_ORACLE_DIM)]),
+    (["--n", "1", "--lmax", str(10**12)], ["1000000000001 rows", str(MAX_SPECTRUM_LINES)]),
+    (["--n", "1", "--lmax", str(10**400)], ["rows", str(MAX_SPECTRUM_LINES)]),
+    (["--nmin", "-1000", "--nmax", "1000", "--lmax", "1000"], ["2002000 rows"]),
+])
+def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, words):
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_dims_row", refuse)
+    tracemalloc.start()
+    try:
+        rc = main(["dims", "--manifold", "gamma-pi2", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(w in err for w in words), err
+    assert peak < 1 << 20
+
+
+def test_dims_writes_a_huge_level_exactly(capsys):
+    # the phases are i^r with r reduced mod 4 in integers, at any lam; N = 12 takes
+    # the dense oracle and N = 40 the orbit blocks
+    lam = 10**400
+    for n, dim in ((6, 3), (-20, 11)):
+        rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi2", "--n", str(n),
+                          "--lam", str(lam))
+        assert rc == 0
+        assert out.splitlines()[1] == f"{n},{lam},{dim},{dim},{dim},true"
+    rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--n", "-3", "--lam", str(lam))
+    assert rc == 0
+    assert out.splitlines()[1] == f"-3,{lam},2,2,2,true"
+
+
+def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
+    # the benchmark's gamma-pi2 ranges, both signs, N = 2l|n| up to 128: the orbit
+    # blocks write the bytes that one dense SVD of I - M per row writes
+    @functools.cache
+    def dense_svals(n, lam, l):
+        A = psi_pullback_matrix(n, lam, l).matrix - np.eye(2 * l * abs(n))
+        return np.linalg.svd(A, compute_uv=False)
+
+    def dims(l, nmin, nmax, tol):
+        argv = ["dims", "--manifold", "gamma-pi2", "--l", str(l), "--nmin", str(nmin),
+                "--nmax", str(nmax), "--lmax", "3"] + (["--tol", tol] if tol else [])
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        return out
+
+    ranges = [(l, lo, hi) for l, top in ((1, 36), (2, 24), (3, 18), (4, 16))
+              for lo, hi in ((1, top // 2), (top // 2 + 1, top), (-top, -(top // 2 + 1)),
+                             (-(top // 2), -1))]
+    for tol in (None, "1e-12", "1e-4", "1e-2"):
+        blocks = [dims(*r, tol) for r in ranges]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "psi_fixed_subspace_dim", lambda n, lam, l, tol: _nullity(
+                dense_svals(n, lam, l), tol))
+            assert [dims(*r, tol) for r in ranges] == blocks, tol
 
 
 def test_dims_rejects_bad_requests(capsys):

@@ -21,6 +21,9 @@ from heis_spectra.invariants import (
     PullbackMatrix,
     _nullity,
     _nullspace_basis,
+    _orbit_blocks,
+    _psi_phase,
+    _sector_index,
     _singular_values,
     character_table,
     dim_from_characters,
@@ -33,6 +36,7 @@ from heis_spectra.invariants import (
     phi_constraint_solve,
     phi_pullback_matrix,
     psi_constraint_solve,
+    psi_fixed_subspace_dim,
     psi_pullback_matrix,
     sector_dimensions,
 )
@@ -314,6 +318,80 @@ def test_one_dense_svd_per_psi_sector_and_one_batch_per_block_size():
         # N = 256: the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest
         assert fixed_subspace_dim(phi_pullback_matrix(128, 1, 1)) == dim_phi_invariant(128, 1, 1)
         assert [call.args[0].shape for call in svd.call_args_list] == [(127, 2, 2)]
+
+
+def _orbit_basis(n, l):
+    """Q: the even orbit vectors e_0, e_h, (e_j + e_{N-j})/sqrt 2 and then the odd
+    ones (e_j - e_{N-j})/sqrt 2 of the reversal, 0 < j < h, on the positions a*2l + b."""
+    k = _sector_index(n, l)
+    dim = k.size
+    h = dim // 2
+    pos = np.empty(dim, dtype=int)
+    pos[k] = np.arange(dim)
+    Q = np.zeros((dim, dim))
+    Q[pos[0], 0] = Q[pos[h], h] = 1.0
+    for j in range(1, h):
+        Q[pos[j], j] = Q[pos[dim - j], j] = Q[pos[j], h + j] = 1 / math.sqrt(2)
+        Q[pos[dim - j], h + j] = -1 / math.sqrt(2)
+    return Q
+
+
+# (l, |n|) with 2 <= N = 2l|n| <= 160
+_ORBIT_SECTORS = st.integers(1, 8).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(1, 80 // l)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sector=_ORBIT_SECTORS, lam=st.integers(0, 40), negative=st.booleans())
+def test_quarter_turn_splits_into_the_two_orbit_blocks(sector, lam, negative):
+    l, m = sector
+    dim = 2 * l * m
+    n = -m if negative else m
+    M = psi_pullback_matrix(n, lam, l).matrix
+    Q = _orbit_basis(n, l)
+    assert np.allclose(Q.T @ Q, np.eye(dim), rtol=0, atol=1e-15)
+    B = Q.T @ M @ Q
+    h = dim // 2
+    C, S = _orbit_blocks(dim)
+    r, sign = _psi_phase(n, lam)
+    assert np.abs(B[:h + 1, :h + 1] - 1j**r * C).max() < 1e-13
+    # at N = 2 the odd block and the cross blocks are empty
+    assert np.abs(B[h + 1:, h + 1:] - sign * 1j**(r + 1) * S).max(initial=0) < 1e-13
+    assert np.abs(B[:h + 1, h + 1:]).max(initial=0) < 1e-13
+    assert np.abs(B[h + 1:, :h + 1]).max(initial=0) < 1e-13
+    # the blocks' singular values of B - I are those of the dense I - M
+    blocks = [np.linalg.svd(T - np.eye(len(T)), compute_uv=False)
+              for T in (1j**r * C, sign * 1j**(r + 1) * S)]
+    dense = np.linalg.svd(np.eye(dim) - M, compute_uv=False)
+    assert np.abs(np.sort(np.concatenate(blocks))[::-1] - dense).max() < 1e-12
+    assert psi_fixed_subspace_dim(n, lam, l) == fixed_subspace_dim(M) == dim_psi_invariant(n, lam, l)
+
+
+def test_quarter_turn_oracle_takes_two_real_half_size_svds():
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        # N = 128: blocks of sizes 65 and 63; the phase i^r is real for lam = 0
+        # (r = 0) and imaginary for lam = 1 (r = 1)
+        for lam in (0, 1):
+            assert psi_fixed_subspace_dim(16, lam, 4) == dim_psi_invariant(16, lam, 4)
+            assert [(c.args[0].shape, c.args[0].dtype) for c in svd.call_args_list] == [
+                ((65, 65), np.float64), ((63, 63), np.float64)]
+            svd.reset_mock()
+        # small sectors take the blocks too, down to N = 2, whose odd block is empty
+        for n, l, shapes in ((8, 2, [(17, 17), (15, 15)]), (-1, 1, [(2, 2), (0, 0)])):
+            for lam in range(4):
+                assert psi_fixed_subspace_dim(n, lam, l) == dim_psi_invariant(n, lam, l)
+                assert [c.args[0].shape for c in svd.call_args_list] == shapes
+                svd.reset_mock()
+
+
+def test_quarter_turn_oracle_keeps_the_rank_rule():
+    # sqrt(2) is a singular value of every quarter-turn sector's I - M
+    with pytest.raises(IllConditionedError):
+        psi_fixed_subspace_dim(17, 0, 1, tol=1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        psi_fixed_subspace_dim(17, 0, 1, tol=0.0)
+    with pytest.raises(ValueError, match="n must be nonzero"):
+        psi_fixed_subspace_dim(0, 0, 1)
 
 
 def test_rank_rule_needs_a_positive_finite_tol():

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ def test_torus_rows_hold_exactly_the_points_with_value_at_most_t(lattice, t):
     # past num = 2^53 many nums share one float value; each row's last point and
     # the next one straddle t in the float expression the lines carry
     a, den, rows = spectrum._torus_rows(lattice, t)
+    rows = list(rows)
     imax = rows[-1][0]
     assert [i for i, _ in rows] == list(range(-imax, imax + 1))
     assert spectrum._torus_value(a * (imax + 1) ** 2, den) > t
@@ -65,9 +67,34 @@ def test_torus_rows_refuse_a_sector_past_the_limits_before_any_row():
     # limit is made, one just past it refused
     limit, lattice = spectrum.MAX_TORUS_ROWS, scaled_square(10**9)
     t = (math.pi * limit / 2) ** 2 / (2 * lattice.l)
-    assert 0.97 * limit < len(spectrum._torus_rows(lattice, 0.98**2 * t)[2]) <= limit
+    assert 0.97 * limit < len(list(spectrum._torus_rows(lattice, 0.98**2 * t)[2])) <= limit
     with pytest.raises(ValueError, match=f"more than the limit of {limit}"):
         spectrum._torus_rows(lattice, 1.02**2 * t)
+
+
+@pytest.mark.parametrize("lattice, t", [
+    (standard_rect(1), 50.0), (standard_rect(1), 0.1), (scaled_square(3), 1e4),
+    (standard_rect(10**8), 1e6), (scaled_square(10**12), 0.01), (standard_rect(10**150), 1e6)])
+def test_torus_points_sum_the_rows(lattice, t):
+    assert spectrum._torus_points(lattice, t) == sum(
+        2 * kmax + 1 for _, kmax in spectrum._torus_rows(lattice, t)[2])
+
+
+def test_torus_points_are_counted_without_a_list_of_rows():
+    # about 1e5 rows, which a list holds in about 12 MB
+    lattice = scaled_square(10**9)
+    t = (math.pi * 10**5 / 2) ** 2 / (2 * lattice.l)
+    rows = list(spectrum._torus_rows(lattice, t)[2])
+    assert 0.97e5 < len(rows) <= 1e5
+    want = sum(2 * kmax + 1 for _, kmax in rows)
+    del rows
+    tracemalloc.start()
+    try:
+        got = spectrum._torus_points(lattice, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and peak < 1 << 16
 
 
 @pytest.mark.parametrize("lattice", [standard_rect(1), standard_rect(3), scaled_square(2)])

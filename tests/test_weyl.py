@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from scipy.integrate import quad
@@ -350,6 +351,20 @@ def test_counting_refuses_past_its_limit_before_counting(monkeypatch):
     for tgrid in (default_tgrid(25, 1e2, 1e6), [1.5e8]):
         with pytest.raises(AssertionError, match="counting started"):
             counting_function(standard_rect(1), 0.3, tgrid)
+
+
+def test_counting_refuses_a_torus_sector_past_its_limit_before_counting(monkeypatch):
+    # at l = 10^20 every level is counted in Python ints; the torus sector of
+    # t = 1.5e8 has about 1.1e14 rows and is refused before any level
+    monkeypatch.setattr(spectrum, "_level_tops", _no_counting)
+    for call in (counting_function, counting_columns):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="rows of dual-lattice points"):
+            call(scaled_square(10**20), 0.3, [1.0, 1.5e8])
+        assert time.perf_counter() - start < 1.0
+    # the count limit still comes first
+    with pytest.raises(ValueError, match=f"more than the limit of {MAX_COUNT_ENTRIES}"):
+        counting_function(standard_rect(1), 0.3, [1e308])
 
 
 def test_bieberbach_spectrum_half_quotient():
