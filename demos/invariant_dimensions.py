@@ -17,20 +17,21 @@ from heis_spectra import (
     fixed_subspace_dim,
     phi_pullback_matrix,
     psi_pullback_matrix,
+    sector_dimensions,
 )
 
 L = 1
 
 print(f"half-turn quotient, l={L}: dim = l|n| +/- 1 by the parity of |n|+lam")
-print(" n lam | closed  svd  trace")
+print(" n lam | closed  svd  chars")
 for n in range(1, 5):
     for lam in range(0, 4):
         closed = dim_phi_invariant(n, lam, L)
-        M = phi_pullback_matrix(n, lam, L)
-        svd = fixed_subspace_dim(M)
-        # a two-element group: the average of the two traces
-        trace = round((M.dim + M.matrix.trace().real) / 2)
-        print(f"{n:2d} {lam:3d} | {closed:6d} {svd:4d} {trace:6d}")
+        svd = fixed_subspace_dim(phi_pullback_matrix(n, lam, L))
+        # the half-turn is the square of the quarter-turn: its fixed vectors are the
+        # quarter-turn's eigenvectors for +1 and -1
+        mult = sector_dimensions(character_table(n, lam, L))
+        print(f"{n:2d} {lam:3d} | {closed:6d} {svd:4d} {mult[0] + mult[2]:6d}")
 
 print(f"\nquarter-turn quotient, l={L}: the residue of |n|+lam mod 4 decides")
 print(" n lam | closed  svd  chars   chi(psi)")

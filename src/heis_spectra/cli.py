@@ -24,12 +24,11 @@ from .group import (
 from .invariants import (
     IllConditionedError,
     character_table,
-    dim_from_characters,
     dim_phi_invariant,
     dim_psi_invariant,
-    fixed_subspace_dim,
-    phi_pullback_matrix,
+    phi_fixed_subspace_dim,
     psi_fixed_subspace_dim,
+    sector_dimensions,
 )
 from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
@@ -115,6 +114,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# eigenfunction refuses a grid past this many Hermite recurrence steps: each of
+# its 2g p-rows runs the recurrence to order lam, and at n = 1 a step takes about
+# 8 us at lam = 5e5 (2-core x86 box), so the largest allowed grid takes about 8 s.
+MAX_HERMITE_STEPS = 10**6
+
+
 def cmd_eigenfunction(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
     if not isinstance(manifold, LatticeSpec):
@@ -127,6 +132,9 @@ def cmd_eigenfunction(args) -> int:
             raise ValueError(f"--{name} is too large: the eigenvalue and the series take "
                              f"it as a float, and it passes the largest, about 1.8e308")
     _check_rows(4 * args.grid**3)
+    if 2 * args.grid * args.lam > MAX_HERMITE_STEPS:
+        raise ValueError(f"the grid would take 2 grid lam = {2 * args.grid * args.lam} Hermite "
+                         f"recurrence steps, above the limit of {MAX_HERMITE_STEPS}")
     idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
     sp, sq = manifold.steps
@@ -152,27 +160,26 @@ def cmd_eigenfunction(args) -> int:
 
 
 def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
+    # the half-turn is psi^2: its fixed vectors are psi's eigenvectors for +1 and -1
+    mult = sector_dimensions(character_table(n, lam, l))
     if kind == "gamma-pi":
         closed = dim_phi_invariant(n, lam, l)
-        matrix = phi_pullback_matrix(n, lam, l)
-        trace = (matrix.matrix.trace().real + matrix.dim) / 2.0
-        char = int(round(trace))
-        if abs(trace - char) > 1e-9:
-            raise ValueError("character average is not integral")
-        oracle = fixed_subspace_dim(matrix, tol)
+        char = mult[0] + mult[2]
+        oracle = phi_fixed_subspace_dim(n, lam, l, tol)
     else:
         closed = dim_psi_invariant(n, lam, l)
-        char = dim_from_characters(character_table(n, lam, l))
+        char = mult[0]
         oracle = psi_fixed_subspace_dim(n, lam, l, tol)
     agree = closed == oracle == char
     return closed, oracle, char, agree
 
 
-# dims refuses sectors of size N = 2l|n| above this.  A half-turn row holds about
-# 34 N^2 bytes (0.57 GB at the limit) and takes the SVDs of the 1x1 and 2x2 blocks
-# of I - M; a quarter-turn row takes the real SVDs of two orbit blocks of sizes
-# N/2 +- 1 at O(N^3) cost and holds about 6 N^2 bytes (numpy's, by tracemalloc),
-# of which the blocks' tables, about 4 N^2 bytes, stay held for the last N.
+# dims refuses sectors of size N = 2l|n| above this.  Neither oracle builds the
+# N x N pullback: a half-turn row takes one batched SVD of its N/2 - 1 2x2 blocks
+# in O(N) memory; a quarter-turn row takes the real SVDs of two orbit blocks of
+# sizes N/2 +- 1 at O(N^3) cost and holds about 6 N^2 bytes (numpy's, by
+# tracemalloc), of which the blocks' tables, about 4 N^2 bytes, stay held for the
+# last N.
 MAX_ORACLE_DIM = 4096
 
 

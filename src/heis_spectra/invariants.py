@@ -14,15 +14,18 @@ tol/10 of sup|psi_lam|, and the tail is at most ~tol sup|psi_lam| sum |c|.
 Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from an SVD nullity oracle, kept separate so they can be compared; the
 oracle and the invariant bases share one rank rule on I - M (singular values
-below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError).
-The oracle takes those singular values block by block, and the blocks together
-have the dense matrix's singular values, so the rank rule is the same.  For a
-matrix, I - M splits into the connected components of its nonzero pattern (1x1
-and 2x2 blocks for the half-turn).  The quarter-turn commutes with its square,
-the reversal, so on the reversal's even and odd orbit vectors (e_k +- e_{-k})/sqrt 2
-it is two real blocks times a phase, of sizes N/2 + 1 and N/2 - 1
-(`psi_fixed_subspace_dim`; the even/odd split of the DFT, McClellan and Parks,
-IEEE Trans. Audio Electroacoust. 20, 1972).
+below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError,
+and a tol below the floor sigma_max N eps raises ValueError).
+`fixed_subspace_dim` takes one dense SVD and is the reference; the oracles of
+`dims` never build the matrix.  Both generators act on the orbits of the
+reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
+points and 2x2 blocks on its pairs (`phi_fixed_subspace_dim`), and the
+quarter-turn commutes with its square, the reversal, so on the reversal's even
+and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
+phase, of sizes N/2 + 1 and N/2 - 1 (`psi_fixed_subspace_dim`; the even/odd
+split of the DFT, McClellan and Parks, IEEE Trans. Audio Electroacoust. 20,
+1972).  The blocks together have the dense matrix's singular values, so the
+rank rule is the same.
 """
 
 from __future__ import annotations
@@ -107,68 +110,26 @@ def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
 
 
 def _nullity(svals: np.ndarray, tol: float) -> int:
-    """The rank rule: the count of singular values below tol, refused with
-    IllConditionedError when one lies inside [tol/10, 10 tol]."""
+    """The rank rule on the N singular values of an N x N matrix: the count of those
+    below tol, refused with IllConditionedError when one lies inside
+    [tol/10, 10 tol] and with ValueError when tol is below sigma_max N eps."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    floor = np.max(svals, initial=0.0) * svals.size * np.finfo(float).eps
+    if tol < floor:  # numpy's matrix_rank default: below it a kernel value may be noise
+        raise ValueError(f"tol = {tol!r} is below the rank rule's floor "
+                         f"sigma_max N eps = {floor:.3g}")
     if np.any((svals >= tol / 10) & (svals <= tol * 10)):
         raise IllConditionedError(f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}")
     return int(np.sum(svals < tol))
 
 
-# Up to this size one dense SVD is cheaper than the split: the split's numpy calls
-# take 60-100 us, a dense SVD 18, 43 and 72 us at N = 8, 16 and 24 (timeit, 2-core
-# x86 box), and the verify suite `dims` makes 160 oracle calls at N <= 16.
-_DENSE_MAX = 32
-
-
-def _singular_values(A: np.ndarray) -> np.ndarray:
-    """The singular values of the square complex matrix A in descending order, as
-    np.linalg.svd(A, compute_uv=False) gives them, taken one block at a time.
-
-    The blocks are the connected components of the pattern (A != 0) | (A^T != 0),
-    labelled by min-label propagation; permuting A to block-diagonal form keeps its
-    singular values, so those of the blocks together are A's.  Blocks of one size
-    go to one batched SVD; a 1x1 block's value is |a|.  A with a row or a column
-    free of zeros is one block, so it goes straight to the dense SVD, as does an A
-    of size at most _DENSE_MAX.
-    """
-    dim = A.shape[0]
-    if dim <= _DENSE_MAX or A[0].all() or A[:, 0].all():
-        return np.linalg.svd(A, compute_uv=False)
-    A = np.ascontiguousarray(A, dtype=complex)
-    # each nonzero real or imaginary part of the row-major A names its entry
-    row, col = np.divmod(np.flatnonzero(A.view(float) != 0) >> 1, dim)
-    src, dst = np.concatenate((row, col)), np.concatenate((col, row))
-    label = np.arange(dim)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, src, label[dst])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    size = np.bincount(label)[label]
-    order = np.lexsort((label, size))  # by block size, then block
-    svals = []
-    for s in np.unique(size).tolist():
-        index = order[size[order] == s].reshape(-1, s)
-        blocks = A[index[:, :, None], index[:, None, :]]
-        svals.append(np.abs(blocks.ravel()) if s == 1 else
-                     np.linalg.svd(blocks, compute_uv=False).ravel())
-    return np.sort(np.concatenate(svals))[::-1]
-
-
 def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
-    """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule.
-
-    The singular values come from the blocks of M - I (`_singular_values`), which
-    its nonzero pattern alone finds; they are those of the dense SVD, so the rank
-    rule and its band are unchanged.
-    """
+    """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule:
+    one dense SVD, the reference for the structured oracles."""
     A = np.array(getattr(M, "matrix", M), dtype=complex)
     A.reshape(-1)[::A.shape[0] + 1] -= 1  # the diagonal of the row-major copy
-    return _nullity(_singular_values(A), tol)
+    return _nullity(np.linalg.svd(A, compute_uv=False), tol)
 
 
 @functools.lru_cache(maxsize=1)
@@ -210,6 +171,24 @@ def _block_singular_values(T: np.ndarray, r: int) -> np.ndarray:
     B = T.copy() if r % 4 == 0 else -T
     B.reshape(-1)[::len(T) + 1] -= 1.0  # the diagonal
     return np.linalg.svd(B, compute_uv=False)
+
+
+def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
+    """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol), without the dense
+    matrix: O(N) memory and one batched SVD of 2x2 blocks.
+
+    The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam).  On the
+    reversal's orbits M - I is the 1x1 block e - 1 at each fixed point k = 0 and
+    k = N/2, and the 2x2 block [[-1, e], [e, -1]] on each pair {k, N - k},
+    0 < k < N/2; the blocks' singular values together are those of the dense
+    I - M, so the rank rule is unchanged.
+    """
+    _check_nl(n, lam, l)
+    e = -1.0 if (n + lam) % 2 else 1.0
+    # complex, as the dense route's blocks were: the kernel value comes out 0, not 3e-17
+    pairs =np.tile(np.array([[-1.0, e], [e, -1.0]], dtype=complex), (l * abs(n) - 1, 1, 1))
+    svals = (np.full(2, abs(e - 1.0)), np.linalg.svd(pairs, compute_uv=False).ravel())
+    return _nullity(np.concatenate(svals), tol)
 
 
 def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from heis_spectra import cli, spectrum, verify
-from heis_spectra.cli import MAX_ORACLE_DIM, main
+from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_ORACLE_DIM, main
 from heis_spectra.group import PolarizedPoint, standard_rect
-from heis_spectra.invariants import _nullity, psi_pullback_matrix
+from heis_spectra.invariants import _nullity, phi_pullback_matrix, psi_pullback_matrix
 from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 
@@ -236,6 +236,29 @@ def test_eigenfunction_refuses_an_integer_past_float_range(capsys, monkeypatch, 
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: --{name} is too large") and err.count("\n") == 1, err
+
+
+def test_eigenfunction_refuses_a_grid_past_the_step_limit(capsys, monkeypatch):
+    # each of the 2g p-rows runs the Hermite recurrence to order lam: lam = 10^11
+    # at grid 1 is 2e11 steps, refused at once
+    start = time.perf_counter()
+    rc = main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", str(10**11),
+               "--grid", "1"])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert "200000000000" in err and str(MAX_HERMITE_STEPS) in err
+    # 2 * 4 * 2000 steps run; the limit itself reaches the evaluator, one step past it not
+    rc, out = run_cli(capsys, "eigenfunction", "--manifold", "nl", "--n", "1", "--lam", "2000",
+                      "--grid", "4")
+    assert rc == 0 and len(_grid_rows(out)) == 4 * 4**3
+    monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
+    lam = MAX_HERMITE_STEPS // 8
+    with pytest.raises(AssertionError, match="an evaluation started"):
+        main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", str(lam), "--grid", "4"])
+    assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--lam", str(lam + 1),
+                 "--grid", "4"]) == 2
+    capsys.readouterr()
 
 
 def test_weyl_refuses_samples_past_the_row_limit(capsys, monkeypatch):
@@ -570,7 +593,7 @@ def test_dims_sweep_all_agree(capsys):
 
 
 def test_dims_half_turn_agrees_at_a_sector_of_1024(capsys):
-    # N = 2l|n| = 1024: the half-turn oracle takes its blocks, not one dense SVD
+    # N = 2l|n| = 1024: the half-turn oracle takes the reversal's 2x2 blocks
     rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--l", "4",
                       "--n", "128", "--lam", "1")
     assert rc == 0
@@ -587,10 +610,10 @@ def test_dims_negative_range_skips_zero(capsys):
 
 def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a pullback matrix was built")
+        raise AssertionError("an oracle ran")
 
     monkeypatch.setattr(cli, "psi_fixed_subspace_dim", refuse)
-    monkeypatch.setattr(cli, "phi_pullback_matrix", refuse)
+    monkeypatch.setattr(cli, "phi_fixed_subspace_dim", refuse)
     tracemalloc.start()
     try:
         rc = main(["dims", "--manifold", "gamma-pi2", "--n", "2000", "--l", "8"])
@@ -632,8 +655,7 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
 
 
 def test_dims_writes_a_huge_level_exactly(capsys):
-    # the phases are i^r with r reduced mod 4 in integers, at any lam; N = 12 takes
-    # the dense oracle and N = 40 the orbit blocks
+    # the phases are i^r with r reduced mod 4 in integers, at any lam
     lam = 10**400
     for n, dim in ((6, 3), (-20, 11)):
         rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi2", "--n", str(n),
@@ -645,30 +667,44 @@ def test_dims_writes_a_huge_level_exactly(capsys):
     assert out.splitlines()[1] == f"-3,{lam},2,2,2,true"
 
 
-def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    # the benchmark's gamma-pi2 ranges, both signs, N = 2l|n| up to 128: the orbit
-    # blocks write the bytes that one dense SVD of I - M per row writes
+def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pullback, tops):
+    # the benchmark's ranges, both signs, N = 2l|n| up to 128 or 256: the orbit blocks write
+    # the bytes that one dense SVD of I - M per row writes
     @functools.cache
     def dense_svals(n, lam, l):
-        A = psi_pullback_matrix(n, lam, l).matrix - np.eye(2 * l * abs(n))
+        M = pullback(n, lam, l).matrix
+        return svd_of(M.tobytes(), len(M))
+
+    @functools.cache
+    def svd_of(entries, dim):  # one SVD per distinct matrix, e.g. per parity of n + lam for phi
+        A = np.frombuffer(entries, dtype=complex).reshape(dim, dim) - np.eye(dim)
         return np.linalg.svd(A, compute_uv=False)
 
     def dims(l, nmin, nmax, tol):
-        argv = ["dims", "--manifold", "gamma-pi2", "--l", str(l), "--nmin", str(nmin),
+        argv = ["dims", "--manifold", manifold, "--l", str(l), "--nmin", str(nmin),
                 "--nmax", str(nmax), "--lmax", "3"] + (["--tol", tol] if tol else [])
         rc, out = run_cli(capsys, *argv)
         assert rc == 0
         return out
 
-    ranges = [(l, lo, hi) for l, top in ((1, 36), (2, 24), (3, 18), (4, 16))
+    ranges = [(l, lo, hi) for l, top in tops
               for lo, hi in ((1, top // 2), (top // 2 + 1, top), (-top, -(top // 2 + 1)),
                              (-(top // 2), -1))]
     for tol in (None, "1e-12", "1e-4", "1e-2"):
         blocks = [dims(*r, tol) for r in ranges]
         with monkeypatch.context() as m:
-            m.setattr(cli, "psi_fixed_subspace_dim", lambda n, lam, l, tol: _nullity(
-                dense_svals(n, lam, l), tol))
+            m.setattr(cli, oracle, lambda n, lam, l, tol: _nullity(dense_svals(n, lam, l), tol))
             assert [dims(*r, tol) for r in ranges] == blocks, tol
+
+
+def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", "psi_fixed_subspace_dim",
+                                      psi_pullback_matrix, ((1, 36), (2, 24), (3, 18), (4, 16)))
+
+
+def test_dims_half_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", "phi_fixed_subspace_dim",
+                                      phi_pullback_matrix, ((1, 80), (2, 56), (3, 40), (4, 32)))
 
 
 def test_dims_rejects_bad_requests(capsys):
@@ -689,6 +725,12 @@ def test_dims_refuses_a_bad_or_ill_conditioned_tol(capsys):
         assert main(argv + [tol]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "tol must be positive and finite" in err
+    # below sigma_max N eps a kernel value may be rounding noise: both kinds refuse
+    for manifold in ("gamma-pi", "gamma-pi2"):
+        assert main(["dims", "--manifold", manifold, "--l", "1", "--nmin", "15", "--nmax", "17",
+                     "--lmax", "1", "--tol", "1e-20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "below the rank rule's floor" in err and "(row n = 15" in err
 
 
 def test_runtime_never_imports_scipy():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import null_space
 
 from heis_spectra.group import (
     PolarizedPoint,
@@ -24,7 +24,6 @@ from heis_spectra.invariants import (
     _orbit_blocks,
     _psi_phase,
     _sector_index,
-    _singular_values,
     character_table,
     dim_from_characters,
     dim_phi_invariant,
@@ -34,6 +33,7 @@ from heis_spectra.invariants import (
     gauss_sum,
     gauss_sum_direct,
     phi_constraint_solve,
+    phi_fixed_subspace_dim,
     phi_pullback_matrix,
     psi_constraint_solve,
     psi_fixed_subspace_dim,
@@ -43,9 +43,8 @@ from heis_spectra.invariants import (
 
 SWEEP = [(n, lam, l) for n in (-3, -2, -1, 1, 2, 3) for lam in range(4) for l in (1, 2)]
 
-# N = 2l|n| = 34, 64, 160 and 256: above the size where the oracle stops taking
-# one dense SVD and splits I - M into blocks
-ABOVE_CROSSOVER = [(n, lam, l) for m, l in ((17, 1), (16, 2), (20, 4), (32, 4))
+# N = 2l|n| = 34, 64, 160 and 256
+LARGER_SECTORS = [(n, lam, l) for m, l in ((17, 1), (16, 2), (20, 4), (32, 4))
                    for n in (m, -m) for lam in range(4)]
 
 # l <= 5, 1 <= |n| <= 12: the sectors on which the structured matrices are
@@ -257,67 +256,19 @@ def test_count_and_basis_follow_one_rank_rule(svals, seed):
         assert np.linalg.norm(A @ B) < 1e-9
 
 
-def _block(rng, size, planted):
-    """A size x size complex block: random entries, about a third of them zero, or
-    with planted singular values, P diag(planted) G for a phased permutation P and
-    a chain of Givens rotations G, whose entries below the subdiagonal are zero."""
-    if planted is None:
-        block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        return np.where(rng.random((size, size)) < 0.3, 0, block)
-    G = np.eye(size, dtype=complex)
-    for i in range(size - 1):
-        theta = rng.uniform(0.3, 1.2)
-        c, s = np.cos(theta), np.sin(theta) * np.exp(2j * math.pi * rng.random())
-        rot = np.eye(size, dtype=complex)
-        rot[i:i + 2, i:i + 2] = [[c, -np.conj(s)], [s, c]]
-        G = G @ rot
-    P = np.exp(2j * math.pi * rng.random(size))[:, None] * np.eye(size)[rng.permutation(size)]
-    return P @ np.diag(planted) @ G
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=8, max_size=24),
-       planted=st.lists(_PLANTED.filter(lambda s: not 1e-9 <= s <= 1e-7), min_size=120,
-                        max_size=120),
-       band=st.none() | st.sampled_from([3e-9, 1e-8, 3e-8]), symmetric=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_block_split_keeps_the_singular_values_and_the_count(blocks, planted, band, symmetric,
-                                                             seed):
-    # a permuted block-diagonal I - M above the dense crossover, at most one planted
-    # value in the band: its blocks' singular values are the dense SVD's, so the
-    # count and the refusal are too
-    rng = np.random.default_rng(seed)
-    while sum(size for size, _ in blocks) <= 32:
-        blocks = blocks + [(5, False)]
-    values = iter(planted if band is None else [band] + planted)
-    parts = [_block(rng, size, [next(values) for _ in range(size)] if plant else None)
-             for size, plant in blocks]
-    B = block_diag(*parts)
-    dim = len(B)
-    rows = rng.permutation(dim)
-    A = B[rows][:, rows if symmetric else rng.permutation(dim)]
-    dense = np.linalg.svd(A, compute_uv=False)
-    assert np.max(np.abs(_singular_values(A) - dense), initial=0) <= 1e-12 * dense[0]
-    M = np.eye(dim) + A
-    try:
-        want = _nullity(np.linalg.svd(M - np.eye(dim), compute_uv=False), 1e-8)
-    except IllConditionedError:
-        with pytest.raises(IllConditionedError):
-            fixed_subspace_dim(M)
-        return
-    assert fixed_subspace_dim(M) == want
-    assert want == null_space(A, rcond=1e-8 / max(dense[0], 1e-300)).shape[1]
-
-
 def test_one_dense_svd_per_psi_sector_and_one_batch_per_block_size():
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        # N = 128: the first row of I - M has no zero, so one dense SVD
+        # N = 128: the reference takes one dense SVD of I - M
         assert fixed_subspace_dim(psi_pullback_matrix(16, 1, 4)) == dim_psi_invariant(16, 1, 4)
         assert [call.args[0].shape for call in svd.call_args_list] == [(128, 128)]
         svd.reset_mock()
-        # N = 256: the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest
-        assert fixed_subspace_dim(phi_pullback_matrix(128, 1, 1)) == dim_phi_invariant(128, 1, 1)
-        assert [call.args[0].shape for call in svd.call_args_list] == [(127, 2, 2)]
+        # the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest, at
+        # N = 256 and at small N alike, down to N = 2 with no pair
+        for n, lam, l, shape in ((128, 1, 1, (127, 2, 2)), (-4, 2, 2, (7, 2, 2)),
+                                 (1, 0, 1, (0, 2, 2))):
+            assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
+            assert [call.args[0].shape for call in svd.call_args_list] == [shape]
+            svd.reset_mock()
 
 
 def _orbit_basis(n, l):
@@ -394,6 +345,41 @@ def test_quarter_turn_oracle_keeps_the_rank_rule():
         psi_fixed_subspace_dim(0, 0, 1)
 
 
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except (IllConditionedError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sector=_ORBIT_SECTORS, lam=st.integers(0, 40), negative=st.booleans(),
+       tol=st.sampled_from([1e-20, 1e-14, 1e-12, 1e-8, 1e-4, 0.1, 0.3, 1.0, 30.0]))
+def test_half_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negative, tol):
+    # 2 <= N <= 160: the orbit blocks give the dense count, or the same refusal (the
+    # band around the singular value 2 at tol = 0.3 and 1, the floor at 1e-20, and
+    # at 1e-14 once N > 22)
+    l, m = sector
+    n = -m if negative else m
+    assert (_outcome(phi_fixed_subspace_dim, n, lam, l, tol)
+            == _outcome(fixed_subspace_dim, phi_pullback_matrix(n, lam, l), tol))
+
+
+def test_rank_rule_refuses_a_tol_below_its_floor():
+    # the floor is numpy's matrix_rank default sigma_max N eps; below it a kernel
+    # value may be rounding noise (the dense SVD's is 1e-16..5e-16 at N = 30)
+    svals = np.array([2.0] * 64 + [0.0] * 64)
+    floor = 2.0 * 128 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="floor"):
+        _nullity(svals, 0.99 * floor)
+    assert _nullity(svals, 1.01 * floor) == _nullity(svals, 1e-12) == 64
+    assert _nullity(np.zeros(4), 1e-300) == 4  # M = I: the floor is 0
+    for count in (phi_fixed_subspace_dim, psi_fixed_subspace_dim,
+                  lambda *args: fixed_subspace_dim(phi_pullback_matrix(*args[:3]), args[3])):
+        with pytest.raises(ValueError, match="floor"):
+            count(15, 0, 1, 1e-20)
+
+
 def test_rank_rule_needs_a_positive_finite_tol():
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -413,8 +399,9 @@ def test_dim_psi_closed_form():
 
 
 def test_oracle_equivalence_subset():
-    for n, lam, l in SWEEP + ABOVE_CROSSOVER:
+    for n, lam, l in SWEEP + LARGER_SECTORS:
         assert fixed_subspace_dim(phi_pullback_matrix(n, lam, l)) == dim_phi_invariant(n, lam, l)
+        assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
         assert fixed_subspace_dim(psi_pullback_matrix(n, lam, l)) == dim_psi_invariant(n, lam, l)
 
 
