@@ -9,40 +9,40 @@ cutoff and print the lines with their origins.
 import math
 
 from heis_spectra import (
+    BieberbachSpec,
     enumerate_spectrum,
     gamma_pi,
     gamma_pi_half,
     scaled_square,
     standard_rect,
-    OscillatorOrigin,
 )
 
 ALPHA = 0.0
 TMAX = 10.0
 
 
-def show(tag, lines):
+def show(tag, manifold):
     print(f"\n{tag}  (alpha={ALPHA}, up to t={TMAX})")
-    for ln in lines:
-        if ln.value <= 0:
-            continue
-        if isinstance(ln.origin, OscillatorOrigin):
-            src = f"oscillator n={ln.origin.n:+d} lam={ln.origin.lam}"
+    # a torus line counts rotation orbits; each has index points
+    index = manifold.index if isinstance(manifold, BieberbachSpec) else 1
+    lines = enumerate_spectrum(manifold, ALPHA, TMAX)
+    for value, mult, kind, n, lam, mu, nu in lines[lines["value"] > 0].tolist():
+        if kind:
+            src = f"oscillator n={n:+d} lam={lam}"
         else:
-            rep = ln.origin.points[0]
-            src = f"torus ({rep.mu:+.4f}, {rep.nu:+.4f}) x{len(ln.origin.points)}"
-        print(f"  {ln.value:10.6f}  mult {ln.multiplicity:2d}   {src}")
+            src = f"torus ({mu:+.4f}, {nu:+.4f}) x{mult * index}"
+        print(f"  {value:10.6f}  mult {mult:2d}   {src}")
 
 
 # the two lattice quotients: multiplicities grow linearly in |n|
-show("standard-rect l=1", enumerate_spectrum(standard_rect(1), ALPHA, TMAX))
-show("scaled-square l=1", enumerate_spectrum(scaled_square(1), ALPHA, TMAX))
+show("standard-rect l=1", standard_rect(1))
+show("scaled-square l=1", scaled_square(1))
 
 # the crystallographic quotients thin the oscillator lines: the half turn
 # keeps roughly half of each multiplicity, the quarter turn roughly a quarter,
 # and the bottom pair n=+-1, lam=0 disappears entirely
-show("gamma-pi l=1", enumerate_spectrum(gamma_pi(1), ALPHA, TMAX))
-show("gamma-pi-half l=1", enumerate_spectrum(gamma_pi_half(1), ALPHA, TMAX))
+show("gamma-pi l=1", gamma_pi(1))
+show("gamma-pi-half l=1", gamma_pi_half(1))
 
 # the lowest oscillator value itself
 print(f"\nbottom oscillator value on the lattice quotients: {math.pi / 2:.6f}")

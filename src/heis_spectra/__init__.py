@@ -53,10 +53,6 @@ from .invariants import (
 )
 from .operator import apply_folland_stein, folland_stein_residual
 from .spectrum import (
-    DualLatticePoint,
-    OscillatorOrigin,
-    SpectralLine,
-    TorusOrigin,
     dual_lattice,
     enumerate_spectrum,
     oscillator_eigenvalue,

@@ -30,7 +30,7 @@ from .invariants import (
     psi_fixed_subspace_dim,
     sector_dimensions,
 )
-from .spectrum import MAX_SPECTRUM_LINES, OscillatorOrigin, enumerate_spectrum, oscillator_eigenvalue
+from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, wb_eigenfunction_grid
 from .weyl import (
@@ -59,11 +59,6 @@ def _write_output(path: str | None, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _spectral_lines(manifold, alpha: float, tmax: float):
-    # files list the positive spectrum; the zero mode is implicit
-    return [ln for ln in enumerate_spectrum(manifold, alpha, tmax) if ln.value > 0]
-
-
 # Every table is written from %-templates, one literal per row kind: %.17g for
 # each float (17 significant digits round-trip) and %d for each integer, exact
 # at any size.  No field holds a comma, a quote or a newline.
@@ -74,19 +69,20 @@ _JSON_TORUS = ('    {"value": %.17g, "multiplicity": %d, '
                '"origin": {"kind": "torus", "mu": %.17g, "nu": %.17g}}')
 _CSV_OSCILLATOR = "%.17g,%d,oscillator,%d,%d,,\n"
 _CSV_TORUS = "%.17g,%d,torus,,,%.17g,%.17g\n"
+_ROWS_AT_ONCE = 1 << 16
 
 
 def _spectrum_rows(lines, oscillator: str, torus: str) -> list[str]:
-    """Each line filled into the template of its origin's kind; a torus line
-    writes the first of its points."""
+    """Each line of positive value filled into the template of its kind: a torus
+    line writes the first point of its group.  The zero mode is implicit."""
     rows = []
-    for ln in lines:
-        origin = ln.origin
-        if isinstance(origin, OscillatorOrigin):
-            rows.append(oscillator % (ln.value, ln.multiplicity, origin.n, origin.lam))
-        else:
-            point = origin.points[0]
-            rows.append(torus % (ln.value, ln.multiplicity, point.mu, point.nu))
+    # a slice of lines at a time becomes Python objects, about 180 bytes a line
+    for start in range(0, lines.size, _ROWS_AT_ONCE):
+        part = lines[start:start + _ROWS_AT_ONCE]
+        part = part[part["value"] > 0]
+        rows += [oscillator % (value, mult, n, lam) if kind else torus % (value, mult, mu, nu)
+                 for value, mult, kind, n, lam, mu, nu
+                 in zip(*(part[name].tolist() for name in part.dtype.names))]
     return rows
 
 
@@ -109,7 +105,7 @@ def _check_rows(rows: int) -> None:  # before any row is computed
 def cmd_spectrum(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
     text = _spectrum_text(args.format, manifold_tag(manifold), args.alpha, args.tmax,
-                          _spectral_lines(manifold, args.alpha, args.tmax))
+                          enumerate_spectrum(manifold, args.alpha, args.tmax))
     _write_output(args.out, text)
     return 0
 

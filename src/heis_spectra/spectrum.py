@@ -30,15 +30,15 @@ _CHUNK_ENTRIES entries, so memory stays bounded at any t.
 On a crystallographic quotient the rotation permutes the characters in orbits
 of full size away from the origin, so torus multiplicities are point counts
 divided by the index (tests/test_counting_core.py ranks the orbit projector).
-enumerate_spectrum counts its lines before it makes them and refuses more than
-MAX_SPECTRUM_LINES.
+enumerate_spectrum lists the lines as one sorted table of LINE records: the
+points of _torus_rows grouped by num, and m = 1..M on each level of _level_tops
+with the multiplicities of the class table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,40 +46,17 @@ from .group import BieberbachSpec, LatticeSpec, PolarizedPoint
 from .invariants import dim_phi_invariant, dim_psi_invariant
 
 
-@dataclass(frozen=True)
-class DualLatticePoint:
-    mu: float
-    nu: float
-
-
-@dataclass(frozen=True)
-class OscillatorOrigin:
-    n: int
-    lam: int
-
-
-@dataclass(frozen=True)
-class TorusOrigin:
-    points: tuple[DualLatticePoint, ...]
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    value: float
-    multiplicity: int
-    origin: TorusOrigin | OscillatorOrigin
-
-
-def torus_character(mu_nu: DualLatticePoint, pt: PolarizedPoint) -> complex:
+def torus_character(mu_nu: tuple[float, float], pt: PolarizedPoint) -> complex:
     """chi_{mu,nu}(p,q,s) = e^{2 pi i (mu p + nu q)}; kills the central direction."""
-    return complex(np.exp(2j * math.pi * (mu_nu.mu * pt.p + mu_nu.nu * pt.q)))
+    mu, nu = mu_nu
+    return complex(np.exp(2j * math.pi * (mu * pt.p + nu * pt.q)))
 
 
-def dual_lattice(lattice: LatticeSpec) -> tuple[DualLatticePoint, DualLatticePoint]:
-    """Generators of the dual of the projected (p,q) lattice: its steps are
-    orthogonal, so the dual steps are their reciprocals."""
+def dual_lattice(lattice: LatticeSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Generators (mu, nu) of the dual of the projected (p,q) lattice: its steps
+    are orthogonal, so the dual steps are their reciprocals."""
     sp, sq = lattice.steps
-    return DualLatticePoint(1.0 / sp, 0.0), DualLatticePoint(0.0, 1.0 / sq)
+    return (1.0 / sp, 0.0), (0.0, 1.0 / sq)
 
 
 def _torus_value(num: int, den: int) -> float:
@@ -98,9 +75,10 @@ def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
 
 
 # enumerate_spectrum refuses a tmax with more (n, lambda) pairs and torus points
-# than this: a line takes about 300 bytes of Python objects, so the largest
-# allowed spectrum takes about 0.6 GB.  Near |alpha| = 1 the lam = 0 level alone
-# holds about 2 tmax / (pi (1 - |alpha|)) lines.
+# than this: `spectrum --manifold nl --alpha 0.9999 --tmax 300` (1,910,769 lines
+# of 56 bytes) peaks at 0.27 GB of resident memory in enumerate_spectrum, and at
+# 0.46 GB (CSV) or 0.92 GB (JSON) with its text, on a 2-core box with numpy 2.4.
+# Near |alpha| = 1 the lam = 0 level holds about 2 tmax / (pi (1 - |alpha|)) lines.
 MAX_SPECTRUM_LINES = 2_000_000
 # _oscillator_sums refuses a grid that would visit more (sample, level) entries
 # than this, about sum_s 2 (floor(t_s / pi) + 2): an entry costs about 1e-7 s on
@@ -334,23 +312,64 @@ def _torus_points(lattice: LatticeSpec, t: float) -> int:
     return sum(2 * kmax + 1 for _, kmax in _torus_rows(lattice, t)[2])
 
 
-def _sort_key(line: SpectralLine):
-    if isinstance(line.origin, TorusOrigin):
-        p = line.origin.points[0]
-        return (line.value, 0, p.mu, p.nu)
-    return (line.value, 1, line.origin.n, line.origin.lam)
+LINE = np.dtype([("value", "f8"), ("multiplicity", "i8"), ("kind", "i8"), ("n", "i8"),
+                 ("lam", "i8"), ("mu", "f8"), ("nu", "f8")])
+
+
+def _ranges(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., size - 1 for each of sizes, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _torus_lines(lattice: LatticeSpec, orbits, a: int, den: int, rows: list) -> np.ndarray:
+    """One line per num = a i^2 + k^2 of the points of rows (see _torus_rows), the
+    origin's first.  Every num is at most the top of the i = 0 row, whose
+    2 isqrt(top) + 1 points were counted, so num < (MAX_SPECTRUM_LINES / 2)^2."""
+    i, kmax = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    size = 2 * kmax + 1
+    k = _ranges(size) - np.repeat(kmax, size)
+    nums = np.repeat([a * row * row for row in i.tolist()], size) + k * k
+    nums, first, points = np.unique(nums, return_index=True, return_counts=True)
+    mult = orbits(points)
+    mult[0] = 1  # the origin
+    (g1, _), (_, g2) = dual_lattice(lattice)
+    lines = np.zeros(nums.size, dtype=LINE)
+    lines["value"], lines["multiplicity"] = _torus_value(nums, den), mult
+    lines["mu"], lines["nu"] = np.repeat(i, size)[first] * g1, k[first] * g2
+    return lines
+
+
+def _oscillator_lines(f, tmax: float, sgn, lam, c, _, tops) -> np.ndarray:
+    """The lines m = 1..tops[0] of a chunk of _level_tops whose multiplicity
+    f(sgn m, lam) = f0 + d (m - 1) // 4 of the class table is not 0."""
+    f0, d = _class_table((f,))[:2]
+    if np.abs(f0).max() + np.abs(d).max() * (int(tops.max()) // 4) >= 2**63:
+        raise ValueError(f"the spectrum up to tmax = {tmax!r} has multiplicities past "
+                         f"2^63, more than its integer columns hold")
+    f0, d = f0[..., 0].astype(np.int64), d[..., 0].astype(np.int64)
+    level, m = np.repeat(np.arange(tops.size), tops[0]), _ranges(tops[0]) + 1
+    code, j = (4 * (sgn < 0) + lam % 4)[level], (m - 1) % 4
+    mult = f0[code, j] + d[code, j] * ((m - 1) // 4)
+    keep = mult > 0
+    level, m = level[keep], m[keep]
+    lines = np.zeros(m.size, dtype=LINE)
+    lines["value"], lines["multiplicity"] = _oscillator_value(m, c[level]), mult[keep]
+    lines["kind"], lines["n"], lines["lam"] = 1, sgn[level] * m, lam[level]
+    return lines
 
 
 def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
-                       tmax: float) -> list[SpectralLine]:
+                       tmax: float) -> np.ndarray:
     """All spectral lines with value <= tmax on a lattice or crystallographic
-    quotient, sorted ascending.
+    quotient, one LINE record each, sorted by (value, kind, mu, nu, n, lam).
 
-    Torus lines group the dual-lattice points of one value; their multiplicity
-    is the number of rotation orbits (the point count on a lattice), and the zero
-    line has multiplicity 1.  Oscillator lines are kept per (n, lambda) and never
-    merged with torus lines; zero oscillator values (the alpha = +-1 kernels) and
-    zero multiplicities are left out.
+    Torus lines (kind 0, n = lam = 0) group the dual-lattice points of one value;
+    their multiplicity is the number of rotation orbits (the point count on a
+    lattice), the zero line, always first, has multiplicity 1, and (mu, nu) is the
+    group's first point in the order of (i, k).  Oscillator lines (kind 1, mu = nu
+    = 0.0) are kept per (n, lambda); zero oscillator values (the alpha = +-1
+    kernels) and zero multiplicities are left out.  More than MAX_SPECTRUM_LINES
+    lines raise ValueError before any is made, a multiplicity past int64 after.
     """
     if not 0 < tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
@@ -377,20 +396,6 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
         found = f"at least {count}" if count else f"more than {_WIDE_TOP:.2g}"
         raise ValueError(f"the spectrum up to tmax = {tmax!r} has {found} lines (oscillator "
                          f"pairs and torus points), more than the limit of {MAX_SPECTRUM_LINES}")
-    g1, g2 = dual_lattice(lattice)
-    groups: dict[int, list[DualLatticePoint]] = {}
-    for i, kmax in rows:
-        for k in range(-kmax, kmax + 1):
-            groups.setdefault(a * i * i + k * k, []).append(DualLatticePoint(i * g1.mu, k * g2.nu))
-    lines = [SpectralLine(_torus_value(num, den), orbits(len(pts)) if num else 1,
-                          TorusOrigin(tuple(pts)))
-             for num, pts in groups.items()]
-    for sgns, lams, cs, _, tops in levels:
-        for sgn, lam, c, top in zip(sgns.tolist(), lams.tolist(), cs.tolist(), tops[0].tolist()):
-            for m in range(1, top + 1):
-                mult = f(sgn * m, lam)
-                if mult > 0:
-                    lines.append(SpectralLine(_oscillator_value(m, c), mult,
-                                              OscillatorOrigin(sgn * m, lam)))
-    lines.sort(key=_sort_key)
-    return lines
+    lines = np.concatenate([_torus_lines(lattice, orbits, a, den, rows),
+                            *(_oscillator_lines(f, tmax, *level) for level in levels)])
+    return lines[np.lexsort([lines[key] for key in ("lam", "n", "nu", "mu", "kind", "value")])]

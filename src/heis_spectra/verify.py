@@ -42,7 +42,7 @@ from .invariants import (
     psi_pullback_matrix,
     sector_dimensions,
 )
-from .spectrum import OscillatorOrigin, enumerate_spectrum
+from .spectrum import enumerate_spectrum
 from .weil_brezin import WBIndex, schrodinger_act, weil_brezin_eval, wb_eigenfunction
 from .weyl import counting_columns, oscillator_pair_sums, weyl_constant
 
@@ -220,19 +220,21 @@ def _suite_gauss() -> str:
 
 
 def _suite_spectrum() -> str:
-    for lattice, alpha in ((standard_rect(1), 0.0), (standard_rect(2), 0.4), (scaled_square(1), 0.0)):
-        lines = enumerate_spectrum(lattice, alpha, 15.0)
-        values = [ln.value for ln in lines]
-        _require(values == sorted(values), "spectrum is not sorted")
-        _require(all(ln.multiplicity >= 1 for ln in lines), "empty spectral line")
-        for ln in lines:
-            if isinstance(ln.origin, OscillatorOrigin):
-                n, lam = ln.origin.n, ln.origin.lam
-                sgn = 1.0 if n > 0 else -1.0
-                expect = (math.pi * abs(n) / 2.0) * (2 * lam + 1 - alpha * sgn)
-                _require(abs(ln.value - expect) < 1e-12, "oscillator value mismatch")
-                _require(ln.multiplicity == lattice.covering_width * abs(n),
-                         "oscillator multiplicity mismatch")
+    for manifold, alpha, mult in (
+            (standard_rect(1), 0.0, lambda n, lam: abs(n)),
+            (standard_rect(2), 0.4, lambda n, lam: 2 * abs(n)),
+            (scaled_square(1), 0.0, lambda n, lam: 2 * abs(n)),
+            (gamma_pi(1), 0.0, lambda n, lam: dim_phi_invariant(n, lam, 1)),
+            (gamma_pi_half(1), 0.4, lambda n, lam: dim_psi_invariant(n, lam, 1))):
+        lines = enumerate_spectrum(manifold, alpha, 15.0)
+        _require(bool((np.diff(lines["value"]) >= 0).all()), "spectrum is not sorted")
+        _require(bool((lines["multiplicity"] >= 1).all()), "empty spectral line")
+        osc = lines[lines["kind"] == 1]
+        for value, multiplicity, n, lam in osc[["value", "multiplicity", "n", "lam"]].tolist():
+            sgn = 1.0 if n > 0 else -1.0
+            expect = (math.pi * abs(n) / 2.0) * (2 * lam + 1 - alpha * sgn)
+            _require(abs(value - expect) < 1e-12, "oscillator value mismatch")
+            _require(multiplicity == mult(n, lam), "oscillator multiplicity mismatch")
     return "ordering, values, multiplicities"
 
 

@@ -31,8 +31,6 @@ from heis_spectra.group import (
 )
 from heis_spectra.invariants import dim_phi_invariant, dim_psi_invariant
 from heis_spectra.spectrum import (
-    DualLatticePoint,
-    TorusOrigin,
     _oscillator_sums,
     dual_lattice,
     enumerate_spectrum,
@@ -104,9 +102,14 @@ class _Atoms:
 
 
 def _split(lines):
-    osc = sum(ln.multiplicity for ln in lines if not isinstance(ln.origin, TorusOrigin))
-    tor = sum(ln.multiplicity for ln in lines if isinstance(ln.origin, TorusOrigin) and ln.value > 0)
+    osc = lines["multiplicity"][lines["kind"] == 1].sum()
+    tor = lines["multiplicity"][(lines["kind"] == 0) & (lines["value"] > 0)].sum()
     return osc, tor
+
+
+def _below(lines, t):
+    """The records of lines with value <= t, as tuples."""
+    return lines[lines["value"] <= t].tolist()
 
 
 _ALPHA = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-0.9, 0.9))
@@ -122,10 +125,13 @@ def test_every_line_value_is_a_consistent_threshold(family, l, alpha):
     atoms = _Atoms(manifold, alpha, tmax)
     full = enumerate_spectrum(manifold, alpha, tmax)
     assert _split(full) == atoms.counts(tmax)
-    for v in sorted({ln.value for ln in full if ln.value > 0}):
+    # row by row, in order, the oscillator lines are the per-pair oracle's nonzero ones
+    osc = full[full["kind"] == 1][["value", "multiplicity", "n", "lam"]].tolist()
+    assert osc == [row for row in sorted(atoms.osc, key=lambda r: (r[0], r[2], r[3])) if row[1]]
+    for v in sorted(set(full["value"][full["value"] > 0].tolist())):
         lines = enumerate_spectrum(manifold, alpha, v)
         # the same lines, multiplicities included, as at tmax = 60
-        assert lines == [ln for ln in full if ln.value <= v]
+        assert lines.tolist() == _below(full, v)
         series = counting_function(manifold, alpha, [v])
         assert (series.oscillator[0], series.torus[0]) == _split(lines) == atoms.counts(v)
         pairs = atoms.pairs(v)
@@ -144,15 +150,13 @@ def test_every_line_value_is_a_consistent_threshold(family, l, alpha):
 def test_a_line_is_whole_at_its_own_value(manifold, point, mult, torus):
     # at t equal to a torus eigenvalue every point of its line is counted and
     # no row of points is dropped
-    lattice = _cover(manifold)[0]
-    g1, g2 = dual_lattice(lattice)
-    rep = DualLatticePoint(point[0] * g1.mu, point[1] * g2.nu)
+    a, den = _form(_cover(manifold)[0])
+    value = math.pi**2 * (a * point[0] ** 2 + point[1] ** 2) / den
     big = enumerate_spectrum(manifold, 0.0, 2000.0)
-    (line,) = [ln for ln in big if isinstance(ln.origin, TorusOrigin) and rep in ln.origin.points]
-    assert line.multiplicity == mult
-    at_value = enumerate_spectrum(manifold, 0.0, line.value)
-    assert at_value == [ln for ln in big if ln.value <= line.value]
-    assert counting_function(manifold, 0.0, [line.value]).torus == (torus,)
+    (line,) = big[(big["kind"] == 0) & (big["value"] == value)]
+    assert line["multiplicity"] == mult
+    assert enumerate_spectrum(manifold, 0.0, value).tolist() == _below(big, value)
+    assert counting_function(manifold, 0.0, [value]).torus == (torus,)
 
 
 @pytest.mark.parametrize("manifold,t", [
@@ -167,7 +171,7 @@ def test_a_threshold_just_below_a_line_leaves_it_out(manifold, t):
     # rounds up to 5; all lie below the eigenvalue, so its line is absent
     lines = enumerate_spectrum(manifold, 0.0, t)
     big = enumerate_spectrum(manifold, 0.0, 2 * t)
-    assert lines == [ln for ln in big if ln.value <= t]
+    assert lines.tolist() == _below(big, t)
     series = counting_function(manifold, 0.0, [t])
     assert _split(lines) == (series.oscillator[0], series.torus[0])
 
@@ -175,8 +179,8 @@ def test_a_threshold_just_below_a_line_leaves_it_out(manifold, t):
 def _generator_permutation(spec, t, rng):
     """The action chi -> chi o g on the characters of value <= t, as a permutation
     matrix; each image must be one of them with phase 1."""
-    g1, g2 = dual_lattice(spec.base_lattice)
-    chars = [DualLatticePoint(i * g1.mu, k * g2.nu) for _, i, k in _torus_points(spec.base_lattice, t)]
+    (mu, _), (_, nu) = dual_lattice(spec.base_lattice)
+    chars = [(i * mu, k * nu) for _, i, k in _torus_points(spec.base_lattice, t)]
     xs = [PolarizedPoint(*rng.uniform(-3.0, 3.0, 3)) for _ in range(6)]
     table = np.array([[torus_character(c, x) for x in xs] for c in chars])
     moved = [motion_apply(spec.generator, x) for x in xs]
@@ -203,8 +207,8 @@ def test_torus_counts_are_exact_orbit_counts(kind, l, t):
     # the invariant functions in the span: one per orbit, the constant included
     rank = np.linalg.matrix_rank(projector)
     assert rank == 1 + counting_function(spec, 0.0, [t]).torus[0]
-    assert rank == sum(ln.multiplicity for ln in enumerate_spectrum(spec, 0.0, t)
-                       if isinstance(ln.origin, TorusOrigin))
+    lines = enumerate_spectrum(spec, 0.0, t)
+    assert rank == lines["multiplicity"][lines["kind"] == 0].sum()
 
 
 # ---------------------------------------------------------------------------

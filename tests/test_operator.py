@@ -5,7 +5,7 @@ import pytest
 
 from heis_spectra.group import PolarizedPoint, scaled_square, standard_rect
 from heis_spectra.operator import apply_folland_stein, folland_stein_residual
-from heis_spectra.spectrum import DualLatticePoint, oscillator_eigenvalue, torus_character
+from heis_spectra.spectrum import oscillator_eigenvalue, torus_character
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 
 
@@ -15,7 +15,7 @@ def test_constant_killed():
 
 
 def test_character_residual():
-    f = lambda pt: torus_character(DualLatticePoint(1, 0), pt)
+    f = lambda pt: torus_character((1, 0), pt)
     rng = np.random.default_rng(41)
     for _ in range(5):
         pt = PolarizedPoint(*rng.uniform(-1, 1, size=3))
@@ -24,7 +24,7 @@ def test_character_residual():
 
 def test_character_residual_alpha_independent():
     # S kills chi, so the eigenvalue has no alpha term
-    f = lambda pt: torus_character(DualLatticePoint(1, 1), pt)
+    f = lambda pt: torus_character((1, 1), pt)
     pt = PolarizedPoint(0.2, 0.4, -0.3)
     assert folland_stein_residual(f, 0.7, 2 * math.pi**2, pt, 1e-3) < 1e-3
 
@@ -50,7 +50,7 @@ def test_wb_eigenfunction_residual_square():
 
 def test_second_order_convergence():
     # halving h should cut the residual by about 4 once discretization dominates
-    f = lambda pt: torus_character(DualLatticePoint(2, 1), pt)
+    f = lambda pt: torus_character((2, 1), pt)
     E = math.pi**2 * 5
     pt = PolarizedPoint(0.15, 0.35, 0.0)
     r2 = folland_stein_residual(f, 0.0, E, pt, 2e-3)

@@ -8,9 +8,6 @@ import pytest
 from heis_spectra import spectrum
 from heis_spectra.group import PolarizedPoint, scaled_square, standard_rect
 from heis_spectra.spectrum import (
-    DualLatticePoint,
-    OscillatorOrigin,
-    TorusOrigin,
     dual_lattice,
     enumerate_spectrum,
     oscillator_eigenvalue,
@@ -19,12 +16,10 @@ from heis_spectra.spectrum import (
 
 
 def test_dual_generators():
-    g1, g2 = dual_lattice(standard_rect(1))
-    assert (g1.mu, g1.nu) == (1.0, 0.0) and (g2.mu, g2.nu) == (0.0, 1.0)
-    g1, g2 = dual_lattice(standard_rect(2))
-    assert (g2.mu, g2.nu) == (0.0, 0.5)
-    g1, g2 = dual_lattice(scaled_square(1))
-    assert abs(g1.mu - 1 / math.sqrt(2)) < 1e-15 and abs(g2.nu - 1 / math.sqrt(2)) < 1e-15
+    assert dual_lattice(standard_rect(1)) == ((1.0, 0.0), (0.0, 1.0))
+    assert dual_lattice(standard_rect(2))[1] == (0.0, 0.5)
+    (mu, _), (_, nu) = dual_lattice(scaled_square(1))
+    assert abs(mu - 1 / math.sqrt(2)) < 1e-15 and abs(nu - 1 / math.sqrt(2)) < 1e-15
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 7, 50, 12345])
@@ -102,17 +97,17 @@ def test_dual_pairing_integrality(lattice):
     # mu*u + nu*v in Z for the projected lattice generators (u,v)
     sp, sq = lattice.steps
     lat_gens = [(sp, 0.0), (0.0, sq)]
-    for d in dual_lattice(lattice):
+    for mu, nu in dual_lattice(lattice):
         for u, v in lat_gens:
-            pairing = d.mu * u + d.nu * v
+            pairing = mu * u + nu * v
             assert abs(pairing - round(pairing)) < 1e-10
 
 
 def test_character_values():
-    assert torus_character(DualLatticePoint(0, 0), PolarizedPoint(3, -2, 7)) == 1.0
-    val = torus_character(DualLatticePoint(1, 0), PolarizedPoint(0.5, 1.7, -4.0))
+    assert torus_character((0, 0), PolarizedPoint(3, -2, 7)) == 1.0
+    val = torus_character((1, 0), PolarizedPoint(0.5, 1.7, -4.0))
     assert abs(val + 1.0) < 1e-14
-    val = torus_character(DualLatticePoint(1, 1), PolarizedPoint(0.25, 0.25, 0.0))
+    val = torus_character((1, 1), PolarizedPoint(0.25, 0.25, 0.0))
     assert abs(val + 1.0) < 1e-14
 
 
@@ -127,10 +122,10 @@ def test_oscillator_eigenvalue_formula():
 
 def test_small_spectrum_rect1():
     lines = enumerate_spectrum(standard_rect(1), 0.0, math.pi)
-    torus = [ln for ln in lines if isinstance(ln.origin, TorusOrigin)]
-    osc = [ln for ln in lines if isinstance(ln.origin, OscillatorOrigin)]
-    assert len(torus) == 1 and torus[0].value == 0.0 and torus[0].multiplicity == 1
-    got = sorted((round(ln.value, 12), ln.origin.n, ln.origin.lam, ln.multiplicity) for ln in osc)
+    torus, osc = lines[lines["kind"] == 0], lines[lines["kind"] == 1]
+    assert torus[["value", "multiplicity"]].tolist() == [(0.0, 1)]
+    got = sorted((round(value, 12), n, lam, mult)
+                 for value, mult, n, lam in osc[["value", "multiplicity", "n", "lam"]].tolist())
     want = sorted([
         (round(math.pi / 2, 12), 1, 0, 1),
         (round(math.pi / 2, 12), -1, 0, 1),
@@ -143,31 +138,30 @@ def test_small_spectrum_rect1():
 def test_spectrum_sorted_and_deterministic():
     a = enumerate_spectrum(standard_rect(2), 0.3, 40.0)
     b = enumerate_spectrum(standard_rect(2), 0.3, 40.0)
-    assert a == b
-    values = [ln.value for ln in a]
+    assert a.tolist() == b.tolist()
+    values = a["value"].tolist()
     assert values == sorted(values)
 
 
 def test_zero_value_oscillator_lines_excluded():
     lines = enumerate_spectrum(standard_rect(1), 1.0, 10.0)
-    for ln in lines:
-        if isinstance(ln.origin, OscillatorOrigin):
-            assert ln.value > 0
+    osc = lines[lines["kind"] == 1]
+    assert (osc["value"] > 0).all()
     # (n=1, lam=1) at alpha=1 sits at pi and must be present
-    assert any(isinstance(ln.origin, OscillatorOrigin) and ln.origin.n == 1 and ln.origin.lam == 1
-               and abs(ln.value - math.pi) < 1e-12 for ln in lines)
+    (line,) = osc[(osc["n"] == 1) & (osc["lam"] == 1)]
+    assert abs(line["value"] - math.pi) < 1e-12
 
 
 def test_torus_grouping_multiplicity():
     # mu^2 + nu^2 = 50 has 12 integer representations
     t = math.pi**2 * 50 + 1.0
     lines = enumerate_spectrum(standard_rect(1), 0.0, t)
-    tgt = [ln for ln in lines if isinstance(ln.origin, TorusOrigin)
-           and abs(ln.value - math.pi**2 * 50) < 1e-9]
-    assert len(tgt) == 1
-    assert tgt[0].multiplicity == 12
-    pts = {(p.mu, p.nu) for p in tgt[0].origin.points}
-    assert (5.0, 5.0) in pts and (-1.0, -7.0) in pts
+    (line,) = lines[(lines["kind"] == 0) & (abs(lines["value"] - math.pi**2 * 50) < 1e-9)]
+    pts = sorted((i, k) for i in range(-8, 9) for k in range(-8, 9) if i * i + k * k == 50)
+    assert (5, 5) in pts and (-1, -7) in pts
+    # the line counts every point and writes the first of them in (i, k) order
+    assert line["multiplicity"] == len(pts) == 12
+    assert (line["mu"], line["nu"]) == pts[0] == (-7, -1)
 
 
 def test_completeness_small_scale():
@@ -187,7 +181,20 @@ def test_completeness_small_scale():
             if 0 < v <= tmax:
                 total += abs(n)
     lines = enumerate_spectrum(standard_rect(1), alpha, tmax)
-    assert sum(ln.multiplicity for ln in lines) == total
+    assert lines["multiplicity"].sum() == total
+
+
+def test_multiplicities_near_2_63_are_exact_and_past_it_refused():
+    # the lam = 0 level at 1 - alpha = 2^-52 holds about 9.7e5 lines below
+    # t = 3.4e-10, of multiplicity 2l|n| on the scaled square: up to about 7.8e18 at
+    # l = 4e12, which int64 holds, and 7.8e21 at l = 4e15, which it does not
+    alpha, t = 1 - 2**-52, 3.4e-10
+    lines = enumerate_spectrum(scaled_square(4 * 10**12), alpha, t)
+    osc = lines[lines["kind"] == 1]
+    assert osc["multiplicity"].tolist() == [8 * 10**12 * abs(n) for n in osc["n"].tolist()]
+    assert osc["multiplicity"].max() > 2**62
+    with pytest.raises(ValueError, match=r"multiplicities past 2\^63"):
+        enumerate_spectrum(scaled_square(4 * 10**15), alpha, t)
 
 
 def test_tmax_validation():
@@ -199,6 +206,5 @@ def test_tmax_validation():
 
 def test_square_lattice_multiplicities_use_covering_width():
     lines = enumerate_spectrum(scaled_square(1), 0.0, math.pi + 0.01)
-    osc = [ln for ln in lines if isinstance(ln.origin, OscillatorOrigin)]
-    for ln in osc:
-        assert ln.multiplicity == 2 * abs(ln.origin.n)
+    osc = lines[lines["kind"] == 1]
+    assert osc.size and (osc["multiplicity"] == 2 * abs(osc["n"])).all()

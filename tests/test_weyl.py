@@ -7,7 +7,7 @@ from scipy.special import polygamma
 
 from heis_spectra import spectrum
 from heis_spectra.group import gamma_pi, gamma_pi_half, scaled_square, standard_rect
-from heis_spectra.spectrum import MAX_COUNT_ENTRIES, OscillatorOrigin, TorusOrigin, enumerate_spectrum
+from heis_spectra.spectrum import MAX_COUNT_ENTRIES, enumerate_spectrum
 from heis_spectra.weyl import (
     CountingSeries,
     ParitySetCounts,
@@ -198,10 +198,9 @@ def test_counting_below_bottom():
 def test_counting_matches_enumeration(lattice, alpha, t):
     series = counting_function(lattice, alpha, [t])
     lines = enumerate_spectrum(lattice, alpha, t)
-    osc = sum(l.multiplicity for l in lines if isinstance(l.origin, OscillatorOrigin) and l.value > 0)
-    tor = sum(l.multiplicity for l in lines if isinstance(l.origin, TorusOrigin) and l.value > 0)
-    assert series.oscillator == (osc,)
-    assert series.torus == (tor,)
+    lines = lines[lines["value"] > 0]
+    assert series.oscillator == (lines["multiplicity"][lines["kind"] == 1].sum(),)
+    assert series.torus == (lines["multiplicity"][lines["kind"] == 0].sum(),)
 
 
 def test_counting_validation():
@@ -369,19 +368,15 @@ def test_counting_refuses_a_torus_sector_past_its_limit_before_counting(monkeypa
 
 def test_bieberbach_spectrum_half_quotient():
     lines = enumerate_spectrum(gamma_pi(1), 0.0, 3.2)
-    assert [(round(l.value, 12), l.multiplicity) for l in lines] == [
-        (0.0, 1),
-        (round(math.pi**2 / 4, 12), 1),
-        (round(math.pi, 12), 3),
-        (round(math.pi, 12), 3),
+    # the bottom oscillator pair (n = +-1, lam = 0) has no invariant vectors, so no
+    # line of |n| = 1 is listed
+    assert [(round(value, 12), mult, kind, n)
+            for value, mult, kind, n in lines[["value", "multiplicity", "kind", "n"]].tolist()] == [
+        (0.0, 1, 0, 0),
+        (round(math.pi**2 / 4, 12), 1, 0, 0),
+        (round(math.pi, 12), 3, 1, -2),
+        (round(math.pi, 12), 3, 1, 2),
     ]
-    assert isinstance(lines[0].origin, TorusOrigin)
-    assert isinstance(lines[1].origin, TorusOrigin)
-    assert (lines[2].origin.n, lines[3].origin.n) == (-2, 2)
-    # the bottom oscillator pair (n = +-1, lam = 0) has no invariant vectors
-    assert not any(
-        isinstance(l.origin, OscillatorOrigin) and abs(l.origin.n) == 1 for l in lines
-    )
 
 
 def test_bieberbach_spectrum_quarter_quotient():
@@ -399,22 +394,20 @@ def test_bieberbach_spectrum_quarter_quotient():
         (2 * math.pi, 3, 4),
     ]
     assert len(lines) == len(expected)
-    for line, (value, mult, tag) in zip(lines, expected):
-        assert abs(line.value - value) < 1e-12
-        assert line.multiplicity == mult
-        if tag == "torus":
-            assert isinstance(line.origin, TorusOrigin)
-        else:
-            assert line.origin.n == tag
-    assert sum(l.multiplicity for l in lines) == 14
+    for (value, mult, kind, n), (want, want_mult, tag) in zip(
+            lines[["value", "multiplicity", "kind", "n"]].tolist(), expected):
+        assert abs(value - want) < 1e-12
+        assert mult == want_mult
+        assert (kind, n) == ((0, 0) if tag == "torus" else (1, tag))
+    assert lines["multiplicity"].sum() == 14
 
 
 @pytest.mark.parametrize("spec,a,t", [(gamma_pi(1), 0.0, 20.0), (gamma_pi_half(2), 0.4, 15.0)])
 def test_bieberbach_spectrum_matches_counting(spec, a, t):
     lines = enumerate_spectrum(spec, a, t)
     series = counting_function(spec, a, [t])
-    osc = sum(l.multiplicity for l in lines if isinstance(l.origin, OscillatorOrigin))
-    tor = sum(l.multiplicity for l in lines if isinstance(l.origin, TorusOrigin) and l.value > 0)
+    osc = lines["multiplicity"][lines["kind"] == 1].sum()
+    tor = lines["multiplicity"][(lines["kind"] == 0) & (lines["value"] > 0)].sum()
     assert osc == series.oscillator[0]
     assert tor == series.torus[0]
 
