@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import sys
 
 from .group import (
@@ -72,10 +73,10 @@ _CSV_TORUS = "%.17g,%d,torus,,,%.17g,%.17g\n"
 _ROWS_AT_ONCE = 1 << 16
 
 
-def _spectrum_rows(lines, oscillator: str, torus: str) -> list[str]:
-    """Each line of positive value filled into the template of its kind: a torus
-    line writes the first point of its group.  The zero mode is implicit."""
-    rows = []
+def _spectrum_rows(lines, oscillator: str, torus: str, rows: list) -> list:
+    """rows, extended by each line of positive value filled into the template of
+    its kind: a torus line writes the first point of its group.  The zero mode is
+    implicit."""
     # a slice of lines at a time becomes Python objects, about 180 bytes a line
     for start in range(0, lines.size, _ROWS_AT_ONCE):
         part = lines[start:start + _ROWS_AT_ONCE]
@@ -87,13 +88,21 @@ def _spectrum_rows(lines, oscillator: str, torus: str) -> list[str]:
 
 
 def _spectrum_text(fmt: str, tag: str, alpha: float, tmax: float, lines) -> str:
-    # the lines and rows are freed on return, before the text is written
+    """The spectrum's file, from one join of its rows; the lines are freed once
+    the rows are made, and the rows on return, before the text is written."""
     if fmt == "csv":
-        return ("value,multiplicity,kind,n,lambda,mu,nu\n"
-                + "".join(_spectrum_rows(lines, _CSV_OSCILLATOR, _CSV_TORUS)))
-    rows = _spectrum_rows(lines, _JSON_OSCILLATOR, _JSON_TORUS)
-    body = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
-    return "".join((_JSON_HEAD % (tag, alpha, tmax), *body, "\n}\n"))
+        rows = _spectrum_rows(lines, _CSV_OSCILLATOR, _CSV_TORUS,
+                              ["value,multiplicity,kind,n,lambda,mu,nu\n"])
+        del lines
+        return "".join(rows)
+    rows = _spectrum_rows(lines, _JSON_OSCILLATOR, _JSON_TORUS, [])
+    del lines
+    head = _JSON_HEAD % (tag, alpha, tmax)
+    if not rows:
+        return head + "[]\n}\n"
+    rows[0] = head + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def _check_rows(rows: int) -> None:  # before any row is computed
@@ -112,8 +121,26 @@ def cmd_spectrum(args) -> int:
 
 # eigenfunction refuses a grid past this many Hermite recurrence steps: each of
 # its 2g p-rows runs the recurrence to order lam, and at n = 1 a step takes about
-# 8 us at lam = 5e5 (2-core x86 box), so the largest allowed grid takes about 8 s.
+# 8 us at lam = 5e5 (2-core x86 box), so the largest allowed grid takes about 8 s
+# (at --tol 1e-12 the phase rule of _phase_error takes lam up to about 1.7e5 at n = 1).
 MAX_HERMITE_STEPS = 10**6
+
+
+def _phase_error(n: int, lam: int, width: int, tol: float) -> float:
+    """A bound on the error the rounding of the phases puts into a difference of
+    two grid values, relative to the largest.
+
+    eigenfunction refuses an n where this passes --tol.  The series takes
+    e^{2 pi i n y} at y = s, below 2, and at y = (k + off) q on the rectangular
+    cover of width L, where q < L and |k + off| < 3 + reach for the window's
+    reach past the turning point.  The float 2 pi n y is three roundings, off by
+    up to 1.5 eps |2 pi n y|, and a difference such as f(s + 1) - f(s) carries
+    two of them.  So at --tol 1e-12 the grid of nl, l = 1, lam = 0 takes
+    |n| <= 69, and --n 10**300 is refused.
+    """
+    reach = ((math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0))))
+             / math.sqrt(2 * math.pi * abs(n)))
+    return 3.0 * sys.float_info.epsilon * 2 * math.pi * abs(n) * max(2.0, (3.0 + reach) * width)
 
 
 def cmd_eigenfunction(args) -> int:
@@ -131,6 +158,10 @@ def cmd_eigenfunction(args) -> int:
     if 2 * args.grid * args.lam > MAX_HERMITE_STEPS:
         raise ValueError(f"the grid would take 2 grid lam = {2 * args.grid * args.lam} Hermite "
                          f"recurrence steps, above the limit of {MAX_HERMITE_STEPS}")
+    if args.n and args.tol > 0 and _phase_error(args.n, args.lam, manifold.covering_width,
+                                                args.tol) > args.tol:
+        raise ValueError(f"|n| = {abs(args.n):.6g} is too large for --tol {args.tol!r}: the "
+                         f"rounding of the phases e^(2 pi i n y) may pass it")
     idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
     sp, sq = manifold.steps

@@ -11,21 +11,22 @@ quotient).
 Both sectors are keyed by integers.  An oscillator level (sgn, lambda) holds
 the eigenvalues m * (pi/2) c, c = 2 lambda + 1 - alpha sgn, for m = 1..M; a
 dual-lattice point (i, k) has the value pi^2 num / den with num = a i^2 + k^2.
-Which eigenvalues lie <= t is decided once per level and sample (M) and once
-per sample (the largest num), against the same float expression the lines
-carry, so a line's value is <= t exactly when it is counted.
+Which eigenvalues lie <= t is decided against the same float expression the
+lines carry, so a line's value is <= t exactly when it is counted.
 
-The oscillator core works on a whole grid of samples t at once: a chunk of
-levels gives a (samples x levels) integer matrix of tops M.  Every
-multiplicity is affine in |n| on the residue classes |n| mod 4 and depends on
-lambda only through lambda mod 4, so it is tabulated once and the sums over a
-chunk are matrix products of the class sizes, the class of each level and the
-table.  Each
-level's terms are bounded before the products are taken in float64, which
-is exact below 2^53; the levels past that (the lambda = 0 level near
-|alpha| = 1, with counts of 1e29 and more) are summed in Python ints, and
-tops past 2^62 are stepped in Python ints too.  Chunks hold at most
-_CHUNK_ENTRIES entries, so memory stays bounded at any t.
+The oscillator core counts a whole grid of samples t at once, by Dirichlet's
+hyperbola split.  The pairs (m, lambda) with eigenvalue <= t lie under a
+hyperbola; per sample, the levels lambda <= L = isqrt(t / pi) are counted level
+by level (their tops M), and the levels above by rows m = 1, 2, ..., each row
+holding the lambda in (L, Lambda(m)], so a sample costs about 4 sqrt(t / pi)
+entries instead of t / pi levels.  Every multiplicity is affine in |n| on the
+residue classes |n| mod 4 and depends on lambda only through lambda mod 4, so
+it is tabulated once, and both parts reduce to the class sizes of each
+(sample, sign, lambda mod 4, m mod 4): integers summed in int64, where the few
+entries that could overflow (large tops, such as the lam = 0 level near
+|alpha| = 1) are summed in Python ints.  The sizes times the table are taken
+in float64 where a bound keeps them below 2^53, and in Python ints elsewhere.
+The torus counts of a grid come from one array pass over its rows (i, kmax).
 
 On a crystallographic quotient the rotation permutes the characters in orbits
 of full size away from the origin, so torus multiplicities are point counts
@@ -77,94 +78,116 @@ def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
 # enumerate_spectrum refuses a tmax with more (n, lambda) pairs and torus points
 # than this: `spectrum --manifold nl --alpha 0.9999 --tmax 300` (1,910,769 lines
 # of 56 bytes) peaks at 0.27 GB of resident memory in enumerate_spectrum, and at
-# 0.46 GB (CSV) or 0.92 GB (JSON) with its text, on a 2-core box with numpy 2.4.
+# 0.37 GB (CSV) or 0.60 GB (JSON) with its text, on a 2-core box with numpy 2.4.
 # Near |alpha| = 1 the lam = 0 level holds about 2 tmax / (pi (1 - |alpha|)) lines.
 MAX_SPECTRUM_LINES = 2_000_000
-# _oscillator_sums refuses a grid that would visit more (sample, level) entries
-# than this, about sum_s 2 (floor(t_s / pi) + 2): an entry costs about 1e-7 s on
-# a 2-core box with numpy 2.4, so the largest allowed count (one sample at
-# t = 1.5e8) takes about 10 s.
-MAX_COUNT_ENTRIES = 10**8
-# _torus_rows refuses a torus sector of more rows (i, kmax) than this before it
-# makes any: the rows come one at a time, about 0.5 us each, so a sector at the
-# limit takes about 0.5 s on a 2-core box, once per weyl sample; a spectrum lists
-# them, at about 125 bytes a row.  The points
-# grow as about (pi/4) rows^2, so a spectrum within MAX_SPECTRUM_LINES has fewer
-# than 2000 rows; only a weyl count on a scaled square of large l gets near it.
+# _oscillator_sums refuses a grid with more entries than this, levels below the
+# hyperbola split and rows above it, at most sum_s 4 sqrt(t_s / pi) + 4, and the
+# torus pass of a grid more rows i >= 0 in all.  An entry costs about 0.5 us and,
+# at the peak, 0.15 KB on a 2-core box with numpy 2.4, so the largest allowed
+# count (one sample at t = 7.8e11) takes about 1 s and 0.3 GB; a torus row costs
+# about 50 ns.
+MAX_COUNT_ENTRIES = 2 * 10**6
+# _torus_top refuses a torus sector of more rows (i, kmax) than this before any
+# is made; a spectrum lists them, at about 125 bytes a row.  The points grow as
+# about (pi/4) rows^2, so a spectrum within MAX_SPECTRUM_LINES has fewer than
+# 2000 rows; only a weyl count on a scaled square of large l gets near it.
 MAX_TORUS_ROWS = 10**6
-# Levels are processed in chunks of about this many (sample, level) entries: a
-# chunk's temporaries take 128 KB each at any t and stay in cache (chunks of
-# 2^16 entries ran the benchmark's weyl commands about 40% slower).
-_CHUNK_ENTRIES = 1 << 14
-# Tops that may pass this are kept as Python ints.
+# enumerate_spectrum refuses a tmax at which a top may pass this, before any is
+# stepped: its lines would be far past MAX_SPECTRUM_LINES.
 _WIDE_TOP = 2.0**62
-# Class sums bounded below this are taken in float64, where every term and
-# partial sum is then an exact integer; larger ones, such as the lam = 0 level
-# near |alpha| = 1, in Python ints.
-_EXACT_FLOAT = 2.0**53
+# Below this every integer is a float, and a floor guess of a top is off by a
+# step or two; tops and nums that may pass it are found in Python ints by
+# _largest, since their float values repeat over runs of integers.
+_FLOAT_INTS = 2.0**52
+# Products bounded below this are taken in float64, where every term and partial
+# sum is then an exact integer (the factor 2 below 2^53 covers the rounding of
+# the bound itself); larger ones in Python ints.
+_EXACT_FLOAT = 2.0**52
+# enumerate_spectrum counts and makes its levels this many at a time, and refuses
+# at the first group past MAX_SPECTRUM_LINES, whose running count it reports.
+_LEVELS_AT_ONCE = 1 << 14
 
 
-def _tops(c: np.ndarray, t: np.ndarray, wide: bool) -> np.ndarray:
-    """tops[s, k]: the largest m >= 0 with _oscillator_value(m, c[k]) <= t[s].
+def _step(x: np.ndarray, fits) -> np.ndarray:
+    """x stepped, in place, to the largest value at which fits holds, elementwise.
 
-    The floor guess is stepped against that same expression, which is monotone
-    in m and 0 at m = 0.  Entries are int64, or Python ints when wide (tops that
-    may pass _WIDE_TOP).
+    fits(v, i) tells for the entries i (... for all) whether the values v pass;
+    it holds up to some value and fails past it, and x starts within a few steps
+    of that value.
     """
-    guess = np.floor(t[:, None] / (math.pi / 2.0 * c))
-    top = np.frompyfunc(int, 1, 1)(guess) if wide else guess.astype(np.int64)
-    rows, cols = np.nonzero(_oscillator_value(top + 1, c) <= t[:, None])
-    while rows.size:
-        top[rows, cols] += 1
-        up = _oscillator_value(top[rows, cols] + 1, c[cols]) <= t[rows]
-        rows, cols = rows[up], cols[up]
-    rows, cols = np.nonzero(_oscillator_value(top, c) > t[:, None])
-    while rows.size:
-        top[rows, cols] -= 1
-        down = _oscillator_value(top[rows, cols], c[cols]) > t[rows]
-        rows, cols = rows[down], cols[down]
+    up = fits(x + 1, ...).nonzero()[0]
+    while up.size:
+        x[up] += 1
+        up = up[fits(x[up] + 1, up)]
+    down = (~fits(x, ...)).nonzero()[0]
+    while down.size:
+        x[down] -= 1
+        down = down[~fits(x[down], down)]
+    return x
+
+
+def _largest(fits, guess: int) -> int:
+    """The largest integer n >= 0 at which fits(n) holds, in Python ints.
+
+    fits holds at 0 and up to some n, and fails past it.  Steps of 1, 2, 4, ...
+    from the guess bracket that n and halving closes the bracket, so a guess off
+    by d costs about 2 log2(d) calls, also where a float expression of n repeats
+    over long runs of integers.
+    """
+    top = high = guess
+    step = 1
+    while fits(high):
+        top, high, step = high, high + step, 2 * step
+    step = 1
+    while not fits(top):
+        high, top, step = top, max(top - step, 0), 2 * step
+    while high - top > 1:
+        mid = (top + high) // 2
+        if fits(mid):
+            top = mid
+        else:
+            high = mid
     return top
 
 
-def _level_tops(alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES):
-    """Yield (sgn, lam, c, rows, tops) over the oscillator levels, a chunk at a time.
+def _tops(c: np.ndarray, t: np.ndarray, wide: bool = False) -> np.ndarray:
+    """The largest m >= 0 with _oscillator_value(m, c) <= t, elementwise (c > 0).
+
+    That expression is monotone in m and 0 at m = 0.  The tops are int64, the
+    floor guess stepped against it, or, when wide (tops that may pass
+    _FLOAT_INTS), Python ints found by _largest.
+    """
+    guess = np.floor(t / (math.pi / 2.0 * c))
+    if wide:
+        return np.array([_largest(lambda m: _oscillator_value(m, cm) <= tm, int(g))
+                         for cm, tm, g in zip(c.tolist(), t.tolist(), guess.tolist())],
+                        dtype=object)
+    return _step(guess.astype(np.int64), lambda m, i: _oscillator_value(m, c[i]) <= t[i])
+
+
+def _level_tops(alpha: float, tmax: float):
+    """Yield (sgn, lam, c, tops) over the oscillator levels, _LEVELS_AT_ONCE at a time.
 
     The levels run through lam = 0, 1, ... with both signs each, so c grows from
-    chunk to chunk.  sgn and lam are int64 arrays over the levels of the chunk,
-    c = 2 lam + 1 - alpha sgn, rows are the indices of the samples at which some
-    level of the chunk has an eigenvalue, and tops[i, k] is the largest m with
-    _oscillator_value(m, c[k]) <= tgrid[rows[i]].  A chunk holds about chunk
-    entries: the fewer samples reach its levels, the more levels it takes.  Every level with an eigenvalue
-    <= max(tgrid) is included, and a few past it with tops 0.  Levels whose tops
-    may pass _WIDE_TOP (c near 0, at lam = 0 for |alpha| near 1) come in a chunk
-    of their own, with Python ints.  c <= 0 only at lam = 0 for |alpha| = 1: that
-    kernel is not counted.
+    group to group.  sgn and lam are int64 arrays over the levels of the group,
+    c = 2 lam + 1 - alpha sgn, and tops[k] is the largest m with
+    _oscillator_value(m, c[k]) <= tmax, in int64: the caller refuses a tmax at
+    which a top could pass _WIDE_TOP.  Every level with an eigenvalue <= tmax is
+    included, and a few past it with tops 0.  c <= 0 only at lam = 0 for
+    |alpha| = 1: that kernel is not counted.
     """
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
-    t = np.asarray(tgrid, dtype=float)
-    tmax = float(t.max())
     # c >= 2 lam, so no level at or past tmax / pi + 1 has an eigenvalue <= tmax
     count = 2 * (int(tmax / math.pi) + 2)
-    lo = 0
-    while lo < count:
-        # size the chunk by the samples that can reach its first level, pi lam
-        active = max(1, int(np.count_nonzero(t >= math.pi * (lo // 2 - 1))))
-        index = np.arange(lo, min(lo + max(2, chunk // active), count))
-        lo = int(index[-1]) + 1
+    for lo in range(0, count, _LEVELS_AT_ONCE):
+        index = np.arange(lo, min(lo + _LEVELS_AT_ONCE, count))
         lam, sgn = index // 2, 1 - 2 * (index % 2)
         c = (2 * lam + 1) - alpha * sgn
         keep = c > 0
         sgn, lam, c = sgn[keep], lam[keep], c[keep]
-        cmin = c.min()
-        rows = np.flatnonzero(_oscillator_value(1, cmin) <= t)
-        if not rows.size:
+        if _oscillator_value(1, c.min()) > tmax:
             return
-        if tmax / (math.pi / 2.0 * cmin) >= _WIDE_TOP:
-            wide = tmax / (math.pi / 2.0 * c) >= _WIDE_TOP
-            yield sgn[wide], lam[wide], c[wide], rows, _tops(c[wide], t[rows], True)
-            sgn, lam, c = sgn[~wide], lam[~wide], c[~wide]
-        yield sgn, lam, c, rows, _tops(c, t[rows], False)
+        yield sgn, lam, c, _tops(c, np.full(c.shape, tmax))
 
 
 # Entries kept by the caches of _class_table and _sectors: the program asks for a
@@ -175,92 +198,160 @@ _TABLES = 64
 
 @functools.lru_cache(maxsize=_TABLES)
 def _class_table(fs: tuple):
-    """(f0, d, f0_float, d_float, size, slope) for the multiplicities fs, read-only.
+    """(f0, d, f0_float, d_float, f0_max, d_max) for the multiplicities fs, read-only.
 
-    f0[code, j - 1, i] = f(sgn j, lam) and d = f(sgn (j + 4), lam) - f(sgn j, lam)
-    for the level classes code = 4 (sgn < 0) + lam mod 4, the classes j = 1..4 of
-    m mod 4 and f = fs[i], as Python ints, and in float64.  A class holds at most
-    kmax terms, each at most |f0| + |d| (kmax - 1); size and slope bound these per
-    code, the factors 2 covering the rounding of the bound itself.
+    f0[bin, i] = f(sgn (j + 1), lam) and d = f(sgn (j + 5), lam) - f(sgn (j + 1), lam)
+    at bin = 16 (sgn < 0) + 4 (lam mod 4) + j, for the classes j = 0..3 of m - 1
+    mod 4 and f = fs[i], as Python ints, and in float64; so f(sgn m, lam) =
+    f0 + d q at m = j + 1 + 4 q.  f0_max and d_max hold the largest |f0| and |d|
+    of each bin over fs.
     """
     table = np.array([[[f(sgn * m, r) for f in fs] for m in range(1, 9)]
                       for sgn in (1, -1) for r in range(4)], dtype=object)
-    f0, d = table[:, :4], table[:, 4:] - table[:, :4]
+    f0 = table[:, :4].reshape(32, len(fs))
+    d = (table[:, 4:] - table[:, :4]).reshape(32, len(fs))
     f0_float, d_float = f0.astype(float), d.astype(float)
-    size = 2.0 * np.abs(f0_float).sum(axis=1).max(axis=1)
-    slope = 2.0 * np.abs(d_float).sum(axis=1).max(axis=1) + 2.0
-    out = (f0, d, f0_float, d_float, size, slope)
+    out = (f0, d, f0_float, d_float, np.abs(f0_float).max(axis=1), np.abs(d_float).max(axis=1))
     for array in out:
         array.flags.writeable = False
     return out
 
 
-def _class_sums(tops, classes, f0, d):
-    """(samples x fs): over the levels of tops, the sums of k f0 + d k(k-1)/2 over
-    the classes j = 1..4 of m mod 4, where k is the number of terms j, j + 4, ...
-    <= top.  classes[k, code] is 1 where level k has that code, so the class sizes
-    are first summed per code.  The integer arithmetic is in the type of tops
-    (int64 or Python ints), the products in that of classes, f0 and d."""
-    sums = 0
-    for j in range(4):
-        k = (tops + (3 - j)) >> 2
-        sums = sums + (k @ classes) @ f0[:, j] + (((k * (k - 1)) >> 1) @ classes) @ d[:, j]
-    return sums
+def _check_count(tgrid) -> None:
+    """Refuse a grid whose split has more than MAX_COUNT_ENTRIES entries."""
+    entries = float(np.sum(4.0 * np.sqrt(np.asarray(tgrid, dtype=float) / math.pi) + 4.0))
+    if not entries <= MAX_COUNT_ENTRIES:
+        raise ValueError(f"counting up to t = {max(tgrid)!r} would visit about {entries:.3g} "
+                         f"(sample, level or row) entries, more than the limit of "
+                         f"{MAX_COUNT_ENTRIES}")
 
 
-def _oscillator_sums(fs, alpha: float, tgrid, chunk: int = _CHUNK_ENTRIES,
-                     lattice: LatticeSpec | None = None) -> list[list[int]]:
+def _level_terms(tops):
+    """(kf, kd) per level and class j = 0..3 of m - 1 mod 4: kf = k, the number of
+    m = j + 1, j + 5, ... <= top, and kd = k (k - 1) / 2, so the level's sum of f
+    is sum_j kf f0 + kd d.  In the type of tops (int64 or Python ints)."""
+    kf = (tops[:, None] + np.arange(3, -1, -1)) >> 2
+    return kf, (kf * (kf - 1)) >> 1
+
+
+def _row_terms(lam_top, split, q):
+    """(kf, kd) per row m = j + 1 + 4 q and r = 0..3: kf is the number of lam = r
+    mod 4 in (split, lam_top], and kd = kf q, so the row's sum of f is
+    sum_r kf f0 + kd d.  In the type of lam_top."""
+    r = np.arange(4)
+    kf = ((lam_top[:, None] - r) >> 2) - ((split[:, None] - r) >> 2)
+    return kf, kf * q[:, None]
+
+
+def _split_level(t: np.ndarray) -> np.ndarray:
+    """L = isqrt(t / pi) per sample: the levels lam <= L are counted one by one,
+    and those above by rows.  Any L >= 0 gives the same counts; this one about
+    balances the 2 (L + 2) levels against the about 2 t / (pi (L + 1)) rows."""
+    return np.sqrt(t / math.pi).astype(np.int64)
+
+
+def _split_parts(alpha: float, t: np.ndarray):
+    """(parts, entries): the hyperbola split of each sample t[s] as parts
+    (sample, keys, weight, terms, sources), the levels and the rows, and the
+    number of entries per sample, at most 4 sqrt(t / pi) + 4.  Per entry: its
+    sample; the keys 32 sample + bin of the four bins it adds to, bin =
+    16 (sgn < 0) + 4 (lam mod 4) + (m - 1) mod 4; a float bound on the sum of its
+    kf + kd; and terms(*sources), its (kf, kd) per key, with sources int64 or
+    Python ints.
+
+    Below the split, the levels lam = 0..L (_split_level) of both signs, with
+    their tops, and level L + 1 with top 0.  Above it, per sign the rows
+    m = 1..M, M the top of level L + 1, each with Lambda(m), the largest lam
+    with _oscillator_value(m, (2 lam + 1) - alpha sgn) <= t.  That expression is
+    monotone in lam and in m, so lam <= Lambda(m) exactly when m <= top(lam).
+    """
+    split = _split_level(t)
+    # the levels lam = 0..L + 1 of both signs, sgn = 1 first
+    sizes = 2 * split + 4
+    sample, index = np.arange(t.size).repeat(sizes), _ranges(sizes)
+    lam, neg = index >> 1, index & 1
+    c, ts = (2 * lam + 1) - alpha * (1 - 2 * neg), t[sample]
+    keys = (32 * sample + 16 * neg + 4 * (lam & 3))[:, None] + np.arange(4)
+    parts = []
+    if abs(alpha) == 1.0 or t.max() / (math.pi / 2.0 * (1.0 - abs(alpha))) >= _FLOAT_INTS:
+        # at lam = 0, c = 0 holds no eigenvalue, and tops that may pass _FLOAT_INTS
+        # are found in Python ints, as a part of their own; both get top 0 here
+        aside = (c <= 0) | (ts >= _FLOAT_INTS * (math.pi / 2.0 * c))
+        wide = aside & (c > 0)
+        if wide.any():
+            parts.append((sample[wide], keys[wide], np.full(wide.sum(), np.inf), _level_terms,
+                          (_tops(c[wide], ts[wide], True),)))
+        c, ts = np.where(aside, 1.0, c), np.where(aside, 0.0, ts)
+    tops = _tops(c, ts)
+    # the tops of level L + 1 are the row counts, and the rows count that level
+    last = (sizes.cumsum()[:, None] - (2, 1)).ravel()
+    rows = tops[last]
+    tops[last] = 0
+    size = tops / 4.0 + 1.0
+    parts.append((sample, keys, size * (4.0 + 2.0 * size), _level_terms, (tops,)))
+    owner, m = np.arange(2 * t.size).repeat(rows), _ranges(rows) + 1
+    sample, neg, j, q = owner >> 1, owner & 1, (m - 1) & 3, (m - 1) >> 2
+    shift, ts, L = alpha * (1 - 2 * neg), t[sample], split[sample]
+    guess = np.floor((ts / (math.pi * m / 2.0) - 1.0 + shift) / 2.0).astype(np.int64)
+    lam_top = _step(guess, lambda lam, i: _oscillator_value(m[i], (2 * lam + 1) - shift[i]) <= ts[i])
+    keys = (32 * sample + 16 * neg + j)[:, None] + np.arange(0, 16, 4)
+    parts.append((sample, keys, (lam_top - L + 4.0) * (q + 1.0), _row_terms, (lam_top, L, q)))
+    return parts, sizes + rows[0::2] + rows[1::2]
+
+
+def _oscillator_sums(fs, alpha: float, tgrid) -> list[list[int]]:
     """For each multiplicity f in fs, the sums of f(n, lam) over the pairs with
     oscillator eigenvalue in (0, t], one per t in tgrid.
 
     Contract on f: at fixed sign of n it is affine in |n| on each class of |n| mod 4
     and depends on lam only through lam mod 4.  Every multiplicity of the program
     is: w|n|, dim_phi_invariant, dim_psi_invariant and the parity of |n| + lam.  So
-    f is tabulated once, at sgn m for m = 1..8 and lam mod 4, and a level's sum is
-    a closed form per class of m mod 4; over a chunk of levels these are products
-    of the (samples x levels) class sizes, the (levels x 8) indicator of each
-    level's sign and lam mod 4, and the table.  Each level's terms are bounded
-    first: the levels whose sums could pass _EXACT_FLOAT together are summed in
-    Python ints, the others in float64.  The table is kept per tuple fs
-    (`_class_table`), so a caller that passes the same functions again reuses it.
-    A grid past MAX_COUNT_ENTRIES raises ValueError before any counting, and then,
-    for a caller that counts the torus sector of lattice too, a sector past the
-    limits of `_torus_rows` at the largest t.
+    f is tabulated once (`_class_table`, kept per tuple fs), and the sum at a
+    sample is, over the 32 bins (sign, lam mod 4, m - 1 mod 4), F f0 + D d, where
+    F and D sum the (kf, kd) of the entries of its hyperbola split
+    (`_split_parts`).  F and D are summed in int64, except for the entries whose
+    weight passes 2^62 over the sample's entry count, which are summed in Python
+    ints, so no int64 sum overflows.  The products with the table are taken in
+    float64 where F |f0| + D |d| stays below _EXACT_FLOAT, in Python ints
+    elsewhere.  A grid past MAX_COUNT_ENTRIES raises ValueError before any
+    counting.
     """
-    entries = sum(2.0 * (t // math.pi + 2) for t in tgrid)
-    if not entries <= MAX_COUNT_ENTRIES:
-        raise ValueError(f"counting up to t = {max(tgrid)!r} would visit about {entries:.3g} "
-                         f"(sample, level) entries, more than the limit of {MAX_COUNT_ENTRIES}")
-    if lattice is not None:
-        _torus_rows(lattice, max(tgrid))
-    f0, d, f0_float, d_float, size, slope = _class_table(tuple(fs))
-    totals = [[0] * len(tgrid) for _ in fs]
-    for sgn, lam, _, rows, tops in _level_tops(alpha, tgrid, chunk):
-        code = 4 * (sgn < 0) + lam % 4
-        kmax = np.asarray(tops.max(axis=0), dtype=float) / 4.0 + 1.0
-        bound = kmax * size[code] + kmax * kmax * slope[code] / 2.0
-        classes = (code[:, None] == np.arange(8)).astype(float)
-        parts, fast = [], slice(None)
-        if bound.sum() >= _EXACT_FLOAT:
-            # take out the fewest levels, largest bounds first, that leave the rest below
-            order = np.argsort(bound)[::-1]
-            exact = order[np.cumsum(bound[order][::-1])[::-1] >= _EXACT_FLOAT]
-            fast = np.setdiff1d(order, exact)
-            parts.append(_class_sums(tops[:, exact].astype(object),
-                                     classes[exact].astype(int).astype(object), f0, d))
-        parts.append(_class_sums(tops[:, fast], classes[fast], f0_float, d_float).astype(np.int64))
-        for part in parts:
-            for total, column in zip(totals, part.T.tolist()):
-                for i, v in zip(rows.tolist(), column):
-                    total[i] += v
-    return totals
+    _check_count(tgrid)
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
+    t = np.asarray(tgrid, dtype=float)
+    f0, d, f0_float, d_float, f0_max, d_max = _class_table(tuple(fs))
+    parts, entries = _split_parts(alpha, t)
+    F, D = np.zeros(32 * t.size, np.int64), np.zeros(32 * t.size, np.int64)
+    wide_F, wide_D = np.zeros(32 * t.size, object), np.zeros(32 * t.size, object)
+    exact = np.zeros(t.size, dtype=bool)
+    for sample, keys, weight, terms, sources in parts:
+        big = weight * entries[sample] >= 2.0**62
+        if big.any():
+            kf, kd = terms(*(source[big].astype(object) for source in sources))
+            np.add.at(wide_F, keys[big].ravel(), kf.ravel())
+            np.add.at(wide_D, keys[big].ravel(), kd.ravel())
+            exact[sample[big]] = True
+            keys, sources = keys[~big], [source[~big].astype(np.int64) for source in sources]
+        kf, kd = terms(*sources)
+        np.add.at(F, keys.ravel(), kf.ravel())
+        np.add.at(D, keys.ravel(), kd.ravel())
+    F, D = F.reshape(t.size, 32), D.reshape(t.size, 32)
+    exact |= F @ f0_max + D @ d_max >= _EXACT_FLOAT
+    totals = np.empty((t.size, len(fs)), dtype=object)
+    fast = ~exact
+    totals[fast] = (F[fast] @ f0_float + D[fast] @ d_float).astype(np.int64)
+    wide_F, wide_D = wide_F.reshape(t.size, 32), wide_D.reshape(t.size, 32)
+    for s in exact.nonzero()[0]:
+        totals[s] = (F[s].astype(object) + wide_F[s]) @ f0 + (D[s].astype(object) + wide_D[s]) @ d
+    return totals.T.tolist()
 
 
-def _torus_rows(lattice: LatticeSpec, t: float):
-    """(a, den, rows): the point i g1 + k g2 of the dual lattice has the value
-    _torus_value(a i^2 + k^2, den), and those with value <= t are the (i, k) with
-    |k| <= kmax, for (i, kmax) in rows.  rows is an iterator, made one at a time; a
-    sector past the limits is refused before it is returned."""
+def _torus_top(lattice: LatticeSpec, t: float) -> tuple[int, int, int]:
+    """(a, den, top): the point i g1 + k g2 of the dual lattice has the value
+    _torus_value(a i^2 + k^2, den), and top is the largest num with value <= t.
+    A sector with values past the largest float, or more than MAX_TORUS_ROWS
+    rows, is refused."""
     # pi^2 (i^2 / P + k^2 / Q) with squared steps (P, Q), where P divides Q
     P, den = lattice.squared_steps
     a = den // P
@@ -268,28 +359,70 @@ def _torus_rows(lattice: LatticeSpec, t: float):
     if not guess < math.inf:
         raise ValueError(f"l is too large for the torus values up to t = {t!r}: "
                          f"pi^2 num / den passes the largest float")
-    # top, the largest num with _torus_value(num, den) <= t: the guess is off by
-    # about guess * 2^-52, so it is bracketed in doubling steps against that same
-    # expression, which is monotone in num and 0 at num = 0, then bisected
-    top = high = int(guess)
-    step = 1
-    while _torus_value(high, den) <= t:
-        top, high, step = high, high + step, 2 * step
-    step = 1
-    while _torus_value(top, den) > t:
-        high, top, step = top, max(top - step, 0), 2 * step
-    while high - top > 1:
-        mid = (top + high) // 2
-        if _torus_value(mid, den) <= t:
-            top = mid
-        else:
-            high = mid
-    imax = math.isqrt(top // a)
-    if 2 * imax + 1 > MAX_TORUS_ROWS:
+    # the guess is off by about guess * 2^-52, and that same expression is
+    # monotone in num and 0 at num = 0
+    top = _largest(lambda num: _torus_value(num, den) <= t, int(guess))
+    rows = 2 * math.isqrt(top // a) + 1
+    if rows > MAX_TORUS_ROWS:
         raise ValueError(f"the torus sector up to t = {t!r} at l = {lattice.l} has "
-                         f"{2 * imax + 1} rows of dual-lattice points, more than the "
+                         f"{rows} rows of dual-lattice points, more than the "
                          f"limit of {MAX_TORUS_ROWS}")
+    return a, den, top
+
+
+def _torus_rows(lattice: LatticeSpec, t: float):
+    """(a, den, rows): the points with value <= t are the (i, k) with |k| <= kmax,
+    for (i, kmax) in rows (see _torus_top).  rows is an iterator, made one at a
+    time; a sector past the limits is refused before it is returned."""
+    a, den, top = _torus_top(lattice, t)
+    imax = math.isqrt(top // a)
     return a, den, ((i, math.isqrt(top - a * i * i)) for i in range(-imax, imax + 1))
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """math.isqrt elementwise, for int64 x below _FLOAT_INTS: the float root is
+    off by at most one, and is corrected against x."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _torus_points(lattice: LatticeSpec, tgrid) -> list[int]:
+    """The number of dual-lattice points with value <= t, the origin included, per
+    t of the ascending grid.
+
+    The sector of the largest t is refused first, as one sector by _torus_top.
+    The tops of the samples whose guess t den / pi^2 lies below _FLOAT_INTS, a
+    prefix of the grid, are then stepped as one array, and their points summed over the rows
+    i >= 0 in one pass, with kmax = isqrt(top - a i^2) in int64; the other
+    samples take _torus_top and math.isqrt.  More than MAX_COUNT_ENTRIES rows in
+    all are refused before any row is made.
+    """
+    a, den, _ = _torus_top(lattice, tgrid[-1])
+    t = np.asarray(tgrid, dtype=float)
+    guess = t * den / math.pi**2
+    k = int(np.searchsorted(guess, _FLOAT_INTS))
+    small = t[:k]
+    tops = _step(np.floor(guess[:k]).astype(np.int64),
+                 lambda num, i: _torus_value(num, den) <= small[i])
+    wide = [_torus_top(lattice, s)[2] for s in t[k:].tolist()]
+    # a past every top leaves only the rows i = 0, whatever its value
+    step = min(a, 2**62)
+    sizes = _isqrt(tops // step) + 1
+    wide_imax = [math.isqrt(top // a) for top in wide]
+    rows = int(sizes.sum()) + sum(wide_imax) + len(wide)
+    if rows > MAX_COUNT_ENTRIES:
+        raise ValueError(f"counting the torus sector up to t = {tgrid[-1]!r} at l = "
+                         f"{lattice.l} would visit {rows} rows of dual-lattice points, "
+                         f"more than the limit of {MAX_COUNT_ENTRIES}")
+    points = []
+    if k:
+        row = 2 * _isqrt(tops.repeat(sizes) - step * _ranges(sizes) ** 2) + 1
+        starts = sizes.cumsum() - sizes
+        points = (2 * np.add.reduceat(row, starts) - row[starts]).tolist()
+    return points + [sum(2 * math.isqrt(top - a * i * i) + 1 for i in range(-imax, imax + 1))
+                     for top, imax in zip(wide, wide_imax)]
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -307,18 +440,13 @@ def _sectors(manifold):
             (lambda points: points // index))
 
 
-def _torus_points(lattice: LatticeSpec, t: float) -> int:
-    """The number of dual-lattice points with value <= t, the origin included."""
-    return sum(2 * kmax + 1 for _, kmax in _torus_rows(lattice, t)[2])
-
-
 LINE = np.dtype([("value", "f8"), ("multiplicity", "i8"), ("kind", "i8"), ("n", "i8"),
                  ("lam", "i8"), ("mu", "f8"), ("nu", "f8")])
 
 
 def _ranges(sizes: np.ndarray) -> np.ndarray:
     """0, 1, ..., size - 1 for each of sizes, concatenated."""
-    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
 
 
 def _torus_lines(lattice: LatticeSpec, orbits, a: int, den: int, rows: list) -> np.ndarray:
@@ -339,17 +467,17 @@ def _torus_lines(lattice: LatticeSpec, orbits, a: int, den: int, rows: list) -> 
     return lines
 
 
-def _oscillator_lines(f, tmax: float, sgn, lam, c, _, tops) -> np.ndarray:
-    """The lines m = 1..tops[0] of a chunk of _level_tops whose multiplicity
+def _oscillator_lines(f, tmax: float, sgn, lam, c, tops) -> np.ndarray:
+    """The lines m = 1..tops of a group of _level_tops whose multiplicity
     f(sgn m, lam) = f0 + d (m - 1) // 4 of the class table is not 0."""
     f0, d = _class_table((f,))[:2]
     if np.abs(f0).max() + np.abs(d).max() * (int(tops.max()) // 4) >= 2**63:
         raise ValueError(f"the spectrum up to tmax = {tmax!r} has multiplicities past "
                          f"2^63, more than its integer columns hold")
-    f0, d = f0[..., 0].astype(np.int64), d[..., 0].astype(np.int64)
-    level, m = np.repeat(np.arange(tops.size), tops[0]), _ranges(tops[0]) + 1
-    code, j = (4 * (sgn < 0) + lam % 4)[level], (m - 1) % 4
-    mult = f0[code, j] + d[code, j] * ((m - 1) // 4)
+    f0, d = f0[:, 0].astype(np.int64), d[:, 0].astype(np.int64)
+    level, m = np.repeat(np.arange(tops.size), tops), _ranges(tops) + 1
+    bins = (16 * (sgn < 0) + 4 * (lam % 4))[level] + (m - 1) % 4
+    mult = f0[bins] + d[bins] * ((m - 1) // 4)
     keep = mult > 0
     level, m = level[keep], m[keep]
     lines = np.zeros(m.size, dtype=LINE)
@@ -383,9 +511,9 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
                                               for c in (1 - alpha, 1 + alpha) if c > 0)
     levels, count = [], 0
     if estimate < _WIDE_TOP:
-        for level in _level_tops(alpha, [tmax]):
+        for level in _level_tops(alpha, tmax):
             levels.append(level)
-            count += sum(level[4][0].tolist())
+            count += int(level[3].sum())
             if count > MAX_SPECTRUM_LINES:
                 break
         else:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .group import BieberbachSpec, LatticeSpec
-from .spectrum import _oscillator_sums, _sectors, _torus_points
+from .spectrum import _check_count, _oscillator_sums, _sectors, _torus_points
 
 
 def volume(spec) -> float:
@@ -142,11 +142,17 @@ def _ratio_grid(tgrid) -> list[float]:
     return tgrid
 
 
-def _series(manifold, alpha: float, tgrid, oscillator) -> CountingSeries:
-    _, lattice, orbits = _sectors(manifold)
-    torus = tuple(orbits(_torus_points(lattice, t) - 1) for t in tgrid)
+def _series(manifold, alpha: float, tgrid, fs) -> tuple[CountingSeries, list]:
+    """(series, sums): the counting series of manifold over the checked grid, and
+    the oscillator sums of the further multiplicities fs, from one pass of the
+    counting core.  A grid past the count limit is refused first, then a torus
+    sector past its limits, before any counting."""
+    f, lattice, orbits = _sectors(manifold)
+    _check_count(tgrid)
+    torus = tuple(orbits(points - 1) for points in _torus_points(lattice, tgrid))
+    osc, *sums = _oscillator_sums([f, *fs], alpha, tgrid)
     return CountingSeries(manifold_tag(manifold), alpha, tuple(float(t) for t in tgrid),
-                          tuple(oscillator), torus)
+                          tuple(osc), torus), sums
 
 
 def counting_function(manifold, alpha: float, tgrid) -> CountingSeries:
@@ -157,15 +163,12 @@ def counting_function(manifold, alpha: float, tgrid) -> CountingSeries:
     enumerate_spectrum lists at tmax = t, fixed-subspace dimensions and rotation
     orbits of characters on the crystallographic quotients included.
     """
-    tgrid = _checked_grid(tgrid)
-    f, lattice, _ = _sectors(manifold)
-    (osc,) = _oscillator_sums([f], alpha, tgrid, lattice=lattice)
-    return _series(manifold, alpha, tgrid, osc)
+    return _series(manifold, alpha, _checked_grid(tgrid), [])[0]
 
 
 def counting_columns(manifold, alpha: float, tgrid):
-    """(series, cover, parity, pairs): the columns of `weyl`, from one pass over the
-    oscillator levels of the whole grid.
+    """(series, cover, parity, pairs): the columns of `weyl`, from one pass of the
+    counting core over the whole grid.
 
     series is counting_function(manifold, alpha, tgrid); per sample t, cover holds
     the oscillator count of the covering lattice (the manifold itself on a
@@ -173,11 +176,11 @@ def counting_columns(manifold, alpha: float, tgrid):
     oscillator_pair_sums(t, alpha, manifold.l).
     """
     tgrid = _checked_grid(tgrid)
-    f, lattice, _ = _sectors(manifold)
-    osc, cover, even, pairs, widths = _oscillator_sums(
-        [f, _sectors(lattice)[0], _even, _one, _width], alpha, tgrid, lattice=lattice)
+    lattice = _sectors(manifold)[1]
+    series, (cover, even, pairs, widths) = _series(
+        manifold, alpha, tgrid, [_sectors(lattice)[0], _even, _one, _width])
     parity = tuple(ParitySetCounts(t, e, p - e) for t, e, p in zip(tgrid, even, pairs))
-    return (_series(manifold, alpha, tgrid, osc), tuple(cover), parity,
+    return (series, tuple(cover), parity,
             tuple((p, manifold.l * w) for p, w in zip(pairs, widths)))
 
 

@@ -225,6 +225,41 @@ def test_eigenfunction_refuses_a_grid_past_the_row_limit(capsys, monkeypatch):
     assert "2048000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol,grid", [(1e-12, 2), (1e-8, 1)])
+def test_eigenfunction_phase_rule_keeps_the_s_period(capsys, tol, grid):
+    # the largest accepted |n| keeps f(s + 1) = f(s) within tol; one more is refused
+    n = 1
+    while cli._phase_error(2 * n, 0, 1, tol) <= tol:
+        n *= 2
+    low, high = n, 2 * n
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if cli._phase_error(mid, 0, 1, tol) <= tol else (low, mid)
+    rc, out = run_cli(capsys, "eigenfunction", "--manifold", "nl", "--n", str(-low),
+                      "--grid", str(grid), "--tol", repr(tol))
+    assert rc == 0
+    rows = _grid_rows(out)
+    peak = max(abs(v) for v in rows.values())
+    pairs = [(v, rows[p, q, s + 1]) for (p, q, s), v in rows.items() if (p, q, s + 1) in rows]
+    assert len(pairs) == 2 * grid**3
+    assert max(abs(a - b) for a, b in pairs) / peak <= tol
+    assert main(["eigenfunction", "--manifold", "nl", "--n", str(high), "--grid", str(grid),
+                 "--tol", repr(tol)]) == 2
+    assert "rounding of the phases" in capsys.readouterr().err
+
+
+def test_eigenfunction_refuses_an_n_past_its_phase_precision(capsys, monkeypatch):
+    # f is 1-periodic in s, but at n = 10^300 the float phase 2 pi n s is noise:
+    # the grid once wrote 0.751 at s = 0 and -0.472+0.584i at s = 1
+    monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
+    for argv in (["--manifold", "nl", "--grid", "1", "--n", str(10**300)],
+                 ["--manifold", "nprime", "--n", str(-10**6)]):
+        rc = main(["eigenfunction", *argv])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert "rounding of the phases" in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("name", ["n", "lam"])
 def test_eigenfunction_refuses_an_integer_past_float_range(capsys, monkeypatch, name):
     monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
@@ -487,20 +522,21 @@ def test_weyl_refuses_a_t_whose_square_underflows(capsys):
 
 
 def test_weyl_refuses_a_grid_past_the_counting_limit_at_once(capsys, monkeypatch):
-    monkeypatch.setattr(spectrum, "_level_tops", _refuse)
+    monkeypatch.setattr(spectrum, "_split_parts", _refuse)
     start = time.perf_counter()
     assert main(["weyl", "--manifold", "nl", "--tmax", "1e308"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "(sample, level) entries" in err and str(MAX_COUNT_ENTRIES) in err
+    assert "(sample, level or row) entries" in err and str(MAX_COUNT_ENTRIES) in err
 
 
 def test_counting_limit_admits_the_documented_commands(capsys, monkeypatch):
     # every command reaches the counting core: the 40-sample quarter-turn grid to
-    # t = 1e7, and the largest weyl grid the benchmark asks for
-    monkeypatch.setattr(spectrum, "_level_tops", _refuse)
+    # t = 1e7, the largest weyl grid the benchmark asks for, and 40 samples to 1e10
+    monkeypatch.setattr(spectrum, "_split_parts", _refuse)
     for argv in (["weyl", "--manifold", "gamma-pi2", "--tmax", "1e7", "--samples", "40"],
-                 ["weyl", "--manifold", "nprime", "--l", "2", "--tmax", "3000", "--samples", "40"]):
+                 ["weyl", "--manifold", "nprime", "--l", "2", "--tmax", "3000", "--samples", "40"],
+                 ["weyl", "--manifold", "nl", "--tmax", "1e10", "--samples", "40"]):
         with pytest.raises(AssertionError, match="an evaluation started"):
             main(argv)
     capsys.readouterr()

@@ -5,13 +5,14 @@ heis_spectra.spectrum.  The independent routes live here as oracles: a
 per-pair loop over (n, lambda) with the multiplicity of each pair, a 2-D loop
 over dual-lattice points with no row bound, the action of the generator on
 the characters, whose orbit-averaging projector ranks the torus sector of a
-crystallographic quotient, and the per-sample scalar loop over levels that
-the array core over the whole t-grid replaced.
+crystallographic quotient, the per-sample scalar loop over levels, and the
+level-by-level array core over a t-grid that the hyperbola split replaced.
 """
 
 import bisect
 import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heis_spectra import weyl
+from heis_spectra import spectrum, weyl
 from heis_spectra.group import (
     LatticeSpec,
     PolarizedPoint,
@@ -212,7 +213,8 @@ def test_torus_counts_are_exact_orbit_counts(kind, l, t):
 
 
 # ---------------------------------------------------------------------------
-# the array core over a t-grid against the per-sample scalar loop it replaced
+# the split core over a t-grid against the per-sample scalar loop and the
+# level-by-level core it replaced
 
 
 def _scalar_levels(alpha, t):
@@ -253,6 +255,74 @@ def _scalar_sums(fs, alpha, tgrid):
             for row, f in zip(out, fs):
                 row[s] += _scalar_level_sum(f, sgn, lam, top)
     return out
+
+
+def _level_tops(c, t, wide):
+    """tops[s, k]: the largest m with (pi m / 2) c[k] <= t[s], the floor guess
+    stepped against that expression, in int64 or, when wide, Python ints."""
+    guess = np.floor(t[:, None] / (math.pi / 2.0 * c))
+    top = np.frompyfunc(int, 1, 1)(guess) if wide else guess.astype(np.int64)
+    rows, cols = np.nonzero((math.pi * (top + 1) / 2.0) * c <= t[:, None])
+    while rows.size:
+        top[rows, cols] += 1
+        up = (math.pi * (top[rows, cols] + 1) / 2.0) * c[cols] <= t[rows]
+        rows, cols = rows[up], cols[up]
+    rows, cols = np.nonzero((math.pi * top / 2.0) * c > t[:, None])
+    while rows.size:
+        top[rows, cols] -= 1
+        down = (math.pi * top[rows, cols] / 2.0) * c[cols] > t[rows]
+        rows, cols = rows[down], cols[down]
+    return top
+
+
+def _class_sums(tops, classes, f0, d):
+    """(samples x fs): over the levels of tops, the sums of k f0 + d k(k-1)/2 over
+    the classes j of m mod 4, with k the number of terms j + 1, j + 5, ... <= top."""
+    sums = 0
+    for j in range(4):
+        k = (tops + (3 - j)) >> 2
+        sums = sums + (k @ classes) @ f0[:, j] + (((k * (k - 1)) >> 1) @ classes) @ d[:, j]
+    return sums
+
+
+def _level_core(fs, alpha, tgrid):
+    """The level-by-level core the hyperbola split replaced: the (samples x levels)
+    matrix of the tops of every level up to max(tgrid), and per level the closed
+    form sum over each class of m mod 4, as matrix products of the class sizes,
+    the indicator of each level's sign and lam mod 4, and the table of f, a
+    chunk of levels at a time.  Levels whose tops may pass 2^62 are stepped in
+    Python ints, and in each chunk the levels whose bounded terms could pass 2^53
+    together are summed in Python ints."""
+    t = np.asarray(tgrid, dtype=float)
+    index = np.arange(2 * (int(t.max() / math.pi) + 2))
+    lam, sgn = index // 2, 1 - 2 * (index % 2)
+    c = (2 * lam + 1) - alpha * sgn
+    sgn, lam, c = sgn[c > 0], lam[c > 0], c[c > 0]
+    table = np.array([[[f(s * m, r) for f in fs] for m in range(1, 9)]
+                      for s in (1, -1) for r in range(4)], dtype=object)
+    f0, d = table[:, :4], table[:, 4:] - table[:, :4]
+    size = 2.0 * np.abs(f0.astype(float)).sum(axis=1).max(axis=1)
+    slope = 2.0 * np.abs(d.astype(float)).sum(axis=1).max(axis=1) + 2.0
+    totals = np.zeros((len(tgrid), len(fs)), dtype=object)
+    wide = t.max() / (math.pi / 2.0 * c) >= 2.0**62
+    # the wide levels, then the others a chunk at a time
+    rest = np.flatnonzero(~wide)
+    chunks = [(np.flatnonzero(wide), True)] + [(rest[k:k + 4096], False)
+                                               for k in range(0, rest.size, 4096)]
+    for part, is_wide in chunks:
+        tops = _level_tops(c[part], t, is_wide)
+        code = 4 * (sgn[part] < 0) + lam[part] % 4
+        kmax = np.asarray(tops.max(axis=0), dtype=float) / 4.0 + 1.0
+        bound = kmax * size[code] + kmax * kmax * slope[code] / 2.0
+        order = np.argsort(bound)[::-1]
+        over = np.cumsum(bound[order][::-1])[::-1] >= 2.0**53
+        exact, fast = order[over], order[~over]
+        classes = (code[:, None] == np.arange(8)).astype(float)
+        totals += _class_sums(tops[:, exact].astype(object),
+                              classes[exact].astype(int).astype(object), f0, d)
+        totals += _class_sums(tops[:, fast], classes[fast], f0.astype(float),
+                              d.astype(float)).astype(np.int64).astype(object)
+    return totals.T.tolist()
 
 
 def _passed_multiplicities(l):
@@ -305,15 +375,60 @@ def _signed(n, lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=_grids(), l=st.integers(1, 6), chunk=st.sampled_from([1, 5, 64, 1 << 17]),
-       n=st.integers(-50, 50).filter(bool), lam=st.integers(0, 100))
-def test_grid_core_equals_the_scalar_loop(grid, l, chunk, n, lam):
+@given(grid=_grids(), l=st.integers(1, 6), n=st.integers(-50, 50).filter(bool),
+       lam=st.integers(0, 100))
+def test_grid_core_equals_the_scalar_loop(grid, l, n, lam):
     alpha, tgrid = grid
     fs = _four_multiplicities(l) + [_signed]
-    assert _oscillator_sums(fs, alpha, tgrid, chunk) == _scalar_sums(fs, alpha, tgrid)
+    assert _oscillator_sums(fs, alpha, tgrid) == _scalar_sums(fs, alpha, tgrid)
     # the contract the core relies on, for the multiplicities the program passes
     for f in _passed_multiplicities(l):
         assert f(n, lam) == f(n, lam % 4)
+
+
+@st.composite
+def _split_grids(draw):
+    """(alpha, tgrid): samples at and next to the places where the split level
+    isqrt(t / pi) or isqrt(t) steps, and exact line values (pi m / 2) c of a level
+    lam and a row m near that split, so that both lie on either side of it."""
+    alpha = draw(st.sampled_from([0.0, 1.0, -1.0, 0.999999, -0.999999]))
+    ts = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 12))
+        kind = draw(st.sampled_from(["square", "pi-square", "line"]))
+        if kind == "line":
+            lam = max(0, k + draw(st.integers(-3, 3)))
+            m = max(1, k + draw(st.integers(-3, 3)))
+            value = oscillator_eigenvalue(m * draw(st.sampled_from([1, -1])), lam, alpha)
+        else:
+            value = float(k * k) if kind == "square" else math.pi * k * k
+        if value > 0:
+            ts.append(draw(st.sampled_from([value, math.nextafter(value, 0.0),
+                                            math.nextafter(value, math.inf)])))
+    return alpha, sorted(ts) or [math.pi]
+
+
+def _distinct(fs):
+    """One of each multiplicity among fs: within the contract, f is fixed by its
+    values at n = +-1..+-8 and lam = 0..3."""
+    seen = {}
+    for f in fs:
+        seen.setdefault(tuple(f(n, lam) for n in (*range(-8, 0), *range(1, 9))
+                              for lam in range(4)), f)
+    return list(seen.values())
+
+
+def _huge(n, lam):
+    """A multiplicity past int64 at every pair, within the contract."""
+    return 2**70 * abs(n) + (lam % 4) * (3 if n > 0 else 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_split_grids(), l=st.integers(1, 4))
+def test_split_core_equals_the_scalar_loop_across_the_split(grid, l):
+    alpha, tgrid = grid
+    for fs in (_distinct(_passed_multiplicities(l)), [_huge, lambda n, lam: 1]):
+        assert _oscillator_sums(fs, alpha, tgrid) == _scalar_sums(fs, alpha, tgrid)
 
 
 def test_passed_multiplicities_are_affine_on_classes():
@@ -349,7 +464,7 @@ def test_tops_past_2_62_equal_the_scalar_loop(alpha):
     # c = 2^-53 at lam = 0: the tops there pass 2^62 and are kept as Python ints
     fs = _four_multiplicities(1)
     tgrid = [1.0, 50.0, 3000.0]
-    got = _oscillator_sums(fs, alpha, tgrid, chunk=7)
+    got = _oscillator_sums(fs, alpha, tgrid)
     assert got == _scalar_sums(fs, alpha, tgrid)
     assert got[0][-1] > 2**80
 
@@ -360,7 +475,38 @@ def test_multiplicities_past_int64_are_summed_exactly():
     assert _oscillator_sums(huge, 0.3, tgrid) == _scalar_sums(huge, 0.3, tgrid)
 
 
-def test_chunked_core_equals_one_chunk_at_large_t():
+def test_split_core_equals_the_level_core_at_large_t():
     fs = _four_multiplicities(3)
-    for alpha, tgrid in ((0.3, [1e6]), (1 - 1e-10, [2e3, 1e5, 1e6])):
-        assert _oscillator_sums(fs, alpha, tgrid) == _oscillator_sums(fs, alpha, tgrid, chunk=1 << 40)
+    for alpha, tgrid in ((0.3, [1e6]), (1 - 1e-10, [2e3, 1e5, 1e6]), (-1.0, [7.5, 4e5])):
+        assert _oscillator_sums(fs, alpha, tgrid) == _level_core(fs, alpha, tgrid)
+
+
+@pytest.mark.parametrize("level,alpha,tgrid", [
+    # every level counted one by one (no rows), and no level but lam = 0
+    pytest.param(lambda t: (t / math.pi).astype(np.int64) + 1, 0.999999, [3.0, 700.0, 9e3],
+                 id="all-levels"),
+    pytest.param(lambda t: np.zeros(t.size, np.int64), -1.0, [3.0, 700.0, 9e3], id="all-rows"),
+    # past any oracle: a split three times as high, where the bins pass int64
+    pytest.param(lambda t: 3 * np.sqrt(t / math.pi).astype(np.int64) + 5, 0.3, [1e9, 1e10],
+                 id="high-split"),
+    pytest.param(lambda t: 3 * np.sqrt(t / math.pi).astype(np.int64) + 5, -(1 - 2**-53),
+                 [1e3, 1e9], id="high-split-wide-tops"),
+])
+def test_counts_do_not_depend_on_the_split_level(monkeypatch, level, alpha, tgrid):
+    fs = _four_multiplicities(2) + [_huge]
+    want = _oscillator_sums(fs, alpha, tgrid)
+    monkeypatch.setattr(spectrum, "_split_level", level)
+    assert _oscillator_sums(fs, alpha, tgrid) == want
+
+
+@pytest.mark.parametrize("alpha", [1 - 2**-53, -(1 - 2**-53)])
+def test_tops_past_2_62_are_bracketed_at_large_t(alpha):
+    # at t = 1e10 the lam = 0 top is about 5.7e25, and its float value repeats
+    # over runs of about 2^33 integers: stepping one at a time never ended
+    c = np.array([1.0 - abs(alpha)])
+    for t in (1e3, 1e9, 1e10):
+        (top,) = spectrum._tops(c, np.array([t]), True).tolist()
+        assert spectrum._oscillator_value(top, c[0]) <= t < spectrum._oscillator_value(top + 1, c[0])
+    start = time.perf_counter()
+    counting_function(standard_rect(1), alpha, [1e10])
+    assert time.perf_counter() - start < 2.0

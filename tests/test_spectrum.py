@@ -71,12 +71,14 @@ def test_torus_rows_refuse_a_sector_past_the_limits_before_any_row():
     (standard_rect(1), 50.0), (standard_rect(1), 0.1), (scaled_square(3), 1e4),
     (standard_rect(10**8), 1e6), (scaled_square(10**12), 0.01), (standard_rect(10**150), 1e6)])
 def test_torus_points_sum_the_rows(lattice, t):
-    assert spectrum._torus_points(lattice, t) == sum(
-        2 * kmax + 1 for _, kmax in spectrum._torus_rows(lattice, t)[2])
+    # a grid of two samples, each counted as the sum over its own rows
+    assert spectrum._torus_points(lattice, [t / 3, t]) == [
+        sum(2 * kmax + 1 for _, kmax in spectrum._torus_rows(lattice, s)[2]) for s in (t / 3, t)]
 
 
 def test_torus_points_are_counted_without_a_list_of_rows():
-    # about 1e5 rows, which a list holds in about 12 MB
+    # about 1e5 rows, which a list holds in about 12 MB; the array pass holds a few
+    # int64 arrays over the 5e4 rows i >= 0, about 40 bytes a row
     lattice = scaled_square(10**9)
     t = (math.pi * 10**5 / 2) ** 2 / (2 * lattice.l)
     rows = list(spectrum._torus_rows(lattice, t)[2])
@@ -85,11 +87,11 @@ def test_torus_points_are_counted_without_a_list_of_rows():
     del rows
     tracemalloc.start()
     try:
-        got = spectrum._torus_points(lattice, t)
+        got = spectrum._torus_points(lattice, [t])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == want and peak < 1 << 16
+    assert got == [want] and peak < 3 << 20
 
 
 @pytest.mark.parametrize("lattice", [standard_rect(1), standard_rect(3), scaled_square(2)])

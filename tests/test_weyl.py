@@ -337,25 +337,26 @@ def _no_counting(*args):
 
 
 def test_counting_refuses_past_its_limit_before_counting(monkeypatch):
-    # one sample at t = 1e12 would visit about 6.4e11 (sample, level) entries
-    monkeypatch.setattr(spectrum, "_level_tops", _no_counting)
-    for call in (lambda: counting_function(standard_rect(1), 0.3, [1e12]),
-                 lambda: counting_columns(gamma_pi(1), 0.3, [1.0, 1e12]),
-                 lambda: parity_counts(1e12, 0.3),
-                 lambda: oscillator_pair_sums(1e12, 0.3, 1),
-                 lambda: counting_function(standard_rect(1), 0.3, [8e7, 8e7])):
+    # one sample at t = 1e13 would visit about 7.1e6 entries of the hyperbola
+    # split, and two at 5e11 about 3.2e6, 1.6e6 each
+    monkeypatch.setattr(spectrum, "_split_parts", _no_counting)
+    for call in (lambda: counting_function(standard_rect(1), 0.3, [1e13]),
+                 lambda: counting_columns(gamma_pi(1), 0.3, [1.0, 1e13]),
+                 lambda: parity_counts(1e13, 0.3),
+                 lambda: oscillator_pair_sums(1e13, 0.3, 1),
+                 lambda: counting_function(standard_rect(1), 0.3, [5e11, 5e11])):
         with pytest.raises(ValueError, match=f"more than the limit of {MAX_COUNT_ENTRIES}"):
             call()
-    # the demo's grid to t = 1e6 and one sample at t = 1.5e8 reach the core
-    for tgrid in (default_tgrid(25, 1e2, 1e6), [1.5e8]):
+    # the demo's grid to t = 1e10 and one sample at t = 7.5e11 reach the core
+    for tgrid in (default_tgrid(25, 1e2, 1e10), [7.5e11]):
         with pytest.raises(AssertionError, match="counting started"):
             counting_function(standard_rect(1), 0.3, tgrid)
 
 
 def test_counting_refuses_a_torus_sector_past_its_limit_before_counting(monkeypatch):
-    # at l = 10^20 every level is counted in Python ints; the torus sector of
-    # t = 1.5e8 has about 1.1e14 rows and is refused before any level
-    monkeypatch.setattr(spectrum, "_level_tops", _no_counting)
+    # at l = 10^20 every count passes 2^53 and is taken in Python ints; the torus
+    # sector of t = 1.5e8 has about 1.1e14 rows and is refused before any level
+    monkeypatch.setattr(spectrum, "_split_parts", _no_counting)
     for call in (counting_function, counting_columns):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="rows of dual-lattice points"):
@@ -364,6 +365,10 @@ def test_counting_refuses_a_torus_sector_past_its_limit_before_counting(monkeypa
     # the count limit still comes first
     with pytest.raises(ValueError, match=f"more than the limit of {MAX_COUNT_ENTRIES}"):
         counting_function(standard_rect(1), 0.3, [1e308])
+    # a grid whose torus rows pass the count limit in all, each sector within its
+    # own limit, is refused before any level: 40 samples of about 2e5 rows i >= 0
+    with pytest.raises(ValueError, match="rows of dual-lattice points"):
+        counting_function(scaled_square(10**12), 0.3, [1.0] * 39 + [1.1])
 
 
 def test_bieberbach_spectrum_half_quotient():
