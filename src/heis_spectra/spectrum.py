@@ -82,17 +82,21 @@ def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
 # Near |alpha| = 1 the lam = 0 level holds about 2 tmax / (pi (1 - |alpha|)) lines.
 MAX_SPECTRUM_LINES = 2_000_000
 # _oscillator_sums refuses a grid with more entries than this, levels below the
-# hyperbola split and rows above it, at most sum_s 4 sqrt(t_s / pi) + 4, and the
-# torus pass of a grid more rows i >= 0 in all.  An entry costs about 0.5 us and,
-# at the peak, 0.15 KB on a 2-core box with numpy 2.4, so the largest allowed
-# count (one sample at t = 7.8e11) takes about 1 s and 0.3 GB; a torus row costs
-# about 50 ns.
+# hyperbola split and rows above it, at most sum_s 4 sqrt(t_s / pi) + 4.  An
+# entry costs about 0.5 us and, at the peak, 0.15 KB on a 2-core box with numpy
+# 2.4, so the largest allowed count (one sample at t = 7.8e11) takes about 1 s
+# and 0.3 GB.
 MAX_COUNT_ENTRIES = 2 * 10**6
 # _torus_top refuses a torus sector of more rows (i, kmax) than this before any
 # is made; a spectrum lists them, at about 125 bytes a row.  The points grow as
 # about (pi/4) rows^2, so a spectrum within MAX_SPECTRUM_LINES has fewer than
 # 2000 rows; only a weyl count on a scaled square of large l gets near it.
 MAX_TORUS_ROWS = 10**6
+# _torus_points refuses a grid whose sectors have more rows i >= 0 than this in
+# all; a row costs about 50 ns, so a pass at the limit takes about 1 s.  The pass
+# holds _TORUS_ROWS_AT_ONCE rows at a time, about 40 bytes each.
+MAX_TORUS_PASS = 2 * 10**7
+_TORUS_ROWS_AT_ONCE = 1 << 16
 # enumerate_spectrum refuses a tmax at which a top may pass this, before any is
 # stepped: its lines would be far past MAX_SPECTRUM_LINES.
 _WIDE_TOP = 2.0**62
@@ -394,10 +398,11 @@ def _torus_points(lattice: LatticeSpec, tgrid) -> list[int]:
 
     The sector of the largest t is refused first, as one sector by _torus_top.
     The tops of the samples whose guess t den / pi^2 lies below _FLOAT_INTS, a
-    prefix of the grid, are then stepped as one array, and their points summed over the rows
-    i >= 0 in one pass, with kmax = isqrt(top - a i^2) in int64; the other
-    samples take _torus_top and math.isqrt.  More than MAX_COUNT_ENTRIES rows in
-    all are refused before any row is made.
+    prefix of the grid, are then stepped as one array, and their points summed
+    over the rows i >= 0, _TORUS_ROWS_AT_ONCE rows of all of them at a time,
+    with kmax = isqrt(top - a i^2) in int64; the other samples take _torus_top
+    and math.isqrt.  More than MAX_TORUS_PASS rows i >= 0 in all are refused
+    before any row is made.
     """
     a, den, _ = _torus_top(lattice, tgrid[-1])
     t = np.asarray(tgrid, dtype=float)
@@ -411,18 +416,21 @@ def _torus_points(lattice: LatticeSpec, tgrid) -> list[int]:
     step = min(a, 2**62)
     sizes = _isqrt(tops // step) + 1
     wide_imax = [math.isqrt(top // a) for top in wide]
-    rows = int(sizes.sum()) + sum(wide_imax) + len(wide)
-    if rows > MAX_COUNT_ENTRIES:
+    ends, rows = sizes.cumsum(), int(sizes.sum())
+    if rows + sum(wide_imax) + len(wide) > MAX_TORUS_PASS:
         raise ValueError(f"counting the torus sector up to t = {tgrid[-1]!r} at l = "
-                         f"{lattice.l} would visit {rows} rows of dual-lattice points, "
-                         f"more than the limit of {MAX_COUNT_ENTRIES}")
-    points = []
-    if k:
-        row = 2 * _isqrt(tops.repeat(sizes) - step * _ranges(sizes) ** 2) + 1
-        starts = sizes.cumsum() - sizes
-        points = (2 * np.add.reduceat(row, starts) - row[starts]).tolist()
-    return points + [sum(2 * math.isqrt(top - a * i * i) + 1 for i in range(-imax, imax + 1))
-                     for top, imax in zip(wide, wide_imax)]
+                         f"{lattice.l} would visit {rows + sum(wide_imax) + len(wide)} rows "
+                         f"of dual-lattice points, more than the limit of {MAX_TORUS_PASS}")
+    points = np.zeros(k, np.int64)
+    for lo in range(0, rows, _TORUS_ROWS_AT_ONCE):
+        row = np.arange(lo, min(lo + _TORUS_ROWS_AT_ONCE, rows))
+        sample = ends.searchsorted(row, side="right")
+        i = row - (ends - sizes)[sample]
+        kmax = _isqrt(tops[sample] - step * i * i)
+        np.add.at(points, sample, (2 * kmax + 1) * (2 - (i == 0)))
+    return points.tolist() + [
+        sum(2 * math.isqrt(top - a * i * i) + 1 for i in range(-imax, imax + 1))
+        for top, imax in zip(wide, wide_imax)]
 
 
 @functools.lru_cache(maxsize=_TABLES)

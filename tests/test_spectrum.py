@@ -69,7 +69,9 @@ def test_torus_rows_refuse_a_sector_past_the_limits_before_any_row():
 
 @pytest.mark.parametrize("lattice, t", [
     (standard_rect(1), 50.0), (standard_rect(1), 0.1), (scaled_square(3), 1e4),
-    (standard_rect(10**8), 1e6), (scaled_square(10**12), 0.01), (standard_rect(10**150), 1e6)])
+    (standard_rect(10**8), 1e6), (scaled_square(10**12), 0.01), (standard_rect(10**150), 1e6),
+    # about 1e5 rows i >= 0 in all, more than one pass of _TORUS_ROWS_AT_ONCE
+    (scaled_square(10**9), 5.0)])
 def test_torus_points_sum_the_rows(lattice, t):
     # a grid of two samples, each counted as the sum over its own rows
     assert spectrum._torus_points(lattice, [t / 3, t]) == [

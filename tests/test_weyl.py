@@ -365,10 +365,12 @@ def test_counting_refuses_a_torus_sector_past_its_limit_before_counting(monkeypa
     # the count limit still comes first
     with pytest.raises(ValueError, match=f"more than the limit of {MAX_COUNT_ENTRIES}"):
         counting_function(standard_rect(1), 0.3, [1e308])
-    # a grid whose torus rows pass the count limit in all, each sector within its
-    # own limit, is refused before any level: 40 samples of about 2e5 rows i >= 0
-    with pytest.raises(ValueError, match="rows of dual-lattice points"):
-        counting_function(scaled_square(10**12), 0.3, [1.0] * 39 + [1.1])
+    # a grid whose torus rows pass the limit of the pass in all, each sector
+    # within its own limit, is refused before any level: 60 samples of about
+    # 4.5e5 rows i >= 0
+    with pytest.raises(ValueError, match=f"rows of dual-lattice points, more than the "
+                                         f"limit of {spectrum.MAX_TORUS_PASS}"):
+        counting_function(scaled_square(10**12), 0.3, [1.0] * 59 + [1.1])
 
 
 def test_bieberbach_spectrum_half_quotient():
