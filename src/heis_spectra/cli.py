@@ -202,11 +202,14 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
 
 
 # dims refuses sectors of size N = 2l|n| above this.  Neither oracle builds the
-# N x N pullback: a half-turn row takes one batched SVD of its N/2 - 1 2x2 blocks
-# in O(N) memory; a quarter-turn row takes the real SVDs of two orbit blocks of
-# sizes N/2 +- 1 at O(N^3) cost and holds about 6 N^2 bytes (numpy's, by
-# tracemalloc), of which the blocks' tables, about 4 N^2 bytes, stay held for the
-# last N.
+# N x N pullback and neither takes an SVD per row: a half-turn row tiles the
+# singular values of its one 2x2 block in O(N) time and memory; the quarter-turn
+# rows of one N share one eigvalsh pair of the two orbit blocks of sizes
+# N/2 +- 1, at O(N^3) cost, and read it at each level's phase.  At N = 4096 the
+# pair serves all four levels in about 1.4 s (17 to 20 s of SVDs before) and peaks
+# at about 100 MB (numpy's, by tracemalloc); afterwards only its 2 N eigenvalues
+# stay held.  A tol below 64 N eps refines the pair on eigh's vectors: about 3.4 s
+# and 170 MB at N = 4096.
 MAX_ORACLE_DIM = 4096
 
 

@@ -25,13 +25,15 @@ and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
 phase, of sizes N/2 + 1 and N/2 - 1 (`psi_fixed_subspace_dim`; the even/odd
 split of the DFT, McClellan and Parks, IEEE Trans. Audio Electroacoust. 20,
 1972).  The blocks together have the dense matrix's singular values, so the
-rank rule is the same.
+rank rule is the same; as the blocks are real and symmetric, those are read off
+their eigenvalues at each level's phase, one eigendecomposition per N.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +134,6 @@ def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
     return _nullity(np.linalg.svd(A, compute_uv=False), tol)
 
 
-@functools.lru_cache(maxsize=1)
 def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, S): the unitary DFT of size dim on the even and on the odd orbit vectors
     of the reversal k -> -k mod dim, up to the pullback's phase.
@@ -141,9 +142,7 @@ def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     0 < j < h, the odd basis (e_j - e_{dim-j})/sqrt 2 for 0 < j < h; then
     C[j, k] = w_j w_k cos(2 pi (jk mod dim)/dim)/sqrt dim, w = 1 at j in {0, h} and
     sqrt 2 elsewhere, and S[j, k] = 2 sin(2 pi (jk mod dim)/dim)/sqrt dim.  Both are
-    real and symmetric and depend on dim alone; the last size is kept, as a dims
-    range asks for it once per level, and stays held (about 4 dim^2 bytes) until
-    another size replaces it.
+    real and symmetric and depend on dim alone.
     """
     h = dim // 2
     j = np.arange(h + 1)
@@ -153,60 +152,101 @@ def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     even[1:h] *= math.sqrt(2.0)
     even[:, 1:h] *= math.sqrt(2.0)
     odd = (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
-    for block in (even, odd):
-        block.flags.writeable = False
     return even, odd
 
 
-def _block_singular_values(T: np.ndarray, r: int) -> np.ndarray:
-    """The singular values of i^r T - I for a real symmetric T, from one real SVD.
+# tol / (N eps) below which the orbit blocks' eigenvalues are refined (see below)
+_REFINE_BELOW = 64
 
-    A real phase i^r = +-1 leaves the real matrix +-T - I.  An imaginary one leaves
-    A = +-iT - I with A^H A = I + T^2, whose singular values are sqrt(1 + s^2) over
-    the singular values s of T.
+
+@functools.lru_cache(maxsize=1)
+def _orbit_eigenvalues(dim: int, refined: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the two orbit blocks (C, S) of `_orbit_blocks(dim)`.
+
+    `eigvalsh` leaves them up to about N eps / 2 away from +-1 (5 eps at N = 14),
+    farther than the dense SVD of I - M leaves its kernel values at small N, and
+    just above the rank rule's floor that noise reaches the band's edge tol/10.  So
+    for tol below _REFINE_BELOW N eps they are refined: one Rayleigh step
+    w + v^T (T v - w v) on the vectors of `eigh`, within a few eps at every N, at
+    about twice the cost.  A dims range asks for one size at each of its levels, so
+    the last size is kept: 2 N floats, while the blocks' tables (about 4 N^2 bytes)
+    are freed on return.
+    """
+    eigs = []
+    for block in _orbit_blocks(dim):
+        if refined:
+            w, vecs = np.linalg.eigh(block)
+            w = w + np.einsum("ij,ij->j", vecs, block @ vecs - vecs * w)
+        else:
+            w = np.linalg.eigvalsh(block)
+        w.flags.writeable = False
+        eigs.append(w)
+    return tuple(eigs)
+
+
+def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
+    """The singular values of i^r T - I for a real symmetric T of eigenvalues eigs.
+
+    T = Q diag(eigs) Q^T with Q real orthogonal, so i^r T - I = Q (i^r diag(eigs) - I) Q^T
+    is normal and its singular values are |i^r eig - 1|: |eig - 1| and |eig + 1| for
+    the real phases i^r = 1 and -1, and sqrt(1 + eig^2) for the imaginary ones.
     """
     if r % 2:
-        s = np.linalg.svd(T, compute_uv=False)
-        return np.sqrt(1.0 + s * s)
-    B = T.copy() if r % 4 == 0 else -T
-    B.reshape(-1)[::len(T) + 1] -= 1.0  # the diagonal
-    return np.linalg.svd(B, compute_uv=False)
+        return np.sqrt(1.0 + eigs * eigs)
+    return np.abs((eigs if r % 4 == 0 else -eigs) - 1.0)
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_singular_values(e: float) -> np.ndarray:
+    """The singular values of the half-turn's 2x2 block [[-1, e], [e, -1]] of M - I."""
+    # complex, as the dense route's blocks were: the kernel value comes out 0, not 3e-17
+    svals = np.linalg.svd(np.array([[-1.0, e], [e, -1.0]], dtype=complex), compute_uv=False)
+    svals.flags.writeable = False
+    return svals
 
 
 def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol), without the dense
-    matrix: O(N) memory and one batched SVD of 2x2 blocks.
+    matrix: O(N) time and memory, and no SVD once each sign's 2x2 block has one.
 
     The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam).  On the
     reversal's orbits M - I is the 1x1 block e - 1 at each fixed point k = 0 and
     k = N/2, and the 2x2 block [[-1, e], [e, -1]] on each pair {k, N - k},
     0 < k < N/2; the blocks' singular values together are those of the dense
-    I - M, so the rank rule is unchanged.
+    I - M, so the rank rule is unchanged.  The pairs' blocks are all one matrix,
+    so its singular values, taken once per sign, are tiled N/2 - 1 times.
     """
     _check_nl(n, lam, l)
     e = -1.0 if (n + lam) % 2 else 1.0
-    # complex, as the dense route's blocks were: the kernel value comes out 0, not 3e-17
-    pairs =np.tile(np.array([[-1.0, e], [e, -1.0]], dtype=complex), (l * abs(n) - 1, 1, 1))
-    svals = (np.full(2, abs(e - 1.0)), np.linalg.svd(pairs, compute_uv=False).ravel())
+    svals = (np.full(2, abs(e - 1.0)), np.tile(_pair_singular_values(e), l * abs(n) - 1))
     return _nullity(np.concatenate(svals), tol)
+
+
+def _psi_singular_values(n: int, lam: int, l: int, refined: bool) -> np.ndarray:
+    """The singular values of the quarter-turn's I - M, read off the orbit blocks'
+    eigenvalues at the pullback's phase."""
+    r, sign = _psi_phase(n, lam)
+    even, odd = _orbit_eigenvalues(2 * l * abs(n), refined)
+    odd_phase = r + (3 if sign < 0 else 1)  # sign i = i^3 or i
+    return np.concatenate((_block_singular_values(even, r), _block_singular_values(odd, odd_phase)))
 
 
 def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol), without the dense
-    matrix: two real SVDs of about half its size (one of size 2 and one of size 0
-    at N = 2).
+    matrix and without an SVD: the eigenvalues of two real symmetric blocks of
+    about half its size (sizes 2 and 0 at N = 2), taken once per N and read at
+    each level's phase.
 
     The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
     reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
     (`_orbit_blocks`), and no entry joins the two.  Their singular values of B - I
-    together are those of the dense I - M, so the rank rule is unchanged.
+    (`_block_singular_values`) together are those of the dense I - M, so the rank
+    rule is unchanged.  A call costs O(N^3) for a new N and O(N) for the last one,
+    and holds O(N) memory afterwards.
     """
     _check_nl(n, lam, l)
-    r, sign = _psi_phase(n, lam)
-    even, odd = _orbit_blocks(2 * l * abs(n))
-    svals = (_block_singular_values(even, r),
-             _block_singular_values(odd, r + (3 if sign < 0 else 1)))  # sign i = i^3 or i
-    return _nullity(np.concatenate(svals), tol)
+    refined = tol < _REFINE_BELOW * 2 * l * abs(n) * np.finfo(float).eps
+    return _nullity(_psi_singular_values(n, lam, l, refined), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
@@ -286,11 +326,15 @@ def character_table(n: int, lam: int, l: int) -> CharacterTable:
     return CharacterTable(n, lam, l, (chi0, complex(chi1), chi2, complex(np.conj(chi1))))
 
 
+# _UNITS[j][m] = i^(-j m): the weight of chi(g^m) in the multiplicity of the eigenvalue i^j
+_UNITS = tuple(tuple(1j ** (-j * m) for m in range(4)) for j in range(4))
+
+
 def sector_dimensions(table: CharacterTable) -> tuple[int, int, int, int]:
     """Multiplicities of the four eigenvalues i^j of the cyclic action."""
     out = []
-    for j in range(4):
-        acc = sum((1j ** (-j * m)) * table.values[m] for m in range(4))
+    for units in _UNITS:
+        acc = sum(map(operator.mul, units, table.values))
         val = acc / 4.0
         if abs(val.imag) > 1e-9 or abs(val.real - round(val.real)) > 1e-9:
             raise ValueError("character table produced a non-integer multiplicity")

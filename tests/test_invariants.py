@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,11 +19,15 @@ from heis_spectra.group import (
 from heis_spectra.invariants import (
     CharacterTable,
     IllConditionedError,
+    _UNITS,
     PullbackMatrix,
     _nullity,
     _nullspace_basis,
     _orbit_blocks,
+    _orbit_eigenvalues,
+    _pair_singular_values,
     _psi_phase,
+    _psi_singular_values,
     _sector_index,
     character_table,
     dim_from_characters,
@@ -256,19 +261,19 @@ def test_count_and_basis_follow_one_rank_rule(svals, seed):
         assert np.linalg.norm(A @ B) < 1e-9
 
 
-def test_one_dense_svd_per_psi_sector_and_one_batch_per_block_size():
+def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         # N = 128: the reference takes one dense SVD of I - M
         assert fixed_subspace_dim(psi_pullback_matrix(16, 1, 4)) == dim_psi_invariant(16, 1, 4)
         assert [call.args[0].shape for call in svd.call_args_list] == [(128, 128)]
         svd.reset_mock()
-        # the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest, at
-        # N = 256 and at small N alike, down to N = 2 with no pair
-        for n, lam, l, shape in ((128, 1, 1, (127, 2, 2)), (-4, 2, 2, (7, 2, 2)),
-                                 (1, 0, 1, (0, 2, 2))):
+        # the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest, at N = 256 and
+        # at small N alike, down to N = 2 with no pair; every pair has the one 2x2 block
+        # of the sign e, whose SVD is taken once per sign, so no row takes a batch
+        _pair_singular_values.cache_clear()
+        for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-4, 1, 2)):
             assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
-            assert [call.args[0].shape for call in svd.call_args_list] == [shape]
-            svd.reset_mock()
+        assert [call.args[0].shape for call in svd.call_args_list] == [(2, 2), (2, 2)]
 
 
 def _orbit_basis(n, l):
@@ -318,21 +323,42 @@ def test_quarter_turn_splits_into_the_two_orbit_blocks(sector, lam, negative):
     assert psi_fixed_subspace_dim(n, lam, l) == fixed_subspace_dim(M) == dim_psi_invariant(n, lam, l)
 
 
-def test_quarter_turn_oracle_takes_two_real_half_size_svds():
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        # N = 128: blocks of sizes 65 and 63; the phase i^r is real for lam = 0
-        # (r = 0) and imaginary for lam = 1 (r = 1)
-        for lam in (0, 1):
-            assert psi_fixed_subspace_dim(16, lam, 4) == dim_psi_invariant(16, lam, 4)
-            assert [(c.args[0].shape, c.args[0].dtype) for c in svd.call_args_list] == [
-                ((65, 65), np.float64), ((63, 63), np.float64)]
-            svd.reset_mock()
-        # small sectors take the blocks too, down to N = 2, whose odd block is empty
-        for n, l, shapes in ((8, 2, [(17, 17), (15, 15)]), (-1, 1, [(2, 2), (0, 0)])):
+def test_quarter_turn_levels_share_one_eigvalsh_pair():
+    with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh,
+          mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
+          mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd):
+        # N = 128: blocks of sizes 65 and 63, read at the real phases i^r (lam = 0, 2
+        # at n = 16) and the imaginary ones alike; small sectors take the blocks too,
+        # down to N = 2, whose odd block is empty
+        for n, l, shapes in ((16, 4, [(65, 65), (63, 63)]), (8, 2, [(17, 17), (15, 15)]),
+                             (-1, 1, [(2, 2), (0, 0)])):
+            _orbit_eigenvalues.cache_clear()
             for lam in range(4):
                 assert psi_fixed_subspace_dim(n, lam, l) == dim_psi_invariant(n, lam, l)
-                assert [c.args[0].shape for c in svd.call_args_list] == shapes
-                svd.reset_mock()
+            assert [(c.args[0].shape, c.args[0].dtype) for c in eigvalsh.call_args_list] == [
+                (shape, np.float64) for shape in shapes]
+            eigvalsh.reset_mock()
+        assert eigh.call_count == svd.call_count == 0
+        # near the rank rule's floor the levels share one refined pair from eigh instead
+        _orbit_eigenvalues.cache_clear()
+        for lam in range(4):
+            assert psi_fixed_subspace_dim(7, lam, 1, 1e-14) == dim_psi_invariant(7, lam, 1)
+        assert [c.args[0].shape for c in eigh.call_args_list] == [(8, 8), (6, 6)]
+        assert eigvalsh.call_count == svd.call_count == 0
+
+
+def test_quarter_turn_oracle_holds_o_n_memory_afterwards():
+    # N = 1024: the blocks' tables, about 4 N^2 bytes, are freed on return, and only
+    # the 2 N eigenvalues stay cached
+    _orbit_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        assert psi_fixed_subspace_dim(256, 1, 2) == dim_psi_invariant(256, 1, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 4 * 1024**2  # numpy's arrays are traced: the tables were built
+    assert held < 2**20
 
 
 def test_quarter_turn_oracle_keeps_the_rank_rule():
@@ -363,6 +389,36 @@ def test_half_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negat
     n = -m if negative else m
     assert (_outcome(phi_fixed_subspace_dim, n, lam, l, tol)
             == _outcome(fixed_subspace_dim, phi_pullback_matrix(n, lam, l), tol))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sector=_ORBIT_SECTORS, lam=st.integers(0, 40), negative=st.booleans(),
+       tol=st.sampled_from([1e-20, 1e-14, 1e-12, 1e-8, 1e-4, 0.1, 0.3, 1.0, 30.0]))
+def test_quarter_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negative, tol):
+    # 2 <= N <= 160: the blocks' eigenvalues give the dense count, or the same refusal
+    # (the band around the singular values sqrt 2 and 2 at tol = 0.3 and 1, the floor
+    # at 1e-20, and at 1e-14 once N > 22)
+    l, m = sector
+    n = -m if negative else m
+    M = psi_pullback_matrix(n, lam, l).matrix
+    assert _outcome(psi_fixed_subspace_dim, n, lam, l, tol) == _outcome(fixed_subspace_dim, M, tol)
+    # both eigenvalue routes give the dense singular values of I - M
+    dense = np.linalg.svd(np.eye(len(M)) - M, compute_uv=False)
+    for refined in (False, True):
+        svals = np.sort(_psi_singular_values(n, lam, l, refined))[::-1]
+        assert np.abs(svals - dense).max() < 1e-13
+
+
+def test_quarter_turn_oracle_counts_as_the_dense_svd_next_to_the_floor():
+    # tol = 1e-14 is above the floor 2 N eps for N <= 22, and its band starts at 1e-15:
+    # eigvalsh leaves a kernel value of 1.1e-15 at N = 14 (S has the eigenvalue
+    # 1 + 5 eps), where the dense SVD's are below 5e-16, and the refined ones below 4e-16
+    for l in range(1, 12):
+        for m in range(1, 11 // l + 1):
+            for n in (m, -m):
+                for lam in range(4):
+                    M = psi_pullback_matrix(n, lam, l)
+                    assert psi_fixed_subspace_dim(n, lam, l, 1e-14) == fixed_subspace_dim(M, 1e-14)
 
 
 def test_rank_rule_refuses_a_tol_below_its_floor():
@@ -458,6 +514,27 @@ def test_sector_dimensions_sum_to_sector_size():
         dims = sector_dimensions(character_table(n, lam, l))
         assert sum(dims) == 2 * l * abs(n)
         assert all(d >= 0 for d in dims)
+
+
+def test_sector_dimensions_read_the_powers_of_i_from_one_table():
+    # the table holds the very values 1j ** (-j m), signed zeros included, so each
+    # multiplicity sums the same products in the same order as the powers gave them
+    for j in range(4):
+        for m in range(4):
+            assert repr(_UNITS[j][m]) == repr(1j ** (-j * m))
+
+    def by_powers(table):
+        out = []
+        for j in range(4):
+            val = sum((1j ** (-j * m)) * table.values[m] for m in range(4)) / 4.0
+            out.append(int(round(val.real)))
+        return tuple(out)
+
+    for n in [n for n in range(-13, 14) if n] + [-1000, 999]:
+        for lam in range(8):
+            for l in (1, 2, 3, 5):
+                table = character_table(n, lam, l)
+                assert sector_dimensions(table) == by_powers(table)
 
 
 def test_phi_constraints_dimensions_and_span():
