@@ -208,8 +208,7 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
 # N/2 +- 1, at O(N^3) cost, and read it at each level's phase.  At N = 4096 the
 # pair serves all four levels in about 1.4 s (17 to 20 s of SVDs before) and peaks
 # at about 100 MB (numpy's, by tracemalloc); afterwards only its 2 N eigenvalues
-# stay held.  A tol below 64 N eps refines the pair on eigh's vectors: about 3.4 s
-# and 170 MB at N = 4096.
+# stay held.
 MAX_ORACLE_DIM = 4096
 
 

@@ -155,33 +155,17 @@ def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-# tol / (N eps) below which the orbit blocks' eigenvalues are refined (see below)
-_REFINE_BELOW = 64
-
-
 @functools.lru_cache(maxsize=1)
-def _orbit_eigenvalues(dim: int, refined: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the two orbit blocks (C, S) of `_orbit_blocks(dim)`.
-
-    `eigvalsh` leaves them up to about N eps / 2 away from +-1 (5 eps at N = 14),
-    farther than the dense SVD of I - M leaves its kernel values at small N, and
-    just above the rank rule's floor that noise reaches the band's edge tol/10.  So
-    for tol below _REFINE_BELOW N eps they are refined: one Rayleigh step
-    w + v^T (T v - w v) on the vectors of `eigh`, within a few eps at every N, at
-    about twice the cost.  A dims range asks for one size at each of its levels, so
-    the last size is kept: 2 N floats, while the blocks' tables (about 4 N^2 bytes)
-    are freed on return.
+def _orbit_eigenvalues(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the two orbit blocks (C, S) of `_orbit_blocks(dim)`, by
+    `eigvalsh`.  A dims range asks for one size at each of its levels, so the last
+    size is kept: 2 N floats, while the blocks' tables (about 4 N^2 bytes) are
+    freed on return.
     """
-    eigs = []
-    for block in _orbit_blocks(dim):
-        if refined:
-            w, vecs = np.linalg.eigh(block)
-            w = w + np.einsum("ij,ij->j", vecs, block @ vecs - vecs * w)
-        else:
-            w = np.linalg.eigvalsh(block)
+    eigs = tuple(np.linalg.eigvalsh(block) for block in _orbit_blocks(dim))
+    for w in eigs:
         w.flags.writeable = False
-        eigs.append(w)
-    return tuple(eigs)
+    return eigs
 
 
 def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
@@ -222,15 +206,6 @@ def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     return _nullity(np.concatenate(svals), tol)
 
 
-def _psi_singular_values(n: int, lam: int, l: int, refined: bool) -> np.ndarray:
-    """The singular values of the quarter-turn's I - M, read off the orbit blocks'
-    eigenvalues at the pullback's phase."""
-    r, sign = _psi_phase(n, lam)
-    even, odd = _orbit_eigenvalues(2 * l * abs(n), refined)
-    odd_phase = r + (3 if sign < 0 else 1)  # sign i = i^3 or i
-    return np.concatenate((_block_singular_values(even, r), _block_singular_values(odd, odd_phase)))
-
-
 def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol), without the dense
     matrix and without an SVD: the eigenvalues of two real symmetric blocks of
@@ -243,10 +218,20 @@ def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     (`_block_singular_values`) together are those of the dense I - M, so the rank
     rule is unchanged.  A call costs O(N^3) for a new N and O(N) for the last one,
     and holds O(N) memory afterwards.
+
+    `eigvalsh` leaves the eigenvalues, all +-1, up to about N eps / 2 away from them
+    (5 eps at N = 14), where the dense SVD of I - M leaves its kernel values below
+    0.4 N eps.  So for a tol below about 5 N eps, just above the floor, a kernel
+    value of either route may reach the band's edge tol/10, and one route may
+    refuse a row the other counts; they never count it differently, as the noise
+    stays below the floor and so below tol.
     """
     _check_nl(n, lam, l)
-    refined = tol < _REFINE_BELOW * 2 * l * abs(n) * np.finfo(float).eps
-    return _nullity(_psi_singular_values(n, lam, l, refined), tol)
+    r, sign = _psi_phase(n, lam)
+    even, odd = _orbit_eigenvalues(2 * l * abs(n))
+    odd_phase = r + (3 if sign < 0 else 1)  # sign i = i^3 or i
+    svals = (_block_singular_values(even, r), _block_singular_values(odd, odd_phase))
+    return _nullity(np.concatenate(svals), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
