@@ -202,13 +202,13 @@ def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
 
 
 # dims refuses sectors of size N = 2l|n| above this.  Neither oracle builds the
-# N x N pullback and neither takes an SVD per row: a half-turn row tiles the
-# singular values of its one 2x2 block in O(N) time and memory; the quarter-turn
-# rows of one N share one eigvalsh pair of the two orbit blocks of sizes
-# N/2 +- 1, at O(N^3) cost, and read it at each level's phase.  At N = 4096 the
-# pair serves all four levels in about 1.4 s (17 to 20 s of SVDs before) and peaks
-# at about 100 MB (numpy's, by tracemalloc); afterwards only its 2 N eigenvalues
-# stay held.
+# N x N pullback and neither takes an SVD: a half-turn row has its singular values
+# in closed form, in O(N) time and memory; the quarter-turn rows of one N share
+# one eigvalsh pair of the two orbit blocks of sizes N/2 +- 1, at O(N^3) cost, and
+# read it at each level's phase.  At N = 4096 the pair serves all four levels in
+# about 1.4 s (17 to 20 s of SVDs before) and, as the blocks are built one after
+# the other, peaks at about 50 MB (numpy's, by tracemalloc); afterwards only its
+# 2 N eigenvalues stay held.
 MAX_ORACLE_DIM = 4096
 
 

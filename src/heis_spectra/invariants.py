@@ -134,38 +134,43 @@ def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
     return _nullity(np.linalg.svd(A, compute_uv=False), tol)
 
 
-def _orbit_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S): the unitary DFT of size dim on the even and on the odd orbit vectors
-    of the reversal k -> -k mod dim, up to the pullback's phase.
+def _orbit_blocks(dim: int):
+    """Yield C, then S: the unitary DFT of size dim on the even and on the odd orbit
+    vectors of the reversal k -> -k mod dim, up to the pullback's phase.
 
     With h = dim/2 the even basis is e_0, e_h and (e_j + e_{dim-j})/sqrt 2 for
     0 < j < h, the odd basis (e_j - e_{dim-j})/sqrt 2 for 0 < j < h; then
     C[j, k] = w_j w_k cos(2 pi (jk mod dim)/dim)/sqrt dim, w = 1 at j in {0, h} and
     sqrt 2 elsewhere, and S[j, k] = 2 sin(2 pi (jk mod dim)/dim)/sqrt dim.  Both are
-    real and symmetric and depend on dim alone.
+    real and symmetric and depend on dim alone.  S is built after C is dropped, so
+    a caller that drops C first holds the table jk, in the smallest unsigned type
+    that holds h^2, and one block at a time.
     """
     h = dim // 2
-    j = np.arange(h + 1)
+    j = np.arange(h + 1, dtype=np.min_scalar_type(h * h))
     jk = np.outer(j, j) % dim
     angle = (2 * math.pi / dim) * np.arange(dim)
     even = (np.cos(angle) / math.sqrt(dim))[jk]
     even[1:h] *= math.sqrt(2.0)
     even[:, 1:h] *= math.sqrt(2.0)
-    odd = (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
-    return even, odd
+    yield even
+    del even
+    yield (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
 
 
 @functools.lru_cache(maxsize=1)
 def _orbit_eigenvalues(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of the two orbit blocks (C, S) of `_orbit_blocks(dim)`, by
-    `eigvalsh`.  A dims range asks for one size at each of its levels, so the last
-    size is kept: 2 N floats, while the blocks' tables (about 4 N^2 bytes) are
-    freed on return.
+    `eigvalsh`, one block at a time.  A dims range asks for one size at each of its
+    levels, so the last size is kept: 2 N floats, while the blocks' tables (at the
+    peak about 3 N^2 bytes, the table jk and one block) are freed on return.
     """
-    eigs = tuple(np.linalg.eigvalsh(block) for block in _orbit_blocks(dim))
-    for w in eigs:
-        w.flags.writeable = False
-    return eigs
+    eigs = []
+    for block in _orbit_blocks(dim):
+        eigs.append(np.linalg.eigvalsh(block))
+        eigs[-1].flags.writeable = False
+        del block
+    return tuple(eigs)
 
 
 def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
@@ -180,30 +185,20 @@ def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
     return np.abs((eigs if r % 4 == 0 else -eigs) - 1.0)
 
 
-@functools.lru_cache(maxsize=2)
-def _pair_singular_values(e: float) -> np.ndarray:
-    """The singular values of the half-turn's 2x2 block [[-1, e], [e, -1]] of M - I."""
-    # complex, as the dense route's blocks were: the kernel value comes out 0, not 3e-17
-    svals = np.linalg.svd(np.array([[-1.0, e], [e, -1.0]], dtype=complex), compute_uv=False)
-    svals.flags.writeable = False
-    return svals
-
-
 def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol), without the dense
-    matrix: O(N) time and memory, and no SVD once each sign's 2x2 block has one.
+    matrix and without an SVD: O(N) time and memory.
 
-    The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam).  On the
-    reversal's orbits M - I is the 1x1 block e - 1 at each fixed point k = 0 and
-    k = N/2, and the 2x2 block [[-1, e], [e, -1]] on each pair {k, N - k},
-    0 < k < N/2; the blocks' singular values together are those of the dense
-    I - M, so the rank rule is unchanged.  The pairs' blocks are all one matrix,
-    so its singular values, taken once per sign, are tiled N/2 - 1 times.
+    The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam), so with
+    h = l|n| = N/2 it is e on the reversal's h + 1 even orbit vectors (e_0, e_h and
+    (e_k + e_{N-k})/sqrt 2) and -e on its h - 1 odd ones (e_k - e_{N-k})/sqrt 2.
+    M - I is diagonal on them, and its singular values are |e - 1| and |e + 1|
+    there, those of the dense I - M, so the rank rule is unchanged.
     """
     _check_nl(n, lam, l)
     e = -1.0 if (n + lam) % 2 else 1.0
-    svals = (np.full(2, abs(e - 1.0)), np.tile(_pair_singular_values(e), l * abs(n) - 1))
-    return _nullity(np.concatenate(svals), tol)
+    h = l * abs(n)
+    return _nullity(np.repeat([abs(e - 1.0), abs(e + 1.0)], [h + 1, h - 1]), tol)
 
 
 def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:

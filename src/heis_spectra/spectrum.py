@@ -31,9 +31,10 @@ The torus counts of a grid come from one array pass over its rows (i, kmax).
 On a crystallographic quotient the rotation permutes the characters in orbits
 of full size away from the origin, so torus multiplicities are point counts
 divided by the index (tests/test_counting_core.py ranks the orbit projector).
-enumerate_spectrum lists the lines as one sorted table of LINE records: the
-points of _torus_rows grouped by num, and m = 1..M on each level of _level_tops
-with the multiplicities of the class table.
+enumerate_spectrum counts its (n, lambda) pairs with the same core before it makes
+any line, and lists the lines as one sorted table of LINE records: the points of
+_torus_rows grouped by num, and m = 1..M on every level with the multiplicities
+of the class table.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def _oscillator_value(m: int, c: float) -> float:
 def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
     if n == 0:
         raise ValueError("n must be nonzero")
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
     sgn = 1.0 if n > 0 else -1.0
     return _oscillator_value(abs(n), 2 * lam + 1 - alpha * sgn)
 
@@ -97,9 +100,6 @@ MAX_TORUS_ROWS = 10**6
 # holds _TORUS_ROWS_AT_ONCE rows at a time, about 40 bytes each.
 MAX_TORUS_PASS = 2 * 10**7
 _TORUS_ROWS_AT_ONCE = 1 << 16
-# enumerate_spectrum refuses a tmax at which a top may pass this, before any is
-# stepped: its lines would be far past MAX_SPECTRUM_LINES.
-_WIDE_TOP = 2.0**62
 # Below this every integer is a float, and a floor guess of a top is off by a
 # step or two; tops and nums that may pass it are found in Python ints by
 # _largest, since their float values repeat over runs of integers.
@@ -108,9 +108,6 @@ _FLOAT_INTS = 2.0**52
 # sum is then an exact integer (the factor 2 below 2^53 covers the rounding of
 # the bound itself); larger ones in Python ints.
 _EXACT_FLOAT = 2.0**52
-# enumerate_spectrum counts and makes its levels this many at a time, and refuses
-# at the first group past MAX_SPECTRUM_LINES, whose running count it reports.
-_LEVELS_AT_ONCE = 1 << 14
 
 
 def _step(x: np.ndarray, fits) -> np.ndarray:
@@ -168,30 +165,6 @@ def _tops(c: np.ndarray, t: np.ndarray, wide: bool = False) -> np.ndarray:
                          for cm, tm, g in zip(c.tolist(), t.tolist(), guess.tolist())],
                         dtype=object)
     return _step(guess.astype(np.int64), lambda m, i: _oscillator_value(m, c[i]) <= t[i])
-
-
-def _level_tops(alpha: float, tmax: float):
-    """Yield (sgn, lam, c, tops) over the oscillator levels, _LEVELS_AT_ONCE at a time.
-
-    The levels run through lam = 0, 1, ... with both signs each, so c grows from
-    group to group.  sgn and lam are int64 arrays over the levels of the group,
-    c = 2 lam + 1 - alpha sgn, and tops[k] is the largest m with
-    _oscillator_value(m, c[k]) <= tmax, in int64: the caller refuses a tmax at
-    which a top could pass _WIDE_TOP.  Every level with an eigenvalue <= tmax is
-    included, and a few past it with tops 0.  c <= 0 only at lam = 0 for
-    |alpha| = 1: that kernel is not counted.
-    """
-    # c >= 2 lam, so no level at or past tmax / pi + 1 has an eigenvalue <= tmax
-    count = 2 * (int(tmax / math.pi) + 2)
-    for lo in range(0, count, _LEVELS_AT_ONCE):
-        index = np.arange(lo, min(lo + _LEVELS_AT_ONCE, count))
-        lam, sgn = index // 2, 1 - 2 * (index % 2)
-        c = (2 * lam + 1) - alpha * sgn
-        keep = c > 0
-        sgn, lam, c = sgn[keep], lam[keep], c[keep]
-        if _oscillator_value(1, c.min()) > tmax:
-            return
-        yield sgn, lam, c, _tops(c, np.full(c.shape, tmax))
 
 
 # Entries kept by the caches of _class_table and _sectors: the program asks for a
@@ -433,6 +406,12 @@ def _torus_points(lattice: LatticeSpec, tgrid) -> list[int]:
         for top, imax in zip(wide, wide_imax)]
 
 
+def _pair(n: int, lam: int) -> int:
+    """The multiplicity 1 of every pair: its sums count the (n, lambda) pairs.  A
+    module function, so _class_table keeps its one table."""
+    return 1
+
+
 @functools.lru_cache(maxsize=_TABLES)
 def _sectors(manifold):
     """(f, lattice, orbits): f(n, lam) is the multiplicity of an oscillator
@@ -475,9 +454,17 @@ def _torus_lines(lattice: LatticeSpec, orbits, a: int, den: int, rows: list) -> 
     return lines
 
 
-def _oscillator_lines(f, tmax: float, sgn, lam, c, tops) -> np.ndarray:
-    """The lines m = 1..tops of a group of _level_tops whose multiplicity
-    f(sgn m, lam) = f0 + d (m - 1) // 4 of the class table is not 0."""
+def _oscillator_lines(f, alpha: float, tmax: float) -> np.ndarray:
+    """The lines m = 1..M of every level (sgn, lam) with an eigenvalue <= tmax, M its
+    top, whose multiplicity f(sgn m, lam) = f0 + d (m - 1) // 4 of the class table is
+    not 0.  c = 2 lam + 1 - alpha sgn >= 2 lam, so no level at or past tmax / pi + 1
+    has one, and c <= 0 only at the |alpha| = 1 kernel, which is not counted."""
+    index = np.arange(2 * (int(tmax / math.pi) + 2))
+    lam, sgn = index // 2, 1 - 2 * (index % 2)
+    c = (2 * lam + 1) - alpha * sgn
+    keep = c > 0
+    sgn, lam, c = sgn[keep], lam[keep], c[keep]
+    tops = _tops(c, np.full(c.shape, tmax))
     f0, d = _class_table((f,))[:2]
     if np.abs(f0).max() + np.abs(d).max() * (int(tops.max()) // 4) >= 2**63:
         raise ValueError(f"the spectrum up to tmax = {tmax!r} has multiplicities past "
@@ -494,6 +481,13 @@ def _oscillator_lines(f, tmax: float, sgn, lam, c, tops) -> np.ndarray:
     return lines
 
 
+def _fewest_pairs(tmax: float) -> int:
+    """2 (K - 1), K = floor(tmax / pi): pairs in (0, tmax] that need no counting.  Each
+    sign has one at m = 1, of value at most pi (K - 1) <= tmax - pi, on K - 1 levels:
+    lam = 0..K - 2, or lam = 1..K - 1 where lam = 0 is the |alpha| = 1 kernel."""
+    return 2 * (int(tmax / math.pi) - 1)
+
+
 def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
                        tmax: float) -> np.ndarray:
     """All spectral lines with value <= tmax on a lattice or crystallographic
@@ -505,33 +499,25 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
     group's first point in the order of (i, k).  Oscillator lines (kind 1, mu = nu
     = 0.0) are kept per (n, lambda); zero oscillator values (the alpha = +-1
     kernels) and zero multiplicities are left out.  More than MAX_SPECTRUM_LINES
-    lines raise ValueError before any is made, a multiplicity past int64 after.
+    (n, lambda) pairs and torus points raise ValueError before any line is made,
+    a multiplicity past int64 after.
     """
     if not 0 < tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     f, lattice, orbits = _sectors(manifold)
-    # count the (n, lambda) pairs and torus points before any line is made; each
-    # lam below tmax / pi - 1 has a pair of each sign, and a lam = 0 level about
-    # tmax / ((pi/2) c), so past _WIDE_TOP that estimate stands for the count
-    estimate = 2 * (tmax / math.pi - 1) + sum(tmax / (math.pi / 2.0 * c)
-                                              for c in (1 - alpha, 1 + alpha) if c > 0)
-    levels, count = [], 0
-    if estimate < _WIDE_TOP:
-        for level in _level_tops(alpha, tmax):
-            levels.append(level)
-            count += int(level[3].sum())
-            if count > MAX_SPECTRUM_LINES:
-                break
-        else:
-            a, den, rows = _torus_rows(lattice, tmax)
-            rows = list(rows)
-            count += sum(2 * kmax + 1 for _, kmax in rows)
-    if estimate >= _WIDE_TOP or count > MAX_SPECTRUM_LINES:
-        found = f"at least {count}" if count else f"more than {_WIDE_TOP:.2g}"
-        raise ValueError(f"the spectrum up to tmax = {tmax!r} has {found} lines (oscillator "
-                         f"pairs and torus points), more than the limit of {MAX_SPECTRUM_LINES}")
+    count = _fewest_pairs(tmax)
+    if count <= MAX_SPECTRUM_LINES:  # then the split has at most about 4000 entries
+        count = _oscillator_sums([_pair], alpha, [tmax])[0][0]
+    if count <= MAX_SPECTRUM_LINES:
+        a, den, rows = _torus_rows(lattice, tmax)
+        rows = list(rows)
+        count += sum(2 * kmax + 1 for _, kmax in rows)
+    if count > MAX_SPECTRUM_LINES:
+        raise ValueError(f"the spectrum up to tmax = {tmax!r} has at least {count} lines "
+                         f"(oscillator pairs and torus points), more than the limit of "
+                         f"{MAX_SPECTRUM_LINES}")
     lines = np.concatenate([_torus_lines(lattice, orbits, a, den, rows),
-                            *(_oscillator_lines(f, tmax, *level) for level in levels)])
+                            _oscillator_lines(f, alpha, tmax)])
     return lines[np.lexsort([lines[key] for key in ("lam", "n", "nu", "mu", "kind", "value")])]

@@ -180,6 +180,15 @@ def test_eigenfunction_grid(capsys):
             assert abs(rows[(p + 1.0, q, (s + q) % 1.0)] - val) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", ["2", "nan"])
+def test_eigenfunction_refuses_an_alpha_outside_its_domain(capsys, alpha):
+    # both once wrote a header, eigenvalue=-1.5707963267948966 and eigenvalue=nan
+    assert main(["eigenfunction", "--manifold", "nl", "--n", "1", "--alpha", alpha,
+                 "--grid", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: alpha must lie in [-1, 1]\n")
+
+
 def test_eigenfunction_rejects_bad_requests(capsys):
     assert main(["eigenfunction", "--manifold", "nl", "--n", "0"]) == 2
     assert main(["eigenfunction", "--manifold", "gamma-pi", "--n", "1"]) == 2
@@ -599,13 +608,31 @@ def test_huge_l_is_refused_at_once_in_fresh_processes(capsys):
     capsys.readouterr()
 
 
+def _largest_top(c, t):
+    """The largest m with (pi m / 2) c <= t, by bisection over Python ints."""
+    low, high = 0, 1
+    while (math.pi * high / 2.0) * c <= t:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if (math.pi * mid / 2.0) * c <= t else (low, mid)
+    return low
+
+
 def test_spectrum_refusals_need_no_enumeration():
     with pytest.raises(ValueError, match="at least"):
         enumerate_spectrum(standard_rect(1), 0.0, 1e6)
-    # tops past 2^62 are never stepped: the estimate refuses first
-    with pytest.raises(ValueError, match="more than 4.6e"):
+    # the lam = 0 level of c = 2^-53 holds about 1e4 2^54 / pi pairs, counted in
+    # Python ints and never stepped; every other level is a few thousand at most
+    top = _largest_top(2.0**-53, 1e4)
+    others = sum(_largest_top((2 * lam + 1) - (1 - 2**-53) * sgn, 1e4)
+                 for sgn in (1, -1) for lam in range(1 if sgn > 0 else 0, 3200))
+    with pytest.raises(ValueError, match=f"has at least {top + others} lines"):
         enumerate_spectrum(standard_rect(1), 1 - 2**-53, 1e4)
-    with pytest.raises(ValueError, match="more than 4.6e"):
+    # the lines' float expression takes a few thousand m past the real floor
+    assert abs(top - 10**4 * 2**54 / math.pi) < 2**-40 * top
+    # past the bound 2 (floor(tmax / pi) - 1) nothing is counted
+    with pytest.raises(ValueError, match=f"has at least {2 * (int(1e300 / math.pi) - 1)} lines"):
         enumerate_spectrum(standard_rect(1), 0.5, 1e300)
 
 

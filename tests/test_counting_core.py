@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis_spectra import spectrum, weyl
@@ -32,7 +32,10 @@ from heis_spectra.group import (
 )
 from heis_spectra.invariants import dim_phi_invariant, dim_psi_invariant
 from heis_spectra.spectrum import (
+    MAX_SPECTRUM_LINES,
+    _fewest_pairs,
     _oscillator_sums,
+    _pair,
     dual_lattice,
     enumerate_spectrum,
     oscillator_eigenvalue,
@@ -510,3 +513,55 @@ def test_tops_past_2_62_are_bracketed_at_large_t(alpha):
     start = time.perf_counter()
     counting_function(standard_rect(1), alpha, [1e10])
     assert time.perf_counter() - start < 2.0
+
+
+# ---------------------------------------------------------------------------
+# enumerate_spectrum sizes itself with the same core
+
+
+def _torus_count(lattice, t):
+    """The points with value <= t, a row of the box of _torus_points at a time."""
+    a, den = _form(lattice)
+    r = math.isqrt(int(t * den / math.pi**2) + 2) + 1
+    k = np.arange(-r, r + 1)
+    return sum(int(np.count_nonzero(math.pi**2 * (a * i * i + k * k) / den <= t))
+               for i in range(-r, r + 1))
+
+
+@pytest.mark.parametrize("manifold,alpha,tmax", [
+    # just past the limit on the pairs alone: 2,000,001 of them at these tmax
+    (standard_rect(1), 0.9999, 314.0108251060651),
+    (gamma_pi_half(2), -0.9999, 314.0108251060651),
+    (gamma_pi(1), 1.0, 272577.14499606483),
+    # 4,648 pairs and 1,999,005 torus points, past the limit only together
+    (scaled_square(3140), 0.0, 1000.0),
+])
+def test_a_spectrum_past_the_limit_is_refused_with_its_exact_count(manifold, alpha, tmax):
+    lattice = _cover(manifold)[0]
+    pairs = sum(top for *_, top in _scalar_levels(alpha, tmax))
+    count = pairs if pairs > MAX_SPECTRUM_LINES else pairs + _torus_count(lattice, tmax)
+    assert count > MAX_SPECTRUM_LINES
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"has at least {count} lines"):
+        enumerate_spectrum(manifold, alpha, tmax)
+    assert time.perf_counter() - start < 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(tmax=st.floats(math.pi, 3.2e6),
+       alpha=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+@example(tmax=math.pi, alpha=1.0)
+@example(tmax=2 * math.pi, alpha=-1.0)
+@example(tmax=math.nextafter(3 * math.pi, 0.0), alpha=1.0)
+@example(tmax=math.pi * (MAX_SPECTRUM_LINES // 2 + 1), alpha=1.0)
+def test_the_uncounted_bound_never_exceeds_the_pair_count(tmax, alpha):
+    assert _fewest_pairs(tmax) <= _oscillator_sums([_pair], alpha, [tmax])[0][0]
+
+
+def test_spectra_past_the_bound_are_refused_uncounted(monkeypatch):
+    monkeypatch.setattr(spectrum, "_split_parts", None)
+    for tmax in (math.pi * (MAX_SPECTRUM_LINES // 2 + 3), 7e11, 1e300):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has at least {_fewest_pairs(tmax)} lines"):
+            enumerate_spectrum(standard_rect(1), 0.0, tmax)
+        assert time.perf_counter() - start < 0.05

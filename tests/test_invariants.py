@@ -26,7 +26,6 @@ from heis_spectra.invariants import (
     _nullspace_basis,
     _orbit_blocks,
     _orbit_eigenvalues,
-    _pair_singular_values,
     _psi_phase,
     _sector_index,
     character_table,
@@ -267,13 +266,12 @@ def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
         assert fixed_subspace_dim(psi_pullback_matrix(16, 1, 4)) == dim_psi_invariant(16, 1, 4)
         assert [call.args[0].shape for call in svd.call_args_list] == [(128, 128)]
         svd.reset_mock()
-        # the reversal k -> -k fixes k = 0 and k = N/2 and pairs the rest, at N = 256 and
-        # at small N alike, down to N = 2 with no pair; every pair has the one 2x2 block
-        # of the sign e, whose SVD is taken once per sign, so no row takes a batch
-        _pair_singular_values.cache_clear()
+        # the half-turn is e on the reversal's even orbit vectors and -e on its odd
+        # ones, at N = 256 and at small N alike, down to N = 2 with no odd one: its
+        # singular values |e - 1| and |e + 1| are in closed form, and no row takes an SVD
         for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-4, 1, 2)):
             assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
-        assert [call.args[0].shape for call in svd.call_args_list] == [(2, 2), (2, 2)]
+        assert svd.call_count == 0
 
 
 def _orbit_basis(n, l):
@@ -350,8 +348,22 @@ def test_quarter_turn_oracle_holds_o_n_memory_afterwards():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak > 4 * 1024**2  # numpy's arrays are traced: the tables were built
+    assert peak > 8 * 513**2  # numpy's arrays are traced: a 513 x 513 block was built
     assert held < 2**20
+
+
+def test_orbit_blocks_are_built_one_at_a_time():
+    # N = 1024: the index table, 4 bytes an entry, and one block of 8 bytes an entry
+    # are held at a time, about 1.5 blocks; both blocks and an int64 table were 3
+    block = 8 * 513**2
+    _orbit_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        _orbit_eigenvalues(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block < peak < 2 * block
 
 
 def test_quarter_turn_oracle_keeps_the_rank_rule():
