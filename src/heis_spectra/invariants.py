@@ -8,14 +8,18 @@ are exact Fourier objects: the quarter-turn pullback is i^(n+lam) F for n > 0
 and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
 half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
 On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
-(1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step);
-its window takes every term some residue needs, each dropped term is under
-tol/10 of sup|psi_lam|, and the tail is at most ~tol sup|psi_lam| sum |c|.
+(1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step),
+its weights read through `_residue_order`, the closed-form inverse of the index;
+its window is the contiguous run of points m/N within the seed's reach, so each
+dropped term is under tol/10 of sup|psi_lam| and the tail is at most
+~tol sup|psi_lam| sum |c|.  The half-turn's invariant basis is in closed form,
+the reversal's even orbit vectors (e = 1) or its odd ones (e = -1); the
+quarter-turn's is the null space of I - M by a dense SVD.
 Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from an SVD nullity oracle, kept separate so they can be compared; the
-oracle and the invariant bases share one rank rule on I - M (singular values
-below tol are kernel, one inside [tol/10, 10 tol] raises IllConditionedError,
-and a tol below the floor sigma_max N eps raises ValueError).
+oracle and the quarter-turn's invariant basis share one rank rule on I - M
+(singular values below tol are kernel, one inside [tol/10, 10 tol] raises
+IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError).
 `fixed_subspace_dim` takes one dense SVD and is the reference; the oracles of
 `dims` never build the matrix.  Both generators act on the orbits of the
 reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
@@ -38,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import LatticeSpec
-from .weil_brezin import _hermite_windows, _on_cover, _series_value
+from .group import LatticeSpec, symplectic_coords
+from .weil_brezin import _hermite_seed, _residue_series
 
 
 class IllConditionedError(RuntimeError):
@@ -76,6 +80,19 @@ def _sector_index(n: int, l: int) -> np.ndarray:
     dim = two_l * abs(n)
     a, b = np.divmod(np.arange(dim), two_l)
     return (two_l * a + (b if n > 0 else -b)) % dim
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_order(n: int, l: int) -> np.ndarray:
+    """The basis position of each index k, the inverse of `_sector_index`, in closed
+    form: k itself for n > 0, and 2l (ceil(k/2l) mod |n|) + (-k mod 2l) for n < 0,
+    as k = 2l a - b with 0 < b < 2l is 2l (a - 1) + (2l - b).  Read-only."""
+    two_l = 2 * l
+    k = np.arange(two_l * abs(n))
+    if n < 0:
+        k = two_l * (-(-k // two_l) % -n) + (-k % two_l)
+    k.flags.writeable = False
+    return k
 
 
 def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
@@ -344,6 +361,8 @@ class CoefficientVector:
             raise ValueError("n must be nonzero")
         if self.entries.shape != (2 * self.l * abs(self.n),):
             raise ValueError("entry vector has the wrong length")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("coefficients must be finite")
 
 
 def _nullspace_basis(M: PullbackMatrix) -> list[CoefficientVector]:
@@ -353,14 +372,27 @@ def _nullspace_basis(M: PullbackMatrix) -> list[CoefficientVector]:
 
 
 def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
-    """The fixed_subspace_dim(M) orthonormal solutions of the half-turn relations.
+    """The fixed_subspace_dim(M) orthonormal solutions of the half-turn relations, in
+    closed form.
 
     The relations pair (a, b) with its pullback target: e c^{a,b} = c^{a',b'}
-    with e = (-1)^(n+lam).  The pullback is a symmetric involution, so these
-    rows are e (I - M) and share the null space of I - M; a singular value in
-    the rank rule's band raises IllConditionedError.
+    with e = (-1)^(n+lam).  On the index k (`_sector_index`) the pullback is the
+    reversal k -> -k mod N with sign e, so with h = l|n| = N/2 the solutions are
+    (e_k + e e_{N-k})/sqrt 2 for 0 < k < h, and e_0 and e_h when e = 1, each
+    carried to the basis positions by `_residue_order`.
     """
-    return _nullspace_basis(phi_pullback_matrix(n, lam, l))
+    _check_nl(n, lam, l)
+    e = -1.0 if (n + lam) % 2 else 1.0
+    h = l * abs(n)
+    ks = np.arange(1, h)
+    vecs = np.zeros((h - 1, 2 * h), dtype=complex)
+    vecs[ks - 1, ks] = math.sqrt(0.5)
+    vecs[ks - 1, 2 * h - ks] = e * math.sqrt(0.5)
+    if e > 0:
+        vecs = np.concatenate((np.eye(2 * h, dtype=complex)[[0, h]], vecs))
+    entries = np.empty_like(vecs)
+    entries[:, _residue_order(n, l)] = vecs
+    return [CoefficientVector(n, l, v) for v in entries]
 
 
 def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
@@ -371,11 +403,13 @@ def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
 
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,
                               pt, tol: float = 1e-12) -> complex:
-    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series."""
-    cover, window_at = _hermite_windows(coef.n, 2 * coef.l, lam, lattice, tol)
-    dim = coef.entries.size
-    weights = coef.entries[np.argsort(_sector_index(coef.n, coef.l))]  # c at residue k
-    pt = _on_cover(cover, pt)
-    exponents, seeds = window_at(pt.p, np.arange(dim) / dim)
-    return _series_value(coef.n, (exponents, (seeds.reshape(-1, dim) * weights).ravel()),
-                         pt.q, pt.s)
+    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series
+    over (1/N)Z with c^{a,b} at residue k (`_residue_series`); a point whose p on the
+    cover is not below 2^52 in magnitude, or a value that is not finite, raises
+    ValueError."""
+    lam, cover, scale = _hermite_seed(coef.n, 2 * coef.l, lam, lattice, tol)
+    p, q, s = pt.p, pt.q, pt.s
+    if cover is not None:
+        p, q, s = symplectic_coords(cover, p, q, s)
+    weights = coef.entries[_residue_order(coef.n, coef.l)]  # c at residue k
+    return _residue_series(lam, scale, coef.n, weights, p, q, s, tol)

@@ -14,19 +14,24 @@ lattice onto the rectangular one of width 2l.
 tol is relative to the seed's largest value.  A Hermite seed psi_lam(scale x) keeps
 every term with |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol)); past
 the turning point its tail is Gaussian, so each dropped term is under tol/10 of
-sup|psi_lam|.  A window may hold a (k x residue) matrix of seeds, one column per
-offset: an invariant combination Sum c^{a,b} f^{a,b} is one series over the
-N = L|n| residues r/N (invariants.eigenfunction_combination), with a tail of at
-most about tol * sup|psi_lam| * Sum |c|.  The seeds depend on p alone (Auslander
-and Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid
-is evaluated a p-row at a time (wb_eigenfunction_grid): one window per row, one
+sup|psi_lam|.  An invariant combination Sum c^{a,b} f^{a,b}
+(invariants.eigenfunction_combination) is one series over (1/N)Z on the smallest
+window that keeps the per-residue rule: N = L|n|, the weight of residue r at each
+m = r mod N, and the contiguous m with |scale (p + m/N)| within that reach, so
+its tail is at most about tol * sup|psi_lam| * Sum |c| and a point costs one
+Hermite call, one exp and one dot.  The seeds depend on p alone (Auslander and
+Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid is
+evaluated a p-row at a time (wb_eigenfunction_grid): one window per row, one
 array of phases over the row's q, one pairwise sum per q and the factor
 e^{2 pi i n s} in real arithmetic.  Every value equals the one-point series of
-wb_eigenfunction bit for bit, so grid files keep their bytes.
+wb_eigenfunction bit for bit, so grid files keep their bytes.  Both one-point
+paths refuse, with ValueError, a p on the cover that is not below 2^52 in
+magnitude (past it p + k is no longer exact) and a value that is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -78,39 +83,51 @@ def schrodinger_act(beta: float, h: PolarizedPoint, g, x: float) -> complex:
 
 # widest window of the generic path, in terms
 _MAX_WINDOW = 100_000
+# past 2^52 a float p + k is no longer exact, so a window's arguments drift
+_MAX_P = 2.0**52
 
 
-def _outer(ks, offs):  # k + off for every k and offset, k-major and flat
-    return np.add.outer(ks, offs).ravel()
-
-
-def _window(n: int, ks, offs, xs, seeds, what: str):
-    """The exponents 2 pi i n (k + off), before the factor q, and the complex seeds,
-    flat and k-major; a seed that is not finite raises ValueError."""
+def _window(n: int, ks, off: float, xs, seeds, what: str):
+    """The exponents 2 pi i n (k + off), before the factor q, and the complex seeds;
+    a seed that is not finite raises ValueError."""
     bad = ~np.isfinite(seeds)
     if bad.any():
         raise ValueError(f"{what} is not finite at x = {float(xs[bad][0])!r}")
-    return 2j * math.pi * n * _outer(ks, offs), seeds.astype(complex)
+    return 2j * math.pi * n * (ks + off), seeds.astype(complex)
 
 
-def _series_window(lam: int, scale: float, n: int, p: float, offs, tol: float):
-    """The window of seeds psi_lam(scale (p + k + off)), off in offs, from one Hermite
-    call: every k with |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol))
-    for some offset, so that every residue's dropped terms are under tol/10."""
-    reach = (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0)))) / scale
-    ks = np.arange(math.ceil(-reach - p - float(offs.max())),
-                   math.floor(reach - p - float(offs.min())) + 1)
-    xs = _outer(p + ks, offs)
-    return _window(n, ks, offs, xs, _psi(lam, scale * xs),
-                   f"the Hermite seed of order {lam}")
+def _reach(lam: int, scale: float, p: float, tol: float) -> float:
+    """R / scale with R = sqrt(2 lam + 1) + sqrt(2 ln(10/tol)): past |scale x| = R each
+    term is under tol/10 of sup|psi_lam|.  A p on the cover that is not finite or
+    not below 2^52 in magnitude raises ValueError."""
+    if not abs(p) < _MAX_P:
+        raise ValueError(f"p = {p!r} on the rectangular cover must be finite and below "
+                         f"2^52 in magnitude")
+    return (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0)))) / scale
+
+
+def _finite(value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise ValueError(f"the series is not finite ({value!r}): a phase or a term overflows")
+    return value
+
+
+def _series_window(lam: int, scale: float, n: int, p: float, off: float, tol: float):
+    """The window of seeds psi_lam(scale (p + k + off)) of one basis function, from one
+    Hermite call: every k with |scale (p + k + off)| <= R (`_reach`)."""
+    reach = _reach(lam, scale, p, tol)
+    ks = np.arange(math.ceil(-reach - p - off), math.floor(reach - p - off) + 1)
+    xs = (p + ks) + off
+    return _window(n, ks, off, xs, _psi(lam, scale * xs), f"the Hermite seed of order {lam}")
 
 
 def _series_value(n: int, window, q: float, s: float) -> complex:
     exponents, seeds = window
-    phases = np.exp(exponents * q)
-    # ascending-k summation order for reproducible floating point
-    total = np.sum(seeds * phases)
-    return complex(np.exp(2j * math.pi * n * s) * total)
+    with np.errstate(all="ignore"):  # a phase that overflows is refused below
+        phases = np.exp(exponents * q)
+        # ascending-k summation order for reproducible floating point
+        total = np.sum(seeds * phases)
+        return _finite(complex(np.exp(2j * math.pi * n * s) * total))
 
 
 def _series_row(n: int, window, q, s):
@@ -130,6 +147,28 @@ def _series_row(n: int, window, q, s):
     out.real = fr * tr - fi * ti
     out.imag = fr * ti + fi * tr
     return out
+
+
+def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float, s: float,
+                    tol: float) -> complex:
+    """e^{2 pi i n s} Sum_m w_{m mod N} psi_lam(scale (p + m/N)) e^{2 pi i n q m/N},
+    N = weights.size, on the smallest window that keeps the per-residue rule: the
+    m with |scale (p + m/N)| <= R (`_reach`), one Hermite call, one exp and one dot.
+    A phase that overflows, or a value that is not finite, raises ValueError."""
+    size = weights.size
+    reach = _reach(lam, scale, p, tol)
+    # p = j + f with j whole and f exact: the term m of p is the term m + jN of f,
+    # of the same residue, with its phase times e^{-2 pi i n q j}
+    j = round(p)
+    f = p - j
+    m0, m1 = math.ceil(size * (-reach - f)), math.floor(size * (reach - f))
+    step, turn = 2 * math.pi * n * q / size, 2 * math.pi * n * (s - q * j)
+    if not (math.isfinite(step * max(-m0, m1)) and math.isfinite(turn)):
+        raise ValueError(f"the phases at q = {q!r}, s = {s!r} overflow")
+    ms = np.arange(m0, m1 + 1)
+    seeds = _psi(lam, (scale / size) * (ms + size * f))
+    total = np.dot(weights[ms % size] * seeds, np.exp((1j * step) * ms))
+    return _finite(complex(total) * cmath.exp(1j * turn))
 
 
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:
@@ -155,14 +194,14 @@ def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) ->
         terms.appendleft(seed(k0 - K))
         terms.append(seed(k0 + K))
         peak = max(peak, abs(terms[0]), abs(terms[-1]))
-    ks, offs = np.arange(k0 - K, k0 + K + 1), np.array([off])
-    window = _window(idx.n, ks, offs, _outer(pt.p + ks, offs), np.array(terms), "the seed")
+    ks = np.arange(k0 - K, k0 + K + 1)
+    window = _window(idx.n, ks, off, (pt.p + ks) + off, np.array(terms), "the seed")
     return _series_value(idx.n, window, pt.q, pt.s)
 
 
-def _hermite_windows(n: int, width: int, lam: int, lattice: LatticeSpec, tol: float):
-    """The map onto the rectangular cover (None on a rectangular lattice) and the
-    _series_window of the Hermite seed of order lam as a function of p and offsets."""
+def _hermite_seed(n: int, width: int, lam: int, lattice: LatticeSpec, tol: float):
+    """(lam, cover, scale): the checked order, the map onto the rectangular cover
+    (None on a rectangular lattice) and the scale of the seed psi_lam(scale x)."""
     if width != lattice.covering_width:
         raise ValueError(f"width {width} is not the covering width of {lattice}")
     lam = _check_order(lam)
@@ -171,14 +210,8 @@ def _hermite_windows(n: int, width: int, lam: int, lattice: LatticeSpec, tol: fl
     # psi_lam(scale x): scale is sqrt(2 pi |n|) on a rectangular lattice, and
     # 2 sqrt(pi l |n|) on a square one, read on its cover of width 2l
     if lattice.kind == "standard-rect":
-        cover, scale = None, math.sqrt(2.0 * math.pi * abs(n))
-    else:
-        cover, scale = scaling_map(lattice.l), 2.0 * math.sqrt(math.pi * lattice.l * abs(n))
-    return cover, lambda p, offs: _series_window(lam, scale, n, p, offs, tol)
-
-
-def _on_cover(cover, pt: PolarizedPoint) -> PolarizedPoint:
-    return pt if cover is None else apply_symplectic(cover, pt)
+        return lam, None, math.sqrt(2.0 * math.pi * abs(n))
+    return lam, scaling_map(lattice.l), 2.0 * math.sqrt(math.pi * lattice.l * abs(n))
 
 
 def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, ss,
@@ -191,8 +224,8 @@ def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, 
     values are array operations over the row, equal bit for bit to
     wb_eigenfunction at each point.
     """
-    cover, window_at = _hermite_windows(idx.n, idx.l, lam, lattice, tol)
-    offs = np.array([idx.offset])
+    lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
+    off = idx.offset
     qs = np.array(qs, dtype=float).reshape(-1, 1)
     ss = np.array(ss, dtype=float).reshape(1, -1)
     if not (qs.size and ss.size):
@@ -208,7 +241,7 @@ def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, 
             p = float(p[0, 0])
         if not (math.isfinite(p) and np.isfinite(q).all() and np.isfinite(s).all()):
             raise ValueError("coordinates must be finite")
-        return _series_row(idx.n, window_at(p, offs), q[:, 0], s)
+        return _series_row(idx.n, _series_window(lam, scale, idx.n, p, off, tol), q[:, 0], s)
 
     return map(row, ps)
 
@@ -221,6 +254,8 @@ def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: Polarized
     lattice; square lattices are evaluated at the point carried onto their
     rectangular cover.
     """
-    cover, window_at = _hermite_windows(idx.n, idx.l, lam, lattice, tol)
-    pt = _on_cover(cover, pt)
-    return _series_value(idx.n, window_at(pt.p, np.array([idx.offset])), pt.q, pt.s)
+    lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
+    if cover is not None:
+        pt = apply_symplectic(cover, pt)
+    window = _series_window(lam, scale, idx.n, pt.p, idx.offset, tol)
+    return _series_value(idx.n, window, pt.q, pt.s)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from heis_spectra import invariants
 from heis_spectra.group import (
     PolarizedPoint,
     motion_apply,
@@ -18,6 +19,7 @@ from heis_spectra.group import (
 )
 from heis_spectra.invariants import (
     CharacterTable,
+    CoefficientVector,
     IllConditionedError,
     _UNITS,
     PullbackMatrix,
@@ -27,6 +29,7 @@ from heis_spectra.invariants import (
     _orbit_blocks,
     _orbit_eigenvalues,
     _psi_phase,
+    _residue_order,
     _sector_index,
     character_table,
     dim_from_characters,
@@ -613,6 +616,36 @@ def test_psi_invariant_combination_pointwise():
                 a = eigenfunction_combination(v, lam, lattice, motion_apply(psi, pt))
                 b = eigenfunction_combination(v, lam, lattice, pt)
                 assert abs(a - b) < 1e-7
+
+
+def test_residue_order_is_the_inverse_of_the_sector_index():
+    for n in [m for m in range(-64, 65) if m]:
+        for l in range(1, 5):
+            assert np.array_equal(_residue_order(n, l), np.argsort(_sector_index(n, l)))
+
+
+def test_combination_reads_its_weights_without_a_sort(monkeypatch):
+    # five points of one sector, the residue order computed afresh, and neither the
+    # index map nor a sort called once
+    calls = []
+    for owner, name in ((invariants, "_sector_index"), (np, "argsort")):
+        fn = getattr(owner, name)
+        counted = lambda *args, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    _residue_order.cache_clear()
+    rng = np.random.default_rng(53)
+    for n, l, lattice in ((-3, 2, scaled_square(2)), (2, 1, standard_rect(2))):
+        coef = CoefficientVector(n, l, rng.normal(size=2 * l * abs(n)) + 0j)
+        for _ in range(5):
+            eigenfunction_combination(coef, 2, lattice, PolarizedPoint(*rng.uniform(-1, 1, 3)))
+    assert calls == []
+
+
+def test_half_turn_basis_takes_no_svd():
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-3, 1, 2)):
+            assert len(phi_constraint_solve(n, lam, l)) == dim_phi_invariant(n, lam, l)
+        assert svd.call_count == 0
 
 
 def test_input_validation():

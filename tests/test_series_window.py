@@ -244,13 +244,13 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
 @pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
 def test_combination_builds_one_window_per_point(monkeypatch, n, l, lattice):
     calls = []
-    window = weil_brezin._series_window
+    psi = weil_brezin._psi
 
     def counted(*args):
         calls.append(args)
-        return window(*args)
+        return psi(*args)
 
-    monkeypatch.setattr(weil_brezin, "_series_window", counted)
+    monkeypatch.setattr(weil_brezin, "_psi", counted)
     rng = np.random.default_rng(7)
     coef = CoefficientVector(n, l, rng.normal(size=2 * l * abs(n)) + 0j)
     for i in range(5):
@@ -258,23 +258,27 @@ def test_combination_builds_one_window_per_point(monkeypatch, n, l, lattice):
         assert len(calls) == i + 1
 
 
-def test_every_residue_keeps_the_window_open():
-    # the window keeps each k that some residue needs, and each residue's first
-    # dropped term on either side lies past R, under tol/10 of sup|psi_lam|
+def test_every_residue_keeps_the_window_open(monkeypatch):
+    # the combination's window over (1/N)Z keeps each m with |y| <= R, y = scale (p + m/N),
+    # and each residue's first dropped term on either side lies past R, under tol/10
+    # of sup|psi_lam|
+    seen = []
+    psi = weil_brezin._psi
+    monkeypatch.setattr(weil_brezin, "_psi", lambda lam, y: seen.append(y) or psi(lam, y))
     cases = [(0, math.sqrt(2 * math.pi), 4), (6, 2.0, 36), (170, math.sqrt(2 * math.pi), 8),
              (2000, 30.0, 64)]
     for (lam, scale, N), tol in itertools.product(cases, (1e-12, 1e-6, 1e-3)):
         reach = math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))
-        offs = np.arange(N) / N
         for p in np.random.default_rng(lam).uniform(-3.0, 3.0, size=5):
-            exponents, seeds = weil_brezin._series_window(lam, scale, 3, p, offs, tol)
-            ks = np.round((exponents[::N] / (2j * math.pi * 3)).real).astype(int)
-            assert np.array_equal(ks, np.arange(ks[0], ks[-1] + 1))
-            ys = scale * np.add.outer(p + ks, offs)
-            assert np.array_equal(seeds.reshape(-1, N), hermite_function(lam, ys))
-            assert np.min(np.abs(ys[0])) <= reach and np.min(np.abs(ys[-1])) <= reach
-            for k in (ks[0] - 1, ks[-1] + 1):
-                y = scale * (p + k + offs)
+            seen.clear()
+            weil_brezin._residue_series(lam, scale, 3, np.ones(N), p, 0.0, 0.0, tol)
+            (ys,) = seen
+            ms = np.round((ys / scale - p) * N).astype(int)
+            assert np.array_equal(ms, np.arange(ms[0], ms[-1] + 1))
+            assert np.allclose(ys, scale * (p + ms / N), rtol=0, atol=1e-13)
+            assert np.all(np.abs(ys) <= reach)
+            for dropped in (np.arange(ms[0] - N, ms[0]), np.arange(ms[-1] + 1, ms[-1] + N + 1)):
+                y = scale * (p + dropped / N)  # the first dropped term of every residue
                 assert np.all(np.abs(y) > reach)
                 assert np.max(np.abs(hermite_function(lam, y))) < 0.1 * tol * sup_psi(lam)
 
@@ -373,6 +377,52 @@ def test_nonfinite_seed_raises():
         weil_brezin_eval(idx, seed, origin)
     with pytest.raises(ValueError):
         wb_eigenfunction(idx, 0, standard_rect(1), PolarizedPoint(math.nan, 0.0, 0.0))
+
+
+def test_nonfinite_coefficients_are_refused():
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        entries = np.ones(4, dtype=complex)
+        entries[2] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            CoefficientVector(2, 1, entries)
+
+
+@pytest.mark.parametrize("lattice", [standard_rect(2), scaled_square(1)])
+def test_an_overflowing_phase_is_refused(lattice):
+    # q = 1e308 overflows the phases: a ValueError, not nan and a RuntimeWarning
+    pt = PolarizedPoint(0.3, 1e308, 0.1)
+    with pytest.raises(ValueError):
+        wb_eigenfunction(WBIndex(2, 1, 1, 2), 1, lattice, pt)
+    with pytest.raises(ValueError):
+        eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
+
+
+@pytest.mark.parametrize("lattice,p", [(standard_rect(2), 1e300), (scaled_square(1), -1e300),
+                                       (standard_rect(2), 1e17), (scaled_square(1), 1e17),
+                                       (standard_rect(2), -(2.0**52))])
+def test_a_point_past_exact_shifts_is_refused(lattice, p):
+    # past 2^52 on the cover p + k is no longer exact (1e17 on standard-rect(2) was
+    # 0.85 off where |f| is about 0.75), and at 1e300 the window's integers pass
+    # the int64 range; both paths refuse with ValueError
+    pt = PolarizedPoint(p, 0.25, 0.1)
+    coef = CoefficientVector(2, 1, np.arange(4) + 1j)
+    with pytest.raises(ValueError, match="below 2\\^52"):
+        wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice, pt)
+    with pytest.raises(ValueError, match="below 2\\^52"):
+        eigenfunction_combination(coef, 2, lattice, pt)
+
+
+def test_a_far_point_keeps_its_short_window():
+    # at p = 1e12 the combination's indices m lie near -N p and are reduced mod N at
+    # once; n p q is whole, so both paths give f(0, q, s) up to the rounding of
+    # phases near 2 pi n p q, about 4e-4 of |f| here
+    n, p, q, s = 2, 1e12, 0.375, 0.1
+    idx, lattice = WBIndex(n, 1, 1, 2), standard_rect(2)
+    coef = CoefficientVector(n, 1, np.arange(4) + 1j)
+    for f in (lambda pt: wb_eigenfunction(idx, 2, lattice, pt),
+              lambda pt: eigenfunction_combination(coef, 2, lattice, pt)):
+        want = f(PolarizedPoint(0.0, q, s))
+        assert abs(f(PolarizedPoint(p, q, s)) - want) < 1e-3 * abs(want)
 
 
 def widened_sum(n, lam, scale, pt, offs, weights, rows=20):
