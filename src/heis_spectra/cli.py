@@ -14,6 +14,8 @@ import io
 import math
 import sys
 
+import numpy as np
+
 from .group import (
     BieberbachSpec,
     LatticeSpec,
@@ -24,12 +26,12 @@ from .group import (
 )
 from .invariants import (
     IllConditionedError,
-    character_table,
+    character_values,
     dim_phi_invariant,
     dim_psi_invariant,
-    phi_fixed_subspace_dim,
-    psi_fixed_subspace_dim,
-    sector_dimensions,
+    phi_fixed_subspace_dims,
+    psi_fixed_subspace_dims,
+    sector_multiplicities,
 )
 from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
@@ -49,13 +51,17 @@ _MANIFOLDS = {"nl": standard_rect, "nprime": scaled_square, "gamma-pi": gamma_pi
               "gamma-pi2": gamma_pi_half}
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, *parts: str) -> None:
+    """Write the parts of one text one after the other, so a large text need
+    never be joined."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -186,30 +192,43 @@ def cmd_eigenfunction(args) -> int:
     return 0
 
 
-def _dims_row(kind: str, n: int, lam: int, l: int, tol: float):
-    # the half-turn is psi^2: its fixed vectors are psi's eigenvectors for +1 and -1
-    mult = sector_dimensions(character_table(n, lam, l))
-    if kind == "gamma-pi":
-        closed = dim_phi_invariant(n, lam, l)
-        char = mult[0] + mult[2]
-        oracle = phi_fixed_subspace_dim(n, lam, l, tol)
-    else:
-        closed = dim_psi_invariant(n, lam, l)
-        char = mult[0]
-        oracle = psi_fixed_subspace_dim(n, lam, l, tol)
-    agree = closed == oracle == char
-    return closed, oracle, char, agree
-
-
-# dims refuses sectors of size N = 2l|n| above this.  Neither oracle builds the
-# N x N pullback and neither takes an SVD: a half-turn row has its singular values
-# in closed form, in O(N) time and memory; the quarter-turn rows of one N share
-# one eigvalsh pair of the two orbit blocks of sizes N/2 +- 1, at O(N^3) cost, and
-# read it at each level's phase.  At N = 4096 the pair serves all four levels in
-# about 1.4 s (17 to 20 s of SVDs before) and, as the blocks are built one after
-# the other, peaks at about 50 MB (numpy's, by tracemalloc); afterwards only its
-# 2 N eigenvalues stay held.
+# dims refuses sectors of size N = 2l|n| above this, which keeps n and N within
+# int64.  The table is built as columns, in blocks of rows: the closed forms in
+# Python ints, the characters as one (rows x 4) array and one product, and each
+# oracle column by one rank rule, and neither oracle builds the N x N pullback or
+# takes an SVD.  A half-turn row is two runs of singular values in closed form,
+# O(1) a row; the quarter-turn rows of one N share one eigvalsh pair of the two
+# orbit blocks of sizes N/2 +- 1, at O(N^3) cost, read at each row's phase.  At
+# N = 4096 the pair serves all four levels in about 1.4 s and, as the blocks are
+# built one after the other, peaks at about 50 MB (numpy's, by tracemalloc);
+# afterwards only its 2 N eigenvalues stay held.
 MAX_ORACLE_DIM = 4096
+
+_DIMS_ROW = "%d,%d,%d,%d,%d,%s\n"
+# rows per block of a dims table: a block's columns and row strings take about
+# 0.3 kB a row at the peak, so 2.5 MB, while its text keeps about 26 bytes a row
+_DIMS_ROWS_AT_ONCE = 1 << 13
+
+
+def _dims_columns(kind: str, ns: list, lams: list, l: int, tol: float) -> tuple[list, list]:
+    """The character and oracle columns of the rows (ns, lams).  A refusal names the
+    first refusing row in row order, and the characters' on a tie, as when each
+    row took its characters before its oracle."""
+    oracle = phi_fixed_subspace_dims if kind == "gamma-pi" else psi_fixed_subspace_dims
+    columns, refusals = [], []
+    for column in (lambda: sector_multiplicities(character_values(ns, lams, l)),
+                   lambda: oracle(ns, lams, l, tol)):
+        try:
+            columns.append(column())
+        except (ValueError, IllConditionedError) as exc:
+            refusals.append(exc)
+    if refusals:
+        exc = min(refusals, key=lambda exc: exc.row)
+        raise ValueError(f"{exc} (row n = {ns[exc.row]}, lambda = {lams[exc.row]})") from exc
+    mult, oracles = columns
+    # the half-turn is psi^2: its fixed vectors are psi's eigenvectors for +1 and -1
+    chars = mult[:, 0] + mult[:, 2] if kind == "gamma-pi" else mult[:, 0]
+    return chars.tolist(), oracles.tolist()
 
 
 def cmd_dims(args) -> int:
@@ -234,19 +253,22 @@ def cmd_dims(args) -> int:
                          f"above the limit of {MAX_ORACLE_DIM}")
     levels = 1 if args.lam is not None else max(args.lmax + 1, 0)
     _check_rows((nmax - nmin + 1 - (nmin <= 0 <= nmax)) * levels)
-    ns = [n for n in range(nmin, nmax + 1) if n != 0]
-    lams = [args.lam] if args.lam is not None else range(args.lmax + 1)
-    buf = io.StringIO()
-    buf.write("n,lambda,closed,oracle,character,agree\n")
-    try:
-        for n in ns:
-            for lam in lams:
-                closed, oracle, char, agree = _dims_row(manifold.kind, n, lam, args.l, args.tol)
-                buf.write("%d,%d,%d,%d,%d,%s\n"
-                          % (n, lam, closed, oracle, char, "true" if agree else "false"))
-    except (ValueError, IllConditionedError) as exc:
-        raise ValueError(f"{exc} (row n = {n}, lambda = {lam})") from exc
-    _write_output(args.out, buf.getvalue())
+    ns = np.arange(nmin, nmax + 1)
+    ns = ns[ns != 0]
+    # a single level past int64 is kept exact, in an object array
+    lams = np.arange(levels) if args.lam is None else np.array([args.lam])
+    closed_form = dim_phi_invariant if manifold.kind == "gamma-pi" else dim_psi_invariant
+    blocks = ["n,lambda,closed,oracle,character,agree\n"]
+    # n-major rows, a block at a time, so only one block's row strings are held,
+    # and the blocks are written one after the other, never joined
+    for start in range(0, ns.size * levels, _DIMS_ROWS_AT_ONCE):
+        rows = np.arange(start, min(start + _DIMS_ROWS_AT_ONCE, ns.size * levels))
+        n_col, lam_col = ns[rows // levels].tolist(), lams[rows % levels].tolist()
+        chars, oracles = _dims_columns(manifold.kind, n_col, lam_col, args.l, args.tol)
+        closed = map(closed_form, n_col, lam_col, [args.l] * rows.size)
+        blocks.append("".join([_DIMS_ROW % (n, lam, c, o, h, "true" if c == o == h else "false")
+                               for n, lam, c, o, h in zip(n_col, lam_col, closed, oracles, chars)]))
+    _write_output(args.out, *blocks)
     return 0
 
 

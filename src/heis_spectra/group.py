@@ -14,6 +14,7 @@ a lattice together with the half-turn ``phi`` or the quarter-turn ``psi``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -135,11 +136,13 @@ def apply_symplectic(m: SymplecticMap, g: PolarizedPoint) -> PolarizedPoint:
     return PolarizedPoint(*symplectic_coords(m, g.p, g.q, g.s))
 
 
+@functools.lru_cache(maxsize=64)
 def scaling_map(l: int) -> SymplecticMap:
     """The rescaling (p, q, s) |-> (p / sqrt(2l), sqrt(2l) q, s).
 
     Carries the square lattice of width sqrt(2l) onto the rectangular lattice
     Z x 2lZ x Z, so square-lattice quotients can reuse rectangular machinery.
+    The map is frozen, so one is built per l and shared by every point.
     """
     w = math.sqrt(2.0 * l)
     return SymplecticMap(A=w, B=0.0, C=0.0, D=1.0 / w)

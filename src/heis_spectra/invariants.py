@@ -16,34 +16,47 @@ dropped term is under tol/10 of sup|psi_lam| and the tail is at most
 the reversal's even orbit vectors (e = 1) or its odd ones (e = -1); the
 quarter-turn's is the null space of I - M by a dense SVD.
 Fixed-subspace dimensions follow from closed forms, from characters and Gauss
-sums, or from an SVD nullity oracle, kept separate so they can be compared; the
-oracle and the quarter-turn's invariant basis share one rank rule on I - M
-(singular values below tol are kernel, one inside [tol/10, 10 tol] raises
-IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError).
-`fixed_subspace_dim` takes one dense SVD and is the reference; the oracles of
-`dims` never build the matrix.  Both generators act on the orbits of the
+sums, or from a nullity oracle, kept separate so they can be compared.  The
+characters and the oracles are columns over rows (n, lam): one (rows x 4)
+character array and one product with the powers of i (`character_values`,
+`sector_multiplicities`), and one int64 oracle column per generator
+(`phi_fixed_subspace_dims`, `psi_fixed_subspace_dims`); the one-row calls
+(`character_table`, `sector_dimensions`, `phi_fixed_subspace_dim`,
+`psi_fixed_subspace_dim`) are their columns of one row.  A row's phase reads
+lam only mod 4, taken in Python ints, so a level of any size is exact.  One rank
+rule on I - M (`_nullity`, over a stack of rows, optionally as runs of equal
+values) serves the oracles, the dense reference and the quarter-turn's invariant
+basis: singular values below tol are kernel, one inside [tol/10, 10 tol] raises
+IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError;
+a column raises the error of its first refusing row, with the row's index as
+`.row`.  `fixed_subspace_dim` takes one dense SVD and is the reference; the
+oracles never build the matrix.  Both generators act on the orbits of the
 reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
-points and 2x2 blocks on its pairs (`phi_fixed_subspace_dim`), and the
+points and 2x2 blocks on its pairs (`phi_fixed_subspace_dims`), and the
 quarter-turn commutes with its square, the reversal, so on the reversal's even
 and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
-phase, of sizes N/2 + 1 and N/2 - 1 (`psi_fixed_subspace_dim`; the even/odd
-split of the DFT, McClellan and Parks, IEEE Trans. Audio Electroacoust. 20,
-1972).  The blocks together have the dense matrix's singular values, so the
-rank rule is the same; as the blocks are real and symmetric, those are read off
-their eigenvalues at each level's phase, one eigendecomposition per N.
+phase, of sizes N/2 + 1 and N/2 - 1 (the even/odd split of the DFT, McClellan
+and Parks, IEEE Trans. Audio Electroacoust. 20, 1972; `psi_fixed_subspace_dims`).
+The blocks together have the dense matrix's singular values, so the rank rule is
+the same; as the blocks are real and symmetric, those are read off their
+eigenvalues at each row's phase, one eigendecomposition per distinct N.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import LatticeSpec, symplectic_coords
 from .weil_brezin import _hermite_seed, _residue_series
+
+
+_EPS = sys.float_info.epsilon
 
 
 class IllConditionedError(RuntimeError):
@@ -128,19 +141,56 @@ def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     return PullbackMatrix("psi", n, lam, l, mat)
 
 
-def _nullity(svals: np.ndarray, tol: float) -> int:
-    """The rank rule on the N singular values of an N x N matrix: the count of those
-    below tol, refused with IllConditionedError when one lies inside
-    [tol/10, 10 tol] and with ValueError when tol is below sigma_max N eps."""
+def _refusal(exc: Exception, row: int) -> Exception:
+    exc.row = row  # the index of the refusing row in its column
+    return exc
+
+
+def _rank_rule(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
+    """The rank rule along the last axis of a stack of rows, each row the singular
+    values of one N x N matrix, or with `counts` their runs (value j repeated
+    counts[..., j] times, N the sum): per row the nullity (the count below tol),
+    the floor sigma_max N eps, and whether the row is refused (a value inside
+    [tol/10, 10 tol], a tol below the floor, or a tol that is not positive and
+    finite).  A run of none holds no value."""
+    if counts is None:
+        size, present = svals.shape[-1], {}
+    else:
+        size, present = np.add.reduce(counts, -1), {"where": counts > 0}
+    floor = np.maximum.reduce(svals, -1, initial=0.0, **present) * size * _EPS
+    band = (svals >= tol / 10) & (svals <= tol * 10)
+    refused = (floor > tol) | np.logical_or.reduce(band, -1, **present)
     if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    floor = np.max(svals, initial=0.0) * svals.size * np.finfo(float).eps
-    if tol < floor:  # numpy's matrix_rank default: below it a kernel value may be noise
-        raise ValueError(f"tol = {tol!r} is below the rank rule's floor "
-                         f"sigma_max N eps = {floor:.3g}")
-    if np.any((svals >= tol / 10) & (svals <= tol * 10)):
-        raise IllConditionedError(f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}")
-    return int(np.sum(svals < tol))
+        refused[...] = True
+    kernel = svals < tol
+    if counts is None:
+        return np.add.reduce(kernel, -1, dtype=np.int64), floor, refused
+    return np.add.reduce(counts, -1, where=kernel), floor, refused
+
+
+def _rank_refusal(floor: float, tol: float, row: int) -> Exception:
+    """The error of a row the rank rule refuses, its index as `.row`."""
+    if not 0 < tol < math.inf:
+        return _refusal(ValueError(f"tol must be positive and finite, got {tol!r}"), row)
+    if floor > tol:  # numpy's matrix_rank default: below it a kernel value may be noise
+        return _refusal(ValueError(f"tol = {tol!r} is below the rank rule's floor "
+                                   f"sigma_max N eps = {floor:.3g}"), row)
+    return _refusal(IllConditionedError(
+        f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}"), row)
+
+
+def _nullity(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
+    """The rank rule (`_rank_rule`) on the singular values of N x N matrices: the
+    nullity of each row of a stack as an int64 column, or of one row as an int.  The
+    first refused row raises IllConditionedError for a value inside [tol/10, 10 tol]
+    and ValueError for a tol below sigma_max N eps, its index as `.row`."""
+    if np.ndim(svals) == 1:
+        return int(_nullity(svals[None], tol, None if counts is None else counts[None])[0])
+    nullity, floor, refused = _rank_rule(svals, tol, counts)
+    if np.count_nonzero(refused):
+        row = int(refused.argmax())
+        raise _rank_refusal(float(floor[row]), tol, row)
+    return nullity
 
 
 def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
@@ -202,34 +252,69 @@ def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
     return np.abs((eigs if r % 4 == 0 else -eigs) - 1.0)
 
 
-def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
-    """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol), without the dense
-    matrix and without an SVD: O(N) time and memory.
+def _phase_rows(ns, lams, l: int):
+    """(sizes, keys, refusal): per row, in Python ints, the sector size N = 2l|n|
+    and the phase key 2r + (n > 0) of (r, sign) = `_psi_phase(n, lam)`, which reads
+    lam only mod 4, so a level of any size stays exact.  The rows stop before the
+    first that `_check_nl` refuses, and its refusal, or None, comes third."""
+    ns, lams = list(ns), list(lams)
+    refusal = None
+    if l < 1 or not all(ns) or min(lams, default=0) < 0:
+        for row, (n, lam) in enumerate(zip(ns, lams)):
+            try:
+                _check_nl(n, lam, l)
+            except ValueError as exc:
+                refusal = _refusal(exc, row)
+                del ns[row:], lams[row:]
+                break
+    sizes = [2 * l * abs(n) for n in ns]
+    keys = [2 * r + (sign < 0) for r, sign in map(_psi_phase, ns, lams)]
+    return sizes, keys, refusal
+
+
+# the half-turn's singular values |e - 1| and |e + 1| at e = 1 and at e = -1, on its
+# h + 1 even and h - 1 odd orbit vectors
+_HALF_TURN = np.array([[0.0, 2.0], [2.0, 0.0]])
+
+
+def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
+    """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
+    as one int64 column, without the dense matrices and without an SVD: O(1) a row.
 
     The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam), so with
     h = l|n| = N/2 it is e on the reversal's h + 1 even orbit vectors (e_0, e_h and
     (e_k + e_{N-k})/sqrt 2) and -e on its h - 1 odd ones (e_k - e_{N-k})/sqrt 2.
     M - I is diagonal on them, and its singular values are |e - 1| and |e + 1|
-    there, those of the dense I - M, so the rank rule is unchanged.
+    there, those of the dense I - M; the rank rule takes them as two runs.  The
+    first refusing row raises its error, its index as `.row`.
     """
-    _check_nl(n, lam, l)
-    e = -1.0 if (n + lam) % 2 else 1.0
-    h = l * abs(n)
-    return _nullity(np.repeat([abs(e - 1.0), abs(e + 1.0)], [h + 1, h - 1]), tol)
+    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    svals = _HALF_TURN.take([key >> 1 & 1 for key in keys], 0)  # r has the parity of n + lam
+    runs = np.array([(size // 2 + 1, size // 2 - 1) for size in sizes], dtype=np.int64)
+    nullity = _nullity(svals, tol, runs.reshape(-1, 2))
+    if refusal is not None:
+        raise refusal
+    return nullity
 
 
-def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
-    """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol), without the dense
-    matrix and without an SVD: the eigenvalues of two real symmetric blocks of
-    about half its size (sizes 2 and 0 at N = 2), taken once per N and read at
-    each level's phase.
+def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
+    """The one-row `phi_fixed_subspace_dims`."""
+    return int(phi_fixed_subspace_dims([n], [lam], l, tol)[0])
+
+
+def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
+    """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
+    as one int64 column, without the dense matrices and without an SVD: the
+    eigenvalues of two real symmetric blocks of about half the size (sizes 2 and 0
+    at N = 2), taken once per distinct N and read at each phase of its rows.
 
     The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
     reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
     (`_orbit_blocks`), and no entry joins the two.  Their singular values of B - I
     (`_block_singular_values`) together are those of the dense I - M, so the rank
-    rule is unchanged.  A call costs O(N^3) for a new N and O(N) for the last one,
-    and holds O(N) memory afterwards.
+    rule, taken once per N on the stack of its phases, is unchanged.  A new N costs
+    O(N^3), and O(N) memory is held afterwards.  The first refusing row raises its
+    error, its index as `.row`.
 
     `eigvalsh` leaves the eigenvalues, all +-1, up to about N eps / 2 away from them
     (5 eps at N = 14), where the dense SVD of I - M leaves its kernel values below
@@ -238,12 +323,33 @@ def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     refuse a row the other counts; they never count it differently, as the noise
     stays below the floor and so below tol.
     """
-    _check_nl(n, lam, l)
-    r, sign = _psi_phase(n, lam)
-    even, odd = _orbit_eigenvalues(2 * l * abs(n))
-    odd_phase = r + (3 if sign < 0 else 1)  # sign i = i^3 or i
-    svals = (_block_singular_values(even, r), _block_singular_values(odd, odd_phase))
-    return _nullity(np.concatenate(svals), tol)
+    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    codes = [8 * size + key for size, key in zip(sizes, keys)]
+    nullity_of, refused = {}, {}  # by code: the phase pair's nullity, or its floor if refused
+    # each (N, phase) once, by N, so one eigvalsh pair per N
+    for size, group in itertools.groupby(sorted(set(codes)), lambda code: code >> 3):
+        group = list(group)
+        even, odd = _orbit_eigenvalues(size)
+        stack = np.empty((len(group), size))  # a row per phase: the even block's, the odd's
+        for row, code in zip(stack, group):
+            r, positive = divmod(code & 7, 2)
+            row[:even.size] = _block_singular_values(even, r)
+            row[even.size:] = _block_singular_values(odd, r + (3 if positive else 1))
+        nullity, floor, bad = _rank_rule(stack, tol)
+        nullity_of.update(zip(group, nullity.tolist()))
+        if np.count_nonzero(bad):
+            refused.update((code, fl) for code, fl, b in zip(group, floor.tolist(), bad) if b)
+    if refused:
+        row = next(row for row, code in enumerate(codes) if code in refused)
+        raise _rank_refusal(refused[codes[row]], tol, row)
+    if refusal is not None:
+        raise refusal
+    return np.array([nullity_of[code] for code in codes], dtype=np.int64)
+
+
+def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
+    """The one-row `psi_fixed_subspace_dims`."""
+    return int(psi_fixed_subspace_dims([n], [lam], l, tol)[0])
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
@@ -308,35 +414,69 @@ class CharacterTable:
         chi0, _, _, chi3 = self.values
         if abs(chi0 - 2 * self.l * abs(self.n)) > 1e-9:
             raise ValueError("chi(1) must equal the sector dimension")
-        if abs(chi3 - np.conj(self.values[1])) > 1e-9:
+        if abs(chi3 - self.values[1].conjugate()) > 1e-9:
             raise ValueError("chi(g^3) must conjugate chi(g)")
 
 
+def _characters(size: int, r: int, positive: bool) -> tuple[complex, ...]:
+    """chi(g^m), m = 0..3, on a sector of the given size and phase (r, n > 0), for
+    the table below: chi(g) = i^r G(N)/sqrt N with G the Gauss sum, conjugated for
+    n > 0, and chi(g^2) = 2 (-1)^r, the trace of the half-turn of sign
+    (-1)^(n+lam) = (-1)^r."""
+    gauss = gauss_sum(size)
+    chi1 = 1j**r * (gauss.conjugate() if positive else gauss) / math.sqrt(size)
+    return complex(size), chi1, complex(2.0 * (-1) ** r), chi1.conjugate()
+
+
+# the characters at row 2 key + N/2 mod 2, key = 2r + (n > 0) (`_phase_rows`): G(N)/sqrt N
+# and so chi(g) take one value at every even N = 0 mod 4 and one at every N = 2 mod 4
+_CHARACTERS = np.array([_characters(size, r, positive)
+                        for r in range(4) for positive in (False, True) for size in (4, 2)])
+
+
+def character_values(ns, lams, l: int) -> np.ndarray:
+    """The character table chi(g^m), m = 0..3, of the quarter-turn on the sector of
+    each row (n, lam): one (rows x 4) complex array.  chi(1) is the size N = 2l|n|,
+    chi(g) = i^r G(N)/sqrt N with G the Gauss sum (`gauss_sum`), conjugated for
+    n > 0, and chi(g^3) its conjugate.  The first row that `_check_nl` refuses
+    raises its error, its index as `.row`."""
+    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    if refusal is not None:
+        raise refusal
+    values = _CHARACTERS.take([2 * key + (size >> 1 & 1) for size, key in zip(sizes, keys)], 0)
+    values[:, 0] = sizes
+    return values
+
+
 def character_table(n: int, lam: int, l: int) -> CharacterTable:
-    _check_nl(n, lam, l)
-    m = abs(n)
-    chi0 = complex(2 * l * m)
-    r, sign = _psi_phase(n, lam)
-    gauss = gauss_sum(2 * l * m)
-    chi1 = 1j**r * (gauss.conjugate() if sign < 0 else gauss) / math.sqrt(2 * l * m)
-    chi2 = complex(2 * (-1.0 if (n + lam) % 2 else 1.0))
-    return CharacterTable(n, lam, l, (chi0, complex(chi1), chi2, complex(np.conj(chi1))))
+    """The one-row `character_values`, checked as a CharacterTable."""
+    return CharacterTable(n, lam, l, tuple(character_values([n], [lam], l)[0].tolist()))
 
 
 # _UNITS[j][m] = i^(-j m): the weight of chi(g^m) in the multiplicity of the eigenvalue i^j
 _UNITS = tuple(tuple(1j ** (-j * m) for m in range(4)) for j in range(4))
+_QUARTER_UNITS = np.array(_UNITS).T / 4.0
+
+
+def sector_multiplicities(values: np.ndarray) -> np.ndarray:
+    """The multiplicities of the four eigenvalues i^j of the cyclic action, from each
+    row of a (rows x 4) character array by one product: a (rows x 4) int64 array.
+    The first row with a multiplicity off an integer by more than 1e-9 raises
+    ValueError, its index as `.row`."""
+    mult = values @ _QUARTER_UNITS  # /4 by a power of two, exact in the product
+    whole = np.rint(mult.real)
+    # the real parts' distances to the integers and the imaginary parts, side by side
+    off = np.logical_or.reduce(np.abs((mult - whole).view(float)) > 1e-9, -1)
+    if np.count_nonzero(off):
+        raise _refusal(ValueError("character table produced a non-integer multiplicity"),
+                       int(off.argmax()))
+    return whole.astype(np.int64)
 
 
 def sector_dimensions(table: CharacterTable) -> tuple[int, int, int, int]:
-    """Multiplicities of the four eigenvalues i^j of the cyclic action."""
-    out = []
-    for units in _UNITS:
-        acc = sum(map(operator.mul, units, table.values))
-        val = acc / 4.0
-        if abs(val.imag) > 1e-9 or abs(val.real - round(val.real)) > 1e-9:
-            raise ValueError("character table produced a non-integer multiplicity")
-        out.append(int(round(val.real)))
-    return tuple(out)
+    """Multiplicities of the four eigenvalues i^j of the cyclic action: the one-row
+    `sector_multiplicities`."""
+    return tuple(sector_multiplicities(np.array([table.values]))[0].tolist())
 
 
 def dim_from_characters(table: CharacterTable) -> int:

@@ -488,6 +488,15 @@ def _fewest_pairs(tmax: float) -> int:
     return 2 * (int(tmax / math.pi) - 1)
 
 
+def _at_least(count: int) -> str:
+    """A line count as a refusal writes it: in full up to 2^53, and past it in e form
+    to three significant digits, rounded down, so that "at least" stays true."""
+    if count <= 2**53:
+        return str(count)
+    digits = str(count)
+    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1:02d}"
+
+
 def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
                        tmax: float) -> np.ndarray:
     """All spectral lines with value <= tmax on a lattice or crystallographic
@@ -515,8 +524,8 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
         rows = list(rows)
         count += sum(2 * kmax + 1 for _, kmax in rows)
     if count > MAX_SPECTRUM_LINES:
-        raise ValueError(f"the spectrum up to tmax = {tmax!r} has at least {count} lines "
-                         f"(oscillator pairs and torus points), more than the limit of "
+        raise ValueError(f"the spectrum up to tmax = {tmax!r} has at least {_at_least(count)} "
+                         f"lines (oscillator pairs and torus points), more than the limit of "
                          f"{MAX_SPECTRUM_LINES}")
     lines = np.concatenate([_torus_lines(lattice, orbits, a, den, rows),
                             _oscillator_lines(f, alpha, tmax)])

@@ -627,13 +627,34 @@ def test_spectrum_refusals_need_no_enumeration():
     top = _largest_top(2.0**-53, 1e4)
     others = sum(_largest_top((2 * lam + 1) - (1 - 2**-53) * sgn, 1e4)
                  for sgn in (1, -1) for lam in range(1 if sgn > 0 else 0, 3200))
-    with pytest.raises(ValueError, match=f"has at least {top + others} lines"):
+    # the refusal writes a count past 2^53 to three digits, rounded down, so the counting
+    # core's own count is checked in full
+    assert spectrum._oscillator_sums([spectrum._pair], 1 - 2**-53, [1e4])[0][0] == top + others
+    assert top + others == 57341611392226647140
+    with pytest.raises(ValueError, match=r"has at least 5\.73e\+19 lines"):
         enumerate_spectrum(standard_rect(1), 1 - 2**-53, 1e4)
     # the lines' float expression takes a few thousand m past the real floor
     assert abs(top - 10**4 * 2**54 / math.pi) < 2**-40 * top
-    # past the bound 2 (floor(tmax / pi) - 1) nothing is counted
-    with pytest.raises(ValueError, match=f"has at least {2 * (int(1e300 / math.pi) - 1)} lines"):
+    # past the bound 2 (floor(tmax / pi) - 1) = 6.366...e299 nothing is counted
+    assert str(2 * (int(1e300 / math.pi) - 1)).startswith("6366")
+    with pytest.raises(ValueError, match=r"has at least 6\.36e\+299 lines"):
         enumerate_spectrum(standard_rect(1), 0.5, 1e300)
+
+
+@pytest.mark.parametrize("count, written", [
+    (2**53, str(2**53)), (2**53 + 1, "9.00e+15"), (10**16 - 1, "9.99e+15"),
+    (10**16, "1.00e+16"), (57341611392226647140, "5.73e+19"), (10**300 + 1, "1.00e+300"),
+])
+def test_a_large_line_count_is_written_rounded_down(count, written):
+    assert spectrum._at_least(count) == written
+
+
+def test_a_huge_spectrum_refusal_is_one_short_line(capsys):
+    # the bound at tmax = 1e300 has 300 digits; its refusal writes 6.36e+299
+    assert main(["spectrum", "--manifold", "nl", "--tmax", "1e300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err) < 200 and "at least 6.36e+299 lines" in err, err
 
 
 def test_spectrum_near_alpha_one_still_enumerates(capsys):
@@ -685,8 +706,8 @@ def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkey
     def refuse(*args):
         raise AssertionError("an oracle ran")
 
-    monkeypatch.setattr(cli, "psi_fixed_subspace_dim", refuse)
-    monkeypatch.setattr(cli, "phi_fixed_subspace_dim", refuse)
+    monkeypatch.setattr(cli, "psi_fixed_subspace_dims", refuse)
+    monkeypatch.setattr(cli, "phi_fixed_subspace_dims", refuse)
     tracemalloc.start()
     try:
         rc = main(["dims", "--manifold", "gamma-pi2", "--n", "2000", "--l", "8"])
@@ -713,7 +734,8 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
     def refuse(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(cli, "_dims_row", refuse)
+    for column in ("character_values", "phi_fixed_subspace_dims", "psi_fixed_subspace_dims"):
+        monkeypatch.setattr(cli, column, refuse)
     tracemalloc.start()
     try:
         rc = main(["dims", "--manifold", "gamma-pi2", *argv])
@@ -725,6 +747,28 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(w in err for w in words), err
     assert peak < 1 << 20
+
+
+# tracemalloc's peak of the command below when each row was computed and written
+# into one buffer in turn, before the table was built as columns in blocks
+_MILLION_ROW_DIMS_PEAK = 51_674_462
+
+
+def test_a_million_row_dims_table_holds_its_text_once(tmp_path):
+    # 2500 n by 400 levels: the blocks of rows are written one after the other, so
+    # the 26 MB of text is held once and never joined, with one block's columns
+    out = tmp_path / "dims.csv"
+    argv = ["dims", "--manifold", "gamma-pi", "--nmin", "-1250", "--nmax", "1250",
+            "--lmax", "399", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    assert text.count("\n") == 10**6 + 1 and text.endswith("\n1250,399,1249,1249,1249,true\n")
+    assert len(text) < peak < _MILLION_ROW_DIMS_PEAK
 
 
 def test_dims_writes_a_huge_level_exactly(capsys):
@@ -766,17 +810,18 @@ def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pul
     for tol in (None, "1e-12", "1e-4", "1e-2"):
         blocks = [dims(*r, tol) for r in ranges]
         with monkeypatch.context() as m:
-            m.setattr(cli, oracle, lambda n, lam, l, tol: _nullity(dense_svals(n, lam, l), tol))
+            m.setattr(cli, oracle, lambda ns, lams, l, tol: np.array(
+                [_nullity(dense_svals(n, lam, l), tol) for n, lam in zip(ns, lams)]))
             assert [dims(*r, tol) for r in ranges] == blocks, tol
 
 
 def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", "psi_fixed_subspace_dim",
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", "psi_fixed_subspace_dims",
                                       psi_pullback_matrix, ((1, 36), (2, 24), (3, 18), (4, 16)))
 
 
 def test_dims_half_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", "phi_fixed_subspace_dim",
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", "phi_fixed_subspace_dims",
                                       phi_pullback_matrix, ((1, 80), (2, 56), (3, 40), (4, 32)))
 
 

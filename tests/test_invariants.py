@@ -32,6 +32,7 @@ from heis_spectra.invariants import (
     _residue_order,
     _sector_index,
     character_table,
+    character_values,
     dim_from_characters,
     dim_phi_invariant,
     dim_psi_invariant,
@@ -41,11 +42,14 @@ from heis_spectra.invariants import (
     gauss_sum_direct,
     phi_constraint_solve,
     phi_fixed_subspace_dim,
+    phi_fixed_subspace_dims,
     phi_pullback_matrix,
     psi_constraint_solve,
     psi_fixed_subspace_dim,
+    psi_fixed_subspace_dims,
     psi_pullback_matrix,
     sector_dimensions,
+    sector_multiplicities,
 )
 
 SWEEP = [(n, lam, l) for n in (-3, -2, -1, 1, 2, 3) for lam in range(4) for l in (1, 2)]
@@ -450,6 +454,113 @@ def test_rank_rule_needs_a_positive_finite_tol():
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             fixed_subspace_dim(np.eye(2), tol=tol)
+
+
+_EPS = np.finfo(float).eps
+
+# tols drawn log-uniformly, next to the band's edges around the singular values
+# sqrt 2 and 2 (tol/10 and 10 tol on either side of them), and next to the floor
+# 2 N eps of a sector of size N
+_TOLS = st.one_of(
+    st.floats(-20.0, 1.5).map(lambda e: 10.0**e),
+    st.sampled_from([0.2, 20.0, math.sqrt(0.02), math.sqrt(200.0), 1e-8]).flatmap(
+        lambda t: st.sampled_from([t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)])),
+    st.tuples(st.integers(2, 320), st.floats(0.5, 20.0)).map(lambda p: 2 * p[0] * _EPS * p[1]),
+)
+
+
+def _refusal(exc):
+    return exc.row, type(exc), str(exc)
+
+
+def _one_at_a_time(one_row, ns, lams, *args):
+    """The one-row calls in row order: their results, or the first refusal as
+    (row, type, message)."""
+    out = []
+    for row, (n, lam) in enumerate(zip(ns, lams)):
+        try:
+            out.append(one_row(n, lam, *args))
+        except (IllConditionedError, ValueError) as exc:
+            exc.row = row
+            return _refusal(exc)
+    return out
+
+
+def _as_column(column, ns, lams, *args):
+    try:
+        return column(ns, lams, *args).tolist()
+    except (IllConditionedError, ValueError) as exc:
+        return _refusal(exc)
+
+
+# a range of n (zero among them at times, which the rows refuse) by a list of
+# levels, up to 10**400 and negative at times, as the rows of a dims table
+_ROWS = st.tuples(
+    st.integers(1, 4), st.integers(-40, 40), st.integers(0, 6),
+    st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**400), st.just(-1)),
+             min_size=1, max_size=5),
+).filter(lambda r: 2 * r[0] * max(abs(r[1]), abs(r[1] + r[2])) <= 320).map(
+    lambda r: (r[0], [n for n in range(r[1], r[1] + r[2] + 1) for _ in r[3]], r[3] * (r[2] + 1)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=_ROWS, tol=_TOLS)
+@example(rows=(1, [3, 3, 4, 4], [0, 1, 0, 1]), tol=1.0)  # the band around sqrt 2 and 2
+@example(rows=(2, [1, -1, 0, 2], [0, 10**400, 1, 3]), tol=1e-8)  # n = 0 ends the column
+@example(rows=(1, [60, 2], [0, 0]), tol=1e-14)  # the floor refuses the first row only
+def test_the_oracle_columns_equal_the_rows_one_at_a_time(rows, tol):
+    l, ns, lams = rows
+    for column, one_row in ((phi_fixed_subspace_dims, phi_fixed_subspace_dim),
+                            (psi_fixed_subspace_dims, psi_fixed_subspace_dim)):
+        assert (_as_column(column, ns, lams, l, tol)
+                == _one_at_a_time(one_row, ns, lams, l, tol)), column.__name__
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rows=_ROWS)
+def test_the_character_columns_equal_the_rows_one_at_a_time(rows):
+    l, ns, lams = rows
+    tables = _one_at_a_time(character_table, ns, lams, l)
+    try:
+        values = character_values(ns, lams, l)
+    except ValueError as exc:
+        assert _refusal(exc) == tables
+        return
+    # bit for bit, signed zeros included
+    assert [[repr(v) for v in row] for row in values.tolist()] == [
+        [repr(v) for v in t.values] for t in tables]
+    assert sector_multiplicities(values).tolist() == [list(sector_dimensions(t)) for t in tables]
+
+
+def test_a_multiplicity_off_an_integer_refuses_its_row():
+    values = np.array([character_table(2, 0, 1).values] * 3)
+    values[1, 1] += 1e-6
+    with pytest.raises(ValueError, match="non-integer multiplicity") as info:
+        sector_multiplicities(values)
+    assert info.value.row == 1
+
+
+_SVALS = st.sampled_from([0.0, 1e-13, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 0.5, math.sqrt(2), 2.0])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(runs=st.lists(st.tuples(_SVALS, st.integers(0, 200)), min_size=1, max_size=4),
+       tol=_TOLS)
+@example(runs=[(0.0, 2), (2.0, 0)], tol=1e-16)  # N = 2, e = 1: the empty run holds no value
+@example(runs=[(2.0, 2), (0.0, 0)], tol=1e-16)
+def test_runs_follow_the_rank_rule_of_the_repeated_array(runs, tol):
+    # the half-turn's two runs |e - 1|, |e + 1| of lengths h + 1, h - 1 among them
+    svals, counts = (np.array(column) for column in zip(*runs))
+    if not counts.sum():
+        return
+
+    def outcome(*args):
+        try:
+            return _nullity(*args)
+        except (IllConditionedError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(svals, tol, counts) == outcome(np.repeat(svals, counts), tol)
 
 
 def test_dim_phi_closed_form():
