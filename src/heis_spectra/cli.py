@@ -26,6 +26,7 @@ from .group import (
 )
 from .invariants import (
     IllConditionedError,
+    _phase_rows,
     character_values,
     dim_phi_invariant,
     dim_psi_invariant,
@@ -125,10 +126,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-# eigenfunction refuses a grid past this many Hermite recurrence steps: each of
-# its 2g p-rows runs the recurrence to order lam, and at n = 1 a step takes about
-# 8 us at lam = 5e5 (2-core x86 box), so the largest allowed grid takes about 8 s
-# (at --tol 1e-12 the phase rule of _phase_error takes lam up to about 1.7e5 at n = 1).
+# eigenfunction refuses a grid past this many Hermite recurrence steps: the
+# recurrence runs to order lam once per window length in each block of p-rows,
+# over all the rows of that length, so at most once for each of the 2g p-rows.
+# The largest allowed grid, --grid 1 at lam = 5e5 and n = 1, takes about 4 s
+# (2-core x86 box; at --tol 1e-12 the phase rule of _phase_error takes lam up to
+# about 1.7e5 at n = 1).
 MAX_HERMITE_STEPS = 10**6
 
 
@@ -182,12 +185,13 @@ def cmd_eigenfunction(args) -> int:
               % (args.n, args.a, args.b, args.lam, manifold_tag(manifold),
                  value, args.alpha, args.tol))
     rows = wb_eigenfunction_grid(idx, args.lam, manifold, ps, qs, ss, args.tol)
-    # every row repeats the same (q, s) fields
-    qs_fields = ["%.17g,%.17g," % (q, s) for q in qs for s in ss]
+    # every row repeats the same (q, s) fields: one template per row, with p and
+    # them baked in, takes the row's values interleaved, re and im of each in turn
+    qs_fields = ["%.17g,%.17g,%%.17g,%%.17g" % (q, s) for q in qs for s in ss]
     for p, vals in zip(ps, rows):
-        line = "%.17g,%%s%%.17g,%%.17g\n" % p  # one line template per row
-        buf.write("".join([line % fields for fields in
-                           zip(qs_fields, vals.real.ravel().tolist(), vals.imag.ravel().tolist())]))
+        head = "%.17g," % p
+        row = head + ("\n" + head).join(qs_fields) + "\n"
+        buf.write(row % tuple(vals.view(float).ravel().tolist()))
     _write_output(args.out, buf.getvalue())
     return 0
 
@@ -211,13 +215,15 @@ _DIMS_ROWS_AT_ONCE = 1 << 13
 
 
 def _dims_columns(kind: str, ns: list, lams: list, l: int, tol: float) -> tuple[list, list]:
-    """The character and oracle columns of the rows (ns, lams).  A refusal names the
-    first refusing row in row order, and the characters' on a tie, as when each
-    row took its characters before its oracle."""
+    """The character and oracle columns of the rows (ns, lams), from one phase per
+    row (`_phase_rows`).  A refusal names the first refusing row in row order, and
+    the characters' on a tie, as when each row took its characters before its
+    oracle."""
     oracle = phi_fixed_subspace_dims if kind == "gamma-pi" else psi_fixed_subspace_dims
+    phases = _phase_rows(ns, lams, l)
     columns, refusals = [], []
-    for column in (lambda: sector_multiplicities(character_values(ns, lams, l)),
-                   lambda: oracle(ns, lams, l, tol)):
+    for column in (lambda: sector_multiplicities(character_values(ns, lams, l, phases=phases)),
+                   lambda: oracle(ns, lams, l, tol, phases=phases)):
         try:
             columns.append(column())
         except (ValueError, IllConditionedError) as exc:

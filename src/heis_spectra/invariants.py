@@ -277,7 +277,7 @@ def _phase_rows(ns, lams, l: int):
 _HALF_TURN = np.array([[0.0, 2.0], [2.0, 0.0]])
 
 
-def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
+def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) -> np.ndarray:
     """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
     as one int64 column, without the dense matrices and without an SVD: O(1) a row.
 
@@ -286,9 +286,10 @@ def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
     (e_k + e_{N-k})/sqrt 2) and -e on its h - 1 odd ones (e_k - e_{N-k})/sqrt 2.
     M - I is diagonal on them, and its singular values are |e - 1| and |e + 1|
     there, those of the dense I - M; the rank rule takes them as two runs.  The
-    first refusing row raises its error, its index as `.row`.
+    first refusing row raises its error, its index as `.row`.  phases, if given,
+    is `_phase_rows(ns, lams, l)`, computed once for several columns.
     """
-    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
     svals = _HALF_TURN.take([key >> 1 & 1 for key in keys], 0)  # r has the parity of n + lam
     runs = np.array([(size // 2 + 1, size // 2 - 1) for size in sizes], dtype=np.int64)
     nullity = _nullity(svals, tol, runs.reshape(-1, 2))
@@ -302,7 +303,7 @@ def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
     return int(phi_fixed_subspace_dims([n], [lam], l, tol)[0])
 
 
-def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
+def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) -> np.ndarray:
     """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
     as one int64 column, without the dense matrices and without an SVD: the
     eigenvalues of two real symmetric blocks of about half the size (sizes 2 and 0
@@ -314,7 +315,7 @@ def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
     (`_block_singular_values`) together are those of the dense I - M, so the rank
     rule, taken once per N on the stack of its phases, is unchanged.  A new N costs
     O(N^3), and O(N) memory is held afterwards.  The first refusing row raises its
-    error, its index as `.row`.
+    error, its index as `.row`.  phases is as in `phi_fixed_subspace_dims`.
 
     `eigvalsh` leaves the eigenvalues, all +-1, up to about N eps / 2 away from them
     (5 eps at N = 14), where the dense SVD of I - M leaves its kernel values below
@@ -323,7 +324,7 @@ def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
     refuse a row the other counts; they never count it differently, as the noise
     stays below the floor and so below tol.
     """
-    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
     codes = [8 * size + key for size, key in zip(sizes, keys)]
     nullity_of, refused = {}, {}  # by code: the phase pair's nullity, or its floor if refused
     # each (N, phase) once, by N, so one eigvalsh pair per N
@@ -434,13 +435,14 @@ _CHARACTERS = np.array([_characters(size, r, positive)
                         for r in range(4) for positive in (False, True) for size in (4, 2)])
 
 
-def character_values(ns, lams, l: int) -> np.ndarray:
+def character_values(ns, lams, l: int, phases=None) -> np.ndarray:
     """The character table chi(g^m), m = 0..3, of the quarter-turn on the sector of
     each row (n, lam): one (rows x 4) complex array.  chi(1) is the size N = 2l|n|,
     chi(g) = i^r G(N)/sqrt N with G the Gauss sum (`gauss_sum`), conjugated for
     n > 0, and chi(g^3) its conjugate.  The first row that `_check_nl` refuses
-    raises its error, its index as `.row`."""
-    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    raises its error, its index as `.row`.  phases is as in
+    `phi_fixed_subspace_dims`."""
+    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
     if refusal is not None:
         raise refusal
     values = _CHARACTERS.take([2 * key + (size >> 1 & 1) for size, key in zip(sizes, keys)], 0)

@@ -21,17 +21,20 @@ m = r mod N, and the contiguous m with |scale (p + m/N)| within that reach, so
 its tail is at most about tol * sup|psi_lam| * Sum |c| and a point costs one
 Hermite call, one exp and one dot.  The seeds depend on p alone (Auslander and
 Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid is
-evaluated a p-row at a time (wb_eigenfunction_grid): one window per row, one
-array of phases over the row's q, one pairwise sum per q and the factor
-e^{2 pi i n s} in real arithmetic.  Every value equals the one-point series of
-wb_eigenfunction bit for bit, so grid files keep their bytes.  Both one-point
-paths refuse, with ValueError, a p on the cover that is not below 2^52 in
-magnitude (past it p + k is no longer exact) and a value that is not finite.
+evaluated in blocks of p-rows of at most about 2^16 values (wb_eigenfunction_grid):
+each row keeps its own window, and the rows of a block that share a window length
+share one Hermite call, one exp of their (rows x q x k) phases and one pairwise
+sum along k; the factor e^{2 pi i n s} is applied in real arithmetic.  Every value
+equals the one-point series of wb_eigenfunction bit for bit, so grid files keep
+their bytes.  Both one-point paths refuse, with ValueError, a p on the cover that
+is not below 2^52 in magnitude (past it p + k is no longer exact) and a value
+that is not finite.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -130,25 +133,6 @@ def _series_value(n: int, window, q: float, s: float) -> complex:
         return _finite(complex(np.exp(2j * math.pi * n * s) * total))
 
 
-def _series_row(n: int, window, q, s):
-    """_series_value at every (q[i], s[i, j]), bit for bit: q is 1-D and s broadcasts
-    against q[:, None].  The phases of all q are one array, and each row of
-    seeds * phases is summed pairwise along its contiguous axis as np.sum sums the
-    1-D product of one point."""
-    exponents, seeds = window
-    phases = np.exp(np.multiply.outer(q, exponents))
-    total = (seeds * phases).sum(axis=-1)[:, None]
-    factor = np.exp(2j * math.pi * n * s)
-    # numpy's SIMD complex multiply fuses multiply-adds and can differ from the
-    # scalar product in the last bit (8730 of 20000 random pairs on an X86_V3
-    # build of numpy 2.4); these four real products and two sums match it
-    fr, fi, tr, ti = factor.real, factor.imag, total.real, total.imag
-    out = np.empty(np.broadcast_shapes(total.shape, factor.shape), dtype=complex)
-    out.real = fr * tr - fi * ti
-    out.imag = fr * ti + fi * tr
-    return out
-
-
 def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float, s: float,
                     tol: float) -> complex:
     """e^{2 pi i n s} Sum_m w_{m mod N} psi_lam(scale (p + m/N)) e^{2 pi i n q m/N},
@@ -214,36 +198,124 @@ def _hermite_seed(n: int, width: int, lam: int, lattice: LatticeSpec, tol: float
     return lam, scaling_map(lattice.l), 2.0 * math.sqrt(math.pi * lattice.l * abs(n))
 
 
+# values a block of grid rows holds at most, as cli._ROWS_AT_ONCE: its (rows, q, s)
+# values and each window length's (rows, q, k) phases
+_GRID_BLOCK_VALUES = 1 << 16
+
+
 def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, ss,
                           tol: float = 1e-12):
-    """wb_eigenfunction on the grid ps x qs x ss, one p-row at a time.
+    """wb_eigenfunction on the grid ps x qs x ss, in blocks of p-rows.
 
     Returns an iterator that yields, for each p of ps in turn, the complex array
     of shape (len(qs), len(ss)) of the values at (p, q, s).  A row carried onto
-    the rectangular cover keeps one p, so it builds one series window, and its
-    values are array operations over the row, equal bit for bit to
-    wb_eigenfunction at each point.
+    the rectangular cover keeps one p, so its seeds are one window; the rows of a
+    block that share a window length share one Hermite call, one exp of their
+    phases and one sum, and every value equals wb_eigenfunction at its point bit
+    for bit.  A refused row raises its ValueError after the rows before it.
     """
     lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
-    off = idx.offset
-    qs = np.array(qs, dtype=float).reshape(-1, 1)
-    ss = np.array(ss, dtype=float).reshape(1, -1)
+    qs = np.array(qs, dtype=float).reshape(1, -1, 1)
+    ss = np.array(ss, dtype=float).reshape(1, 1, -1)
     if not (qs.size and ss.size):
         raise ValueError("qs and ss must not be empty")
+    return _grid_rows(idx.n, lam, scale, cover, idx.offset, tol, iter(ps), qs, ss)
 
-    def row(p):
-        p, q, s = float(p), qs, ss
-        if cover is not None:
+
+def _grid_windows(lam: int, scale: float, reach: float, off: float, p):
+    """The seed windows of the grid rows p on the cover, one Hermite call per window
+    length: a list of (rows, ks, seeds), rows an index array or, for one length, all
+    rows, and the first row whose seeds are not finite, as (row, ks, xs, seeds), or
+    None.  Row i keeps its own window, k from ceil(-R/scale - p_i - off) to
+    floor(R/scale - p_i - off) as in `_series_window`."""
+    start = np.ceil((-reach - p) - off)
+    lengths = (np.floor((reach - p) - off) - start + 1).astype(int)
+    by_length = dict.fromkeys(lengths.tolist())
+    groups, refusal = [], None
+    for length in by_length:
+        rows = slice(None) if len(by_length) == 1 else np.flatnonzero(lengths == length)
+        ks = start[rows, None] + np.arange(length)
+        xs = (p[rows, None] + ks) + off
+        seeds = _psi(lam, scale * xs)
+        bad = ~np.isfinite(seeds).all(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            row = i if isinstance(rows, slice) else int(rows[i])
+            if refusal is None or row < refusal[0]:
+                refusal = row, ks[i], xs[i], seeds[i]
+        groups.append((rows, ks, seeds))
+    return groups, refusal
+
+
+def _grid_values(turn: complex, off: float, q, factor, groups, shape):
+    """The values, of the given (rows, q, s) shape, of grid rows on the cover from
+    their windows (`_grid_windows`), q (rows or 1, q, 1) and the factor e^{2 pi i n s}:
+    one exp of the phases and one sum over k along a contiguous last axis per
+    window length, then the factor in real arithmetic.  Each array is laid out as
+    that of one point (`_series_window`, `_series_value`) with more leading axes, so
+    every float is the same."""
+    total = np.empty(shape[:2], dtype=complex)
+    for rows, ks, seeds in groups:
+        phases = np.exp((q if len(q) == 1 else q[rows]) * (turn * (ks + off))[:, None, :])
+        total[rows] = (seeds.astype(complex)[:, None, :] * phases).sum(axis=-1)
+    # numpy's SIMD complex multiply fuses multiply-adds and can differ from the
+    # scalar product in the last bit (8730 of 20000 random pairs on an X86_V3
+    # build of numpy 2.4); these four real products and two sums match it
+    fr, fi = factor.real, factor.imag
+    tr, ti = total.real[..., None], total.imag[..., None]
+    out = np.empty(shape, dtype=complex)
+    np.multiply(fr, tr, out=out.real)
+    out.real -= fi * ti
+    np.multiply(fr, ti, out=out.imag)
+    out.imag += fi * tr
+    return out
+
+
+def _grid_rows(n: int, lam: int, scale: float, cover, off: float, tol: float, ps, qs, ss):
+    """The rows of wb_eigenfunction_grid, a block at a time."""
+    reach = _reach(lam, scale, 0.0, tol)
+    turn = 2j * math.pi * n
+    # a row holds q x s values and at most q x (2 reach + 1) phases
+    size = max(1, _GRID_BLOCK_VALUES // (qs.size * max(ss.size, math.floor(2 * reach) + 1)))
+    flat = bool(np.isfinite(qs).all() and np.isfinite(ss).all())
+
+    def block(p):
+        """The rows of one block, then the refusal of its first refused row; its
+        arrays are freed once its last row has been taken."""
+        q, s = qs, ss
+        if cover is None:
+            finite = np.isfinite(p) & flat
+        else:
             # the cover map has C = 0, so p' = Cq + Dp is the same at every q; a
             # coordinate that overflows on the way is refused below
             with np.errstate(over="ignore", invalid="ignore"):
-                p, q, s = symplectic_coords(cover, p, q, s)
-            p = float(p[0, 0])
-        if not (math.isfinite(p) and np.isfinite(q).all() and np.isfinite(s).all()):
-            raise ValueError("coordinates must be finite")
-        return _series_row(idx.n, _series_window(lam, scale, idx.n, p, off, tol), q[:, 0], s)
+                p, q, s = symplectic_coords(cover, p[:, None, None], q, s)
+            p = p[:, 0, 0]
+            finite = (np.isfinite(p) & np.isfinite(q).all(axis=(1, 2))
+                      & np.isfinite(s).all(axis=(1, 2)))
+        # a row's checks in the order of one point's: coordinates, p (`_reach`), seeds
+        kept = finite & (np.abs(p) < _MAX_P)
+        stop = p.size if kept.all() else int(kept.argmin())
+        groups, refusal = _grid_windows(lam, scale, reach, off, p[:stop])
+        if refusal is not None:  # the rows before it again, without it
+            stop = refusal[0]
+            groups = _grid_windows(lam, scale, reach, off, p[:stop])[0]
+        if stop:
+            factor = turn * s[:stop]
+            del s  # one (rows, q, s) array less at the block's peak
+            np.exp(factor, out=factor)
+            yield from _grid_values(turn, off, q[:stop], factor, groups,
+                                    (stop, qs.size, ss.size))
+        if refusal is not None:  # _window raises: the row's seeds are not finite
+            _, ks, xs, seeds = refusal
+            _window(n, ks, off, xs, seeds, f"the Hermite seed of order {lam}")
+        if stop < p.size:
+            if not finite[stop]:
+                raise ValueError("coordinates must be finite")
+            _reach(lam, scale, float(p[stop]), tol)
 
-    return map(row, ps)
+    while chunk := [float(p) for p in itertools.islice(ps, size)]:
+        yield from block(np.array(chunk))
 
 
 def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: PolarizedPoint,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heis_spectra import cli, spectrum, verify
+from heis_spectra import cli, invariants, spectrum, verify
 from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_ORACLE_DIM, main
 from heis_spectra.group import PolarizedPoint, standard_rect
 from heis_spectra.invariants import _nullity, phi_pullback_matrix, psi_pullback_matrix
@@ -749,6 +749,18 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
     assert peak < 1 << 20
 
 
+def test_dims_takes_the_phases_once_per_block(capsys, monkeypatch):
+    # 2000 n by 5 levels are two blocks of rows; each takes its phases once and
+    # hands them to the character and the oracle column
+    phase_rows, calls, inner = invariants._phase_rows, [], []
+    monkeypatch.setattr(cli, "_phase_rows", lambda *a: calls.append(len(a[0])) or phase_rows(*a))
+    monkeypatch.setattr(invariants, "_phase_rows", lambda *a: inner.append(a) or phase_rows(*a))
+    rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--nmin", "-1000", "--nmax", "1000",
+                      "--lmax", "4")
+    assert rc == 0 and out.count("\n") == 10**4 + 1 and out.count("true") == 10**4
+    assert (calls, inner) == ([cli._DIMS_ROWS_AT_ONCE, 10**4 - cli._DIMS_ROWS_AT_ONCE], [])
+
+
 # tracemalloc's peak of the command below when each row was computed and written
 # into one buffer in turn, before the table was built as columns in blocks
 _MILLION_ROW_DIMS_PEAK = 51_674_462
@@ -810,7 +822,7 @@ def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pul
     for tol in (None, "1e-12", "1e-4", "1e-2"):
         blocks = [dims(*r, tol) for r in ranges]
         with monkeypatch.context() as m:
-            m.setattr(cli, oracle, lambda ns, lams, l, tol: np.array(
+            m.setattr(cli, oracle, lambda ns, lams, l, tol, phases=None: np.array(
                 [_nullity(dense_svals(n, lam, l), tol) for n, lam in zip(ns, lams)]))
             assert [dims(*r, tol) for r in ranges] == blocks, tol
 

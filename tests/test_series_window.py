@@ -16,6 +16,7 @@ compared with the same series on a window 20 rows wider.
 import functools
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -137,15 +138,21 @@ def eigenfunctions(draw):
     return idx, draw(st.integers(0, 20)), lattice
 
 
-def window_loop(idx, lam, lattice, pt, tol=1e-12):
-    """The series over the window rule, one psi_lam seed at a time: every k with
+def window_ks(idx, lam, lattice, pt, tol=1e-12):
+    """(scale, pt on the cover, the window rule's k): every k with
     |scale (p + k + off)| <= sqrt(2 lam + 1) + sqrt(2 ln(10/tol))."""
     scale, pt = _cover(lattice, idx.n, pt)
     reach = math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))
-    off = idx.offset
     ks = [k for k in range(-int(pt.p) - 200, -int(pt.p) + 200)
-          if abs(scale * (pt.p + k + off)) <= reach]
+          if abs(scale * (pt.p + k + idx.offset)) <= reach]
     assert ks and ks[0] > -int(pt.p) - 200 and ks[-1] < -int(pt.p) + 199
+    return scale, pt, ks
+
+
+def window_loop(idx, lam, lattice, pt, tol=1e-12):
+    """The series over the window rule, one psi_lam seed at a time."""
+    scale, pt, ks = window_ks(idx, lam, lattice, pt, tol)
+    off = idx.offset
     vals = np.array([hermite_function(lam, scale * (pt.p + k + off)) for k in ks], dtype=complex)
     phases = np.exp(2j * math.pi * idx.n * (np.array(ks) + off) * pt.q)
     return complex(np.exp(2j * math.pi * idx.n * pt.s) * np.sum(vals * phases))
@@ -188,18 +195,77 @@ def test_eigenfunction_is_the_normalised_unnormalised_loop(ef, pts):
 @given(eigenfunctions(), st.lists(st.one_of(st.sampled_from([-1.5, 0.0, 2.0]), coords),
                                   min_size=1, max_size=3), axis(6), axis(4))
 def test_row_reuses_window_bit_equal(ef, ps, qs, ss):
-    # each p-row builds one window, a repeated p included; each value still
-    # equals its own loop
+    # the rows of a block that share a window length share one Hermite call, a
+    # repeated p included; each value still equals its own loop
     idx, lam, lattice = ef
     pts = [PolarizedPoint(p, q, s) for p in ps for q in qs for s in ss]
-    window = weil_brezin._series_window
+    psi = weil_brezin._psi
     for tol in (1e-12, 1e-10):
         calls = []
-        with mock.patch.object(weil_brezin, "_series_window",
-                               lambda *args: calls.append(args) or window(*args)):
+        with mock.patch.object(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args)):
             got = grid_values(idx, lam, lattice, ps, qs, ss, tol)
-        assert len(calls) == len(ps)
+        lengths = {len(window_ks(idx, lam, lattice, PolarizedPoint(p, 0.0, 0.0), tol)[2])
+                   for p in ps}
+        assert len(calls) == len(lengths)  # one block: at most 3 rows of 24 values
         assert got == [window_loop(idx, lam, lattice, pt, tol) for pt in pts]
+
+
+def test_rows_of_a_block_differ_in_window_length():
+    # p a quarter apart on nl: the windows of 6 and 7 terms are two Hermite calls
+    idx, lattice, ps = WBIndex(1, 0, 0, 1), standard_rect(1), [0.0, 0.25, 0.5, 0.75]
+    lengths = [len(window_ks(idx, 0, lattice, PolarizedPoint(p, 0.0, 0.0))[2]) for p in ps]
+    assert lengths == [7, 7, 6, 7]
+    psi, calls = weil_brezin._psi, []
+    with mock.patch.object(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args)):
+        got = grid_values(idx, 0, lattice, ps, [0.0, 0.5], [0.25], 1e-12)
+    assert [y.shape for _, y in calls] == [(3, 7), (1, 6)]
+    assert got == [window_loop(idx, 0, lattice, PolarizedPoint(p, q, 0.25))
+                   for p in ps for q in (0.0, 0.5)]
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(eigenfunctions(),
+       st.lists(st.one_of(st.sampled_from([-1e6, 1e6, -1.5, 0.0, 2.0, 1e12]), coords),
+                min_size=1, max_size=8),
+       axis(4), axis(3), st.integers(1, 100))
+def test_grid_blocks_equal_the_one_point_series_bit_for_bit(ef, ps, qs, ss, block):
+    # unsorted, repeated and far-apart p, in blocks of a few values, so one grid
+    # spans several blocks and a block's rows differ in window length; the bytes of
+    # every value, the sign of a zero included, are those of wb_eigenfunction
+    idx, lam, lattice = ef
+    for tol in (1e-12, 1e-10, 1e-8):
+        want = [wb_eigenfunction(idx, lam, lattice, PolarizedPoint(p, q, s), tol)
+                for p in ps for q in qs for s in ss]
+        with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
+            rows = list(wb_eigenfunction_grid(idx, lam, lattice, ps, qs, ss, tol))
+        assert _bits(rows) == _bits(want)
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("lattice", [standard_rect(1), scaled_square(1)])
+def test_grid_memory_is_set_by_the_block(block, lattice):
+    # the grid of eigenfunction --grid 48: 4 * 48^3 values, 7.1 MB as complex, but
+    # a block holds at most `block` values and the peak stays below 80 bytes for
+    # each: its values and factor e^(2 pi i n s), 16 bytes each, a real
+    # temporary, and the block before, which the last row taken holds
+    g = 48
+    sp, sq = lattice.steps
+    ps = [i * sp / g for i in range(2 * g)]
+    qs, ss = [k * sq / g for k in range(g)], [m / g for m in range(2 * g)]
+    idx = WBIndex(1, 0, 0, lattice.covering_width)
+    with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
+        tracemalloc.start()
+        try:
+            for row in wb_eigenfunction_grid(idx, 2, lattice, ps, qs, ss):
+                assert row.shape == (g, 2 * g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 80 * block < 16 * 4 * g**3
 
 
 def test_grid_refuses_empty_axes_and_nonfinite_coordinates():
@@ -214,6 +280,12 @@ def test_grid_refuses_empty_axes_and_nonfinite_coordinates():
                 continue  # no rescaling, so q stays finite
             with pytest.raises(ValueError, match="coordinates must be finite"):
                 list(wb_eigenfunction_grid(idx, 1, lat, ps, qs, ss))
+    # a refused row raises after the rows before it in its block
+    for lat in (lattice, standard_rect(4)):
+        rows = wb_eigenfunction_grid(idx, 1, lat, [0.0, math.inf, 0.0], [0.0], [0.0])
+        assert next(rows).shape == (1, 1)
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            next(rows)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -410,6 +482,11 @@ def test_a_point_past_exact_shifts_is_refused(lattice, p):
         wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice, pt)
     with pytest.raises(ValueError, match="below 2\\^52"):
         eigenfunction_combination(coef, 2, lattice, pt)
+    rows = wb_eigenfunction_grid(WBIndex(2, 1, 1, 2), 2, lattice, [0.5, p, 0.0], [0.25], [0.1])
+    assert next(rows)[0, 0] == wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice,
+                                                PolarizedPoint(0.5, 0.25, 0.1))
+    with pytest.raises(ValueError, match="below 2\\^52"):
+        next(rows)
 
 
 def test_a_far_point_keeps_its_short_window():
