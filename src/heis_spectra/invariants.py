@@ -12,9 +12,9 @@ On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
 its weights read through `_residue_order`, the closed-form inverse of the index;
 its window is the contiguous run of points m/N within the seed's reach, so each
 dropped term is under tol/10 of sup|psi_lam| and the tail is at most
-~tol sup|psi_lam| sum |c|.  The half-turn's invariant basis is in closed form,
-the reversal's even orbit vectors (e = 1) or its odd ones (e = -1); the
-quarter-turn's is the null space of I - M by a dense SVD.
+~tol sup|psi_lam| sum |c|.  Both invariant bases are reversal orbit vectors
+(`_orbit_basis`): the half-turn's even (e = 1) or odd (e = -1) ones in closed
+form, the quarter-turn's from the kernels of its two real orbit blocks (below).
 Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from a nullity oracle, kept separate so they can be compared.  The
 characters and the oracles are columns over rows (n, lam): one (rows x 4)
@@ -30,8 +30,8 @@ basis: singular values below tol are kernel, one inside [tol/10, 10 tol] raises
 IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError;
 a column raises the error of its first refusing row, with the row's index as
 `.row`.  `fixed_subspace_dim` takes one dense SVD and is the reference; the
-oracles never build the matrix.  Both generators act on the orbits of the
-reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
+oracles and bases never build the matrix.  Both generators act on the orbits of
+the reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
 points and 2x2 blocks on its pairs (`phi_fixed_subspace_dims`), and the
 quarter-turn commutes with its square, the reversal, so on the reversal's even
 and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
@@ -81,10 +81,6 @@ class PullbackMatrix:
     lam: int
     l: int
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.l * abs(self.n)
 
 
 def _sector_index(n: int, l: int) -> np.ndarray:
@@ -507,10 +503,19 @@ class CoefficientVector:
             raise ValueError("coefficients must be finite")
 
 
-def _nullspace_basis(M: PullbackMatrix) -> list[CoefficientVector]:
-    """Orthonormal basis of c = Mc: the last fixed_subspace_dim(M) right singular vectors."""
-    _, svals, vh = np.linalg.svd(np.eye(M.dim) - M.matrix)
-    return [CoefficientVector(M.n, M.l, v.conj()) for v in vh[M.dim - _nullity(svals, 1e-8):]]
+def _orbit_basis(n: int, l: int, even: np.ndarray, odd: np.ndarray) -> list[CoefficientVector]:
+    """The columns of even, on the reversal's even orbit vectors e_0, (e_j + e_{N-j})/sqrt 2,
+    e_h, then of odd, on its odd ones (e_j - e_{N-j})/sqrt 2 (0 < j < h = l|n|), set on
+    the index k and carried to the basis positions by `_residue_order`."""
+    h, split, half = l * abs(n), even.shape[1], math.sqrt(0.5)
+    vecs = np.zeros((split + odd.shape[1], 2 * h), dtype=complex)
+    vecs[:split, 0], vecs[:split, h] = even[0], even[h]
+    vecs[:split, 1:h] = vecs[:split, :h:-1] = even[1:h].T * half  # k = j and N - j
+    vecs[split:, 1:h] = odd.T * half
+    vecs[split:, :h:-1] -= odd.T * half  # 0 - 0 is +0, as an assigned zero
+    entries = np.empty_like(vecs)
+    entries[:, _residue_order(n, l)] = vecs
+    return [CoefficientVector(n, l, v) for v in entries]
 
 
 def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
@@ -520,27 +525,30 @@ def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
     The relations pair (a, b) with its pullback target: e c^{a,b} = c^{a',b'}
     with e = (-1)^(n+lam).  On the index k (`_sector_index`) the pullback is the
     reversal k -> -k mod N with sign e, so with h = l|n| = N/2 the solutions are
-    (e_k + e e_{N-k})/sqrt 2 for 0 < k < h, and e_0 and e_h when e = 1, each
-    carried to the basis positions by `_residue_order`.
+    its orbit vectors of sign e (`_orbit_basis`): for e = 1 the even ones, e_0, e_h
+    and then (e_k + e_{N-k})/sqrt 2 for 0 < k < h, and for e = -1 the odd ones.
     """
     _check_nl(n, lam, l)
-    e = -1.0 if (n + lam) % 2 else 1.0
     h = l * abs(n)
-    ks = np.arange(1, h)
-    vecs = np.zeros((h - 1, 2 * h), dtype=complex)
-    vecs[ks - 1, ks] = math.sqrt(0.5)
-    vecs[ks - 1, 2 * h - ks] = e * math.sqrt(0.5)
-    if e > 0:
-        vecs = np.concatenate((np.eye(2 * h, dtype=complex)[[0, h]], vecs))
-    entries = np.empty_like(vecs)
-    entries[:, _residue_order(n, l)] = vecs
-    return [CoefficientVector(n, l, v) for v in entries]
+    if (n + lam) % 2:
+        return _orbit_basis(n, l, np.empty((h + 1, 0)), np.eye(h - 1))
+    return _orbit_basis(n, l, np.eye(h + 1)[:, [0, h, *range(1, h)]], np.empty((h - 1, 0)))
 
 
 def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
     """The fixed_subspace_dim(M) orthonormal solutions of the quarter-turn relations
-    c = Mc; a singular value in the rank rule's band raises IllConditionedError."""
-    return _nullspace_basis(psi_pullback_matrix(n, lam, l))
+    c = Mc: the eigenvectors of the orbit blocks C and S (`_orbit_blocks`) whose
+    singular values of B - I, at the phases of `psi_fixed_subspace_dims`, are below
+    tol = 1e-8, counted by the same rank rule: one in its band raises IllConditionedError."""
+    _check_nl(n, lam, l)
+    r, sign = _psi_phase(n, lam)
+    svals, kernels = [], []
+    for block, phase in zip(_orbit_blocks(2 * l * abs(n)), (r, r + (3 if sign < 0 else 1))):
+        eigs, vecs = np.linalg.eigh(block)
+        svals.append(_block_singular_values(eigs, phase))
+        kernels.append(vecs[:, svals[-1] < 1e-8])
+    _nullity(np.concatenate(svals), 1e-8)
+    return _orbit_basis(n, l, *kernels)
 
 
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,

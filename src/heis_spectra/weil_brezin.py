@@ -26,9 +26,9 @@ each row keeps its own window, and the rows of a block that share a window lengt
 share one Hermite call, one exp of their (rows x q x k) phases and one pairwise
 sum along k; the factor e^{2 pi i n s} is applied in real arithmetic.  Every value
 equals the one-point series of wb_eigenfunction bit for bit, so grid files keep
-their bytes.  Both one-point paths refuse, with ValueError, a p on the cover that
-is not below 2^52 in magnitude (past it p + k is no longer exact) and a value
-that is not finite.
+their bytes.  Both one-point paths and the grid refuse, with ValueError, a p
+on the cover that is not below 2^52 in magnitude (past it p + k is no longer
+exact) and a value that is not finite.
 """
 
 from __future__ import annotations
@@ -301,11 +301,17 @@ def _grid_rows(n: int, lam: int, scale: float, cover, off: float, tol: float, ps
             stop = refusal[0]
             groups = _grid_windows(lam, scale, reach, off, p[:stop])[0]
         if stop:
-            factor = turn * s[:stop]
-            del s  # one (rows, q, s) array less at the block's peak
-            np.exp(factor, out=factor)
-            yield from _grid_values(turn, off, q[:stop], factor, groups,
-                                    (stop, qs.size, ss.size))
+            with np.errstate(all="ignore"):  # a value that is not finite is refused below
+                factor = turn * s[:stop]
+                del s  # one (rows, q, s) array less at the block's peak
+                np.exp(factor, out=factor)
+                values = _grid_values(turn, off, q[:stop], factor, groups,
+                                      (stop, qs.size, ss.size))
+            bad = ~np.isfinite(values)
+            row = int(bad.any(axis=(1, 2)).argmax()) if bad.any() else stop
+            yield from values[:row]
+            if row < stop:  # _finite raises at the first value that is not finite
+                _finite(complex(values[row][bad[row]][0]))
         if refusal is not None:  # _window raises: the row's seeds are not finite
             _, ks, xs, seeds = refusal
             _window(n, ks, off, xs, seeds, f"the Hermite seed of order {lam}")

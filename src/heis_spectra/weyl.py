@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .group import BieberbachSpec, LatticeSpec
-from .spectrum import _check_count, _oscillator_sums, _sectors, _torus_points
+from .spectrum import _check_count, _oscillator_sums, _pair, _sectors, _torus_points
 
 
 def volume(spec) -> float:
@@ -74,10 +74,6 @@ class ParitySetCounts:
             raise ValueError("parity counts violate the cancellation bound")
 
 
-def _one(n: int, lam: int) -> int:
-    return 1
-
-
 def _even(n: int, lam: int) -> int:
     return (abs(n) + lam + 1) % 2
 
@@ -91,7 +87,7 @@ def parity_counts(t: float, alpha: float) -> ParitySetCounts:
     """Exact sizes of the even / odd |n|+lambda admissible sets."""
     if t <= 0:
         raise ValueError("t must be positive")
-    (even,), (pairs,) = _oscillator_sums([_even, _one], alpha, [t])
+    (even,), (pairs,) = _oscillator_sums([_even, _pair], alpha, [t])
     return ParitySetCounts(t, even, pairs - even)
 
 
@@ -99,7 +95,7 @@ def oscillator_pair_sums(t: float, alpha: float, l: int) -> tuple[int, int]:
     """(number of admissible (n,lambda) pairs, their total 2l|n| multiplicity)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    (pairs,), (widths,) = _oscillator_sums([_one, _width], alpha, [t])
+    (pairs,), (widths,) = _oscillator_sums([_pair, _width], alpha, [t])
     return pairs, l * widths
 
 
@@ -178,7 +174,7 @@ def counting_columns(manifold, alpha: float, tgrid):
     tgrid = _checked_grid(tgrid)
     lattice = _sectors(manifold)[1]
     series, (cover, even, pairs, widths) = _series(
-        manifold, alpha, tgrid, [_sectors(lattice)[0], _even, _one, _width])
+        manifold, alpha, tgrid, [_sectors(lattice)[0], _even, _pair, _width])
     parity = tuple(ParitySetCounts(t, e, p - e) for t, e, p in zip(tgrid, even, pairs))
     return (series, tuple(cover), parity,
             tuple((p, manifold.l * w) for p, w in zip(pairs, widths)))

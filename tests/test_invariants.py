@@ -25,7 +25,6 @@ from heis_spectra.invariants import (
     PullbackMatrix,
     _block_singular_values,
     _nullity,
-    _nullspace_basis,
     _orbit_blocks,
     _orbit_eigenvalues,
     _psi_phase,
@@ -231,40 +230,58 @@ def test_fixed_subspace_dim_flags_threshold_band():
     M[0, 0] += 1e-8
     with pytest.raises(IllConditionedError):
         fixed_subspace_dim(M, tol=1e-8)
-    # the basis route counts by the same rank rule and refuses the same band
-    with pytest.raises(IllConditionedError):
-        _nullspace_basis(PullbackMatrix("psi", 2, 0, 1, M))
 
 
-# planted singular values of I - M: kernel (< tol/10), the band at tol = 1e-8, and rank
-_PLANTED = st.sampled_from([0.0, 1e-13, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 0.5, 2.0])
+# planted offsets of an orbit block's eigenvalue from +-1: kernel (< tol/10), the band
+# at tol = 1e-8, and rank
+_PLANTED = st.sampled_from([0.0, 1e-13, -1e-10, 3e-9, -1e-8, 3e-8, 1e-6, 0.5, -2.0])
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(svals=st.integers(1, 4).flatmap(lambda k: st.lists(_PLANTED, min_size=2 * k,
-                                                          max_size=2 * k)),
-       seed=st.integers(0, 2**32 - 1))
-def test_count_and_basis_follow_one_rank_rule(svals, seed):
-    # I - M = U diag(svals) V^H with random unitaries: the oracle and the basis
-    # either both refuse the band or both find the planted kernel
+@given(l=st.integers(1, 3), m=st.integers(1, 4), negative=st.booleans(),
+       lam=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_basis_and_oracle_follow_one_rank_rule_on_planted_blocks(l, m, negative, lam, seed,
+                                                                  data):
+    # orbit blocks Q diag(eig) Q^T with eig planted near +-1: the basis and the oracle
+    # either both refuse the band or both count the planted kernel, and the basis
+    # spans it on the basis positions
+    n = -m if negative else m
+    dim = 2 * l * m
+    h = dim // 2
     rng = np.random.default_rng(seed)
-    dim = len(svals)
-    U, V = (np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-            for _ in range(2))
-    A = U @ np.diag(svals) @ V.conj().T
-    pullback = PullbackMatrix("psi", dim // 2, 0, 1, np.eye(dim) - A)
+    r, sign = _psi_phase(n, lam)
+    blocks, svals = [], []
+    B = np.zeros((dim, dim), dtype=complex)  # the planted pullback on the orbit vectors
+    for part, phase in ((slice(0, h + 1), 1j**r), (slice(h + 1, dim), sign * 1j**(r + 1))):
+        size = part.stop - part.start
+        eigs = np.array([data.draw(st.sampled_from([1.0, -1.0])) + data.draw(_PLANTED)
+                         for _ in range(size)])
+        Q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        T = Q @ np.diag(eigs) @ Q.T
+        blocks.append((T + T.T) / 2)
+        B[part, part] = phase * blocks[-1]
+        svals += [abs(phase * eig - 1) for eig in eigs]
+
+    def planted(size):
+        assert size == dim
+        yield from blocks
+
+    _orbit_eigenvalues.cache_clear()
+    try:
+        with mock.patch.object(invariants, "_orbit_blocks", planted):
+            basis = _outcome(psi_constraint_solve, n, lam, l)
+            count = _outcome(psi_fixed_subspace_dim, n, lam, l)
+    finally:
+        _orbit_eigenvalues.cache_clear()
     if any(1e-9 <= s <= 1e-7 for s in svals):
-        with pytest.raises(IllConditionedError):
-            fixed_subspace_dim(pullback)
-        with pytest.raises(IllConditionedError):
-            _nullspace_basis(pullback)
+        assert basis is count is IllConditionedError
         return
-    basis = _nullspace_basis(pullback)
-    assert len(basis) == fixed_subspace_dim(pullback) == sum(s < 1e-8 for s in svals)
+    assert len(basis) == count == sum(s < 1e-8 for s in svals)
     if basis:
-        B = np.column_stack([v.entries for v in basis])
-        assert np.linalg.norm(B.conj().T @ B - np.eye(len(basis))) < 1e-10
-        assert np.linalg.norm(A @ B) < 1e-9
+        V = np.column_stack([v.entries for v in basis])
+        Q = _orbit_basis(n, l)
+        assert np.abs(V.conj().T @ V - np.eye(len(basis))).max() < 1e-12
+        assert np.abs(Q @ B @ Q.T @ V - V).max() < 1e-9
 
 
 def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
@@ -752,11 +769,26 @@ def test_combination_reads_its_weights_without_a_sort(monkeypatch):
     assert calls == []
 
 
-def test_half_turn_basis_takes_no_svd():
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-3, 1, 2)):
+def test_constraint_bases_take_no_svd_and_no_dense_matrix():
+    with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+          mock.patch.object(invariants, "phi_pullback_matrix", wraps=phi_pullback_matrix) as phi,
+          mock.patch.object(invariants, "psi_pullback_matrix", wraps=psi_pullback_matrix) as psi):
+        for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-3, 1, 2), (-5, 3, 1)):
             assert len(phi_constraint_solve(n, lam, l)) == dim_phi_invariant(n, lam, l)
-        assert svd.call_count == 0
+            assert len(psi_constraint_solve(n, lam, l)) == dim_psi_invariant(n, lam, l)
+        assert svd.call_count == phi.call_count == psi.call_count == 0
+
+
+@pytest.mark.parametrize("n,l", [(512, 1), (-256, 2)])
+def test_quarter_turn_basis_at_n_1024(n, l):
+    # one lam per class mod 4: the closed-form count of vectors, fixed by the dense
+    # pullback and orthonormal
+    for lam in range(4):
+        V = np.column_stack([v.entries for v in psi_constraint_solve(n, lam, l)])
+        assert V.shape == (1024, dim_psi_invariant(n, lam, l))
+        M = psi_pullback_matrix(n, lam, l).matrix
+        assert np.abs(M @ V - V).max() < 1e-12
+        assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-12
 
 
 def test_input_validation():

@@ -469,6 +469,26 @@ def test_an_overflowing_phase_is_refused(lattice):
         eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
 
 
+def test_a_grid_value_that_is_not_finite_is_refused():
+    # the grid refuses such a value as the one-point path does, with ValueError at
+    # its row after the rows before it, and no RuntimeWarning: at s = 1e308 the
+    # factor e^{2 pi i n s} overflows, and at q = 2e306 the phases of the row
+    # p = -20 (k about 20) overflow where those of p = 0 and 0.5 (|k| <= 4) do not
+    idx, lattice = WBIndex(1, 0, 0, 1), standard_rect(1)
+    with pytest.raises(ValueError, match="not finite"):
+        wb_eigenfunction(idx, 0, lattice, PolarizedPoint(0.0, 0.25, 1e308))
+    with pytest.raises(ValueError, match="not finite"):
+        list(wb_eigenfunction_grid(idx, 0, lattice, [0.0], [0.25], [1e308]))
+    with pytest.raises(ValueError, match="not finite"):
+        wb_eigenfunction(idx, 0, lattice, PolarizedPoint(-20.0, 2e306, 0.1))
+    rows = wb_eigenfunction_grid(idx, 0, lattice, [0.0, 0.5, -20.0, 1.0], [2e306], [0.0, 0.1])
+    for p in (0.0, 0.5):
+        want = [[wb_eigenfunction(idx, 0, lattice, PolarizedPoint(p, 2e306, s)) for s in (0.0, 0.1)]]
+        assert next(rows).tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="not finite"):
+        next(rows)
+
+
 @pytest.mark.parametrize("lattice,p", [(standard_rect(2), 1e300), (scaled_square(1), -1e300),
                                        (standard_rect(2), 1e17), (scaled_square(1), 1e17),
                                        (standard_rect(2), -(2.0**52))])
