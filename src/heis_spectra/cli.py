@@ -52,64 +52,87 @@ _MANIFOLDS = {"nl": standard_rect, "nprime": scaled_square, "gamma-pi": gamma_pi
               "gamma-pi2": gamma_pi_half}
 
 
-def _write_output(path: str | None, *parts: str) -> None:
-    """Write the parts of one text one after the other, so a large text need
-    never be joined."""
+def _write_output(path: str | None, parts) -> None:
+    """Write the parts of one text, an iterable of strings, one after the other:
+    a large text need never be joined, and each part is dropped once written,
+    before the next is asked for."""
     if path in (None, "-"):
-        for part in parts:
-            sys.stdout.write(part)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            for part in parts:
-                fh.write(part)
+            fh.writelines(parts)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-# Every table is written from %-templates, one literal per row kind: %.17g for
-# each float (17 significant digits round-trip) and %d for each integer, exact
-# at any size.  No field holds a comma, a quote or a newline.
+# Every table is written with %.17g for each float (17 significant digits
+# round-trip) and %d for each integer, exact at any size.  No field holds a
+# comma, a quote or a newline.
 _JSON_HEAD = '{\n  "manifold": "%s",\n  "alpha": %.17g,\n  "tmax": %.17g,\n  "lines": '
-_JSON_OSCILLATOR = ('    {"value": %.17g, "multiplicity": %d, '
-                    '"origin": {"kind": "oscillator", "n": %d, "lambda": %d}}')
-_JSON_TORUS = ('    {"value": %.17g, "multiplicity": %d, '
-               '"origin": {"kind": "torus", "mu": %.17g, "nu": %.17g}}')
-_CSV_OSCILLATOR = "%.17g,%d,oscillator,%d,%d,,\n"
-_CSV_TORUS = "%.17g,%d,torus,,,%.17g,%.17g\n"
+# A spectrum row is four fields, the value (%.17g), the multiplicity (%d), and
+# two fields of its kind, with literal pieces before, between and after them.
+# Per kind, torus (0) then oscillator (1): the two fields, and in each format the
+# pieces.  A JSON row starts with its separator from the row before.
+_KIND_FIELDS = ((("mu", "%.17g"), ("nu", "%.17g")), (("n", "%d"), ("lam", "%d")))
+_SPECTRUM_PIECES = {
+    "csv": (("", ",", ",torus,,,", ",", "\n"),
+            ("", ",", ",oscillator,", ",", ",,\n")),
+    "json": ((',\n    {"value": ', ', "multiplicity": ', ', "origin": {"kind": "torus", "mu": ',
+              ', "nu": ', "}}"),
+             (',\n    {"value": ', ', "multiplicity": ',
+              ', "origin": {"kind": "oscillator", "n": ', ', "lambda": ', "}}")),
+}
 _ROWS_AT_ONCE = 1 << 16
 
 
-def _spectrum_rows(lines, oscillator: str, torus: str, rows: list) -> list:
-    """rows, extended by each line of positive value filled into the template of
-    its kind: a torus line writes the first point of its group.  The zero mode is
-    implicit."""
-    # a slice of lines at a time becomes Python objects, about 180 bytes a line
-    for start in range(0, lines.size, _ROWS_AT_ONCE):
-        part = lines[start:start + _ROWS_AT_ONCE]
-        part = part[part["value"] > 0]
-        rows += [oscillator % (value, mult, n, lam) if kind else torus % (value, mult, mu, nu)
-                 for value, mult, kind, n, lam, mu, nu
-                 in zip(*(part[name].tolist() for name in part.dtype.names))]
-    return rows
+def _text_column(values: np.ndarray, fmt: str) -> np.ndarray:
+    """values as an object array of strings, fmt filled in once per distinct
+    value and the one string shared by its rows.  Floats are told apart by their
+    bits, so 0.0 and -0.0, which fmt writes as 0 and -0, keep their own strings."""
+    keys = values.view(np.int64) if values.dtype.kind == "f" else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = np.empty(distinct.size, dtype=object)
+    texts[:] = [fmt % value for value in distinct.view(values.dtype).tolist()]
+    return texts[index]
 
 
-def _spectrum_text(fmt: str, tag: str, alpha: float, tmax: float, lines) -> str:
-    """The spectrum's file, from one join of its rows; the lines are freed once
-    the rows are made, and the rows on return, before the text is written."""
+def _spectrum_block(part, pieces, first: bool) -> str:
+    """The text of the spectrum lines part, from one join of a (rows x 9) object
+    array: each row's pieces in the even columns, its fields as text columns in
+    the odd ones.  The file's first row has no separator before it."""
+    table = np.empty((part.size, 9), dtype=object)
+    table[:, 1] = _text_column(part["value"], "%.17g")
+    table[:, 3] = _text_column(part["multiplicity"], "%d")
+    kinds = part["kind"]
+    for kind, fields in enumerate(_KIND_FIELDS):
+        rows = kinds == kind
+        table[rows, 0::2] = pieces[kind]
+        for column, (name, fmt) in zip((5, 7), fields):
+            table[rows, column] = _text_column(part[name][rows], fmt)
+    if first:
+        table[0, 0] = table[0, 0].lstrip(",")
+    return "".join(table.ravel().tolist())
+
+
+def _spectrum_parts(fmt: str, tag: str, alpha: float, tmax: float, lines):
+    """The spectrum's file as a generator of parts: its head, then the text of
+    each block of _ROWS_AT_ONCE lines, made when it is asked for, then its tail.
+    The line of value 0, the zero mode, sorts first and is implicit."""
+    lines = lines[np.searchsorted(lines["value"], 0.0, side="right"):]
     if fmt == "csv":
-        rows = _spectrum_rows(lines, _CSV_OSCILLATOR, _CSV_TORUS,
-                              ["value,multiplicity,kind,n,lambda,mu,nu\n"])
-        del lines
-        return "".join(rows)
-    rows = _spectrum_rows(lines, _JSON_OSCILLATOR, _JSON_TORUS, [])
-    del lines
-    head = _JSON_HEAD % (tag, alpha, tmax)
-    if not rows:
-        return head + "[]\n}\n"
-    rows[0] = head + "[\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+        yield "value,multiplicity,kind,n,lambda,mu,nu\n"
+    else:
+        yield _JSON_HEAD % (tag, alpha, tmax)
+        if not lines.size:
+            yield "[]\n}\n"
+            return
+        yield "["
+    for start in range(0, lines.size, _ROWS_AT_ONCE):
+        yield _spectrum_block(lines[start:start + _ROWS_AT_ONCE], _SPECTRUM_PIECES[fmt],
+                              start == 0)
+    if fmt == "json":
+        yield "\n  ]\n}\n"
 
 
 def _check_rows(rows: int) -> None:  # before any row is computed
@@ -120,9 +143,11 @@ def _check_rows(rows: int) -> None:  # before any row is computed
 
 def cmd_spectrum(args) -> int:
     manifold = _MANIFOLDS[args.manifold](args.l)
-    text = _spectrum_text(args.format, manifold_tag(manifold), args.alpha, args.tmax,
-                          enumerate_spectrum(manifold, args.alpha, args.tmax))
-    _write_output(args.out, text)
+    # every refusal comes from enumerate_spectrum, before the file is opened; then
+    # each block's text is written as it is made
+    lines = enumerate_spectrum(manifold, args.alpha, args.tmax)
+    _write_output(args.out, _spectrum_parts(args.format, manifold_tag(manifold), args.alpha,
+                                            args.tmax, lines))
     return 0
 
 
@@ -179,11 +204,11 @@ def cmd_eigenfunction(args) -> int:
     ps = [i * sp / g for i in range(2 * g)]
     qs = [k * sq / g for k in range(g)]
     ss = [m / g for m in range(2 * g)]
-    buf = io.StringIO()
-    buf.write("# eigenfunction n=%d a=%d b=%d lambda=%d lattice=%s\n"
-              "# eigenvalue=%.17g alpha=%.17g tol=%.17g\np,q,s,re,im\n"
-              % (args.n, args.a, args.b, args.lam, manifold_tag(manifold),
-                 value, args.alpha, args.tol))
+    # every row is made before the file is opened, so a refused row leaves none
+    parts = ["# eigenfunction n=%d a=%d b=%d lambda=%d lattice=%s\n"
+             "# eigenvalue=%.17g alpha=%.17g tol=%.17g\np,q,s,re,im\n"
+             % (args.n, args.a, args.b, args.lam, manifold_tag(manifold),
+                value, args.alpha, args.tol)]
     rows = wb_eigenfunction_grid(idx, args.lam, manifold, ps, qs, ss, args.tol)
     # every row repeats the same (q, s) fields: one template per row, with p and
     # them baked in, takes the row's values interleaved, re and im of each in turn
@@ -191,8 +216,8 @@ def cmd_eigenfunction(args) -> int:
     for p, vals in zip(ps, rows):
         head = "%.17g," % p
         row = head + ("\n" + head).join(qs_fields) + "\n"
-        buf.write(row % tuple(vals.view(float).ravel().tolist()))
-    _write_output(args.out, buf.getvalue())
+        parts.append(row % tuple(vals.view(float).ravel().tolist()))
+    _write_output(args.out, parts)
     return 0
 
 
@@ -274,7 +299,7 @@ def cmd_dims(args) -> int:
         closed = map(closed_form, n_col, lam_col, [args.l] * rows.size)
         blocks.append("".join([_DIMS_ROW % (n, lam, c, o, h, "true" if c == o == h else "false")
                                for n, lam, c, o, h in zip(n_col, lam_col, closed, oracles, chars)]))
-    _write_output(args.out, *blocks)
+    _write_output(args.out, blocks)
     return 0
 
 
@@ -317,7 +342,7 @@ def cmd_weyl(args) -> int:
             fields += (series.oscillator[i] / cover[i] if cover[i] else 0.0,
                        ones / mults if mults else 0.0)
         buf.write(row % fields)
-    _write_output(args.out, buf.getvalue())
+    _write_output(args.out, [buf.getvalue()])
     return 0
 
 

@@ -80,8 +80,9 @@ def oscillator_eigenvalue(n: int, lam: int, alpha: float) -> float:
 
 # enumerate_spectrum refuses a tmax with more (n, lambda) pairs and torus points
 # than this: `spectrum --manifold nl --alpha 0.9999 --tmax 300` (1,910,769 lines
-# of 56 bytes) peaks at 0.27 GB of resident memory in enumerate_spectrum, and at
-# 0.37 GB (CSV) or 0.60 GB (JSON) with its text, on a 2-core box with numpy 2.4.
+# of 56 bytes) peaks at 0.25 GB of resident memory in enumerate_spectrum, and so
+# does the whole command in either format, which then holds the lines and one
+# block's text, on a 2-core box with numpy 2.4.
 # Near |alpha| = 1 the lam = 0 level holds about 2 tmax / (pi (1 - |alpha|)) lines.
 MAX_SPECTRUM_LINES = 2_000_000
 # _oscillator_sums refuses a grid with more entries than this, levels below the

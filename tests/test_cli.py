@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,13 +11,17 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tomllib
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from heis_spectra import cli, invariants, spectrum, verify
 from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_ORACLE_DIM, main
@@ -23,6 +29,7 @@ from heis_spectra.group import PolarizedPoint, standard_rect
 from heis_spectra.invariants import _nullity, phi_pullback_matrix, psi_pullback_matrix
 from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
+from heis_spectra.weyl import manifold_tag
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +116,112 @@ def test_io_failure_exit_code(capsys):
                "--out", "/nonexistent-dir/out.json"])
     assert rc == 3
     capsys.readouterr()
+
+
+# The row-at-a-time writer that the spectrum's text columns replaced, kept as
+# their byte reference: one %-template per row kind, filled once per line.
+_REFERENCE_JSON_HEAD = '{\n  "manifold": "%s",\n  "alpha": %.17g,\n  "tmax": %.17g,\n  "lines": '
+_REFERENCE_ROWS = {
+    "json": ('    {"value": %.17g, "multiplicity": %d, '
+             '"origin": {"kind": "oscillator", "n": %d, "lambda": %d}}',
+             '    {"value": %.17g, "multiplicity": %d, '
+             '"origin": {"kind": "torus", "mu": %.17g, "nu": %.17g}}'),
+    "csv": ("%.17g,%d,oscillator,%d,%d,,\n", "%.17g,%d,torus,,,%.17g,%.17g\n"),
+}
+
+
+def _reference_spectrum_text(fmt, tag, alpha, tmax, lines):
+    oscillator, torus = _REFERENCE_ROWS[fmt]
+    lines = lines[lines["value"] > 0]
+    rows = [oscillator % (value, mult, n, lam) if kind else torus % (value, mult, mu, nu)
+            for value, mult, kind, n, lam, mu, nu
+            in zip(*(lines[name].tolist() for name in lines.dtype.names))]
+    if fmt == "csv":
+        return "value,multiplicity,kind,n,lambda,mu,nu\n" + "".join(rows)
+    head = _REFERENCE_JSON_HEAD % (tag, alpha, tmax)
+    if not rows:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+
+
+# at most this many lines an example, so that blocks of one line stay quick
+_REFERENCE_LINES = 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(manifold=st.sampled_from(sorted(cli._MANIFOLDS)), l=st.integers(1, 3),
+       fmt=st.sampled_from(["json", "csv"]),
+       alpha=st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 0.9999, -0.9999]),
+                       st.floats(-1.0, 1.0)),
+       tmax=st.floats(0.1, 400.0), rows_at_once=st.sampled_from([1, 2, 5]))
+@example(manifold="nl", l=1, fmt="json", alpha=-0.0, tmax=0.5, rows_at_once=1)
+@example(manifold="gamma-pi", l=2, fmt="csv", alpha=1.0, tmax=60.0, rows_at_once=2)
+def test_spectrum_bytes_equal_the_row_templates(manifold, l, fmt, alpha, tmax, rows_at_once):
+    # small blocks put runs of one value, torus rows and the JSON separator
+    # across block boundaries; --out and stdout carry the same bytes
+    try:
+        lines = enumerate_spectrum(cli._MANIFOLDS[manifold](l), alpha, tmax)
+    except ValueError:  # past the line limit, near |alpha| = 1
+        reject()
+    if lines.size > _REFERENCE_LINES:
+        tmax = float(lines["value"][_REFERENCE_LINES])
+        lines = enumerate_spectrum(cli._MANIFOLDS[manifold](l), alpha, tmax)
+    expected = _reference_spectrum_text(fmt, manifold_tag(cli._MANIFOLDS[manifold](l)), alpha,
+                                        tmax, lines).encode()
+    argv = ["spectrum", "--manifold", manifold, "--l", str(l), "--format", fmt,
+            f"--alpha={alpha!r}", "--tmax", repr(tmax)]
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "_ROWS_AT_ONCE", rows_at_once), \
+            tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert main(argv + ["--out", os.path.join(tmp, "s")]) == 0
+        written = Path(tmp, "s").read_bytes()
+    assert stdout.getvalue().encode() == written == expected
+
+
+def test_text_column_formats_each_distinct_value_once():
+    # keyed on the bits, 0.0 and -0.0 keep their own strings; every row of one
+    # value shares one string object (single characters such as "0" are shared
+    # by the interpreter anyway)
+    values = np.array([1.25, 0.0, -0.0, 1.25, -0.0, 0.0, 1e300, 1.25])
+    texts = cli._text_column(values, "%.17g").tolist()
+    assert texts == ["%.17g" % v for v in values.tolist()]
+    assert texts[1:3] == ["0", "-0"]
+    assert texts[0] is texts[3] is texts[7] and texts[2] is texts[4]
+    assert len({id(text) for text in texts}) == 4
+    texts = cli._text_column(np.array([12345, -12345, 12345, 0]), "%d").tolist()
+    assert texts == ["12345", "-12345", "12345", "0"] and texts[0] is texts[2]
+
+
+@pytest.mark.parametrize("argv", [["--tmax", "1e300"], ["--alpha", "2", "--tmax", "5"]])
+def test_a_refused_spectrum_creates_no_file(capsys, tmp_path, argv):
+    # every refusal comes before the file is opened
+    out = tmp_path / "s.json"
+    assert main(["spectrum", "--manifold", "nl", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_a_spectrum_is_written_a_block_at_a_time(tmp_path, monkeypatch):
+    # about 1e5 lines in blocks of 4096: the peak holds the line table and a block
+    # or two, never the whole text.  A block is its text and two arrays of nine
+    # pointers a row, its table and the list that is joined.
+    lines = enumerate_spectrum(standard_rect(1), 0.3, 15000.0)
+    assert 0.9 * 10**5 < lines.size < 1.1 * 10**5
+    monkeypatch.setattr(cli, "_ROWS_AT_ONCE", 4096)
+    monkeypatch.setattr(cli, "enumerate_spectrum", lambda *args: lines.copy())
+    out = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--manifold", "nl", "--alpha", "0.3", "--tmax", "15000",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    block = 4096 * (max(map(len, text.splitlines())) + 1 + 2 * 9 * 8)
+    assert peak < lines.nbytes + 2 * block < len(text)
 
 
 def test_parser_is_built_once():
@@ -491,6 +604,9 @@ PINNED_REFUSALS = [
     (["spectrum", "--manifold", "nl", "--tmax", "5", "--out", "/nonexistent-dir/out.json"], 3,
      "error: cannot write /nonexistent-dir/out.json: [Errno 2] No such file or directory: "
      "'/nonexistent-dir/out.json'\n"),
+    # recorded before the spectrum was written a block at a time
+    (["spectrum", "--manifold", "nl", "--tmax", "5", "--out", "."], 3,
+     "error: cannot write .: [Errno 21] Is a directory: '.'\n"),
     (["dims", "--manifold", "gamma-pi2", "--n", "2", "--lam", "0", "--tol", "1"], 2,
      "error: singular value inside the band [tol/10, 10 tol], tol = 1.0 "
      "(row n = 2, lambda = 0)\n"),
