@@ -33,12 +33,10 @@ from .group import (
 )
 from .hermite import hermite_function, hermite_poly
 from .invariants import (
-    CharacterTable,
     CoefficientVector,
     IllConditionedError,
     PullbackMatrix,
-    character_table,
-    dim_from_characters,
+    character_values,
     dim_phi_invariant,
     dim_psi_invariant,
     eigenfunction_combination,
@@ -49,7 +47,7 @@ from .invariants import (
     phi_pullback_matrix,
     psi_constraint_solve,
     psi_pullback_matrix,
-    sector_dimensions,
+    sector_multiplicities,
 )
 from .operator import apply_folland_stein, folland_stein_residual
 from .spectrum import (

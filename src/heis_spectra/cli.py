@@ -36,7 +36,7 @@ from .invariants import (
 )
 from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
-from .weil_brezin import WBIndex, wb_eigenfunction_grid
+from .weil_brezin import WBIndex, _point_phase_error, wb_eigenfunction_grid
 from .weyl import (
     _ratio_grid,
     counting_columns,
@@ -174,7 +174,7 @@ def _phase_error(n: int, lam: int, width: int, tol: float) -> float:
     """
     reach = ((math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0))))
              / math.sqrt(2 * math.pi * abs(n)))
-    return 3.0 * sys.float_info.epsilon * 2 * math.pi * abs(n) * max(2.0, (3.0 + reach) * width)
+    return _point_phase_error(n, 2.0, width, 2.0, reach)
 
 
 def cmd_eigenfunction(args) -> int:

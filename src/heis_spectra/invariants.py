@@ -21,16 +21,17 @@ characters and the oracles are columns over rows (n, lam): one (rows x 4)
 character array and one product with the powers of i (`character_values`,
 `sector_multiplicities`), and one int64 oracle column per generator
 (`phi_fixed_subspace_dims`, `psi_fixed_subspace_dims`); the one-row calls
-(`character_table`, `sector_dimensions`, `phi_fixed_subspace_dim`,
-`psi_fixed_subspace_dim`) are their columns of one row.  A row's phase reads
+`phi_fixed_subspace_dim` and `psi_fixed_subspace_dim` are their columns of one
+row.  A row's phase reads
 lam only mod 4, taken in Python ints, so a level of any size is exact.  One rank
 rule on I - M (`_nullity`, over a stack of rows, optionally as runs of equal
 values) serves the oracles, the dense reference and the quarter-turn's invariant
 basis: singular values below tol are kernel, one inside [tol/10, 10 tol] raises
 IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError;
 a column raises the error of its first refusing row, with the row's index as
-`.row`.  `fixed_subspace_dim` takes one dense SVD and is the reference; the
-oracles and bases never build the matrix.  Both generators act on the orbits of
+`.row`.  `fixed_subspace_dim` takes one dense SVD, batched over a stack of
+matrices of one size, and is the reference; the oracles and bases never build
+the matrix.  Both generators act on the orbits of
 the reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
 points and 2x2 blocks on its pairs (`phi_fixed_subspace_dims`), and the
 quarter-turn commutes with its square, the reversal, so on the reversal's even
@@ -189,12 +190,19 @@ def _nullity(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
     return nullity
 
 
-def fixed_subspace_dim(M, tol: float = 1e-8) -> int:
+def fixed_subspace_dim(M, tol: float = 1e-8):
     """Dimension of the +1 eigenspace as the SVD nullity of (M - I), by the rank rule:
-    one dense SVD, the reference for the structured oracles."""
+    one dense SVD, the reference for the structured oracles.  M of shape (N, N) gives
+    an int; a stack of shape (..., N, N) gives an int64 array of shape (...), from
+    one batched SVD, and its first refusing matrix (in row-major order) raises its
+    error, that index as `.row`."""
     A = np.array(getattr(M, "matrix", M), dtype=complex)
-    A.reshape(-1)[::A.shape[0] + 1] -= 1  # the diagonal of the row-major copy
-    return _nullity(np.linalg.svd(A, compute_uv=False), tol)
+    size = A.shape[-1]
+    A.reshape(A.shape[:-2] + (size * size,))[..., ::size + 1] -= 1  # the diagonals of the copy
+    svals = np.linalg.svd(A, compute_uv=False)
+    if svals.ndim == 1:
+        return _nullity(svals, tol)
+    return _nullity(svals.reshape(-1, size), tol).reshape(svals.shape[:-1])
 
 
 def _orbit_blocks(dim: int):
@@ -398,23 +406,6 @@ def gauss_sum_direct(m: int) -> complex:
     return complex(np.sum(np.exp(2j * math.pi * ((ks * ks) % m) / m)))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Character values of the quarter-turn cyclic action on the sector."""
-
-    n: int
-    lam: int
-    l: int
-    values: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        chi0, _, _, chi3 = self.values
-        if abs(chi0 - 2 * self.l * abs(self.n)) > 1e-9:
-            raise ValueError("chi(1) must equal the sector dimension")
-        if abs(chi3 - self.values[1].conjugate()) > 1e-9:
-            raise ValueError("chi(g^3) must conjugate chi(g)")
-
-
 def _characters(size: int, r: int, positive: bool) -> tuple[complex, ...]:
     """chi(g^m), m = 0..3, on a sector of the given size and phase (r, n > 0), for
     the table below: chi(g) = i^r G(N)/sqrt N with G the Gauss sum, conjugated for
@@ -446,11 +437,6 @@ def character_values(ns, lams, l: int, phases=None) -> np.ndarray:
     return values
 
 
-def character_table(n: int, lam: int, l: int) -> CharacterTable:
-    """The one-row `character_values`, checked as a CharacterTable."""
-    return CharacterTable(n, lam, l, tuple(character_values([n], [lam], l)[0].tolist()))
-
-
 # _UNITS[j][m] = i^(-j m): the weight of chi(g^m) in the multiplicity of the eigenvalue i^j
 _UNITS = tuple(tuple(1j ** (-j * m) for m in range(4)) for j in range(4))
 _QUARTER_UNITS = np.array(_UNITS).T / 4.0
@@ -469,17 +455,6 @@ def sector_multiplicities(values: np.ndarray) -> np.ndarray:
         raise _refusal(ValueError("character table produced a non-integer multiplicity"),
                        int(off.argmax()))
     return whole.astype(np.int64)
-
-
-def sector_dimensions(table: CharacterTable) -> tuple[int, int, int, int]:
-    """Multiplicities of the four eigenvalues i^j of the cyclic action: the one-row
-    `sector_multiplicities`."""
-    return tuple(sector_multiplicities(np.array([table.values]))[0].tolist())
-
-
-def dim_from_characters(table: CharacterTable) -> int:
-    """(1/4) sum of the table: multiplicity of eigenvalue +1."""
-    return sector_dimensions(table)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +530,8 @@ def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: Lattic
                               pt, tol: float = 1e-12) -> complex:
     """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series
     over (1/N)Z with c^{a,b} at residue k (`_residue_series`); a point whose p on the
-    cover is not below 2^52 in magnitude, or a value that is not finite, raises
+    cover is not below 2^52 in magnitude, whose phases may round past tol
+    (`weil_brezin._point_phase_error`), or whose value is not finite, raises
     ValueError."""
     lam, cover, scale = _hermite_seed(coef.n, 2 * coef.l, lam, lattice, tol)
     p, q, s = pt.p, pt.q, pt.s

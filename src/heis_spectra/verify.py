@@ -2,7 +2,9 @@
 
 Each suite re-derives a slice of the library's guarantees from scratch and
 raises VerificationError on the first violation.  Suites run one after
-another: every suite is Python work that holds the interpreter lock.
+another: every suite is Python work that holds the interpreter lock.  The dims
+and characters suites stack their dense matrices by size and take one batched
+SVD reference and one power chain per stack.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .group import (
 )
 from .hermite import hermite_function, hermite_poly
 from .invariants import (
-    character_table,
-    dim_from_characters,
+    character_values,
     dim_phi_invariant,
     dim_psi_invariant,
     fixed_subspace_dim,
@@ -40,7 +41,7 @@ from .invariants import (
     gauss_sum_direct,
     phi_pullback_matrix,
     psi_pullback_matrix,
-    sector_dimensions,
+    sector_multiplicities,
 )
 from .spectrum import enumerate_spectrum
 from .weil_brezin import WBIndex, schrodinger_act, weil_brezin_eval, wb_eigenfunction
@@ -168,44 +169,67 @@ def _suite_pullback() -> str:
             idxs = [WBIndex(n, a, b, width) for a in range(abs(n)) for b in range(width)]
             for _ in range(4):
                 pt = PolarizedPoint(*rng.uniform(-1, 1, size=3))
+                image = motion_apply(gen, pt)
                 f_pt = np.array([wb_eigenfunction(i, lam, lattice, pt) for i in idxs])
-                f_gen = np.array([wb_eigenfunction(i, lam, lattice, motion_apply(gen, pt))
-                                  for i in idxs])
+                f_gen = np.array([wb_eigenfunction(i, lam, lattice, image) for i in idxs])
                 err = np.max(np.abs(f_gen - M.T @ f_pt))
                 _require(err < 1e-7, f"pullback matrix mismatch {err:.2e} at (n={n}, lam={lam})")
                 checked += 1
     return f"{checked} pointwise matrix checks"
 
 
+def _stacks(matrices: list):
+    """(where, stack) for each size among the square matrices, in order of first
+    appearance: the positions of that size in the list and those matrices stacked."""
+    sizes = [len(M) for M in matrices]
+    for size in dict.fromkeys(sizes):
+        where = [i for i, other in enumerate(sizes) if other == size]
+        yield where, np.stack([matrices[i] for i in where])
+
+
 def _suite_dims() -> str:
-    for l in (1, 2):
-        for n in range(-4, 5):
-            if n == 0:
-                continue
-            for lam in range(0, 5):
-                _require(fixed_subspace_dim(phi_pullback_matrix(n, lam, l))
-                         == dim_phi_invariant(n, lam, l), f"phi dim mismatch at ({n}, {lam}, {l})")
-                _require(fixed_subspace_dim(psi_pullback_matrix(n, lam, l))
-                         == dim_psi_invariant(n, lam, l), f"psi dim mismatch at ({n}, {lam}, {l})")
+    rows = [(n, lam, l) for l in (1, 2) for n in range(-4, 5) if n for lam in range(0, 5)]
+    # each row's half-turn, then its quarter-turn, the order in which they are checked;
+    # one dense SVD reference per size over the stack of that size
+    matrices = [build(*row).matrix for row in rows
+                for build in (phi_pullback_matrix, psi_pullback_matrix)]
+    dims = np.empty(len(matrices), dtype=np.int64)
+    for where, stack in _stacks(matrices):
+        dims[where] = fixed_subspace_dim(stack)
+    closed = [dim(*row) for row in rows for dim in (dim_phi_invariant, dim_psi_invariant)]
+    wrong = np.flatnonzero(dims != closed).tolist()
+    if wrong:
+        name, (n, lam, l) = ("phi", "psi")[wrong[0] % 2], rows[wrong[0] // 2]
+        raise VerificationError(f"{name} dim mismatch at ({n}, {lam}, {l})")
     return "closed forms equal rank oracles on the sweep"
 
 
 def _suite_characters() -> str:
+    rows = [(n, lam) for n in (-3, -1, 1, 2, 3) for lam in range(0, 4)]
     for l in (1, 2):
-        for n in (-3, -1, 1, 2, 3):
-            for lam in range(0, 4):
-                table = character_table(n, lam, l)
-                M = psi_pullback_matrix(n, lam, l).matrix
-                power = np.eye(M.shape[0], dtype=complex)
-                for m, chi in enumerate(table.values):
-                    if m:
-                        power = power @ M
-                    _require(abs(np.trace(power) - chi) < 1e-9,
-                             f"character value disagrees with the trace at power {m}")
-                _require(dim_from_characters(table) == dim_psi_invariant(n, lam, l),
-                         "character average disagrees with the closed form")
-                _require(sum(sector_dimensions(table)) == 2 * l * abs(n),
-                         "sector dimensions do not resolve the space")
+        values = character_values(*zip(*rows), l)  # (rows x 4): chi(g^m), m = 0..3
+        sizes = [2 * l * abs(n) for n, _ in rows]
+        _require(bool(np.all(np.abs(values[:, 0] - sizes) <= 1e-9)),
+                 "chi(1) must equal the sector dimension")
+        _require(bool(np.all(np.abs(values[:, 3] - values[:, 1].conj()) <= 1e-9)),
+                 "chi(g^3) must conjugate chi(g)")
+        # tr M^m of each row, one power chain per size over the stack of that size
+        traces = np.empty_like(values)
+        matrices = [psi_pullback_matrix(n, lam, l).matrix for n, lam in rows]
+        for where, stack in _stacks(matrices):
+            power = np.eye(stack.shape[-1], dtype=complex)
+            for m in range(4):
+                if m:
+                    power = power @ stack
+                traces[where, m] = np.trace(power, axis1=-2, axis2=-1)
+        wrong = np.flatnonzero(~(np.abs(traces - values) < 1e-9)).tolist()
+        if wrong:
+            raise VerificationError(
+                f"character value disagrees with the trace at power {wrong[0] % 4}")
+        mults = sector_multiplicities(values)
+        _require(mults[:, 0].tolist() == [dim_psi_invariant(n, lam, l) for n, lam in rows],
+                 "character average disagrees with the closed form")
+        _require(mults.sum(axis=1).tolist() == sizes, "sector dimensions do not resolve the space")
     return "traces, averages, sector sums"
 
 

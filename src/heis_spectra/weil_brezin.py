@@ -28,7 +28,10 @@ sum along k; the factor e^{2 pi i n s} is applied in real arithmetic.  Every val
 equals the one-point series of wb_eigenfunction bit for bit, so grid files keep
 their bytes.  Both one-point paths and the grid refuse, with ValueError, a p
 on the cover that is not below 2^52 in magnitude (past it p + k is no longer
-exact) and a value that is not finite.
+exact) and a value that is not finite.  The one-point paths (wb_eigenfunction and
+invariants.eigenfunction_combination) also refuse a point whose phases may round
+past tol, by the bound `_point_phase_error` on its p, q and s; a CLI grid takes
+the same bound once, at p = 2, q = L and s = 2 (cli._phase_error).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -109,16 +113,43 @@ def _reach(lam: int, scale: float, p: float, tol: float) -> float:
     return (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0)))) / scale
 
 
+def _point_phase_error(n: int, p: float, q: float, s: float, reach: float) -> float:
+    """A bound on the error the rounding of the phases puts into a value of the series
+    at (p, q, s) on the rectangular cover, relative to the seed's largest value.
+
+    A phase argument 2 pi n y is three roundings, off by up to 1.5 eps |2 pi n y|,
+    and a value carries two of them: the factor's, at y = s, and a term's, at
+    y = (k + off) q with |k + off| <= |p| + 1 + reach for the window's reach
+    (`_reach`); the combination's series splits the same phase at s - q round(p)
+    and (m/N) q, within the same bound.  So it is 3 eps 2 pi |n| max(|s|,
+    (|p| + 1 + reach) |q|), and at p = 2, q = L and s = 2 it is the bound of a
+    grid of width L (cli._phase_error).
+    """
+    return 3.0 * sys.float_info.epsilon * 2 * math.pi * abs(n) * max(
+        abs(s), (abs(p) + 1.0 + reach) * abs(q))
+
+
+def _check_phases(n: int, p: float, q: float, s: float, reach: float, tol: float) -> None:
+    """Refuse, with ValueError, a point whose phases may round past tol (`_point_phase_error`)."""
+    error = _point_phase_error(n, p, q, s, reach)
+    if error > tol:
+        raise ValueError(f"the phases at p = {p!r}, q = {q!r}, s = {s!r} on the rectangular "
+                         f"cover may round by {error:.3g}, past tol = {tol!r}")
+
+
 def _finite(value: complex) -> complex:
     if not cmath.isfinite(value):
         raise ValueError(f"the series is not finite ({value!r}): a phase or a term overflows")
     return value
 
 
-def _series_window(lam: int, scale: float, n: int, p: float, off: float, tol: float):
-    """The window of seeds psi_lam(scale (p + k + off)) of one basis function, from one
-    Hermite call: every k with |scale (p + k + off)| <= R (`_reach`)."""
+def _series_window(lam: int, scale: float, n: int, pt: PolarizedPoint, off: float, tol: float):
+    """The window of seeds psi_lam(scale (p + k + off)) of one basis function at the
+    point on the cover, from one Hermite call: every k with |scale (p + k + off)| <= R
+    (`_reach`).  A point whose phases may round past tol raises ValueError."""
+    p = pt.p
     reach = _reach(lam, scale, p, tol)
+    _check_phases(n, p, pt.q, pt.s, reach, tol)
     ks = np.arange(math.ceil(-reach - p - off), math.floor(reach - p - off) + 1)
     xs = (p + ks) + off
     return _window(n, ks, off, xs, _psi(lam, scale * xs), f"the Hermite seed of order {lam}")
@@ -141,6 +172,7 @@ def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float,
     A phase that overflows, or a value that is not finite, raises ValueError."""
     size = weights.size
     reach = _reach(lam, scale, p, tol)
+    _check_phases(n, p, q, s, reach, tol)
     # p = j + f with j whole and f exact: the term m of p is the term m + jN of f,
     # of the same residue, with its phase times e^{-2 pi i n q j}
     j = round(p)
@@ -335,5 +367,5 @@ def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: Polarized
     lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
     if cover is not None:
         pt = apply_symplectic(cover, pt)
-    window = _series_window(lam, scale, idx.n, pt.p, idx.offset, tol)
+    window = _series_window(lam, scale, idx.n, pt, idx.offset, tol)
     return _series_value(idx.n, window, pt.q, pt.s)

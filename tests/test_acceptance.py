@@ -29,7 +29,7 @@ from heis_spectra.group import (
     unitary_compose,
 )
 from heis_spectra.invariants import (
-    character_table,
+    character_values,
     dim_phi_invariant,
     dim_psi_invariant,
     fixed_subspace_dim,
@@ -79,7 +79,7 @@ def test_character_reconstruction():
         powers = sum(np.trace(np.linalg.matrix_power(M, m)) for m in range(4))
         avg = powers / 4.0
         assert abs(avg - dim_psi_invariant(n, lam, l)) < 1e-6
-        closed = character_table(n, lam, l).values[1]
+        closed = character_values([n], [lam], l)[0, 1]
         assert abs(np.trace(M) - closed) < 1e-9
 
 

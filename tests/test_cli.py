@@ -229,8 +229,9 @@ def test_parser_is_built_once():
 
 
 def _perturb_pullbacks(monkeypatch):
-    """Add 1e-3 to every entry of the matrices the verifier's pullback suite
-    builds: its negative control, which must make the suite fail."""
+    """Add 1e-3 to every entry of the pullback matrices the verifier builds: the
+    negative control of its pullback, dims and characters suites, which must make
+    each of them fail."""
     for name in ("phi_pullback_matrix", "psi_pullback_matrix"):
         def perturbed(*args, build=getattr(verify, name)):
             m = build(*args)
@@ -882,21 +883,43 @@ def test_dims_takes_the_phases_once_per_block(capsys, monkeypatch):
 _MILLION_ROW_DIMS_PEAK = 51_674_462
 
 
+# one command in a fresh interpreter: its exit code and its peak resident size in
+# bytes, read as VmHWM (in KiB); ru_maxrss would also count the forking test
+# process, as Linux carries that high-water mark across exec
+_PEAK_RSS = """\
+import sys
+from heis_spectra.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, peak * 1024)
+"""
+
+
+def _peak_rss(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    return code, peak
+
+
 def test_a_million_row_dims_table_holds_its_text_once(tmp_path):
     # 2500 n by 400 levels: the blocks of rows are written one after the other, so
-    # the 26 MB of text is held once and never joined, with one block's columns
+    # the 26 MB of text is held once and never joined, with one block's columns.
+    # The peak is the growth of a fresh process's peak resident size over that of a
+    # 17-row table, which costs nothing per allocation; joined, the text grows it by
+    # about 82 MB, held once by about 32 MB
     out = tmp_path / "dims.csv"
     argv = ["dims", "--manifold", "gamma-pi", "--nmin", "-1250", "--nmax", "1250",
             "--lmax", "399", "--out", str(out)]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    base = _peak_rss(["dims", "--manifold", "gamma-pi", "--out", str(tmp_path / "small.csv")])
+    code, peak = _peak_rss(argv)
+    assert base[0] == code == 0
     text = out.read_text()
     assert text.count("\n") == 10**6 + 1 and text.endswith("\n1250,399,1249,1249,1249,true\n")
-    assert len(text) < peak < _MILLION_ROW_DIMS_PEAK
+    assert len(text) < peak - base[1] < _MILLION_ROW_DIMS_PEAK
 
 
 def test_dims_writes_a_huge_level_exactly(capsys):
@@ -1029,12 +1052,25 @@ def test_weyl_rejects_alpha_outside_range(capsys):
     capsys.readouterr()
 
 
+# verify's whole stdout, byte for byte
+VERIFY_LINES = """\
+suite group: PASS (identities, associativity, torsion, reduction)
+suite hermite: PASS (recurrence and oscillator equation)
+suite weil-brezin: PASS (theta value, invariance, intertwining)
+suite pullback: PASS (24 pointwise matrix checks)
+suite dims: PASS (closed forms equal rank oracles on the sweep)
+suite characters: PASS (traces, averages, sector sums)
+suite gauss: PASS (closed form vs direct sums, reachable moduli)
+suite spectrum: PASS (ordering, values, multiplicities)
+suite weyl: PASS (constants, pair sums, half-count relation)
+"""
+
+
 def test_verify_all_and_subset(capsys):
     rc, out = run_cli(capsys, "verify")
     assert rc == 0
+    assert out == VERIFY_LINES
     lines = out.splitlines()
-    assert len(lines) == 9
-    assert all(": PASS" in ln for ln in lines)
     rc, out = run_cli(capsys, "verify", "--suite", "gauss")
     assert rc == 0
     assert out.splitlines() == lines[6:7]
@@ -1045,14 +1081,20 @@ def test_verify_all_and_subset(capsys):
 
 
 def test_verify_negative_control(capsys, monkeypatch):
+    # every suite that reads the pullback matrices fails on perturbed ones: the
+    # pointwise action, the stacked rank references and the stacked power chains
+    suites = ["pullback", "dims", "characters"]
+    argv = [arg for suite in suites for arg in ("--suite", suite)]
     with monkeypatch.context() as patch:
         _perturb_pullbacks(patch)
-        rc, out = run_cli(capsys, "verify", "--suite", "pullback")
+        rc, out = run_cli(capsys, "verify", *argv)
     assert rc == 1
-    assert "FAIL" in out
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        f"suite {suite}: FAIL" for suite in suites]
     # the perturbation does not leak into later runs
-    rc, out = run_cli(capsys, "verify", "--suite", "pullback")
+    rc, out = run_cli(capsys, "verify", *argv)
     assert rc == 0
+    assert out.splitlines() == VERIFY_LINES.splitlines()[3:6]
 
 
 def _console_script_command():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from heis_spectra import invariants
+from heis_spectra import invariants, verify
 from heis_spectra.group import (
     PolarizedPoint,
     motion_apply,
@@ -18,21 +19,19 @@ from heis_spectra.group import (
     standard_rect,
 )
 from heis_spectra.invariants import (
-    CharacterTable,
     CoefficientVector,
     IllConditionedError,
     _UNITS,
     PullbackMatrix,
     _block_singular_values,
+    _characters,
     _nullity,
     _orbit_blocks,
     _orbit_eigenvalues,
     _psi_phase,
     _residue_order,
     _sector_index,
-    character_table,
     character_values,
-    dim_from_characters,
     dim_phi_invariant,
     dim_psi_invariant,
     eigenfunction_combination,
@@ -47,7 +46,6 @@ from heis_spectra.invariants import (
     psi_fixed_subspace_dim,
     psi_fixed_subspace_dims,
     psi_pullback_matrix,
-    sector_dimensions,
     sector_multiplicities,
 )
 
@@ -230,6 +228,26 @@ def test_fixed_subspace_dim_flags_threshold_band():
     M[0, 0] += 1e-8
     with pytest.raises(IllConditionedError):
         fixed_subspace_dim(M, tol=1e-8)
+
+
+def test_a_stack_of_matrices_takes_one_batched_svd():
+    # a stack (..., N, N) gives the int64 array of the one-matrix results; the first
+    # refusing matrix in row-major order raises its error, that index as .row
+    rows = [(n, lam, l) for n, lam, l in SWEEP + LARGER_SECTORS if 2 * l * abs(n) == 4]
+    matrices = [build(*row).matrix for row in rows
+                for build in (phi_pullback_matrix, psi_pullback_matrix)]
+    dims = fixed_subspace_dim(np.array(matrices).reshape(2, -1, 4, 4))
+    assert dims.dtype == np.int64 and dims.shape == (2, len(matrices) // 2)
+    assert dims.ravel().tolist() == [fixed_subspace_dim(M) for M in matrices]
+    assert dims.ravel().tolist() == [dim(*row) for row in rows
+                                     for dim in (dim_phi_invariant, dim_psi_invariant)]
+    stack = np.array([np.eye(4, dtype=complex)] * 6).reshape(2, 3, 4, 4)
+    stack[1, 1, 0, 0] += 1e-8  # the band of tol = 1e-8, in the matrix at index 4
+    stack[1, 2, 0, 0] += 1e-8
+    with pytest.raises(IllConditionedError) as info:
+        fixed_subspace_dim(stack, tol=1e-8)
+    assert info.value.row == 4
+    assert fixed_subspace_dim(stack[0]).tolist() == [4, 4, 4]
 
 
 # planted offsets of an orbit block's eigenvalue from +-1: kernel (< tol/10), the band
@@ -533,11 +551,25 @@ def test_the_oracle_columns_equal_the_rows_one_at_a_time(rows, tol):
                 == _one_at_a_time(one_row, ns, lams, l, tol)), column.__name__
 
 
+def _character_row(n, lam, l):
+    """chi(g^m), m = 0..3, of one row from its own sector size N = 2l|n|, where the
+    column reads G(N)/sqrt N off the table's N = 4 or N = 2."""
+    invariants._check_nl(n, lam, l)
+    return _characters(2 * l * abs(n), _psi_phase(n, lam)[0], n > 0)
+
+
+def _by_powers(row):
+    """The multiplicities of the eigenvalues i^j from one row chi(g^m), m = 0..3, as
+    (1/4) sum_m i^(-j m) chi(g^m), rounded."""
+    return [round((sum((1j ** (-j * m)) * row[m] for m in range(4)) / 4.0).real)
+            for j in range(4)]
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(rows=_ROWS)
 def test_the_character_columns_equal_the_rows_one_at_a_time(rows):
     l, ns, lams = rows
-    tables = _one_at_a_time(character_table, ns, lams, l)
+    tables = _one_at_a_time(_character_row, ns, lams, l)
     try:
         values = character_values(ns, lams, l)
     except ValueError as exc:
@@ -545,12 +577,12 @@ def test_the_character_columns_equal_the_rows_one_at_a_time(rows):
         return
     # bit for bit, signed zeros included
     assert [[repr(v) for v in row] for row in values.tolist()] == [
-        [repr(v) for v in t.values] for t in tables]
-    assert sector_multiplicities(values).tolist() == [list(sector_dimensions(t)) for t in tables]
+        [repr(v) for v in t] for t in tables]
+    assert sector_multiplicities(values).tolist() == [_by_powers(t) for t in tables]
 
 
 def test_a_multiplicity_off_an_integer_refuses_its_row():
-    values = np.array([character_table(2, 0, 1).values] * 3)
+    values = character_values([2] * 3, [0] * 3, 1)
     values[1, 1] += 1e-6
     with pytest.raises(ValueError, match="non-integer multiplicity") as info:
         sector_multiplicities(values)
@@ -615,43 +647,63 @@ def test_gauss_sum_against_direct_summation():
 
 
 def test_character_table_values():
-    t = character_table(2, 2, 1)
-    assert t.values[0] == 4
-    assert abs(t.values[1] - (1 - 1j)) < 1e-12
-    assert abs(t.values[2] - 2) < 1e-12
-    assert abs(t.values[3] - (1 + 1j)) < 1e-12
-    assert dim_from_characters(t) == 2
+    values = character_values([2, 1], [2, 0], 1)
+    mults = sector_multiplicities(values)
+    t = values[0]
+    assert t[0] == 4
+    assert abs(t[1] - (1 - 1j)) < 1e-12
+    assert abs(t[2] - 2) < 1e-12
+    assert abs(t[3] - (1 + 1j)) < 1e-12
+    assert mults[0, 0] == 2
 
-    t = character_table(1, 0, 1)
-    assert t.values[0] == 2
-    assert abs(t.values[1]) < 1e-12
-    assert abs(t.values[2] + 2) < 1e-12
-    assert dim_from_characters(t) == 0
+    t = values[1]
+    assert t[0] == 2
+    assert abs(t[1]) < 1e-12
+    assert abs(t[2] + 2) < 1e-12
+    assert mults[1, 0] == 0
 
 
-def test_character_table_validation():
-    with pytest.raises(ValueError):
-        CharacterTable(1, 0, 1, (3.0 + 0j, 0j, -2.0 + 0j, 0j))
-    with pytest.raises(ValueError):
-        CharacterTable(1, 0, 1, (2.0 + 0j, 1 + 0j, -2.0 + 0j, 5j))
+def test_character_table_validation(monkeypatch):
+    # the checks of a character table, chi(1) = N and chi(g^3) = conj chi(g), are the
+    # characters suite's: entries of one row off by 1e-6 fail it, and chi(g) and
+    # chi(g^3) moved together fail it at the trace of M
+    for columns, message in (([0], r"chi\(1\) must equal the sector dimension"),
+                             ([1], r"chi\(g\^3\) must conjugate chi\(g\)"),
+                             ([3], r"chi\(g\^3\) must conjugate chi\(g\)"),
+                             ([1, 3], "character value disagrees with the trace at power 1")):
+        def perturbed(*args, read=character_values):
+            values = read(*args)
+            values[5, columns] += 1e-6
+            return values
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "character_values", perturbed)
+            (result,) = verify.run_suites(["characters"])
+        assert not result.passed
+        assert re.fullmatch("VerificationError: " + message, result.detail)
+    assert verify.run_suites(["characters"])[0].passed
 
 
 def test_characters_match_matrix_traces():
-    for n, lam, l in SWEEP:
-        t = character_table(n, lam, l)
-        M = psi_pullback_matrix(n, lam, l).matrix
-        power = np.eye(M.shape[0], dtype=complex)
-        for m in range(4):
-            assert abs(np.trace(power) - t.values[m]) < 1e-9
-            power = M @ power
-        assert dim_from_characters(t) == dim_psi_invariant(n, lam, l)
+    for l in (1, 2):
+        rows = [(n, lam) for n, lam, ll in SWEEP if ll == l]
+        values = character_values(*zip(*rows), l)
+        mults = sector_multiplicities(values)
+        for (n, lam), t, mult in zip(rows, values, mults):
+            M = psi_pullback_matrix(n, lam, l).matrix
+            power = np.eye(M.shape[0], dtype=complex)
+            for m in range(4):
+                assert abs(np.trace(power) - t[m]) < 1e-9
+                power = M @ power
+            assert mult[0] == dim_psi_invariant(n, lam, l)
 
 
 def test_sector_dimensions_sum_to_sector_size():
-    for n, lam, l in SWEEP:
-        dims = sector_dimensions(character_table(n, lam, l))
-        assert sum(dims) == 2 * l * abs(n)
-        assert all(d >= 0 for d in dims)
+    for l in (1, 2):
+        rows = [(n, lam) for n, lam, ll in SWEEP if ll == l]
+        mults = sector_multiplicities(character_values(*zip(*rows), l))
+        assert mults.sum(axis=1).tolist() == [2 * l * abs(n) for n, _ in rows]
+        assert (mults >= 0).all()
 
 
 def test_sector_dimensions_read_the_powers_of_i_from_one_table():
@@ -661,18 +713,10 @@ def test_sector_dimensions_read_the_powers_of_i_from_one_table():
         for m in range(4):
             assert repr(_UNITS[j][m]) == repr(1j ** (-j * m))
 
-    def by_powers(table):
-        out = []
-        for j in range(4):
-            val = sum((1j ** (-j * m)) * table.values[m] for m in range(4)) / 4.0
-            out.append(int(round(val.real)))
-        return tuple(out)
-
-    for n in [n for n in range(-13, 14) if n] + [-1000, 999]:
-        for lam in range(8):
-            for l in (1, 2, 3, 5):
-                table = character_table(n, lam, l)
-                assert sector_dimensions(table) == by_powers(table)
+    rows = [(n, lam) for n in [n for n in range(-13, 14) if n] + [-1000, 999] for lam in range(8)]
+    for l in (1, 2, 3, 5):
+        values = character_values(*zip(*rows), l)
+        assert sector_multiplicities(values).tolist() == [_by_powers(t) for t in values.tolist()]
 
 
 def test_phi_constraints_dimensions_and_span():

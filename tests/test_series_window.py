@@ -227,6 +227,14 @@ def _bits(values):
     return np.array(values, dtype=complex).tobytes()
 
 
+def _series_only(f, *args):
+    """f(*args) with the one-point phase rule (`weil_brezin._check_phases`) switched
+    off: the series' own floats, for the tests of its arithmetic and its tail at
+    points where the rounding of its phases may pass tol."""
+    with mock.patch.object(weil_brezin, "_check_phases", lambda *_: None):
+        return f(*args)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(eigenfunctions(),
        st.lists(st.one_of(st.sampled_from([-1e6, 1e6, -1.5, 0.0, 2.0, 1e12]), coords),
@@ -238,7 +246,7 @@ def test_grid_blocks_equal_the_one_point_series_bit_for_bit(ef, ps, qs, ss, bloc
     # every value, the sign of a zero included, are those of wb_eigenfunction
     idx, lam, lattice = ef
     for tol in (1e-12, 1e-10, 1e-8):
-        want = [wb_eigenfunction(idx, lam, lattice, PolarizedPoint(p, q, s), tol)
+        want = [_series_only(wb_eigenfunction, idx, lam, lattice, PolarizedPoint(p, q, s), tol)
                 for p in ps for q in qs for s in ss]
         with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
             rows = list(wb_eigenfunction_grid(idx, lam, lattice, ps, qs, ss, tol))
@@ -469,21 +477,86 @@ def test_an_overflowing_phase_is_refused(lattice):
         eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
 
 
+@pytest.mark.parametrize("lattice", [standard_rect(2), scaled_square(1)])
+def test_a_point_whose_phases_carry_no_digits_is_refused(lattice):
+    # at q = 1e300 the phase arguments 2 pi n y are about 1e300, where a float holds
+    # no digit of the phase: both one-point paths refuse the point
+    pt = PolarizedPoint(0.3, 1e300, 0.1)
+    with pytest.raises(ValueError, match="may round by"):
+        wb_eigenfunction(WBIndex(2, 1, 1, 2), 1, lattice, pt)
+    with pytest.raises(ValueError, match="may round by"):
+        eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_the_phase_rule_refuses_where_its_bound_passes_tol(tol):
+    # on the rectangular cover the bound is 3 eps 2 pi |n| max(|s|, (|p| + 1 + reach) |q|);
+    # just under the q where it reaches tol the point is taken, just over it refused
+    n, lam, p, s = -3, 2, 0.7, 0.1
+    lattice = standard_rect(2)
+    reach = weil_brezin._reach(lam, math.sqrt(2 * math.pi * abs(n)), p, tol)
+    edge = tol / (3 * np.finfo(float).eps * 2 * math.pi * abs(n) * (abs(p) + 1 + reach))
+    coef = CoefficientVector(n, 1, np.arange(6) + 1j)
+    for f in (functools.partial(wb_eigenfunction, WBIndex(n, 2, 1, 2), lam, lattice),
+              functools.partial(eigenfunction_combination, coef, lam, lattice)):
+        f(PolarizedPoint(p, 0.999 * edge, s), tol)
+        with pytest.raises(ValueError, match="may round by"):
+            f(PolarizedPoint(p, 1.001 * edge, s), tol)
+
+
+def test_points_of_the_benchmark_range_are_taken_with_their_bits():
+    # |p|, |q| <= 3, |s| <= 4, |n| <= 4, lam <= 6 and l <= 3, at the corners: the phase
+    # rule takes every point, a basis function's value is the grid path's (which has
+    # no such rule) bit for bit, and four pinned values keep their bits
+    corners = [PolarizedPoint(p, q, s) for p in (-3.0, 3.0) for q in (-3.0, 3.0)
+               for s in (-4.0, 4.0)]
+    for l, square, n, lam in itertools.product((1, 2, 3), (False, True),
+                                               (-4, -3, -1, 1, 2, 4), (0, 6)):
+        lattice = scaled_square(l) if square else standard_rect(l)
+        width = lattice.covering_width
+        idx = WBIndex(n, abs(n) - 1, width - 1, width)
+        coef = CoefficientVector(n, l, np.arange(2 * l * abs(n)) + 1j)
+        combination_lattice = scaled_square(l) if square else standard_rect(2 * l)
+        for pt in corners:
+            grid = next(wb_eigenfunction_grid(idx, lam, lattice, [pt.p], [pt.q], [pt.s]))
+            assert _bits([wb_eigenfunction(idx, lam, lattice, pt)]) == grid.tobytes()
+            eigenfunction_combination(coef, lam, combination_lattice, pt)
+    pinned = [
+        (eigenfunction_combination(CoefficientVector(-4, 2, np.arange(16) + 1j), 6,
+                                   scaled_square(2), PolarizedPoint(-3.0, 3.0, 4.0)),
+         "(4.3490643198155965-0.07134054717179711j)"),
+        (eigenfunction_combination(CoefficientVector(4, 1, np.arange(8) - 2j), 6,
+                                   standard_rect(2), PolarizedPoint(3.0, -3.0, -4.0)),
+         "(1.3228650412008605+0.14268109434370774j)"),
+        (wb_eigenfunction(WBIndex(-4, 3, 3, 4), 6, scaled_square(2),
+                          PolarizedPoint(3.0, -3.0, -4.0)),
+         "(-0.2662441750338539-2.605144614196228e-16j)"),
+        (wb_eigenfunction(WBIndex(4, 1, 2, 3), 6, standard_rect(3),
+                          PolarizedPoint(-3.0, 3.0, 4.0)),
+         "(0.21703012347079698-2.4054721087885303e-14j)")]
+    for value, text in pinned:
+        assert repr(value) == text
+
+
 def test_a_grid_value_that_is_not_finite_is_refused():
     # the grid refuses such a value as the one-point path does, with ValueError at
     # its row after the rows before it, and no RuntimeWarning: at s = 1e308 the
     # factor e^{2 pi i n s} overflows, and at q = 2e306 the phases of the row
     # p = -20 (k about 20) overflow where those of p = 0 and 0.5 (|k| <= 4) do not
+    # (the one-point path refuses these points first by its phase rule; without the
+    # rule its series refuses them as not finite)
     idx, lattice = WBIndex(1, 0, 0, 1), standard_rect(1)
-    with pytest.raises(ValueError, match="not finite"):
-        wb_eigenfunction(idx, 0, lattice, PolarizedPoint(0.0, 0.25, 1e308))
+    for pt in (PolarizedPoint(0.0, 0.25, 1e308), PolarizedPoint(-20.0, 2e306, 0.1)):
+        with pytest.raises(ValueError, match="may round by"):
+            wb_eigenfunction(idx, 0, lattice, pt)
+        with pytest.raises(ValueError, match="not finite"):
+            _series_only(wb_eigenfunction, idx, 0, lattice, pt)
     with pytest.raises(ValueError, match="not finite"):
         list(wb_eigenfunction_grid(idx, 0, lattice, [0.0], [0.25], [1e308]))
-    with pytest.raises(ValueError, match="not finite"):
-        wb_eigenfunction(idx, 0, lattice, PolarizedPoint(-20.0, 2e306, 0.1))
     rows = wb_eigenfunction_grid(idx, 0, lattice, [0.0, 0.5, -20.0, 1.0], [2e306], [0.0, 0.1])
     for p in (0.0, 0.5):
-        want = [[wb_eigenfunction(idx, 0, lattice, PolarizedPoint(p, 2e306, s)) for s in (0.0, 0.1)]]
+        want = [[_series_only(wb_eigenfunction, idx, 0, lattice, PolarizedPoint(p, 2e306, s))
+                 for s in (0.0, 0.1)]]
         assert next(rows).tobytes() == np.array(want).tobytes()
     with pytest.raises(ValueError, match="not finite"):
         next(rows)
@@ -512,14 +585,17 @@ def test_a_point_past_exact_shifts_is_refused(lattice, p):
 def test_a_far_point_keeps_its_short_window():
     # at p = 1e12 the combination's indices m lie near -N p and are reduced mod N at
     # once; n p q is whole, so both paths give f(0, q, s) up to the rounding of
-    # phases near 2 pi n p q, about 4e-4 of |f| here
+    # phases near 2 pi n p q, about 4e-4 of |f| here; that is past tol, so both
+    # refuse the point unless their phase rule is switched off
     n, p, q, s = 2, 1e12, 0.375, 0.1
     idx, lattice = WBIndex(n, 1, 1, 2), standard_rect(2)
     coef = CoefficientVector(n, 1, np.arange(4) + 1j)
     for f in (lambda pt: wb_eigenfunction(idx, 2, lattice, pt),
               lambda pt: eigenfunction_combination(coef, 2, lattice, pt)):
         want = f(PolarizedPoint(0.0, q, s))
-        assert abs(f(PolarizedPoint(p, q, s)) - want) < 1e-3 * abs(want)
+        assert abs(_series_only(f, PolarizedPoint(p, q, s)) - want) < 1e-3 * abs(want)
+        with pytest.raises(ValueError, match="may round by"):
+            f(PolarizedPoint(p, q, s))
 
 
 def widened_sum(n, lam, scale, pt, offs, weights, rows=20):
@@ -550,7 +626,7 @@ def test_basis_function_tail_against_a_wider_window(level, pt, data):
     width = lattice.covering_width
     idx = WBIndex(n, data.draw(st.integers(0, abs(n) - 1)), data.draw(st.integers(0, width - 1)),
                   width)
-    got = wb_eigenfunction(idx, lam, lattice, pt)
+    got = _series_only(wb_eigenfunction, idx, lam, lattice, pt)
     scale, rect = _cover(lattice, n, pt)
     want = widened_sum(n, lam, scale, rect, np.array([idx.offset]), 1.0)
     assert abs(got - want) <= 1e-12 * sup_psi(lam)
@@ -565,7 +641,7 @@ def test_combination_tail_against_a_wider_window(level, pt, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     coef = CoefficientVector(n, l, rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    got = eigenfunction_combination(coef, lam, lattice, pt)
+    got = _series_only(eigenfunction_combination, coef, lam, lattice, pt)
     scale, rect = _cover(lattice, n, pt)
     weights = coef.entries[np.argsort(_sector_index(n, l))]  # c at residue k
     want = widened_sum(n, lam, scale, rect, np.arange(dim) / dim, weights)
