@@ -225,12 +225,10 @@ def cmd_eigenfunction(args) -> int:
 # int64.  The table is built as columns, in blocks of rows: the closed forms in
 # Python ints, the characters as one (rows x 4) array and one product, and each
 # oracle column by one rank rule, and neither oracle builds the N x N pullback or
-# takes an SVD.  A half-turn row is two runs of singular values in closed form,
-# O(1) a row; the quarter-turn rows of one N share one eigvalsh pair of the two
-# orbit blocks of sizes N/2 +- 1, at O(N^3) cost, read at each row's phase.  At
-# N = 4096 the pair serves all four levels in about 1.4 s and, as the blocks are
-# built one after the other, peaks at about 50 MB (numpy's, by tracemalloc);
-# afterwards only its 2 N eigenvalues stay held.
+# takes an SVD or an eigendecomposition.  A half-turn row is two runs of singular
+# values in closed form, and a quarter-turn row four (the multiplicities of the
+# eigenvalues +-1 of its two orbit blocks), so a row costs O(1) time and memory
+# at any N; the limit bounds no O(N^3) work any more.
 MAX_ORACLE_DIM = 4096
 
 _DIMS_ROW = "%d,%d,%d,%d,%d,%s\n"
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=4, help="range end (default 4)")
     p.add_argument("--lmax", type=int, default=3, help="level range end (default 3)")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="rank threshold for the matrix oracle (default 1e-8)")
+                   help="rank threshold on the oracles' singular values (default 1e-8)")
 
     p = sub.add_parser("weyl", help="eigenvalue counting diagnostics")
     add_common(p)

@@ -20,9 +20,7 @@ sums, or from a nullity oracle, kept separate so they can be compared.  The
 characters and the oracles are columns over rows (n, lam): one (rows x 4)
 character array and one product with the powers of i (`character_values`,
 `sector_multiplicities`), and one int64 oracle column per generator
-(`phi_fixed_subspace_dims`, `psi_fixed_subspace_dims`); the one-row calls
-`phi_fixed_subspace_dim` and `psi_fixed_subspace_dim` are their columns of one
-row.  A row's phase reads
+(`phi_fixed_subspace_dims`, `psi_fixed_subspace_dims`).  A row's phase reads
 lam only mod 4, taken in Python ints, so a level of any size is exact.  One rank
 rule on I - M (`_nullity`, over a stack of rows, optionally as runs of equal
 values) serves the oracles, the dense reference and the quarter-turn's invariant
@@ -39,14 +37,15 @@ and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
 phase, of sizes N/2 + 1 and N/2 - 1 (the even/odd split of the DFT, McClellan
 and Parks, IEEE Trans. Audio Electroacoust. 20, 1972; `psi_fixed_subspace_dims`).
 The blocks together have the dense matrix's singular values, so the rank rule is
-the same; as the blocks are real and symmetric, those are read off their
-eigenvalues at each row's phase, one eigendecomposition per distinct N.
+the same.  The blocks are real, symmetric and unitary, so their eigenvalues are
++-1, with McClellan and Parks' multiplicities; the oracle reads each row's singular
+values as four runs of those at its phase, O(1) a row, and only the quarter-turn's
+basis takes the blocks' eigenvectors.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -143,13 +142,16 @@ def _refusal(exc: Exception, row: int) -> Exception:
     return exc
 
 
-def _rank_rule(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
+def _nullity(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
     """The rank rule along the last axis of a stack of rows, each row the singular
     values of one N x N matrix, or with `counts` their runs (value j repeated
-    counts[..., j] times, N the sum): per row the nullity (the count below tol),
-    the floor sigma_max N eps, and whether the row is refused (a value inside
-    [tol/10, 10 tol], a tol below the floor, or a tol that is not positive and
-    finite).  A run of none holds no value."""
+    counts[..., j] times, N the sum; a run of none holds no value): the nullity, the
+    count below tol, of each row as an int64 column, or of one row as an int.  The
+    first refused row raises, its index as `.row`: IllConditionedError for a value
+    inside [tol/10, 10 tol], and ValueError for a tol below the floor sigma_max N eps
+    or a tol that is not positive and finite."""
+    if np.ndim(svals) == 1:
+        return int(_nullity(svals[None], tol, None if counts is None else counts[None])[0])
     if counts is None:
         size, present = svals.shape[-1], {}
     else:
@@ -159,35 +161,19 @@ def _rank_rule(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
     refused = (floor > tol) | np.logical_or.reduce(band, -1, **present)
     if not 0 < tol < math.inf:
         refused[...] = True
-    kernel = svals < tol
-    if counts is None:
-        return np.add.reduce(kernel, -1, dtype=np.int64), floor, refused
-    return np.add.reduce(counts, -1, where=kernel), floor, refused
-
-
-def _rank_refusal(floor: float, tol: float, row: int) -> Exception:
-    """The error of a row the rank rule refuses, its index as `.row`."""
-    if not 0 < tol < math.inf:
-        return _refusal(ValueError(f"tol must be positive and finite, got {tol!r}"), row)
-    if floor > tol:  # numpy's matrix_rank default: below it a kernel value may be noise
-        return _refusal(ValueError(f"tol = {tol!r} is below the rank rule's floor "
-                                   f"sigma_max N eps = {floor:.3g}"), row)
-    return _refusal(IllConditionedError(
-        f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}"), row)
-
-
-def _nullity(svals: np.ndarray, tol: float, counts: np.ndarray | None = None):
-    """The rank rule (`_rank_rule`) on the singular values of N x N matrices: the
-    nullity of each row of a stack as an int64 column, or of one row as an int.  The
-    first refused row raises IllConditionedError for a value inside [tol/10, 10 tol]
-    and ValueError for a tol below sigma_max N eps, its index as `.row`."""
-    if np.ndim(svals) == 1:
-        return int(_nullity(svals[None], tol, None if counts is None else counts[None])[0])
-    nullity, floor, refused = _rank_rule(svals, tol, counts)
     if np.count_nonzero(refused):
         row = int(refused.argmax())
-        raise _rank_refusal(float(floor[row]), tol, row)
-    return nullity
+        if not 0 < tol < math.inf:
+            raise _refusal(ValueError(f"tol must be positive and finite, got {tol!r}"), row)
+        if floor[row] > tol:  # numpy's matrix_rank default: below it a kernel value may be noise
+            raise _refusal(ValueError(f"tol = {tol!r} is below the rank rule's floor "
+                                      f"sigma_max N eps = {float(floor[row]):.3g}"), row)
+        raise _refusal(IllConditionedError(
+            f"singular value inside the band [tol/10, 10 tol], tol = {tol!r}"), row)
+    kernel = svals < tol
+    if counts is None:
+        return np.add.reduce(kernel, -1, dtype=np.int64)
+    return np.add.reduce(counts, -1, where=kernel)
 
 
 def fixed_subspace_dim(M, tol: float = 1e-8):
@@ -227,21 +213,6 @@ def _orbit_blocks(dim: int):
     yield even
     del even
     yield (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
-
-
-@functools.lru_cache(maxsize=1)
-def _orbit_eigenvalues(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the two orbit blocks (C, S) of `_orbit_blocks(dim)`, by
-    `eigvalsh`, one block at a time.  A dims range asks for one size at each of its
-    levels, so the last size is kept: 2 N floats, while the blocks' tables (at the
-    peak about 3 N^2 bytes, the table jk and one block) are freed on return.
-    """
-    eigs = []
-    for block in _orbit_blocks(dim):
-        eigs.append(np.linalg.eigvalsh(block))
-        eigs[-1].flags.writeable = False
-        del block
-    return tuple(eigs)
 
 
 def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
@@ -302,59 +273,45 @@ def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) ->
     return nullity
 
 
-def phi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
-    """The one-row `phi_fixed_subspace_dims`."""
-    return int(phi_fixed_subspace_dims([n], [lam], l, tol)[0])
+# the quarter-turn's singular values at each phase key 2r + (n > 0) (`_phase_rows`):
+# those of i^r C - I at C's eigenvalues +1 and -1, then those of the odd block at its
+# phase, sign i^(r+1) S - I, at S's eigenvalues +1 and -1 (`_block_singular_values`)
+_UNIT_EIGENVALUES = np.array([1.0, -1.0])
+_QUARTER_TURN = np.array([
+    np.concatenate((_block_singular_values(_UNIT_EIGENVALUES, r),
+                    _block_singular_values(_UNIT_EIGENVALUES, r + (3 if positive else 1))))
+    for r in range(4) for positive in (False, True)])
+
+
+def _quarter_turn_runs(sizes) -> np.ndarray:
+    """The lengths of the runs of `_QUARTER_TURN` on sectors of the given sizes N, as
+    a (rows x 4) int64 array: the multiplicities of C's eigenvalues +1 and -1,
+    N//4 + 1 and N/2 - N//4, then of S's, N//4 and N/2 - 1 - N//4."""
+    sizes = np.array(sizes, dtype=np.int64)
+    half, quarter = sizes // 2, sizes // 4
+    return np.stack((quarter + 1, half - quarter, quarter, half - 1 - quarter), axis=-1)
 
 
 def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) -> np.ndarray:
     """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
-    as one int64 column, without the dense matrices and without an SVD: the
-    eigenvalues of two real symmetric blocks of about half the size (sizes 2 and 0
-    at N = 2), taken once per distinct N and read at each phase of its rows.
+    as one int64 column, without the dense matrices and without an SVD or an
+    eigendecomposition: O(1) a row.
 
     The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
     reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
     (`_orbit_blocks`), and no entry joins the two.  Their singular values of B - I
-    (`_block_singular_values`) together are those of the dense I - M, so the rank
-    rule, taken once per N on the stack of its phases, is unchanged.  A new N costs
-    O(N^3), and O(N) memory is held afterwards.  The first refusing row raises its
-    error, its index as `.row`.  phases is as in `phi_fixed_subspace_dims`.
-
-    `eigvalsh` leaves the eigenvalues, all +-1, up to about N eps / 2 away from them
-    (5 eps at N = 14), where the dense SVD of I - M leaves its kernel values below
-    0.4 N eps.  So for a tol below about 5 N eps, just above the floor, a kernel
-    value of either route may reach the band's edge tol/10, and one route may
-    refuse a row the other counts; they never count it differently, as the noise
-    stays below the floor and so below tol.
+    (`_block_singular_values`) together are those of the dense I - M.  C and S are
+    real, symmetric and unitary, so their eigenvalues are +-1, with the
+    multiplicities of the DFT's eigenvalues (McClellan and Parks 1972;
+    `_quarter_turn_runs`).  The rank rule takes the four runs of each row; the first
+    refusing row raises its error, its index as `.row`.  phases is as in
+    `phi_fixed_subspace_dims`.
     """
     sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
-    codes = [8 * size + key for size, key in zip(sizes, keys)]
-    nullity_of, refused = {}, {}  # by code: the phase pair's nullity, or its floor if refused
-    # each (N, phase) once, by N, so one eigvalsh pair per N
-    for size, group in itertools.groupby(sorted(set(codes)), lambda code: code >> 3):
-        group = list(group)
-        even, odd = _orbit_eigenvalues(size)
-        stack = np.empty((len(group), size))  # a row per phase: the even block's, the odd's
-        for row, code in zip(stack, group):
-            r, positive = divmod(code & 7, 2)
-            row[:even.size] = _block_singular_values(even, r)
-            row[even.size:] = _block_singular_values(odd, r + (3 if positive else 1))
-        nullity, floor, bad = _rank_rule(stack, tol)
-        nullity_of.update(zip(group, nullity.tolist()))
-        if np.count_nonzero(bad):
-            refused.update((code, fl) for code, fl, b in zip(group, floor.tolist(), bad) if b)
-    if refused:
-        row = next(row for row, code in enumerate(codes) if code in refused)
-        raise _rank_refusal(refused[codes[row]], tol, row)
+    nullity = _nullity(_QUARTER_TURN.take(keys, 0), tol, _quarter_turn_runs(sizes))
     if refusal is not None:
         raise refusal
-    return np.array([nullity_of[code] for code in codes], dtype=np.int64)
-
-
-def psi_fixed_subspace_dim(n: int, lam: int, l: int, tol: float = 1e-8) -> int:
-    """The one-row `psi_fixed_subspace_dims`."""
-    return int(psi_fixed_subspace_dims([n], [lam], l, tol)[0])
+    return nullity
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:

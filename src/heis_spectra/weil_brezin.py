@@ -28,10 +28,11 @@ sum along k; the factor e^{2 pi i n s} is applied in real arithmetic.  Every val
 equals the one-point series of wb_eigenfunction bit for bit, so grid files keep
 their bytes.  Both one-point paths and the grid refuse, with ValueError, a p
 on the cover that is not below 2^52 in magnitude (past it p + k is no longer
-exact) and a value that is not finite.  The one-point paths (wb_eigenfunction and
-invariants.eigenfunction_combination) also refuse a point whose phases may round
-past tol, by the bound `_point_phase_error` on its p, q and s; a CLI grid takes
-the same bound once, at p = 2, q = L and s = 2 (cli._phase_error).
+exact) and a value that is not finite.  All three also refuse a point whose
+phases may round past tol, by the bound `_point_phase_error` on its p, q and s:
+the one-point paths (wb_eigenfunction and invariants.eigenfunction_combination) at
+their point, the grid once, at its largest |p|, |q| and |s| on the cover, and a
+CLI grid once more, at p = 2, q = L and s = 2 (cli._phase_error).
 """
 
 from __future__ import annotations
@@ -244,13 +245,28 @@ def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, 
     the rectangular cover keeps one p, so its seeds are one window; the rows of a
     block that share a window length share one Hermite call, one exp of their
     phases and one sum, and every value equals wb_eigenfunction at its point bit
-    for bit.  A refused row raises its ValueError after the rows before it.
+    for bit.  A grid whose phases may round past tol raises ValueError before the
+    iterator is returned (`_check_phases` at its largest |p|, |q| and |s| on the
+    cover); any other refused row raises its ValueError after the rows before it.
     """
     lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
+    ps = np.array([float(p) for p in ps])
     qs = np.array(qs, dtype=float).reshape(1, -1, 1)
     ss = np.array(ss, dtype=float).reshape(1, 1, -1)
     if not (qs.size and ss.size):
         raise ValueError("qs and ss must not be empty")
+    # the bound grows with |p|, |q| and |s|, so it is largest at the corner of the
+    # largest: of the p a row can take (a p not finite or not below 2^52 on the
+    # cover is refused at its row), and of q and s, where one not finite on the
+    # cover refuses every row
+    with np.errstate(over="ignore", invalid="ignore"):
+        taken = ps if cover is None else symplectic_coords(cover, ps, 0.0, 0.0)[0]
+        corner = (np.abs(ps[np.abs(taken) < _MAX_P]).max(initial=0.0),
+                  np.abs(qs).max(), np.abs(ss).max())
+        if cover is not None:
+            corner = symplectic_coords(cover, *corner)
+    if all(map(math.isfinite, corner)):
+        _check_phases(idx.n, *map(float, corner), _reach(lam, scale, 0.0, tol), tol)
     return _grid_rows(idx.n, lam, scale, cover, idx.offset, tol, iter(ps), qs, ss)
 
 

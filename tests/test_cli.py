@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from heis_spectra import cli, invariants, spectrum, verify
 from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_ORACLE_DIM, main
 from heis_spectra.group import PolarizedPoint, standard_rect
-from heis_spectra.invariants import _nullity, phi_pullback_matrix, psi_pullback_matrix
+from heis_spectra.invariants import (_nullity, fixed_subspace_dim, phi_pullback_matrix,
+                                     psi_pullback_matrix)
 from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 from heis_spectra.weyl import manifold_tag
@@ -1000,6 +1001,17 @@ def test_dims_refuses_a_bad_or_ill_conditioned_tol(capsys):
                      "--lmax", "1", "--tol", "1e-20"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "below the rank rule's floor" in err and "(row n = 15" in err
+
+
+def test_dims_counts_a_quarter_turn_row_just_above_the_floor(capsys):
+    # N = 14, tol = 1e-14, just above the floor 2 N eps = 6.2e-15: the quarter-turn's
+    # kernel values are exactly 0, none in the band [tol/10, 10 tol], so the row takes
+    # the dense SVD's count, 3
+    rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi2", "--l", "1", "--n", "7",
+                      "--lam", "2", "--tol", "1e-14")
+    assert rc == 0
+    assert out == "n,lambda,closed,oracle,character,agree\n7,2,3,3,3,true\n"
+    assert fixed_subspace_dim(psi_pullback_matrix(7, 2, 1), 1e-14) == 3
 
 
 def test_runtime_never_imports_scipy():

@@ -27,8 +27,8 @@ from heis_spectra.invariants import (
     _characters,
     _nullity,
     _orbit_blocks,
-    _orbit_eigenvalues,
     _psi_phase,
+    _quarter_turn_runs,
     _residue_order,
     _sector_index,
     character_values,
@@ -39,11 +39,9 @@ from heis_spectra.invariants import (
     gauss_sum,
     gauss_sum_direct,
     phi_constraint_solve,
-    phi_fixed_subspace_dim,
     phi_fixed_subspace_dims,
     phi_pullback_matrix,
     psi_constraint_solve,
-    psi_fixed_subspace_dim,
     psi_fixed_subspace_dims,
     psi_pullback_matrix,
     sector_multiplicities,
@@ -58,6 +56,15 @@ LARGER_SECTORS = [(n, lam, l) for m, l in ((17, 1), (16, 2), (20, 4), (32, 4))
 # l <= 5, 1 <= |n| <= 12: the sectors on which the structured matrices are
 # compared against the paper's entry formulas
 SECTORS = [(n, l) for l in range(1, 6) for m in range(1, 13) for n in (m, -m)]
+
+
+def _one_row(column):
+    """The oracle column as a call on one row (n, lam, l, tol): an int, or the row's
+    refusal raised."""
+    return lambda n, lam, l, tol=1e-8: int(column([n], [lam], l, tol)[0])
+
+
+phi_one_row, psi_one_row = _one_row(phi_fixed_subspace_dims), _one_row(psi_fixed_subspace_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +267,9 @@ _PLANTED = st.sampled_from([0.0, 1e-13, -1e-10, 3e-9, -1e-8, 3e-8, 1e-6, 0.5, -2
        lam=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_basis_and_oracle_follow_one_rank_rule_on_planted_blocks(l, m, negative, lam, seed,
                                                                   data):
-    # orbit blocks Q diag(eig) Q^T with eig planted near +-1: the basis and the oracle
-    # either both refuse the band or both count the planted kernel, and the basis
-    # spans it on the basis positions
+    # orbit blocks Q diag(eig) Q^T with eig planted near +-1: the basis refuses the
+    # band by the oracles' rank rule, or counts the planted kernel and spans it on
+    # the basis positions (the oracle reads no block; the sweep below ties the two)
     n = -m if negative else m
     dim = 2 * l * m
     h = dim // 2
@@ -284,22 +291,24 @@ def test_basis_and_oracle_follow_one_rank_rule_on_planted_blocks(l, m, negative,
         assert size == dim
         yield from blocks
 
-    _orbit_eigenvalues.cache_clear()
-    try:
-        with mock.patch.object(invariants, "_orbit_blocks", planted):
-            basis = _outcome(psi_constraint_solve, n, lam, l)
-            count = _outcome(psi_fixed_subspace_dim, n, lam, l)
-    finally:
-        _orbit_eigenvalues.cache_clear()
+    with mock.patch.object(invariants, "_orbit_blocks", planted):
+        basis = _outcome(psi_constraint_solve, n, lam, l)
     if any(1e-9 <= s <= 1e-7 for s in svals):
-        assert basis is count is IllConditionedError
+        assert basis is IllConditionedError
         return
-    assert len(basis) == count == sum(s < 1e-8 for s in svals)
+    assert len(basis) == sum(s < 1e-8 for s in svals)
     if basis:
         V = np.column_stack([v.entries for v in basis])
         Q = _orbit_basis(n, l)
         assert np.abs(V.conj().T @ V - np.eye(len(basis))).max() < 1e-12
         assert np.abs(Q @ B @ Q.T @ V - V).max() < 1e-9
+
+
+def test_quarter_turn_basis_and_oracle_count_alike_on_real_sectors():
+    # the basis takes eigh of the real orbit blocks, the oracle their multiplicities
+    for n, lam, l in SWEEP + LARGER_SECTORS + [(n, lam, 1) for n in (-7, 7, 9) for lam in range(4)]:
+        dim = dim_psi_invariant(n, lam, l)
+        assert len(psi_constraint_solve(n, lam, l)) == psi_one_row(n, lam, l) == dim, (n, lam, l)
 
 
 def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
@@ -312,7 +321,7 @@ def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
         # ones, at N = 256 and at small N alike, down to N = 2 with no odd one: its
         # singular values |e - 1| and |e + 1| are in closed form, and no row takes an SVD
         for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-4, 1, 2)):
-            assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
+            assert phi_one_row(n, lam, l) == dim_phi_invariant(n, lam, l)
         assert svd.call_count == 0
 
 
@@ -360,62 +369,77 @@ def test_quarter_turn_splits_into_the_two_orbit_blocks(sector, lam, negative):
               for T in (1j**r * C, sign * 1j**(r + 1) * S)]
     dense = np.linalg.svd(np.eye(dim) - M, compute_uv=False)
     assert np.abs(np.sort(np.concatenate(blocks))[::-1] - dense).max() < 1e-12
-    assert psi_fixed_subspace_dim(n, lam, l) == fixed_subspace_dim(M) == dim_psi_invariant(n, lam, l)
+    assert psi_one_row(n, lam, l) == fixed_subspace_dim(M) == dim_psi_invariant(n, lam, l)
 
 
-def test_quarter_turn_levels_share_one_eigvalsh_pair():
+def test_quarter_turn_column_takes_no_decomposition_and_holds_nothing():
+    # the four levels of sectors of every size from N = 2, whose odd block is empty,
+    # to N = 4096: four runs a row in closed form, no eigvalsh, eigh or SVD, and
+    # nothing held afterwards
     with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh,
+          mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
           mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd):
-        # N = 128: blocks of sizes 65 and 63, read at the real phases i^r (lam = 0, 2
-        # at n = 16) and the imaginary ones alike; small sectors take the blocks too,
-        # down to N = 2, whose odd block is empty
-        for n, l, shapes in ((16, 4, [(65, 65), (63, 63)]), (8, 2, [(17, 17), (15, 15)]),
-                             (-1, 1, [(2, 2), (0, 0)])):
-            _orbit_eigenvalues.cache_clear()
-            for lam in range(4):
-                assert psi_fixed_subspace_dim(n, lam, l) == dim_psi_invariant(n, lam, l)
-            assert [(c.args[0].shape, c.args[0].dtype) for c in eigvalsh.call_args_list] == [
-                (shape, np.float64) for shape in shapes]
-            eigvalsh.reset_mock()
-        assert svd.call_count == 0
+        for l, sectors in ((1, (1, -1, 3, 2048)), (2, (8,)), (4, (-16, -512))):
+            ns, lams = [n for n in sectors for _ in range(4)], [0, 1, 2, 3] * len(sectors)
+            psi_fixed_subspace_dims(ns, lams, l)  # numpy's first-call caches
+            tracemalloc.start()
+            try:
+                dims = psi_fixed_subspace_dims(ns, lams, l)
+                assert dims.dtype == np.int64
+                assert dims.tolist() == [dim_psi_invariant(n, lam, l) for n, lam in zip(ns, lams)]
+                del dims
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held < 2**12, held
+    assert eigvalsh.call_count == eigh.call_count == svd.call_count == 0
 
 
-def test_quarter_turn_oracle_holds_o_n_memory_afterwards():
-    # N = 1024: the blocks' tables, about 4 N^2 bytes, are freed on return, and only
-    # the 2 N eigenvalues stay cached
-    _orbit_eigenvalues.cache_clear()
-    tracemalloc.start()
-    try:
-        assert psi_fixed_subspace_dim(256, 1, 2) == dim_psi_invariant(256, 1, 2)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak > 8 * 513**2  # numpy's arrays are traced: a 513 x 513 block was built
-    assert held < 2**20
+@settings(max_examples=60, deadline=None, database=None)
+@given(dim=st.integers(1, 256).map(lambda h: 2 * h))
+@example(dim=2)
+@example(dim=4)
+@example(dim=512)
+def test_quarter_turn_runs_are_the_signs_of_the_orbit_blocks(dim):
+    # McClellan and Parks' multiplicities, against eigvalsh of the two real orbit
+    # blocks: every eigenvalue is +-1, and the runs count each sign
+    even, odd = (np.linalg.eigvalsh(block) for block in _orbit_blocks(dim))
+    for eigs in (even, odd):
+        assert np.abs(np.abs(eigs) - 1.0).max(initial=0.0) < 1e-12
+    runs = _quarter_turn_runs([dim])
+    assert runs.dtype == np.int64
+    assert runs.tolist() == [[int(np.sum(even > 0)), int(np.sum(even < 0)),
+                              int(np.sum(odd > 0)), int(np.sum(odd < 0))]]
 
 
 def test_orbit_blocks_are_built_one_at_a_time():
     # N = 1024: the index table, 4 bytes an entry, and one block of 8 bytes an entry
-    # are held at a time, about 1.5 blocks; both blocks and an int64 table were 3
+    # are held at a time, about 1.5 blocks, when the caller drops C before it asks
+    # for S, as psi_constraint_solve does; both blocks and an int64 table were 3
     block = 8 * 513**2
-    _orbit_eigenvalues.cache_clear()
     tracemalloc.start()
     try:
-        _orbit_eigenvalues(1024)
+        shapes = []
+        for T in _orbit_blocks(1024):
+            shapes.append(T.shape)
+            del T
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert shapes == [(513, 513), (511, 511)]
     assert block < peak < 2 * block
 
 
 def test_quarter_turn_oracle_keeps_the_rank_rule():
     # sqrt(2) is a singular value of every quarter-turn sector's I - M
-    with pytest.raises(IllConditionedError):
-        psi_fixed_subspace_dim(17, 0, 1, tol=1.0)
+    with pytest.raises(IllConditionedError) as info:
+        psi_fixed_subspace_dims([1, 17], [0, 0], 1, tol=1.0)
+    assert info.value.row == 0
     with pytest.raises(ValueError, match="positive and finite"):
-        psi_fixed_subspace_dim(17, 0, 1, tol=0.0)
-    with pytest.raises(ValueError, match="n must be nonzero"):
-        psi_fixed_subspace_dim(0, 0, 1)
+        psi_fixed_subspace_dims([17], [0], 1, tol=0.0)
+    with pytest.raises(ValueError, match="n must be nonzero") as info:
+        psi_fixed_subspace_dims([17, 0], [0, 0], 1)
+    assert info.value.row == 1
 
 
 def _outcome(count, *args):
@@ -434,7 +458,7 @@ def test_half_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negat
     # at 1e-14 once N > 22)
     l, m = sector
     n = -m if negative else m
-    assert (_outcome(phi_fixed_subspace_dim, n, lam, l, tol)
+    assert (_outcome(phi_one_row, n, lam, l, tol)
             == _outcome(fixed_subspace_dim, phi_pullback_matrix(n, lam, l), tol))
 
 
@@ -445,25 +469,26 @@ def test_half_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negat
 @example(sector=(7, 1), lam=0, negative=True, tol=1e-14)
 @example(sector=(1, 1), lam=1, negative=True, tol=1e-15)
 def test_quarter_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negative, tol):
-    # 2 <= N <= 160: the blocks' eigenvalues give the dense count, or the same refusal
-    # (the band around the singular values sqrt 2 and 2 at tol = 0.3 and 1, the floor
-    # at 1e-20, and at 1e-14 once N > 22)
+    # 2 <= N <= 160: the blocks' runs give the dense count, or the same refusal (the
+    # band around the singular values sqrt 2 and 2 at tol = 0.3 and 1, the floor at
+    # 1e-20, and at 1e-14 once N > 22)
     l, m = sector
     n = -m if negative else m
     M = psi_pullback_matrix(n, lam, l).matrix
-    oracle = _outcome(psi_fixed_subspace_dim, n, lam, l, tol)
+    oracle = _outcome(psi_one_row, n, lam, l, tol)
     dense = _outcome(fixed_subspace_dim, M, tol)
     if oracle != dense:
-        # just above the floor 2 N eps rounding decides whether a kernel value reaches
-        # the band's edge tol/10: eigvalsh leaves one of 1.1e-15 at N = 14 (S has the
-        # eigenvalue 1 + 5 eps), where the dense SVD's are below 5e-16, so at
-        # tol = 1e-14 the oracle refuses the examples' count 3, and at N = 2 it counts
-        # what the dense SVD refuses at tol = 1e-15; a count never differs
+        # just above the floor 2 N eps rounding decides whether one of the dense SVD's
+        # kernel values, below 0.4 N eps, reaches the band's edge tol/10, where the
+        # oracle's are 0: at N = 2 the dense SVD refuses what the oracle counts at
+        # tol = 1e-15; a count never differs (at N = 14 and tol = 1e-14 both count
+        # the examples' 3)
         assert tol < 5 * len(M) * np.finfo(float).eps
         assert IllConditionedError in (oracle, dense) and ValueError not in (oracle, dense)
-    # the blocks' eigenvalues, read at the row's phase, give the dense singular values
+    # the blocks' eigenvalues, by eigvalsh here, read at the row's phase, give the
+    # dense singular values
     r, sign = _psi_phase(n, lam)
-    even, odd = _orbit_eigenvalues(len(M))
+    even, odd = (np.linalg.eigvalsh(block) for block in _orbit_blocks(len(M)))
     svals = np.concatenate((_block_singular_values(even, r),
                             _block_singular_values(odd, r + (3 if sign < 0 else 1))))
     dense_svals = np.linalg.svd(np.eye(len(M)) - M, compute_uv=False)
@@ -479,7 +504,7 @@ def test_rank_rule_refuses_a_tol_below_its_floor():
         _nullity(svals, 0.99 * floor)
     assert _nullity(svals, 1.01 * floor) == _nullity(svals, 1e-12) == 64
     assert _nullity(np.zeros(4), 1e-300) == 4  # M = I: the floor is 0
-    for count in (phi_fixed_subspace_dim, psi_fixed_subspace_dim,
+    for count in (phi_one_row, psi_one_row,
                   lambda *args: fixed_subspace_dim(phi_pullback_matrix(*args[:3]), args[3])):
         with pytest.raises(ValueError, match="floor"):
             count(15, 0, 1, 1e-20)
@@ -510,7 +535,7 @@ def _refusal(exc):
 
 def _one_at_a_time(one_row, ns, lams, *args):
     """The one-row calls in row order: their results, or the first refusal as
-    (row, type, message)."""
+    (row, type, message), with its row in the whole column."""
     out = []
     for row, (n, lam) in enumerate(zip(ns, lams)):
         try:
@@ -545,8 +570,8 @@ _ROWS = st.tuples(
 @example(rows=(1, [60, 2], [0, 0]), tol=1e-14)  # the floor refuses the first row only
 def test_the_oracle_columns_equal_the_rows_one_at_a_time(rows, tol):
     l, ns, lams = rows
-    for column, one_row in ((phi_fixed_subspace_dims, phi_fixed_subspace_dim),
-                            (psi_fixed_subspace_dims, psi_fixed_subspace_dim)):
+    for column, one_row in ((phi_fixed_subspace_dims, phi_one_row),
+                            (psi_fixed_subspace_dims, psi_one_row)):
         assert (_as_column(column, ns, lams, l, tol)
                 == _one_at_a_time(one_row, ns, lams, l, tol)), column.__name__
 
@@ -627,8 +652,9 @@ def test_dim_psi_closed_form():
 def test_oracle_equivalence_subset():
     for n, lam, l in SWEEP + LARGER_SECTORS:
         assert fixed_subspace_dim(phi_pullback_matrix(n, lam, l)) == dim_phi_invariant(n, lam, l)
-        assert phi_fixed_subspace_dim(n, lam, l) == dim_phi_invariant(n, lam, l)
+        assert phi_one_row(n, lam, l) == dim_phi_invariant(n, lam, l)
         assert fixed_subspace_dim(psi_pullback_matrix(n, lam, l)) == dim_psi_invariant(n, lam, l)
+        assert psi_one_row(n, lam, l) == dim_psi_invariant(n, lam, l)
 
 
 def test_gauss_sum_closed_form_values():

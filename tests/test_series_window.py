@@ -243,13 +243,14 @@ def _series_only(f, *args):
 def test_grid_blocks_equal_the_one_point_series_bit_for_bit(ef, ps, qs, ss, block):
     # unsorted, repeated and far-apart p, in blocks of a few values, so one grid
     # spans several blocks and a block's rows differ in window length; the bytes of
-    # every value, the sign of a zero included, are those of wb_eigenfunction
+    # every value, the sign of a zero included, are those of wb_eigenfunction (both
+    # with the phase rule off, as it refuses p = 1e6 and 1e12)
     idx, lam, lattice = ef
     for tol in (1e-12, 1e-10, 1e-8):
         want = [_series_only(wb_eigenfunction, idx, lam, lattice, PolarizedPoint(p, q, s), tol)
                 for p in ps for q in qs for s in ss]
         with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
-            rows = list(wb_eigenfunction_grid(idx, lam, lattice, ps, qs, ss, tol))
+            rows = list(_series_only(wb_eigenfunction_grid, idx, lam, lattice, ps, qs, ss, tol))
         assert _bits(rows) == _bits(want)
 
 
@@ -506,8 +507,8 @@ def test_the_phase_rule_refuses_where_its_bound_passes_tol(tol):
 
 def test_points_of_the_benchmark_range_are_taken_with_their_bits():
     # |p|, |q| <= 3, |s| <= 4, |n| <= 4, lam <= 6 and l <= 3, at the corners: the phase
-    # rule takes every point, a basis function's value is the grid path's (which has
-    # no such rule) bit for bit, and four pinned values keep their bits
+    # rule takes every point, on both paths, a basis function's value is the grid
+    # path's bit for bit, and four pinned values keep their bits
     corners = [PolarizedPoint(p, q, s) for p in (-3.0, 3.0) for q in (-3.0, 3.0)
                for s in (-4.0, 4.0)]
     for l, square, n, lam in itertools.product((1, 2, 3), (False, True),
@@ -543,23 +544,46 @@ def test_a_grid_value_that_is_not_finite_is_refused():
     # its row after the rows before it, and no RuntimeWarning: at s = 1e308 the
     # factor e^{2 pi i n s} overflows, and at q = 2e306 the phases of the row
     # p = -20 (k about 20) overflow where those of p = 0 and 0.5 (|k| <= 4) do not
-    # (the one-point path refuses these points first by its phase rule; without the
-    # rule its series refuses them as not finite)
+    # (both paths refuse these points first by their phase rule, the grid before its
+    # first row; without the rule their series refuse them as not finite)
     idx, lattice = WBIndex(1, 0, 0, 1), standard_rect(1)
     for pt in (PolarizedPoint(0.0, 0.25, 1e308), PolarizedPoint(-20.0, 2e306, 0.1)):
         with pytest.raises(ValueError, match="may round by"):
             wb_eigenfunction(idx, 0, lattice, pt)
+        with pytest.raises(ValueError, match="may round by"):
+            wb_eigenfunction_grid(idx, 0, lattice, [pt.p], [pt.q], [pt.s])
         with pytest.raises(ValueError, match="not finite"):
             _series_only(wb_eigenfunction, idx, 0, lattice, pt)
     with pytest.raises(ValueError, match="not finite"):
-        list(wb_eigenfunction_grid(idx, 0, lattice, [0.0], [0.25], [1e308]))
-    rows = wb_eigenfunction_grid(idx, 0, lattice, [0.0, 0.5, -20.0, 1.0], [2e306], [0.0, 0.1])
+        list(_series_only(wb_eigenfunction_grid, idx, 0, lattice, [0.0], [0.25], [1e308]))
+    rows = _series_only(wb_eigenfunction_grid, idx, 0, lattice, [0.0, 0.5, -20.0, 1.0], [2e306],
+                        [0.0, 0.1])
     for p in (0.0, 0.5):
         want = [[_series_only(wb_eigenfunction, idx, 0, lattice, PolarizedPoint(p, 2e306, s))
                  for s in (0.0, 0.1)]]
         assert next(rows).tobytes() == np.array(want).tobytes()
     with pytest.raises(ValueError, match="not finite"):
         next(rows)
+
+
+def test_a_grid_whose_phases_carry_no_digits_is_refused_before_its_rows():
+    # the grid takes the one-point rule once, at its largest |p|, |q| and |s| on the
+    # cover, so it refuses the point the one-point path refuses, before any row
+    idx, lattice = WBIndex(2, 1, 1, 2), standard_rect(2)
+    with pytest.raises(ValueError, match="may round by 3.32e\\+286"):
+        wb_eigenfunction(idx, 1, lattice, PolarizedPoint(0.3, 1e300, 0.1))
+    with pytest.raises(ValueError, match="may round by 3.32e\\+286"):
+        next(wb_eigenfunction_grid(idx, 1, lattice, [0.3], [1e300], [0.1]))
+    # one far value on any axis refuses the whole grid, on the square cover too
+    for ps, qs, ss in (([0.0, 0.3], [0.25, 1e300], [0.1]), ([0.0, 1e12], [0.375], [0.1]),
+                       ([0.0], [0.25], [0.1, 1e300])):
+        for lat in (lattice, scaled_square(1)):
+            with pytest.raises(ValueError, match="may round by"):
+                wb_eigenfunction_grid(WBIndex(2, 1, 1, 2), 1, lat, ps, qs, ss)
+    # a grid of the points the one-point path takes is taken, with their bits
+    pts = [PolarizedPoint(p, q, s) for p in (-3.0, 0.3) for q in (0.25, 3.0) for s in (0.1, 4.0)]
+    rows = wb_eigenfunction_grid(idx, 1, lattice, [-3.0, 0.3], [0.25, 3.0], [0.1, 4.0])
+    assert _bits(list(rows)) == _bits([wb_eigenfunction(idx, 1, lattice, pt) for pt in pts])
 
 
 @pytest.mark.parametrize("lattice,p", [(standard_rect(2), 1e300), (scaled_square(1), -1e300),
