@@ -372,27 +372,36 @@ def test_quarter_turn_splits_into_the_two_orbit_blocks(sector, lam, negative):
     assert psi_one_row(n, lam, l) == fixed_subspace_dim(M) == dim_psi_invariant(n, lam, l)
 
 
-def test_quarter_turn_column_takes_no_decomposition_and_holds_nothing():
-    # the four levels of sectors of every size from N = 2, whose odd block is empty,
-    # to N = 4096: four runs a row in closed form, no eigvalsh, eigh or SVD, and
-    # nothing held afterwards
+def test_quarter_turn_levels_share_one_eigvalsh_pair():
+    # the four levels of sectors of every size, from N = 2, whose odd block is empty,
+    # to N = 4096, share the closed-form runs of the two orbit blocks: not even one
+    # eigvalsh pair is taken, and no eigh or SVD
     with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh,
           mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
           mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd):
         for l, sectors in ((1, (1, -1, 3, 2048)), (2, (8,)), (4, (-16, -512))):
             ns, lams = [n for n in sectors for _ in range(4)], [0, 1, 2, 3] * len(sectors)
-            psi_fixed_subspace_dims(ns, lams, l)  # numpy's first-call caches
-            tracemalloc.start()
-            try:
-                dims = psi_fixed_subspace_dims(ns, lams, l)
-                assert dims.dtype == np.int64
-                assert dims.tolist() == [dim_psi_invariant(n, lam, l) for n, lam in zip(ns, lams)]
-                del dims
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert held < 2**12, held
+            dims = psi_fixed_subspace_dims(ns, lams, l)
+            assert dims.dtype == np.int64
+            assert dims.tolist() == [dim_psi_invariant(n, lam, l) for n, lam in zip(ns, lams)]
     assert eigvalsh.call_count == eigh.call_count == svd.call_count == 0
+
+
+def test_quarter_turn_oracle_holds_o_n_memory_afterwards():
+    # N = 1024 and N = 4096: no block is built, so the peak stays a few kB at any N,
+    # and nothing is held on return
+    psi_fixed_subspace_dims([256] * 4, [0, 1, 2, 3], 2)  # numpy's first-call caches
+    for n, l in ((256, 2), (-512, 4), (2048, 1)):
+        tracemalloc.start()
+        try:
+            dims = psi_fixed_subspace_dims([n] * 4, [0, 1, 2, 3], l)
+            assert dims.tolist() == [dim_psi_invariant(n, lam, l) for lam in range(4)]
+            del dims
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**13, peak
+        assert held < 2**12, held
 
 
 @settings(max_examples=60, deadline=None, database=None)
