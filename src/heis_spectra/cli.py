@@ -24,16 +24,7 @@ from .group import (
     scaled_square,
     standard_rect,
 )
-from .invariants import (
-    IllConditionedError,
-    _phase_rows,
-    character_values,
-    dim_phi_invariant,
-    dim_psi_invariant,
-    phi_fixed_subspace_dims,
-    psi_fixed_subspace_dims,
-    sector_multiplicities,
-)
+from .invariants import dims_columns
 from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
 from .weil_brezin import WBIndex, _point_phase_error, wb_eigenfunction_grid
@@ -222,42 +213,20 @@ def cmd_eigenfunction(args) -> int:
 
 
 # dims refuses sectors of size N = 2l|n| above this, which keeps n and N within
-# int64.  The table is built as columns, in blocks of rows: the closed forms in
-# Python ints, the characters as one (rows x 4) array and one product, and each
-# oracle column by one rank rule, and neither oracle builds the N x N pullback or
-# takes an SVD or an eigendecomposition.  A half-turn row is two runs of singular
-# values in closed form, and a quarter-turn row four (the multiplicities of the
-# eigenvalues +-1 of its two orbit blocks), so a row costs O(1) time and memory
-# at any N; the limit bounds no O(N^3) work any more.
+# int64.  The table is built as columns, in blocks of rows, each block by one
+# call (invariants.dims_columns): the closed forms in Python ints, the characters
+# as one (rows x 4) array and one product, and the oracle column by one rank rule.
+# The half-turn is the quarter-turn squared, so one table of phases serves both:
+# a row's singular values are four runs in closed form (the multiplicities of the
+# eigenvalues +-1 of the quarter-turn's two orbit blocks), with no N x N matrix,
+# SVD or eigendecomposition, so a row costs O(1) time and memory at any N; the
+# limit bounds no O(N^3) work any more.
 MAX_ORACLE_DIM = 4096
 
 _DIMS_ROW = "%d,%d,%d,%d,%d,%s\n"
 # rows per block of a dims table: a block's columns and row strings take about
 # 0.3 kB a row at the peak, so 2.5 MB, while its text keeps about 26 bytes a row
 _DIMS_ROWS_AT_ONCE = 1 << 13
-
-
-def _dims_columns(kind: str, ns: list, lams: list, l: int, tol: float) -> tuple[list, list]:
-    """The character and oracle columns of the rows (ns, lams), from one phase per
-    row (`_phase_rows`).  A refusal names the first refusing row in row order, and
-    the characters' on a tie, as when each row took its characters before its
-    oracle."""
-    oracle = phi_fixed_subspace_dims if kind == "gamma-pi" else psi_fixed_subspace_dims
-    phases = _phase_rows(ns, lams, l)
-    columns, refusals = [], []
-    for column in (lambda: sector_multiplicities(character_values(ns, lams, l, phases=phases)),
-                   lambda: oracle(ns, lams, l, tol, phases=phases)):
-        try:
-            columns.append(column())
-        except (ValueError, IllConditionedError) as exc:
-            refusals.append(exc)
-    if refusals:
-        exc = min(refusals, key=lambda exc: exc.row)
-        raise ValueError(f"{exc} (row n = {ns[exc.row]}, lambda = {lams[exc.row]})") from exc
-    mult, oracles = columns
-    # the half-turn is psi^2: its fixed vectors are psi's eigenvectors for +1 and -1
-    chars = mult[:, 0] + mult[:, 2] if kind == "gamma-pi" else mult[:, 0]
-    return chars.tolist(), oracles.tolist()
 
 
 def cmd_dims(args) -> int:
@@ -286,15 +255,14 @@ def cmd_dims(args) -> int:
     ns = ns[ns != 0]
     # a single level past int64 is kept exact, in an object array
     lams = np.arange(levels) if args.lam is None else np.array([args.lam])
-    closed_form = dim_phi_invariant if manifold.kind == "gamma-pi" else dim_psi_invariant
+    power = 4 // manifold.index  # the generator is psi^power: 2 for the half-turn
     blocks = ["n,lambda,closed,oracle,character,agree\n"]
     # n-major rows, a block at a time, so only one block's row strings are held,
     # and the blocks are written one after the other, never joined
     for start in range(0, ns.size * levels, _DIMS_ROWS_AT_ONCE):
         rows = np.arange(start, min(start + _DIMS_ROWS_AT_ONCE, ns.size * levels))
         n_col, lam_col = ns[rows // levels].tolist(), lams[rows % levels].tolist()
-        chars, oracles = _dims_columns(manifold.kind, n_col, lam_col, args.l, args.tol)
-        closed = map(closed_form, n_col, lam_col, [args.l] * rows.size)
+        closed, oracles, chars = dims_columns(power, n_col, lam_col, args.l, args.tol)
         blocks.append("".join([_DIMS_ROW % (n, lam, c, o, h, "true" if c == o == h else "false")
                                for n, lam, c, o, h in zip(n_col, lam_col, closed, oracles, chars)]))
     _write_output(args.out, blocks)

@@ -19,28 +19,29 @@ Fixed-subspace dimensions follow from closed forms, from characters and Gauss
 sums, or from a nullity oracle, kept separate so they can be compared.  The
 characters and the oracles are columns over rows (n, lam): one (rows x 4)
 character array and one product with the powers of i (`character_values`,
-`sector_multiplicities`), and one int64 oracle column per generator
-(`phi_fixed_subspace_dims`, `psi_fixed_subspace_dims`).  A row's phase reads
-lam only mod 4, taken in Python ints, so a level of any size is exact.  One rank
-rule on I - M (`_nullity`, over a stack of rows, optionally as runs of equal
-values) serves the oracles, the dense reference and the quarter-turn's invariant
-basis: singular values below tol are kernel, one inside [tol/10, 10 tol] raises
+`sector_multiplicities`), and one int64 oracle column of psi^power, power 1 for
+the quarter-turn and 2 for the half-turn phi = psi^2 (`fixed_subspace_dims`);
+`dims_columns` takes the closed forms, the oracle and the characters of a block
+of rows from one phase per row.  A row's phase reads lam only mod 4, taken in
+Python ints, so a level of any size is exact.  One rank rule on I - M
+(`_nullity`, over a stack of rows, optionally as runs of equal values) serves
+the oracles, the dense reference and the quarter-turn's invariant basis:
+singular values below tol are kernel, one inside [tol/10, 10 tol] raises
 IllConditionedError, and a tol below the floor sigma_max N eps raises ValueError;
 a column raises the error of its first refusing row, with the row's index as
 `.row`.  `fixed_subspace_dim` takes one dense SVD, batched over a stack of
 matrices of one size, and is the reference; the oracles and bases never build
-the matrix.  Both generators act on the orbits of
-the reversal k -> -k: the half-turn is the reversal itself, 1x1 blocks on its fixed
-points and 2x2 blocks on its pairs (`phi_fixed_subspace_dims`), and the
-quarter-turn commutes with its square, the reversal, so on the reversal's even
-and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two real blocks times a
-phase, of sizes N/2 + 1 and N/2 - 1 (the even/odd split of the DFT, McClellan
-and Parks, IEEE Trans. Audio Electroacoust. 20, 1972; `psi_fixed_subspace_dims`).
-The blocks together have the dense matrix's singular values, so the rank rule is
-the same.  The blocks are real, symmetric and unitary, so their eigenvalues are
-+-1, with McClellan and Parks' multiplicities; the oracle reads each row's singular
-values as four runs of those at its phase, O(1) a row, and only the quarter-turn's
-basis takes the blocks' eigenvectors.
+the matrix.  The quarter-turn commutes with its square, the reversal k -> -k, so
+on the reversal's even and odd orbit vectors (e_k +- e_{-k})/sqrt 2 it is two
+real blocks times a phase, of sizes N/2 + 1 and N/2 - 1 (the even/odd split of
+the DFT, McClellan and Parks, IEEE Trans. Audio Electroacoust. 20, 1972).  The
+blocks are real, symmetric and unitary, so their eigenvalues are +-1, with
+McClellan and Parks' multiplicities: four runs, on which one table of the
+blocks' phases (`_PHASES`) gives the quarter-turn's eigenvalues.  Squared, they
+are the half-turn's, e = (-1)^(n+lam) on the even orbit vectors and -e on the odd
+ones.  So the oracle reads each row's singular values, |eigenvalue^power - 1|,
+those of the dense matrix, as four runs at its phase, O(1) a row, and only the
+quarter-turn's basis takes the blocks' eigenvectors.
 """
 
 from __future__ import annotations
@@ -109,10 +110,8 @@ def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
     _check_nl(n, lam, l)
     k = _sector_index(n, l)
     dim = k.size
-    pos = np.empty(dim, dtype=int)
-    pos[k] = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[pos[-k % dim], np.arange(dim)] = -1.0 if (n + lam) % 2 else 1.0
+    mat[_residue_order(n, l)[-k % dim], np.arange(dim)] = -1.0 if (n + lam) % 2 else 1.0
     return PullbackMatrix("phi", n, lam, l, mat)
 
 
@@ -215,18 +214,6 @@ def _orbit_blocks(dim: int):
     yield (2.0 * np.sin(angle) / math.sqrt(dim))[jk[1:h, 1:h]]
 
 
-def _block_singular_values(eigs: np.ndarray, r: int) -> np.ndarray:
-    """The singular values of i^r T - I for a real symmetric T of eigenvalues eigs.
-
-    T = Q diag(eigs) Q^T with Q real orthogonal, so i^r T - I = Q (i^r diag(eigs) - I) Q^T
-    is normal and its singular values are |i^r eig - 1|: |eig - 1| and |eig + 1| for
-    the real phases i^r = 1 and -1, and sqrt(1 + eig^2) for the imaginary ones.
-    """
-    if r % 2:
-        return np.sqrt(1.0 + eigs * eigs)
-    return np.abs((eigs if r % 4 == 0 else -eigs) - 1.0)
-
-
 def _phase_rows(ns, lams, l: int):
     """(sizes, keys, refusal): per row, in Python ints, the sector size N = 2l|n|
     and the phase key 2r + (n > 0) of (r, sign) = `_psi_phase(n, lam)`, which reads
@@ -247,44 +234,18 @@ def _phase_rows(ns, lams, l: int):
     return sizes, keys, refusal
 
 
-# the half-turn's singular values |e - 1| and |e + 1| at e = 1 and at e = -1, on its
-# h + 1 even and h - 1 odd orbit vectors
-_HALF_TURN = np.array([[0.0, 2.0], [2.0, 0.0]])
-
-
-def phi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) -> np.ndarray:
-    """fixed_subspace_dim(phi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
-    as one int64 column, without the dense matrices and without an SVD: O(1) a row.
-
-    The half-turn is the reversal k -> -k with sign e = (-1)^(n+lam), so with
-    h = l|n| = N/2 it is e on the reversal's h + 1 even orbit vectors (e_0, e_h and
-    (e_k + e_{N-k})/sqrt 2) and -e on its h - 1 odd ones (e_k - e_{N-k})/sqrt 2.
-    M - I is diagonal on them, and its singular values are |e - 1| and |e + 1|
-    there, those of the dense I - M; the rank rule takes them as two runs.  The
-    first refusing row raises its error, its index as `.row`.  phases, if given,
-    is `_phase_rows(ns, lams, l)`, computed once for several columns.
-    """
-    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
-    svals = _HALF_TURN.take([key >> 1 & 1 for key in keys], 0)  # r has the parity of n + lam
-    runs = np.array([(size // 2 + 1, size // 2 - 1) for size in sizes], dtype=np.int64)
-    nullity = _nullity(svals, tol, runs.reshape(-1, 2))
-    if refusal is not None:
-        raise refusal
-    return nullity
-
-
-# the quarter-turn's singular values at each phase key 2r + (n > 0) (`_phase_rows`):
-# those of i^r C - I at C's eigenvalues +1 and -1, then those of the odd block at its
-# phase, sign i^(r+1) S - I, at S's eigenvalues +1 and -1 (`_block_singular_values`)
-_UNIT_EIGENVALUES = np.array([1.0, -1.0])
-_QUARTER_TURN = np.array([
-    np.concatenate((_block_singular_values(_UNIT_EIGENVALUES, r),
-                    _block_singular_values(_UNIT_EIGENVALUES, r + (3 if positive else 1))))
-    for r in range(4) for positive in (False, True)])
+# the phases of the quarter-turn's two orbit blocks at each phase key 2r + (n > 0)
+# (`_phase_rows`): i^r on C and sign i^(r+1) on S
+_PHASES = np.array([(1j**r, sign * 1j**(r + 1)) for r in range(4) for sign in (1.0, -1.0)])
+# the quarter-turn's eigenvalues on its four runs (`_quarter_turn_runs`), C's +1 and -1
+# and S's at their phases, and from them the singular values |eigenvalue^power - 1| of
+# psi^power - I, power 1 for the quarter-turn and 2 for the half-turn phi = psi^2
+_EIGENVALUES = _PHASES.repeat(2, 1) * [1.0, -1.0, 1.0, -1.0]
+_SINGULAR_VALUES = {power: np.abs(_EIGENVALUES**power - 1.0) for power in (1, 2)}
 
 
 def _quarter_turn_runs(sizes) -> np.ndarray:
-    """The lengths of the runs of `_QUARTER_TURN` on sectors of the given sizes N, as
+    """The lengths of the runs of `_EIGENVALUES` on sectors of the given sizes N, as
     a (rows x 4) int64 array: the multiplicities of C's eigenvalues +1 and -1,
     N//4 + 1 and N/2 - N//4, then of S's, N//4 and N/2 - 1 - N//4."""
     sizes = np.array(sizes, dtype=np.int64)
@@ -292,26 +253,33 @@ def _quarter_turn_runs(sizes) -> np.ndarray:
     return np.stack((quarter + 1, half - quarter, quarter, half - 1 - quarter), axis=-1)
 
 
-def psi_fixed_subspace_dims(ns, lams, l: int, tol: float = 1e-8, phases=None) -> np.ndarray:
-    """fixed_subspace_dim(psi_pullback_matrix(n, lam, l), tol) of each row (n, lam),
-    as one int64 column, without the dense matrices and without an SVD or an
-    eigendecomposition: O(1) a row.
-
-    The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
-    reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
-    (`_orbit_blocks`), and no entry joins the two.  Their singular values of B - I
-    (`_block_singular_values`) together are those of the dense I - M.  C and S are
-    real, symmetric and unitary, so their eigenvalues are +-1, with the
-    multiplicities of the DFT's eigenvalues (McClellan and Parks 1972;
-    `_quarter_turn_runs`).  The rank rule takes the four runs of each row; the first
-    refusing row raises its error, its index as `.row`.  phases is as in
-    `phi_fixed_subspace_dims`.
-    """
-    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
-    nullity = _nullity(_QUARTER_TURN.take(keys, 0), tol, _quarter_turn_runs(sizes))
+def _oracle_column(power: int, phases, tol: float) -> np.ndarray:
+    """`fixed_subspace_dims` of the rows of phases = `_phase_rows(ns, lams, l)`."""
+    sizes, keys, refusal = phases
+    nullity = _nullity(_SINGULAR_VALUES[power].take(keys, 0), tol, _quarter_turn_runs(sizes))
     if refusal is not None:
         raise refusal
     return nullity
+
+
+def fixed_subspace_dims(power: int, ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
+    """fixed_subspace_dim of the quarter-turn pullback M = psi_pullback_matrix(n, lam, l)
+    to the given power, M at power 1 and the half-turn phi_pullback_matrix(n, lam, l)
+    = M^2 at power 2, of each row (n, lam), as one int64 column, without the dense
+    matrices and without an SVD or an eigendecomposition: O(1) a row.
+
+    The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
+    reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S
+    (`_orbit_blocks`, `_PHASES`), and no entry joins the two.  C and S are real,
+    symmetric and unitary, so their eigenvalues are +-1, with the multiplicities of
+    the DFT's eigenvalues (McClellan and Parks 1972; `_quarter_turn_runs`).  So M is
+    normal, with four runs of eigenvalues, and the singular values of M^power - I are
+    |eigenvalue^power - 1| on them, those of the dense I - M^power: at power 2, |e - 1|
+    on the h + 1 even orbit vectors and |e + 1| on the h - 1 odd ones, e = (-1)^(n+lam)
+    and h = N/2.  The rank rule takes the four runs of each row; the first refusing
+    row raises its error, its index as `.row`.
+    """
+    return _oracle_column(power, _phase_rows(ns, lams, l), tol)
 
 
 def dim_phi_invariant(n: int, lam: int, l: int) -> int:
@@ -379,19 +347,23 @@ _CHARACTERS = np.array([_characters(size, r, positive)
                         for r in range(4) for positive in (False, True) for size in (4, 2)])
 
 
-def character_values(ns, lams, l: int, phases=None) -> np.ndarray:
-    """The character table chi(g^m), m = 0..3, of the quarter-turn on the sector of
-    each row (n, lam): one (rows x 4) complex array.  chi(1) is the size N = 2l|n|,
-    chi(g) = i^r G(N)/sqrt N with G the Gauss sum (`gauss_sum`), conjugated for
-    n > 0, and chi(g^3) its conjugate.  The first row that `_check_nl` refuses
-    raises its error, its index as `.row`.  phases is as in
-    `phi_fixed_subspace_dims`."""
-    sizes, keys, refusal = phases or _phase_rows(ns, lams, l)
+def _character_column(phases) -> np.ndarray:
+    """`character_values` of the rows of phases = `_phase_rows(ns, lams, l)`."""
+    sizes, keys, refusal = phases
     if refusal is not None:
         raise refusal
     values = _CHARACTERS.take([2 * key + (size >> 1 & 1) for size, key in zip(sizes, keys)], 0)
     values[:, 0] = sizes
     return values
+
+
+def character_values(ns, lams, l: int) -> np.ndarray:
+    """The character table chi(g^m), m = 0..3, of the quarter-turn on the sector of
+    each row (n, lam): one (rows x 4) complex array.  chi(1) is the size N = 2l|n|,
+    chi(g) = i^r G(N)/sqrt N with G the Gauss sum (`gauss_sum`), conjugated for
+    n > 0, and chi(g^3) its conjugate.  The first row that `_check_nl` refuses
+    raises its error, its index as `.row`."""
+    return _character_column(_phase_rows(ns, lams, l))
 
 
 # _UNITS[j][m] = i^(-j m): the weight of chi(g^m) in the multiplicity of the eigenvalue i^j
@@ -412,6 +384,34 @@ def sector_multiplicities(values: np.ndarray) -> np.ndarray:
         raise _refusal(ValueError("character table produced a non-integer multiplicity"),
                        int(off.argmax()))
     return whole.astype(np.int64)
+
+
+def dims_columns(power: int, ns, lams, l: int, tol: float = 1e-8) -> tuple[list, list, list]:
+    """(closed, oracle, characters): the three routes to the fixed-subspace dimension
+    of psi^power, power 1 for the quarter-turn and 2 for the half-turn phi = psi^2, as
+    lists over the rows (ns, lams), from one phase per row (`_phase_rows`).  closed is
+    `dim_psi_invariant` or `dim_phi_invariant`, oracle is `fixed_subspace_dims`, and
+    characters sums the multiplicities of the quarter-turn's eigenvalues i^j with
+    i^(j power) = 1 (`sector_multiplicities`): psi^2 fixes psi's eigenvectors for +1
+    and -1.  A refusal raises ValueError for the first refusing row in row order, and
+    the characters' on a tie, as when each row took its characters before its
+    oracle; its message ends "(row n = ..., lambda = ...)", its index is `.row`, and
+    the column's error is its cause."""
+    phases = _phase_rows(ns, lams, l)
+    columns, refusals = [], []
+    for column in (lambda: sector_multiplicities(_character_column(phases))[:, ::4 // power].sum(1),
+                   lambda: _oracle_column(power, phases, tol)):
+        try:
+            columns.append(column().tolist())
+        except (ValueError, IllConditionedError) as exc:
+            refusals.append(exc)
+    if refusals:
+        exc = min(refusals, key=lambda exc: exc.row)
+        raise _refusal(ValueError(f"{exc} (row n = {ns[exc.row]}, lambda = {lams[exc.row]})"),
+                       exc.row) from exc
+    characters, oracle = columns
+    closed_form = dim_psi_invariant if power == 1 else dim_phi_invariant
+    return list(map(closed_form, ns, lams, [l] * len(ns))), oracle, characters
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +470,14 @@ def phi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
 def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
     """The fixed_subspace_dim(M) orthonormal solutions of the quarter-turn relations
     c = Mc: the eigenvectors of the orbit blocks C and S (`_orbit_blocks`) whose
-    singular values of B - I, at the phases of `psi_fixed_subspace_dims`, are below
+    singular values of B - I, |phase eig - 1| at the blocks' `_PHASES`, are below
     tol = 1e-8, counted by the same rank rule: one in its band raises IllConditionedError."""
     _check_nl(n, lam, l)
     r, sign = _psi_phase(n, lam)
     svals, kernels = [], []
-    for block, phase in zip(_orbit_blocks(2 * l * abs(n)), (r, r + (3 if sign < 0 else 1))):
+    for block, phase in zip(_orbit_blocks(2 * l * abs(n)), _PHASES[2 * r + (sign < 0)]):
         eigs, vecs = np.linalg.eigh(block)
-        svals.append(_block_singular_values(eigs, phase))
+        svals.append(np.abs(phase * eigs - 1))
         kernels.append(vecs[:, svals[-1] < 1e-8])
     _nullity(np.concatenate(svals), 1e-8)
     return _orbit_basis(n, l, *kernels)

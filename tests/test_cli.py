@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -824,8 +825,7 @@ def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkey
     def refuse(*args):
         raise AssertionError("an oracle ran")
 
-    monkeypatch.setattr(cli, "psi_fixed_subspace_dims", refuse)
-    monkeypatch.setattr(cli, "phi_fixed_subspace_dims", refuse)
+    monkeypatch.setattr(cli, "dims_columns", refuse)
     tracemalloc.start()
     try:
         rc = main(["dims", "--manifold", "gamma-pi2", "--n", "2000", "--l", "8"])
@@ -852,8 +852,8 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
     def refuse(*args):
         raise AssertionError("a row was computed")
 
-    for column in ("character_values", "phi_fixed_subspace_dims", "psi_fixed_subspace_dims"):
-        monkeypatch.setattr(cli, column, refuse)
+    monkeypatch.setattr(cli, "dims_columns", refuse)
+    monkeypatch.setattr(invariants, "_phase_rows", refuse)  # the first step of every column
     tracemalloc.start()
     try:
         rc = main(["dims", "--manifold", "gamma-pi2", *argv])
@@ -868,15 +868,15 @@ def test_dims_refuses_a_huge_range_before_listing_it(capsys, monkeypatch, argv, 
 
 
 def test_dims_takes_the_phases_once_per_block(capsys, monkeypatch):
-    # 2000 n by 5 levels are two blocks of rows; each takes its phases once and
-    # hands them to the character and the oracle column
-    phase_rows, calls, inner = invariants._phase_rows, [], []
-    monkeypatch.setattr(cli, "_phase_rows", lambda *a: calls.append(len(a[0])) or phase_rows(*a))
-    monkeypatch.setattr(invariants, "_phase_rows", lambda *a: inner.append(a) or phase_rows(*a))
+    # 2000 n by 5 levels are two blocks of rows; each takes its phases once, in
+    # dims_columns, and hands them to the character and the oracle column
+    phase_rows, calls = invariants._phase_rows, []
+    monkeypatch.setattr(invariants, "_phase_rows",
+                        lambda *a: calls.append(len(a[0])) or phase_rows(*a))
     rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi", "--nmin", "-1000", "--nmax", "1000",
                       "--lmax", "4")
     assert rc == 0 and out.count("\n") == 10**4 + 1 and out.count("true") == 10**4
-    assert (calls, inner) == ([cli._DIMS_ROWS_AT_ONCE, 10**4 - cli._DIMS_ROWS_AT_ONCE], [])
+    assert calls == [cli._DIMS_ROWS_AT_ONCE, 10**4 - cli._DIMS_ROWS_AT_ONCE]
 
 
 # tracemalloc's peak of the command below when each row was computed and written
@@ -936,7 +936,7 @@ def test_dims_writes_a_huge_level_exactly(capsys):
     assert out.splitlines()[1] == f"-3,{lam},2,2,2,true"
 
 
-def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pullback, tops):
+def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, power, pullback, tops):
     # the benchmark's ranges, both signs, N = 2l|n| up to 128 or 256: the orbit blocks write
     # the bytes that one dense SVD of I - M per row writes
     @functools.cache
@@ -948,6 +948,13 @@ def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pul
     def svd_of(entries, dim):  # one SVD per distinct matrix, e.g. per parity of n + lam for phi
         A = np.frombuffer(entries, dtype=complex).reshape(dim, dim) - np.eye(dim)
         return np.linalg.svd(A, compute_uv=False)
+
+    def dense_columns(generator_power, ns, lams, l, tol, columns=invariants.dims_columns):
+        # the closed forms and the characters as they are, the oracle column replaced
+        assert generator_power == power
+        closed, _, characters = columns(power, ns, lams, l, tol)
+        dense = [_nullity(dense_svals(n, lam, l), tol) for n, lam in zip(ns, lams)]
+        return closed, dense, characters
 
     def dims(l, nmin, nmax, tol):
         argv = ["dims", "--manifold", manifold, "--l", str(l), "--nmin", str(nmin),
@@ -962,19 +969,36 @@ def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, oracle, pul
     for tol in (None, "1e-12", "1e-4", "1e-2"):
         blocks = [dims(*r, tol) for r in ranges]
         with monkeypatch.context() as m:
-            m.setattr(cli, oracle, lambda ns, lams, l, tol, phases=None: np.array(
-                [_nullity(dense_svals(n, lam, l), tol) for n, lam in zip(ns, lams)]))
+            m.setattr(cli, "dims_columns", dense_columns)
             assert [dims(*r, tol) for r in ranges] == blocks, tol
 
 
 def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", "psi_fixed_subspace_dims",
-                                      psi_pullback_matrix, ((1, 36), (2, 24), (3, 18), (4, 16)))
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", 1, psi_pullback_matrix,
+                                      ((1, 36), (2, 24), (3, 18), (4, 16)))
 
 
 def test_dims_half_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", "phi_fixed_subspace_dims",
-                                      phi_pullback_matrix, ((1, 80), (2, 56), (3, 40), (4, 32)))
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", 2, phi_pullback_matrix,
+                                      ((1, 80), (2, 56), (3, 40), (4, 32)))
+
+
+def _private_invariants_names(source: str) -> list[str]:
+    """The underscore names that a module's source imports from heis_spectra.invariants."""
+    return [alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.module == "heis_spectra.invariants"
+                 or (node.level == 1 and node.module == "invariants"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_cli_imports_no_private_name_of_invariants():
+    # the phase keys and the tie rule of the dims columns stay behind invariants'
+    # public calls
+    assert _private_invariants_names(Path(cli.__file__).read_text(encoding="utf-8")) == []
+    for source, names in (("from .invariants import _phase_rows, dims_columns", ["_phase_rows"]),
+                          ("from heis_spectra.invariants import _nullity as n", ["_nullity"]),
+                          ("from .weyl import _ratio_grid", [])):
+        assert _private_invariants_names(source) == names, source
 
 
 def test_dims_rejects_bad_requests(capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -23,7 +24,8 @@ from heis_spectra.invariants import (
     IllConditionedError,
     _UNITS,
     PullbackMatrix,
-    _block_singular_values,
+    _EIGENVALUES,
+    _PHASES,
     _characters,
     _nullity,
     _orbit_blocks,
@@ -34,15 +36,15 @@ from heis_spectra.invariants import (
     character_values,
     dim_phi_invariant,
     dim_psi_invariant,
+    dims_columns,
     eigenfunction_combination,
     fixed_subspace_dim,
+    fixed_subspace_dims,
     gauss_sum,
     gauss_sum_direct,
     phi_constraint_solve,
-    phi_fixed_subspace_dims,
     phi_pullback_matrix,
     psi_constraint_solve,
-    psi_fixed_subspace_dims,
     psi_pullback_matrix,
     sector_multiplicities,
 )
@@ -58,13 +60,13 @@ LARGER_SECTORS = [(n, lam, l) for m, l in ((17, 1), (16, 2), (20, 4), (32, 4))
 SECTORS = [(n, l) for l in range(1, 6) for m in range(1, 13) for n in (m, -m)]
 
 
-def _one_row(column):
-    """The oracle column as a call on one row (n, lam, l, tol): an int, or the row's
-    refusal raised."""
-    return lambda n, lam, l, tol=1e-8: int(column([n], [lam], l, tol)[0])
+def _one_row(power):
+    """The oracle column of psi^power as a call on one row (n, lam, l, tol): an int, or
+    the row's refusal raised."""
+    return lambda n, lam, l, tol=1e-8: int(fixed_subspace_dims(power, [n], [lam], l, tol)[0])
 
 
-phi_one_row, psi_one_row = _one_row(phi_fixed_subspace_dims), _one_row(psi_fixed_subspace_dims)
+phi_one_row, psi_one_row = _one_row(2), _one_row(1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +226,17 @@ def test_psi_matrix_unitary_and_power_relations():
         assert np.max(np.abs(M2 - Mphi)) < 1e-10
 
 
+def test_the_half_turn_is_the_quarter_turn_squared():
+    # phi = psi^2 on the dense matrices, and so on the oracle's table: the squared
+    # eigenvalues of each phase key are e = (-1)^r on C's runs and -e on S's
+    for n, lam, l in SWEEP:
+        psi = psi_pullback_matrix(n, lam, l).matrix
+        assert np.abs(phi_pullback_matrix(n, lam, l).matrix - psi @ psi).max() < 1e-12
+    for key, squares in enumerate(_EIGENVALUES**2):
+        e = (-1) ** (key >> 1)
+        assert squares.tolist() == [e, e, -e, -e]
+
+
 def test_fixed_subspace_dim_basics():
     assert fixed_subspace_dim(np.eye(4)) == 4
     assert fixed_subspace_dim(phi_pullback_matrix(1, 0, 1)) == 0
@@ -381,7 +394,7 @@ def test_quarter_turn_levels_share_one_eigvalsh_pair():
           mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd):
         for l, sectors in ((1, (1, -1, 3, 2048)), (2, (8,)), (4, (-16, -512))):
             ns, lams = [n for n in sectors for _ in range(4)], [0, 1, 2, 3] * len(sectors)
-            dims = psi_fixed_subspace_dims(ns, lams, l)
+            dims = fixed_subspace_dims(1, ns, lams, l)
             assert dims.dtype == np.int64
             assert dims.tolist() == [dim_psi_invariant(n, lam, l) for n, lam in zip(ns, lams)]
     assert eigvalsh.call_count == eigh.call_count == svd.call_count == 0
@@ -390,11 +403,11 @@ def test_quarter_turn_levels_share_one_eigvalsh_pair():
 def test_quarter_turn_oracle_holds_o_n_memory_afterwards():
     # N = 1024 and N = 4096: no block is built, so the peak stays a few kB at any N,
     # and nothing is held on return
-    psi_fixed_subspace_dims([256] * 4, [0, 1, 2, 3], 2)  # numpy's first-call caches
+    fixed_subspace_dims(1, [256] * 4, [0, 1, 2, 3], 2)  # numpy's first-call caches
     for n, l in ((256, 2), (-512, 4), (2048, 1)):
         tracemalloc.start()
         try:
-            dims = psi_fixed_subspace_dims([n] * 4, [0, 1, 2, 3], l)
+            dims = fixed_subspace_dims(1, [n] * 4, [0, 1, 2, 3], l)
             assert dims.tolist() == [dim_psi_invariant(n, lam, l) for lam in range(4)]
             del dims
             held, peak = tracemalloc.get_traced_memory()
@@ -442,12 +455,12 @@ def test_orbit_blocks_are_built_one_at_a_time():
 def test_quarter_turn_oracle_keeps_the_rank_rule():
     # sqrt(2) is a singular value of every quarter-turn sector's I - M
     with pytest.raises(IllConditionedError) as info:
-        psi_fixed_subspace_dims([1, 17], [0, 0], 1, tol=1.0)
+        fixed_subspace_dims(1, [1, 17], [0, 0], 1, tol=1.0)
     assert info.value.row == 0
     with pytest.raises(ValueError, match="positive and finite"):
-        psi_fixed_subspace_dims([17], [0], 1, tol=0.0)
+        fixed_subspace_dims(1, [17], [0], 1, tol=0.0)
     with pytest.raises(ValueError, match="n must be nonzero") as info:
-        psi_fixed_subspace_dims([17, 0], [0, 0], 1)
+        fixed_subspace_dims(1, [17, 0], [0, 0], 1)
     assert info.value.row == 1
 
 
@@ -494,12 +507,12 @@ def test_quarter_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, ne
         # the examples' 3)
         assert tol < 5 * len(M) * np.finfo(float).eps
         assert IllConditionedError in (oracle, dense) and ValueError not in (oracle, dense)
-    # the blocks' eigenvalues, by eigvalsh here, read at the row's phase, give the
+    # the blocks' eigenvalues, by eigvalsh here, times the blocks' phases give the
     # dense singular values
     r, sign = _psi_phase(n, lam)
-    even, odd = (np.linalg.eigvalsh(block) for block in _orbit_blocks(len(M)))
-    svals = np.concatenate((_block_singular_values(even, r),
-                            _block_singular_values(odd, r + (3 if sign < 0 else 1))))
+    blocks = (np.linalg.eigvalsh(block) for block in _orbit_blocks(len(M)))
+    svals = np.concatenate([np.abs(phase * eigs - 1)
+                            for phase, eigs in zip(_PHASES[2 * r + (sign < 0)], blocks)])
     dense_svals = np.linalg.svd(np.eye(len(M)) - M, compute_uv=False)
     assert np.abs(np.sort(svals)[::-1] - dense_svals).max() < 1e-13
 
@@ -579,10 +592,39 @@ _ROWS = st.tuples(
 @example(rows=(1, [60, 2], [0, 0]), tol=1e-14)  # the floor refuses the first row only
 def test_the_oracle_columns_equal_the_rows_one_at_a_time(rows, tol):
     l, ns, lams = rows
-    for column, one_row in ((phi_fixed_subspace_dims, phi_one_row),
-                            (psi_fixed_subspace_dims, psi_one_row)):
-        assert (_as_column(column, ns, lams, l, tol)
-                == _one_at_a_time(one_row, ns, lams, l, tol)), column.__name__
+    for power, one_row in ((2, phi_one_row), (1, psi_one_row)):
+        assert (_as_column(functools.partial(fixed_subspace_dims, power), ns, lams, l, tol)
+                == _one_at_a_time(one_row, ns, lams, l, tol)), power
+
+
+def test_dims_columns_name_the_first_refusing_row(monkeypatch):
+    rows = ([2, 1, -3], [1, 0, 2])
+    closed = [dim_phi_invariant(n, lam, 1) for n, lam in zip(*rows)]
+    assert dims_columns(2, *rows, 1) == (closed, closed, closed)
+    # row 1 of the half-turn has e = -1, the singular value 2 inside the band at tol 1;
+    # the characters refuse at the same row or the next, planted
+    for planted, message, cause in ((1, "planted", ValueError),
+                                    (2, "singular value inside the band [tol/10, 10 tol], "
+                                        "tol = 1.0", IllConditionedError)):
+        def multiplicities(values, row=planted):
+            raise invariants._refusal(ValueError("planted"), row)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "sector_multiplicities", multiplicities)
+            with pytest.raises(ValueError) as info:
+                dims_columns(2, [1, 1, 1], [1, 0, 0], 1, 1.0)
+        assert str(info.value) == f"{message} (row n = 1, lambda = 0)"
+        assert info.value.row == 1 and type(info.value.__cause__) is cause
+    # on real rows: the oracle refuses row 0 for its tol, before the characters' n = 0,
+    # and a refusal of both at one row is the characters'
+    for power, ns, lams, tol, row, message in (
+            (1, [2, 0], [0, 3], 0.0, 0, "tol must be positive and finite, got 0.0 (row n = 2, "
+                                        "lambda = 0)"),
+            (2, [2, 0], [0, 3], 1e-8, 1, "n must be nonzero (row n = 0, lambda = 3)"),
+            (1, [2, 3], [0, -1], 1e-8, 1, "lambda must be nonnegative (row n = 3, lambda = -1)")):
+        with pytest.raises(ValueError) as info:
+            dims_columns(power, ns, lams, 1, tol)
+        assert (str(info.value), info.value.row) == (message, row)
 
 
 def _character_row(n, lam, l):
