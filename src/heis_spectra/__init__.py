@@ -47,6 +47,8 @@ from .invariants import (
     phi_pullback_matrix,
     psi_constraint_solve,
     psi_pullback_matrix,
+    pullback_matrices,
+    sector_basis_values,
     sector_multiplicities,
 )
 from .operator import apply_folland_stein, folland_stein_residual

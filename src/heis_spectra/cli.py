@@ -212,16 +212,18 @@ def cmd_eigenfunction(args) -> int:
     return 0
 
 
-# dims refuses sectors of size N = 2l|n| above this, which keeps n and N within
-# int64.  The table is built as columns, in blocks of rows, each block by one
-# call (invariants.dims_columns): the closed forms in Python ints, the characters
-# as one (rows x 4) array and one product, and the oracle column by one rank rule.
-# The half-turn is the quarter-turn squared, so one table of phases serves both:
-# a row's singular values are four runs in closed form (the multiplicities of the
+# dims refuses sectors of size N = 2l|n| above this: up to it every N, and every
+# character sum N + chi-terms (sector_multiplicities), is exact in float64, while
+# past 2^53 a multiplicity could round to a wrong integer without an error.  The
+# table is built as columns, in blocks of rows, each block by one call
+# (invariants.dims_columns): the closed forms in Python ints, the characters as one
+# (rows x 4) array and one product, and the oracle column by one rank rule.  The
+# half-turn is the quarter-turn squared, so one table of phases serves both: a
+# row's singular values are four runs in closed form (the multiplicities of the
 # eigenvalues +-1 of the quarter-turn's two orbit blocks), with no N x N matrix,
-# SVD or eigendecomposition, so a row costs O(1) time and memory at any N; the
-# limit bounds no O(N^3) work any more.
-MAX_ORACLE_DIM = 4096
+# SVD or eigendecomposition, so a row costs O(1) time and memory at any N.  A
+# large N at a small tol is refused by the rank rule's floor sigma_max N eps.
+MAX_SECTOR_SIZE = 2**52
 
 _DIMS_ROW = "%d,%d,%d,%d,%d,%s\n"
 # rows per block of a dims table: a block's columns and row strings take about
@@ -246,9 +248,9 @@ def cmd_dims(args) -> int:
         raise ValueError("lambda must be nonnegative")
     # the sizes come from the ends of the ranges, before any range is listed
     size = 2 * args.l * max(abs(nmin), abs(nmax))
-    if size > MAX_ORACLE_DIM:
-        raise ValueError(f"the matrix oracle would have size N = 2l|n| = {size}, "
-                         f"above the limit of {MAX_ORACLE_DIM}")
+    if size > MAX_SECTOR_SIZE:
+        raise ValueError(f"the sector size N = 2l|n| = {size} is past 2^52 = {MAX_SECTOR_SIZE}: "
+                         f"beyond it N and the character sums are not exact in float64")
     levels = 1 if args.lam is not None else max(args.lmax + 1, 0)
     _check_rows((nmax - nmin + 1 - (nmin <= 0 <= nmax)) * levels)
     ns = np.arange(nmin, nmax + 1)

@@ -323,6 +323,17 @@ def _box_reduce(spec: LatticeSpec, g: PolarizedPoint):
     return xi, eta, p0, q0, s_shift
 
 
+@functools.cache
+def _coset_motions(kind: str) -> tuple[tuple[RigidMotion, ...], tuple[RigidMotion, ...]]:
+    """(powers, inverse powers): motion_power(gen, k) and motion_power(gen, -k) for
+    k below the index, of the generator of a quotient kind.  Motions are frozen, so
+    one table per kind is shared by every reduction."""
+    spec = BieberbachSpec(kind, 1)
+    ks = range(spec.index)
+    return (tuple(motion_power(spec.generator, k) for k in ks),
+            tuple(motion_power(spec.generator, -k) for k in ks))
+
+
 def reduce_to_fundamental_domain(spec, g: PolarizedPoint):
     """Reduce g into a fundamental domain of the given discrete group.
 
@@ -340,13 +351,13 @@ def reduce_to_fundamental_domain(spec, g: PolarizedPoint):
         raise TypeError("spec must be a LatticeSpec or BieberbachSpec")
 
     base = spec.base_lattice
-    gen = spec.generator
+    powers, inverses = _coset_motions(spec.kind)
     if spec.kind == "gamma-pi":
         # domain: 0 <= p < 1, 0 <= q < 2l, q/2 <= s < (q+1)/2; exactly one of
         # the two coset candidates lands there (up to the boundary)
         best = None
         for k in (0, 1):
-            h = motion_apply(motion_power(gen, -k), g)
+            h = motion_apply(inverses[k], g)
             xi, eta, p0, q0, s_shift = _box_reduce(base, h)
             w = s_shift - 0.5 * q0
             frac = w - math.floor(w)
@@ -360,14 +371,14 @@ def reduce_to_fundamental_domain(spec, g: PolarizedPoint):
         m = math.floor(s_shift - 0.5 * q0)
         g0 = PolarizedPoint(p0, q0, s_shift - m)
         nu = PolarizedPoint(xi, eta, float(m))
-        motion = motion_compose(motion_power(gen, k), translation_motion(nu))
+        motion = motion_compose(powers[k], translation_motion(nu))
         return g0, motion
 
     # quarter-turn quotient: box-reduce all four coset candidates and keep the
     # lexicographically smallest triple (ties broken toward smaller k)
     candidates = []
     for k in range(4):
-        h = motion_apply(motion_power(gen, -k), g)
+        h = motion_apply(inverses[k], g)
         xi, eta, p0, q0, s_shift = _box_reduce(base, h)
         m = math.floor(s_shift)
         candidates.append(((p0, q0, s_shift - m), k, PolarizedPoint(xi, eta, float(m))))
@@ -385,7 +396,7 @@ def reduce_to_fundamental_domain(spec, g: PolarizedPoint):
         if _lex_less(trip, best_trip):
             best_trip, best_k, best_nu = trip, k, nu
     g0 = PolarizedPoint(*best_trip)
-    motion = motion_compose(motion_power(gen, best_k), translation_motion(best_nu))
+    motion = motion_compose(powers[best_k], translation_motion(best_nu))
     return g0, motion
 
 

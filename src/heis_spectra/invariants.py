@@ -12,7 +12,11 @@ On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
 its weights read through `_residue_order`, the closed-form inverse of the index;
 its window is the contiguous run of points m/N within the seed's reach, so each
 dropped term is under tol/10 of sup|psi_lam| and the tail is at most
-~tol sup|psi_lam| sum |c|.  Both invariant bases are reversal orbit vectors
+~tol sup|psi_lam| sum |c|.  With the N unit vectors as its columns of weights the
+same series gives the whole basis f^{a,b} at a point from one Hermite call
+(`sector_basis_values`).  The dense pullbacks are built as stacks of rows of one
+size (`pullback_matrices`), one table per sign of n; the one-row builders are its
+one-row case.  Both invariant bases are reversal orbit vectors
 (`_orbit_basis`): the half-turn's even (e = 1) or odd (e = -1) ones in closed
 form, the quarter-turn's from the kernels of its two real orbit blocks (below).
 Fixed-subspace dimensions follow from closed forms, from characters and Gauss
@@ -105,16 +109,6 @@ def _residue_order(n: int, l: int) -> np.ndarray:
     return k
 
 
-def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Signed permutation k -> -k mod N with single entry (-1)^(n+lam) per column."""
-    _check_nl(n, lam, l)
-    k = _sector_index(n, l)
-    dim = k.size
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[_residue_order(n, l)[-k % dim], np.arange(dim)] = -1.0 if (n + lam) % 2 else 1.0
-    return PullbackMatrix("phi", n, lam, l, mat)
-
-
 def _psi_phase(n: int, lam: int) -> tuple[int, float]:
     """(r, sign): the quarter-turn pullback is i^r exp(sign 2 pi i k k'/N)/sqrt N."""
     if n > 0:
@@ -122,18 +116,56 @@ def _psi_phase(n: int, lam: int) -> tuple[int, float]:
     return (n + 3 * lam) % 4, 1.0
 
 
-def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Dense unitary of the quarter-turn pullback; its square is the half-turn's.
+def pullback_matrices(power: int, ns, lams, l: int) -> np.ndarray:
+    """The dense pullbacks psi^power on the (a, b) basis of each row (n, lam), as one
+    (rows, N, N) complex stack; every row must have the same size N = 2l|n|.
 
-    The DFT exponent k k' is reduced mod N in integers, so the phase argument
-    stays below 2 pi whatever the size.
-    """
-    _check_nl(n, lam, l)
-    k = _sector_index(n, l)
-    dim = k.size
-    r, sign = _psi_phase(n, lam)
-    mat = (1j**r / math.sqrt(dim)) * np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
-    return PullbackMatrix("psi", n, lam, l, mat)
+    Power 1 is the quarter-turn, i^r exp(sign 2 pi i k k'/N)/sqrt N on the index k
+    (`_sector_index`, `_psi_phase`), with the DFT exponent k k' reduced mod N in
+    integers so the phase argument stays below 2 pi whatever the size.  Power 2 is
+    the half-turn phi = psi^2, the signed permutation k -> -k mod N with the single
+    entry (-1)^(n+lam) = (-1)^r per column.  Both depend on n only through its sign
+    and on lam only through r, so each sign of n takes one table and its rows one
+    product.  Rows of more than one size raise ValueError, and the first row that
+    `_check_nl` refuses raises its error, its index as `.row`."""
+    if power not in (1, 2):
+        raise ValueError(f"power must be 1 or 2, got {power!r}")
+    sizes, keys, refusal = _phase_rows(ns, lams, l)
+    if refusal is not None:
+        raise refusal
+    if len(set(sizes)) > 1:
+        raise ValueError(f"a stack holds one sector size N = 2l|n|, got {sorted(set(sizes))}")
+    dim = sizes[0] if sizes else 0
+    keys = np.array(keys, dtype=np.int64)
+    out = np.zeros((keys.size, dim, dim), dtype=complex)
+    for positive in (False, True):
+        rows = np.flatnonzero(keys & 1 == positive)
+        if not rows.size:
+            continue
+        n = dim // (2 * l) if positive else -(dim // (2 * l))
+        k = _sector_index(n, l)
+        r = keys[rows] >> 1
+        if power == 1:
+            sign = -1.0 if positive else 1.0
+            table = np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
+            units = np.array([1j**j / math.sqrt(dim) for j in range(4)])
+            out[rows] = units[r, None, None] * table
+        else:
+            out[rows[:, None], _residue_order(n, l)[-k % dim], np.arange(dim)] = \
+                np.where(r % 2, -1.0, 1.0)[:, None]
+    return out
+
+
+def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
+    """Signed permutation k -> -k mod N with single entry (-1)^(n+lam) per column:
+    the one-row case of `pullback_matrices` at power 2."""
+    return PullbackMatrix("phi", n, lam, l, pullback_matrices(2, [n], [lam], l)[0])
+
+
+def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
+    """Dense unitary of the quarter-turn pullback, its square the half-turn's: the
+    one-row case of `pullback_matrices` at power 1."""
+    return PullbackMatrix("psi", n, lam, l, pullback_matrices(1, [n], [lam], l)[0])
 
 
 def _refusal(exc: Exception, row: int) -> Exception:
@@ -323,12 +355,21 @@ def gauss_sum(m: int) -> complex:
     return complex(0.0, root)
 
 
-def gauss_sum_direct(m: int) -> complex:
-    """Defining sum, reduced mod m so the phase argument stays small."""
-    if m < 1:
+def gauss_sum_direct(m):
+    """Defining sum, reduced mod m so the phase argument stays small: a complex for
+    an int m, and for a 1-D sequence of m the column of their sums, from one exp
+    over the ragged k < m of every row and one segmented sum."""
+    ms = np.array(m, dtype=np.int64)
+    if ms.ndim > 1:
+        raise ValueError("m must be an integer or a 1-D sequence of integers")
+    if np.any(ms < 1):
         raise ValueError("m must be a positive integer")
-    ks = np.arange(m)
-    return complex(np.sum(np.exp(2j * math.pi * ((ks * ks) % m) / m)))
+    rows = ms.reshape(-1)
+    starts = np.cumsum(rows) - rows
+    mods = np.repeat(rows, rows)
+    ks = np.arange(mods.size) - np.repeat(starts, rows)
+    sums = np.add.reduceat(np.exp(2j * math.pi * ((ks * ks) % mods) / mods), starts)
+    return complex(sums[0]) if ms.ndim == 0 else sums
 
 
 def _characters(size: int, r: int, positive: bool) -> tuple[complex, ...]:
@@ -496,3 +537,24 @@ def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: Lattic
         p, q, s = symplectic_coords(cover, p, q, s)
     weights = coef.entries[_residue_order(coef.n, coef.l)]  # c at residue k
     return _residue_series(lam, scale, coef.n, weights, p, q, s, tol)
+
+
+def sector_basis_values(n: int, lam: int, lattice: LatticeSpec, pt,
+                        tol: float = 1e-12) -> np.ndarray:
+    """The N = 2l|n| values f^{a,b}(pt) of the sector's basis, a-major, on a quotient's
+    base lattice of covering width 2l, as one complex array: the series of
+    `eigenfunction_combination` with the unit vectors of the basis as its N columns of
+    weights, so one Hermite call, one exp and one product give them all.  It refuses
+    what `eigenfunction_combination` refuses, with ValueError."""
+    l, odd = divmod(lattice.covering_width, 2)
+    if odd:
+        raise ValueError(f"{lattice} has odd covering width; a sector's basis is indexed "
+                         f"on a quotient's base lattice, of width 2l")
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    lam, cover, scale = _hermite_seed(n, 2 * l, lam, lattice, tol)
+    p, q, s = pt.p, pt.q, pt.s
+    if cover is not None:
+        p, q, s = symplectic_coords(cover, p, q, s)
+    weights = np.eye(2 * l * abs(n))[_residue_order(n, l)]  # f^{a,b} at residue k
+    return _residue_series(lam, scale, n, weights, p, q, s, tol)

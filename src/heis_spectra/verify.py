@@ -2,9 +2,13 @@
 
 Each suite re-derives a slice of the library's guarantees from scratch and
 raises VerificationError on the first violation.  Suites run one after
-another: every suite is Python work that holds the interpreter lock.  The dims
-and characters suites stack their dense matrices by size and take one batched
-SVD reference and one power chain per stack.
+another: every suite is Python work that holds the interpreter lock.  Their
+checks run as columns through the library's column forms, with no loop over
+basis functions or matrices: the pullback suite takes a sector's whole basis at
+a point from one series (`sector_basis_values`), the dims and characters suites
+build their dense references as stacks of one size (`pullback_matrices`) and
+take one batched SVD reference per size and one power chain per stack, and the
+gauss suite takes its direct sums as one column (`gauss_sum_direct`).
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .invariants import (
     fixed_subspace_dim,
     gauss_sum,
     gauss_sum_direct,
-    phi_pullback_matrix,
-    psi_pullback_matrix,
+    pullback_matrices,
+    sector_basis_values,
     sector_multiplicities,
 )
 from .spectrum import enumerate_spectrum
@@ -158,46 +162,45 @@ def _suite_weil_brezin() -> str:
 def _suite_pullback() -> str:
     rng = np.random.default_rng(1004)
     checked = 0
-    cases = ((gamma_pi, phi_pullback_matrix, [(1, 0, 1), (2, 1, 1), (-2, 0, 1)]),
-             (gamma_pi_half, psi_pullback_matrix, [(1, 1, 1), (2, 0, 1), (-1, 0, 1)]))
-    for quotient, builder, sectors in cases:
+    # the generator is psi^power: 2 for the half-turn
+    cases = ((gamma_pi, 2, [(1, 0, 1), (2, 1, 1), (-2, 0, 1)]),
+             (gamma_pi_half, 1, [(1, 1, 1), (2, 0, 1), (-1, 0, 1)]))
+    for quotient, power, sectors in cases:
         for n, lam, l in sectors:
-            M = builder(n, lam, l).matrix
+            M = pullback_matrices(power, [n], [lam], l)[0]
             spec = quotient(l)
             gen, lattice = spec.generator, spec.base_lattice
-            width = lattice.covering_width
-            idxs = [WBIndex(n, a, b, width) for a in range(abs(n)) for b in range(width)]
             for _ in range(4):
                 pt = PolarizedPoint(*rng.uniform(-1, 1, size=3))
-                image = motion_apply(gen, pt)
-                f_pt = np.array([wb_eigenfunction(i, lam, lattice, pt) for i in idxs])
-                f_gen = np.array([wb_eigenfunction(i, lam, lattice, image) for i in idxs])
+                # the sector's basis f^{a,b}, a-major, at the point and at its image
+                f_pt = sector_basis_values(n, lam, lattice, pt)
+                f_gen = sector_basis_values(n, lam, lattice, motion_apply(gen, pt))
                 err = np.max(np.abs(f_gen - M.T @ f_pt))
                 _require(err < 1e-7, f"pullback matrix mismatch {err:.2e} at (n={n}, lam={lam})")
                 checked += 1
     return f"{checked} pointwise matrix checks"
 
 
-def _stacks(matrices: list):
-    """(where, stack) for each size among the square matrices, in order of first
-    appearance: the positions of that size in the list and those matrices stacked."""
-    sizes = [len(M) for M in matrices]
-    for size in dict.fromkeys(sizes):
-        where = [i for i, other in enumerate(sizes) if other == size]
-        yield where, np.stack([matrices[i] for i in where])
-
-
 def _suite_dims() -> str:
     rows = [(n, lam, l) for l in (1, 2) for n in range(-4, 5) if n for lam in range(0, 5)]
-    # each row's half-turn, then its quarter-turn, the order in which they are checked;
-    # one dense SVD reference per size over the stack of that size
-    matrices = [build(*row).matrix for row in rows
-                for build in (phi_pullback_matrix, psi_pullback_matrix)]
-    dims = np.empty(len(matrices), dtype=np.int64)
-    for where, stack in _stacks(matrices):
-        dims[where] = fixed_subspace_dim(stack)
+    # each row's half-turn (power 2), then its quarter-turn (power 1), the order in
+    # which they are checked: one stack per size, l and power, and one dense SVD
+    # reference per size over all of its stacks
+    by_size = {}
+    for i, (n, _, l) in enumerate(rows):
+        by_size.setdefault(2 * l * abs(n), {}).setdefault(l, []).append(i)
+    dims = np.empty((len(rows), 2), dtype=np.int64)
+    for by_l in by_size.values():
+        where, columns, stacks = [], [], []
+        for l, at in by_l.items():
+            for column, power in ((0, 2), (1, 1)):
+                stacks.append(pullback_matrices(power, [rows[i][0] for i in at],
+                                                [rows[i][1] for i in at], l))
+                where += at
+                columns += [column] * len(at)
+        dims[where, columns] = fixed_subspace_dim(np.concatenate(stacks))
     closed = [dim(*row) for row in rows for dim in (dim_phi_invariant, dim_psi_invariant)]
-    wrong = np.flatnonzero(dims != closed).tolist()
+    wrong = np.flatnonzero(dims.ravel() != closed).tolist()
     if wrong:
         name, (n, lam, l) = ("phi", "psi")[wrong[0] % 2], rows[wrong[0] // 2]
         raise VerificationError(f"{name} dim mismatch at ({n}, {lam}, {l})")
@@ -213,10 +216,13 @@ def _suite_characters() -> str:
                  "chi(1) must equal the sector dimension")
         _require(bool(np.all(np.abs(values[:, 3] - values[:, 1].conj()) <= 1e-9)),
                  "chi(g^3) must conjugate chi(g)")
-        # tr M^m of each row, one power chain per size over the stack of that size
+        # tr M^m of each row, one quarter-turn stack and one power chain per size
         traces = np.empty_like(values)
-        matrices = [psi_pullback_matrix(n, lam, l).matrix for n, lam in rows]
-        for where, stack in _stacks(matrices):
+        by_size = {}
+        for i, size in enumerate(sizes):
+            by_size.setdefault(size, []).append(i)
+        for where in by_size.values():
+            stack = pullback_matrices(1, [rows[i][0] for i in where], [rows[i][1] for i in where], l)
             power = np.eye(stack.shape[-1], dtype=complex)
             for m in range(4):
                 if m:
@@ -234,9 +240,11 @@ def _suite_characters() -> str:
 
 
 def _suite_gauss() -> str:
-    for m in range(1, 101):
-        _require(abs(gauss_sum(m) - gauss_sum_direct(m)) < 1e-9,
-                 f"Gauss sum closed form fails at m={m}")
+    ms = range(1, 101)
+    errors = np.abs(np.array([gauss_sum(m) for m in ms]) - gauss_sum_direct(ms))
+    wrong = np.flatnonzero(~(errors < 1e-9)).tolist()
+    if wrong:
+        raise VerificationError(f"Gauss sum closed form fails at m={ms[wrong[0]]}")
     for l in (1, 2, 3):
         for n in (-3, -2, -1, 1, 2, 3):
             _require(2 * l * abs(n) % 4 in (0, 2), "reachable modulus is odd")

@@ -19,8 +19,10 @@ sup|psi_lam|.  An invariant combination Sum c^{a,b} f^{a,b}
 window that keeps the per-residue rule: N = L|n|, the weight of residue r at each
 m = r mod N, and the contiguous m with |scale (p + m/N)| within that reach, so
 its tail is at most about tol * sup|psi_lam| * Sum |c| and a point costs one
-Hermite call, one exp and one dot.  The seeds depend on p alone (Auslander and
-Tolimieri, Bull. AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid is
+Hermite call, one exp and one dot; K combinations at once, such as a sector's
+whole basis (invariants.sector_basis_values), share those seeds and phases and
+take one product.  The seeds depend on p alone (Auslander and Tolimieri, Bull.
+AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid is
 evaluated in blocks of p-rows of at most about 2^16 values (wb_eigenfunction_grid):
 each row keeps its own window, and the rows of a block that share a window length
 share one Hermite call, one exp of their (rows x q x k) phases and one pairwise
@@ -166,12 +168,14 @@ def _series_value(n: int, window, q: float, s: float) -> complex:
 
 
 def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float, s: float,
-                    tol: float) -> complex:
+                    tol: float):
     """e^{2 pi i n s} Sum_m w_{m mod N} psi_lam(scale (p + m/N)) e^{2 pi i n q m/N},
-    N = weights.size, on the smallest window that keeps the per-residue rule: the
+    N = len(weights), on the smallest window that keeps the per-residue rule: the
     m with |scale (p + m/N)| <= R (`_reach`), one Hermite call, one exp and one dot.
-    A phase that overflows, or a value that is not finite, raises ValueError."""
-    size = weights.size
+    Weights of shape (N,) give one complex; weights of shape (N, K) give the K
+    series of their columns as an array, from the same seeds and phases.  A phase
+    that overflows, or a value that is not finite, raises ValueError."""
+    size = len(weights)
     reach = _reach(lam, scale, p, tol)
     _check_phases(n, p, q, s, reach, tol)
     # p = j + f with j whole and f exact: the term m of p is the term m + jN of f,
@@ -184,8 +188,14 @@ def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float,
         raise ValueError(f"the phases at q = {q!r}, s = {s!r} overflow")
     ms = np.arange(m0, m1 + 1)
     seeds = _psi(lam, (scale / size) * (ms + size * f))
-    total = np.dot(weights[ms % size] * seeds, np.exp((1j * step) * ms))
-    return _finite(complex(total) * cmath.exp(1j * turn))
+    total = np.dot(weights[ms % size].T * seeds, np.exp((1j * step) * ms))
+    if total.ndim == 0:
+        return _finite(complex(total) * cmath.exp(1j * turn))
+    values = total * cmath.exp(1j * turn)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        _finite(complex(values[bad][0]))
+    return values
 
 
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:

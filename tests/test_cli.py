@@ -1,7 +1,7 @@
 import ast
+import collections
 import contextlib
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from heis_spectra import cli, invariants, spectrum, verify
-from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_ORACLE_DIM, main
+from heis_spectra import cli, invariants, spectrum, verify, weil_brezin
+from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_SECTOR_SIZE, main
 from heis_spectra.group import PolarizedPoint, standard_rect
 from heis_spectra.invariants import (_nullity, fixed_subspace_dim, phi_pullback_matrix,
                                      psi_pullback_matrix)
@@ -231,15 +231,11 @@ def test_parser_is_built_once():
 
 
 def _perturb_pullbacks(monkeypatch):
-    """Add 1e-3 to every entry of the pullback matrices the verifier builds: the
-    negative control of its pullback, dims and characters suites, which must make
-    each of them fail."""
-    for name in ("phi_pullback_matrix", "psi_pullback_matrix"):
-        def perturbed(*args, build=getattr(verify, name)):
-            m = build(*args)
-            return dataclasses.replace(m, matrix=m.matrix + 1e-3)
-
-        monkeypatch.setattr(verify, name, perturbed)
+    """Add 1e-3 to every entry of the pullback matrices the verifier builds, at their
+    one seam, the stacks of pullback_matrices: the negative control of its pullback,
+    dims and characters suites, which must make each of them fail."""
+    build = verify.pullback_matrices
+    monkeypatch.setattr(verify, "pullback_matrices", lambda *args: build(*args) + 1e-3)
 
 
 def test_back_to_back_commands_keep_their_exit_codes(capsys, tmp_path, monkeypatch):
@@ -822,28 +818,44 @@ def test_dims_negative_range_skips_zero(capsys):
 
 
 def test_dims_refuses_an_oracle_past_the_limit_without_allocating(capsys, monkeypatch):
+    # past N = 2l|n| = 2^52 a size or a character sum may no longer be exact in float64
     def refuse(*args):
         raise AssertionError("an oracle ran")
 
     monkeypatch.setattr(cli, "dims_columns", refuse)
     tracemalloc.start()
     try:
-        rc = main(["dims", "--manifold", "gamma-pi2", "--n", "2000", "--l", "8"])
+        rc = main(["dims", "--manifold", "gamma-pi2", "--n", str(2**49), "--l", "8"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert rc == 2
-    assert "32000" in err and str(MAX_ORACLE_DIM) in err
+    assert str(2**53) in err and "2^52" in err and str(MAX_SECTOR_SIZE) in err
     assert peak < 1 << 20
     # a range is refused as a whole, before its first row
-    assert main(["dims", "--manifold", "gamma-pi", "--nmin", "1", "--nmax", "3000"]) == 2
-    assert "6000" in capsys.readouterr().err
+    assert main(["dims", "--manifold", "gamma-pi", "--nmin", "1", "--nmax", str(2**51 + 1)]) == 2
+    assert str(2**52 + 2) in capsys.readouterr().err
+
+
+def test_dims_writes_sectors_far_past_the_old_matrix_limit(capsys):
+    # both oracles are O(1) a row: N = 32000 agrees on every route
+    rc, out = run_cli(capsys, "dims", "--manifold", "gamma-pi2", "--n", "16000")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["16000,0,8001,8001,8001,true", "16000,1,8000,8000,8000,true",
+                                    "16000,2,8000,8000,8000,true", "16000,3,7999,7999,7999,true"]
+    # at N = 2^52 the default tol is far below the rank rule's floor sigma_max N eps = 2,
+    # which refuses the row loudly; a size just past 2^52 never reaches it
+    assert main(["dims", "--manifold", "gamma-pi2", "--n", str(2**51), "--lam", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "below the rank rule's floor" in err and f"row n = {2**51}" in err
+    assert main(["dims", "--manifold", "gamma-pi", "--n", str(2**51 + 1), "--lam", "0"]) == 2
+    assert "2^52" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, words", [
-    (["--nmin", "1", "--nmax", str(10**12)], ["2000000000000", str(MAX_ORACLE_DIM)]),
-    (["--nmin", str(-10**12), "--nmax", "1"], ["2000000000000", str(MAX_ORACLE_DIM)]),
+    (["--nmin", "1", "--nmax", str(10**16)], ["20000000000000000", "2^52"]),
+    (["--nmin", str(-10**16), "--nmax", "1"], ["20000000000000000", "2^52"]),
     (["--n", "1", "--lmax", str(10**12)], ["1000000000001 rows", str(MAX_SPECTRUM_LINES)]),
     (["--n", "1", "--lmax", str(10**400)], ["rows", str(MAX_SPECTRUM_LINES)]),
     (["--nmin", "-1000", "--nmax", "1000", "--lmax", "1000"], ["2002000 rows"]),
@@ -1131,6 +1143,68 @@ def test_verify_negative_control(capsys, monkeypatch):
     rc, out = run_cli(capsys, "verify", *argv)
     assert rc == 0
     assert out.splitlines() == VERIFY_LINES.splitlines()[3:6]
+
+
+def test_verify_fails_on_a_perturbed_basis_value(capsys, monkeypatch):
+    # 1e-6 on one value of the sector's basis, ten times the pullback suite's threshold
+    def perturbed(*args, values=verify.sector_basis_values):
+        out = values(*args)
+        out[0] += 1e-6
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "sector_basis_values", perturbed)
+        rc, out = run_cli(capsys, "verify", "--suite", "pullback")
+    assert rc == 1 and out.startswith("suite pullback: FAIL (VerificationError: pullback matrix")
+    rc, out = run_cli(capsys, "verify", "--suite", "pullback")
+    assert rc == 0 and out.splitlines() == VERIFY_LINES.splitlines()[3:4]
+
+
+def test_verify_fails_on_a_perturbed_direct_gauss_sum(capsys, monkeypatch):
+    # 1e-6 on the direct sum of one m of the column, m = 37
+    def perturbed(ms, direct=verify.gauss_sum_direct):
+        out = direct(ms)
+        out[36] += 1e-6
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "gauss_sum_direct", perturbed)
+        rc, out = run_cli(capsys, "verify", "--suite", "gauss")
+    assert (rc, out) == (1, "suite gauss: FAIL (VerificationError: Gauss sum closed form fails "
+                            "at m=37)\n")
+    rc, out = run_cli(capsys, "verify", "--suite", "gauss")
+    assert rc == 0 and out.splitlines() == VERIFY_LINES.splitlines()[6:7]
+
+
+def test_verify_takes_its_checks_as_columns(monkeypatch):
+    # the pullback suite takes one series per point for a sector's whole basis, 24
+    # points and their images; dims takes one SVD per sector size over stacks, of
+    # sizes 2, 4, 6, 8, 12 and 16; dims and characters build no matrix one row at a
+    # time; gauss takes its direct sums as one column
+    suite, calls = [None], collections.Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([(suite[0], name)]) or fn(*args, **kwargs)
+
+    for name, fn in verify.SUITES.items():
+        def run(name=name, fn=fn):
+            suite[0] = name
+            return fn()
+
+        monkeypatch.setitem(verify.SUITES, name, run)
+    monkeypatch.setattr(weil_brezin, "_psi", counted("_psi", weil_brezin._psi))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    for name in ("phi_pullback_matrix", "psi_pullback_matrix"):
+        monkeypatch.setattr(invariants, name, counted("one-row", getattr(invariants, name)))
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, counted("one-row", getattr(verify, name)))
+    monkeypatch.setattr(verify, "gauss_sum_direct", counted("gauss", verify.gauss_sum_direct))
+    results = verify.run_suites(["pullback", "dims", "characters", "gauss"])
+    assert all(r.passed for r in results), results
+    assert calls[("pullback", "_psi")] == 48
+    assert calls[("dims", "svd")] == 6
+    assert calls[("dims", "one-row")] == calls[("characters", "one-row")] == 0
+    assert calls[("gauss", "gauss")] == 1
 
 
 def _console_script_command():

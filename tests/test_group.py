@@ -329,3 +329,74 @@ def test_torsion_witness_quarter_turn_family():
 def test_torsion_witness_rejects_nonlattice_point():
     with pytest.raises(ValueError):
         torsion_witness(PolarizedPoint(0.5, 0.0, 0.0), gamma_pi(1))
+
+
+def _reference_reduction(spec, g):
+    """reduce_to_fundamental_domain of a quotient with every coset motion taken by
+    motion_power at the call, as it was before the motions were read from a table."""
+    base, gen = spec.base_lattice, spec.generator
+
+    def box(h):
+        sp, sq = base.steps
+        xi, eta = sp * math.floor(h.p / sp), sq * math.floor(h.q / sq)
+        p0, q0 = h.p - xi, h.q - eta
+        return xi, eta, p0, q0, h.s - xi * q0
+
+    if spec.kind == "gamma-pi":
+        best = None
+        for k in (0, 1):
+            xi, eta, p0, q0, s_shift = box(motion_apply(motion_power(gen, -k), g))
+            w = s_shift - 0.5 * q0
+            frac = w - math.floor(w)
+            cand = (frac, k, xi, eta, p0, q0, s_shift)
+            if frac < 0.5:
+                best = cand
+                break
+            if best is None or frac < best[0]:
+                best = cand
+        _, k, xi, eta, p0, q0, s_shift = best
+        m = math.floor(s_shift - 0.5 * q0)
+        return (PolarizedPoint(p0, q0, s_shift - m),
+                motion_compose(motion_power(gen, k),
+                               translation_motion(PolarizedPoint(xi, eta, float(m)))))
+    candidates = []
+    for k in range(4):
+        xi, eta, p0, q0, s_shift = box(motion_apply(motion_power(gen, -k), g))
+        m = math.floor(s_shift)
+        candidates.append(((p0, q0, s_shift - m), k, PolarizedPoint(xi, eta, float(m))))
+
+    def lex_less(a, b, tol=1e-12):
+        for u, v in zip(a, b):
+            if u < v - tol:
+                return True
+            if u > v + tol:
+                return False
+        return False
+
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if lex_less(cand[0], best[0]):
+            best = cand
+    trip, k, nu = best
+    return PolarizedPoint(*trip), motion_compose(motion_power(gen, k), translation_motion(nu))
+
+
+@pytest.mark.parametrize("spec", [gamma_pi(1), gamma_pi(2), gamma_pi_half(1), gamma_pi_half(2),
+                                  gamma_pi_half(3)])
+def test_reduction_reads_the_coset_motions_with_their_bits(spec):
+    # the sweeps of the roundtrip and orbit tests above: every (g0, motion) equals the
+    # reference's, which builds each coset motion by motion_power, bit for bit
+    sp, sq = spec.base_lattice.steps
+    points = []
+    for seed, scale in ((16, 6.0), (17, 3.0)):
+        rng = np.random.default_rng(seed)
+        points += [_rand_point(rng, scale) for _ in range(200)]
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        g = _rand_point(rng, 3.0)
+        i, j, k = (int(v) for v in rng.integers(-3, 4, size=3))
+        gamma = motion_compose(translation_motion(PolarizedPoint(i * sp, j * sq, float(k))),
+                               motion_power(spec.generator, int(rng.integers(0, spec.index))))
+        points += [g, motion_apply(gamma, g)]
+    for g in points:  # repr tells -0.0 from 0.0
+        assert repr(reduce_to_fundamental_domain(spec, g)) == repr(_reference_reduction(spec, g))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -46,6 +47,7 @@ from heis_spectra.invariants import (
     phi_pullback_matrix,
     psi_constraint_solve,
     psi_pullback_matrix,
+    pullback_matrices,
     sector_multiplicities,
 )
 
@@ -136,6 +138,59 @@ def test_structured_pullbacks_equal_the_entry_formulas():
             assert np.array_equal(phi_pullback_matrix(n, lam, l).matrix, _phi_loop(n, lam, l))
             want = _psi_prefactor(n, lam, l) * kernel
             assert np.max(np.abs(psi_pullback_matrix(n, lam, l).matrix - want)) < 1e-12
+
+
+def _dense_phi(n, lam, l):
+    """The half-turn as its builder made it one row at a time, before the stacks."""
+    k = _sector_index(n, l)
+    dim = k.size
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[_residue_order(n, l)[-k % dim], np.arange(dim)] = -1.0 if (n + lam) % 2 else 1.0
+    return mat
+
+
+def _dense_psi(n, lam, l):
+    """The quarter-turn as its builder made it one row at a time, before the stacks."""
+    k = _sector_index(n, l)
+    dim = k.size
+    r, sign = _psi_phase(n, lam)
+    return (1j**r / math.sqrt(dim)) * np.exp((sign * 2j * math.pi / dim) * (np.outer(k, k) % dim))
+
+
+def test_pullback_stacks_equal_the_one_row_builders_bit_for_bit():
+    # every N <= 32, both signs of n and both powers: each row of a stack of all the
+    # rows of one size and l (levels 0..5, so lam mod 4 repeats) is the one-row
+    # builder's matrix and the one-row formula's, bit for bit
+    for l in range(1, 5):
+        for m in range(1, 32 // (2 * l) + 1):
+            ns, lams = zip(*[(n, lam) for n in (m, -m) for lam in range(6)])
+            for power, builder, formula in ((1, psi_pullback_matrix, _dense_psi),
+                                            (2, phi_pullback_matrix, _dense_phi)):
+                stack = pullback_matrices(power, ns, lams, l)
+                assert stack.shape == (len(ns), 2 * l * m, 2 * l * m)
+                for row, n, lam in zip(stack, ns, lams):
+                    want = formula(n, lam, l).tobytes()
+                    assert row.tobytes() == builder(n, lam, l).matrix.tobytes() == want
+
+
+def test_one_row_builders_keep_their_bits():
+    # n in +-1..9, lam 0..3, l 1..3
+    for n, lam, l in itertools.product([*range(-9, 0), *range(1, 10)], range(4), range(1, 4)):
+        assert phi_pullback_matrix(n, lam, l).matrix.tobytes() == _dense_phi(n, lam, l).tobytes()
+        assert psi_pullback_matrix(n, lam, l).matrix.tobytes() == _dense_psi(n, lam, l).tobytes()
+
+
+def test_pullback_stacks_refuse_mixed_sizes_and_bad_rows():
+    with pytest.raises(ValueError, match="one sector size"):
+        pullback_matrices(1, [2, 1], [0, 0], 1)
+    with pytest.raises(ValueError, match="one sector size"):
+        pullback_matrices(2, [2, -3], [0, 0], 1)
+    with pytest.raises(ValueError, match="n must be nonzero") as info:
+        pullback_matrices(1, [2, 2, 0], [0, 1, 0], 1)
+    assert info.value.row == 2
+    with pytest.raises(ValueError, match="power"):
+        pullback_matrices(4, [2], [0], 1)
+    assert pullback_matrices(2, [], [], 1).shape == (0, 0, 0)
 
 
 def _projector(V):
@@ -721,6 +776,23 @@ def test_gauss_sum_closed_form_values():
 def test_gauss_sum_against_direct_summation():
     for m in range(1, 401):
         assert abs(gauss_sum(m) - gauss_sum_direct(m)) < 1e-9
+
+
+def test_gauss_sum_direct_column_equals_its_one_row_calls():
+    ms = list(range(1, 201))
+    column = gauss_sum_direct(ms)
+    assert column.shape == (200,) and column.dtype == complex
+    for m, value in zip(ms, column):
+        one = gauss_sum_direct(m)
+        assert type(one) is complex and abs(value - one) <= 1e-12
+        ks = np.arange(m)  # the defining sum
+        assert abs(one - np.sum(np.exp(2j * math.pi * ((ks * ks) % m) / m))) <= 1e-12
+    # the rows need no order, and an empty column is empty
+    assert np.array_equal(gauss_sum_direct([7, 3, 7]), column[[6, 2, 6]])
+    assert gauss_sum_direct([]).shape == (0,)
+    for bad in (0, [3, 0], [[1, 2]]):
+        with pytest.raises(ValueError):
+            gauss_sum_direct(bad)
 
 
 def test_character_table_values():

@@ -42,6 +42,7 @@ from heis_spectra.invariants import (
     eigenfunction_combination,
     phi_constraint_solve,
     psi_constraint_solve,
+    sector_basis_values,
 )
 from heis_spectra.weil_brezin import (
     TruncationError,
@@ -322,6 +323,39 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
     assert abs(got - want) <= 1e-13 * scale + 2e-12 * sup_psi(lam) * np.sum(np.abs(entries))
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 2), st.booleans(),
+       st.integers(0, 20), points)
+def test_sector_basis_values_equal_the_basis_functions(n, l, square, lam, pt):
+    # one series with the N unit vectors as weights; each value is the one-point
+    # series of its basis function, within rounding and the tail bound as a
+    # combination with a single unit coefficient
+    lattice = scaled_square(l) if square else standard_rect(2 * l)
+    got = sector_basis_values(n, lam, lattice, pt)
+    want = np.array([wb_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
+                     for a in range(abs(n)) for b in range(2 * l)])
+    assert got.shape == want.shape == (2 * l * abs(n),) and got.dtype == complex
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 2e-12 * sup_psi(lam))
+
+
+@pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
+def test_sector_basis_takes_one_window_per_point(monkeypatch, n, l, lattice):
+    calls = []
+    psi = weil_brezin._psi
+    monkeypatch.setattr(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args))
+    rng = np.random.default_rng(8)
+    for i in range(5):
+        sector_basis_values(n, 3, lattice, PolarizedPoint(*rng.uniform(-2, 2, 3)))
+        assert len(calls) == i + 1
+
+
+def test_sector_basis_refuses_an_odd_width_and_a_zero_frequency():
+    with pytest.raises(ValueError, match="odd covering width"):
+        sector_basis_values(1, 0, standard_rect(1), PolarizedPoint(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="n must be nonzero"):
+        sector_basis_values(0, 0, standard_rect(2), PolarizedPoint(0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
 def test_combination_builds_one_window_per_point(monkeypatch, n, l, lattice):
     calls = []
@@ -460,6 +494,27 @@ def test_nonfinite_seed_raises():
         wb_eigenfunction(idx, 0, standard_rect(1), PolarizedPoint(math.nan, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("lattice", [standard_rect(2), scaled_square(1)])
+def test_a_combination_value_that_is_not_finite_is_refused(monkeypatch, lattice):
+    # an infinite seed makes the series inf or nan: the combination and the sector's
+    # basis refuse the value with ValueError instead of returning it (numpy's own
+    # warnings on the way are silenced here; _psi's seeds are finite at finite points)
+    psi = weil_brezin._psi
+
+    def overflowing(lam, y):
+        seeds = psi(lam, y)
+        seeds[len(seeds) // 2] = math.inf
+        return seeds
+
+    monkeypatch.setattr(weil_brezin, "_psi", overflowing)
+    pt = PolarizedPoint(0.3, 0.25, 0.1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="the series is not finite"):
+            eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
+        with pytest.raises(ValueError, match="the series is not finite"):
+            sector_basis_values(2, 1, lattice, pt)
+
+
 def test_nonfinite_coefficients_are_refused():
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         entries = np.ones(4, dtype=complex)
@@ -476,6 +531,8 @@ def test_an_overflowing_phase_is_refused(lattice):
         wb_eigenfunction(WBIndex(2, 1, 1, 2), 1, lattice, pt)
     with pytest.raises(ValueError):
         eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
+    with pytest.raises(ValueError):
+        sector_basis_values(2, 1, lattice, pt)
 
 
 @pytest.mark.parametrize("lattice", [standard_rect(2), scaled_square(1)])
@@ -487,6 +544,8 @@ def test_a_point_whose_phases_carry_no_digits_is_refused(lattice):
         wb_eigenfunction(WBIndex(2, 1, 1, 2), 1, lattice, pt)
     with pytest.raises(ValueError, match="may round by"):
         eigenfunction_combination(CoefficientVector(2, 1, np.ones(4) + 0j), 1, lattice, pt)
+    with pytest.raises(ValueError, match="may round by"):
+        sector_basis_values(2, 1, lattice, pt)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8])
@@ -499,7 +558,8 @@ def test_the_phase_rule_refuses_where_its_bound_passes_tol(tol):
     edge = tol / (3 * np.finfo(float).eps * 2 * math.pi * abs(n) * (abs(p) + 1 + reach))
     coef = CoefficientVector(n, 1, np.arange(6) + 1j)
     for f in (functools.partial(wb_eigenfunction, WBIndex(n, 2, 1, 2), lam, lattice),
-              functools.partial(eigenfunction_combination, coef, lam, lattice)):
+              functools.partial(eigenfunction_combination, coef, lam, lattice),
+              functools.partial(sector_basis_values, n, lam, lattice)):
         f(PolarizedPoint(p, 0.999 * edge, s), tol)
         with pytest.raises(ValueError, match="may round by"):
             f(PolarizedPoint(p, 1.001 * edge, s), tol)
@@ -599,6 +659,8 @@ def test_a_point_past_exact_shifts_is_refused(lattice, p):
         wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice, pt)
     with pytest.raises(ValueError, match="below 2\\^52"):
         eigenfunction_combination(coef, 2, lattice, pt)
+    with pytest.raises(ValueError, match="below 2\\^52"):
+        sector_basis_values(2, 2, lattice, pt)
     rows = wb_eigenfunction_grid(WBIndex(2, 1, 1, 2), 2, lattice, [0.5, p, 0.0], [0.25], [0.1])
     assert next(rows)[0, 0] == wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice,
                                                 PolarizedPoint(0.5, 0.25, 0.1))
