@@ -7,14 +7,13 @@ from .group import (
     RigidMotion,
     StandardPoint,
     SymplecticMap,
-    UnitaryAutomorphism,
     apply_symplectic,
-    apply_unitary,
     gamma_pi,
     gamma_pi_half,
     lattice_contains,
     motion_apply,
     motion_compose,
+    motion_coords,
     motion_inverse,
     motion_power,
     phi_generator,
@@ -35,7 +34,6 @@ from .hermite import hermite_function, hermite_poly
 from .invariants import (
     CoefficientVector,
     IllConditionedError,
-    PullbackMatrix,
     character_values,
     dim_phi_invariant,
     dim_psi_invariant,
@@ -44,9 +42,7 @@ from .invariants import (
     gauss_sum,
     gauss_sum_direct,
     phi_constraint_solve,
-    phi_pullback_matrix,
     psi_constraint_solve,
-    psi_pullback_matrix,
     pullback_matrices,
     sector_basis_values,
     sector_multiplicities,

@@ -27,7 +27,7 @@ from .group import (
 from .invariants import dims_columns
 from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
-from .weil_brezin import WBIndex, _point_phase_error, wb_eigenfunction_grid
+from .weil_brezin import WBIndex, _point_phase_error, _reach, wb_eigenfunction_grid
 from .weyl import (
     _ratio_grid,
     counting_columns,
@@ -158,13 +158,12 @@ def _phase_error(n: int, lam: int, width: int, tol: float) -> float:
     eigenfunction refuses an n where this passes --tol.  The series takes
     e^{2 pi i n y} at y = s, below 2, and at y = (k + off) q on the rectangular
     cover of width L, where q < L and |k + off| < 3 + reach for the window's
-    reach past the turning point.  The float 2 pi n y is three roundings, off by
-    up to 1.5 eps |2 pi n y|, and a difference such as f(s + 1) - f(s) carries
-    two of them.  So at --tol 1e-12 the grid of nl, l = 1, lam = 0 takes
+    reach past the turning point (`_reach`).  The float 2 pi n y is three
+    roundings, off by up to 1.5 eps |2 pi n y|, and a difference such as
+    f(s + 1) - f(s) carries two of them.  So at --tol 1e-12 the grid of nl, l = 1, lam = 0 takes
     |n| <= 69, and --n 10**300 is refused.
     """
-    reach = ((math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(max(10 / tol, 1.0))))
-             / math.sqrt(2 * math.pi * abs(n)))
+    reach = _reach(lam, math.sqrt(2.0 * math.pi * abs(n)), 0.0, tol)
     return _point_phase_error(n, 2.0, width, 2.0, reach)
 
 

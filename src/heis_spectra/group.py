@@ -7,9 +7,12 @@ Points carry polarized coordinates (p, q, s) with product
 together with the standard-coordinate picture (x, y, t) where the center is
 scaled by 4 and the two pictures are identified by (x, y, t) |-> (y, x, t/4 + xy/2).
 
-Rigid motions combine a left translation with a rotation fixing the center;
-the two torsion-free crystallographic groups used downstream are generated by
-a lattice together with the half-turn ``phi`` or the quarter-turn ``psi``.
+Rigid motions combine a left translation with a rotation fixing the center.
+The two torsion-free crystallographic groups used downstream are generated by
+a lattice together with the half-turn ``phi`` or the quarter-turn ``psi``, so
+every rotation is i^r: a motion holds its count r of quarter turns, composes
+by adding counts mod 4, and moves points through the one lift of linear maps,
+``symplectic_coords``.
 """
 
 from __future__ import annotations
@@ -71,44 +74,6 @@ def standard_to_polarized(g: StandardPoint) -> PolarizedPoint:
 
 
 @dataclass(frozen=True)
-class UnitaryAutomorphism:
-    """Rotation (p, q) |-> (Ap - Bq, Bp + Aq) lifted to a group automorphism.
-
-    Requires A^2 + B^2 = 1; the s-component picks up the quadratic correction
-    (AB(p^2 - q^2) + (A^2 - B^2 - 1) p q) / 2 that makes the map multiplicative.
-    """
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise ValueError(_FINITE_MSG)
-        if abs(self.A * self.A + self.B * self.B - 1.0) > 1e-12:
-            raise ValueError("A^2 + B^2 must equal 1")
-
-
-def identity_rotation() -> UnitaryAutomorphism:
-    return UnitaryAutomorphism(1.0, 0.0)
-
-
-def apply_unitary(u: UnitaryAutomorphism, g: PolarizedPoint) -> PolarizedPoint:
-    a, b = u.A, u.B
-    p, q = g.p, g.q
-    s = g.s + 0.5 * (a * b * (p * p - q * q) + (a * a - b * b - 1.0) * p * q)
-    return PolarizedPoint(a * p - b * q, b * p + a * q, s)
-
-
-def unitary_compose(u: UnitaryAutomorphism, v: UnitaryAutomorphism) -> UnitaryAutomorphism:
-    # same law as multiplying A + iB
-    return UnitaryAutomorphism(u.A * v.A - u.B * v.B, u.A * v.B + u.B * v.A)
-
-
-def unitary_inverse(u: UnitaryAutomorphism) -> UnitaryAutomorphism:
-    return UnitaryAutomorphism(u.A, -u.B)
-
-
-@dataclass(frozen=True)
 class SymplecticMap:
     """Determinant-one map of the (p, q) plane lifted to the group.
 
@@ -124,11 +89,27 @@ class SymplecticMap:
         if abs(self.A * self.D - self.B * self.C - 1.0) > 1e-12:
             raise ValueError("AD - BC must equal 1")
 
+    @functools.cached_property
+    def _integral(self) -> bool:
+        """Whether every entry is an integer, as for the quarter turns."""
+        return all(float(v).is_integer() for v in (self.A, self.B, self.C, self.D))
+
 
 def symplectic_coords(m: SymplecticMap, p, q, s):
-    """The map on coordinates: floats, or numpy arrays that broadcast together."""
+    """The map on coordinates: floats, or numpy arrays that broadcast together.
+
+    As AD - BC = 1 the correction is also AC q^2/2 + BC pq + BD p^2/2.  A map of
+    integer entries takes it in that form, each coefficient applied before a
+    coordinate, so no product leaves the float range unless the image does (a
+    half-turn adds zero, a quarter-turn -pq).  Any other map, such as
+    `scaling_map`, takes the product above, whose roundings the values on the
+    square lattice carry.
+    """
     p_new = m.C * q + m.D * p
     q_new = m.A * q + m.B * p
+    if m._integral:
+        return p_new, q_new, s + (0.5 * m.A * m.C * q * q + m.B * m.C * p * q
+                                  + 0.5 * m.B * m.D * p * p)
     return p_new, q_new, s + 0.5 * (q_new * p_new - p * q)
 
 
@@ -148,37 +129,54 @@ def scaling_map(l: int) -> SymplecticMap:
     return SymplecticMap(A=w, B=0.0, C=0.0, D=1.0 / w)
 
 
+# the quarter turns i^r, r = 0..3: (p, q) |-> (ap - bq, bp + aq) for a + ib = i^r
+_TURNS = tuple(SymplecticMap(a, b, -b, a)
+               for a, b in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+
+
 @dataclass(frozen=True)
 class RigidMotion:
-    """Left translation composed with a central-axis rotation: g |-> t * U(g)."""
+    """Left translation after a quarter turn about the center: g |-> t * i^turns(g).
+
+    The turn is the lift of a rotation by ``symplectic_coords``, so the group law
+    is exact: turns add mod 4 under composition.
+    """
 
     translation: PolarizedPoint
-    rotation: UnitaryAutomorphism
+    turns: int
+
+    def __post_init__(self):
+        if not isinstance(self.turns, int) or not 0 <= self.turns <= 3:
+            raise ValueError(f"turns must be an integer in 0..3, got {self.turns!r}")
 
 
 def identity_motion() -> RigidMotion:
-    return RigidMotion(polarized_identity(), identity_rotation())
+    return RigidMotion(polarized_identity(), 0)
 
 
 def translation_motion(g: PolarizedPoint) -> RigidMotion:
-    return RigidMotion(g, identity_rotation())
+    return RigidMotion(g, 0)
+
+
+def motion_coords(m: RigidMotion, p, q, s):
+    """The motion on coordinates: floats, or numpy arrays that broadcast together."""
+    p, q, s = symplectic_coords(_TURNS[m.turns], p, q, s)
+    t = m.translation
+    return t.p + p, t.q + q, t.s + s + t.p * q
 
 
 def motion_apply(m: RigidMotion, g: PolarizedPoint) -> PolarizedPoint:
-    return polarized_mul(m.translation, apply_unitary(m.rotation, g))
+    return PolarizedPoint(*motion_coords(m, g.p, g.q, g.s))
 
 
 def motion_compose(m1: RigidMotion, m2: RigidMotion) -> RigidMotion:
     # (t1, U1)(t2, U2) = (t1 * U1(t2), U1 U2)
-    return RigidMotion(
-        polarized_mul(m1.translation, apply_unitary(m1.rotation, m2.translation)),
-        unitary_compose(m1.rotation, m2.rotation),
-    )
+    return RigidMotion(motion_apply(m1, m2.translation), (m1.turns + m2.turns) % 4)
 
 
 def motion_inverse(m: RigidMotion) -> RigidMotion:
-    u_inv = unitary_inverse(m.rotation)
-    return RigidMotion(apply_unitary(u_inv, polarized_inverse(m.translation)), u_inv)
+    turns = -m.turns % 4
+    return RigidMotion(apply_symplectic(_TURNS[turns], polarized_inverse(m.translation)), turns)
 
 
 def motion_power(m: RigidMotion, k: int) -> RigidMotion:
@@ -192,12 +190,12 @@ def motion_power(m: RigidMotion, k: int) -> RigidMotion:
 
 def phi_generator() -> RigidMotion:
     """Half-turn with central offset 1/2; squares to the translation (0, 0, 1)."""
-    return RigidMotion(PolarizedPoint(0.0, 0.0, 0.5), UnitaryAutomorphism(-1.0, 0.0))
+    return RigidMotion(PolarizedPoint(0.0, 0.0, 0.5), 2)
 
 
 def psi_generator() -> RigidMotion:
     """Quarter-turn with central offset 1/4; its square is the half-turn motion."""
-    return RigidMotion(PolarizedPoint(0.0, 0.0, 0.25), UnitaryAutomorphism(0.0, 1.0))
+    return RigidMotion(PolarizedPoint(0.0, 0.0, 0.25), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +407,7 @@ def torsion_witness(g: PolarizedPoint, spec: BieberbachSpec, tol: float = 1e-9) 
         raise ValueError("g is not an element of the base lattice")
     gamma = motion_compose(translation_motion(g), spec.generator)
     power = motion_power(gamma, spec.index)
-    rot = power.rotation
-    if abs(rot.A - 1.0) > tol or abs(rot.B) > tol:
+    if power.turns != 0:
         raise AssertionError("power of the motion failed to be a translation")
     w = power.translation
     if abs(w.p) > tol or abs(w.q) > tol:

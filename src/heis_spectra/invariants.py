@@ -77,17 +77,6 @@ def _check_nl(n: int, lam: int, l: int):
         raise ValueError("l must be a positive integer")
 
 
-@dataclass(frozen=True, eq=False)
-class PullbackMatrix:
-    """Matrix of gamma* on the (a, b) basis, metadata carried alongside."""
-
-    generator: str  # "phi" | "psi"
-    n: int
-    lam: int
-    l: int
-    matrix: np.ndarray
-
-
 def _sector_index(n: int, l: int) -> np.ndarray:
     """DFT index k = 2l a + sgn(n) b mod N of each basis position a*2l + b."""
     two_l = 2 * l
@@ -156,18 +145,6 @@ def pullback_matrices(power: int, ns, lams, l: int) -> np.ndarray:
     return out
 
 
-def phi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Signed permutation k -> -k mod N with single entry (-1)^(n+lam) per column:
-    the one-row case of `pullback_matrices` at power 2."""
-    return PullbackMatrix("phi", n, lam, l, pullback_matrices(2, [n], [lam], l)[0])
-
-
-def psi_pullback_matrix(n: int, lam: int, l: int) -> PullbackMatrix:
-    """Dense unitary of the quarter-turn pullback, its square the half-turn's: the
-    one-row case of `pullback_matrices` at power 1."""
-    return PullbackMatrix("psi", n, lam, l, pullback_matrices(1, [n], [lam], l)[0])
-
-
 def _refusal(exc: Exception, row: int) -> Exception:
     exc.row = row  # the index of the refusing row in its column
     return exc
@@ -213,7 +190,7 @@ def fixed_subspace_dim(M, tol: float = 1e-8):
     an int; a stack of shape (..., N, N) gives an int64 array of shape (...), from
     one batched SVD, and its first refusing matrix (in row-major order) raises its
     error, that index as `.row`."""
-    A = np.array(getattr(M, "matrix", M), dtype=complex)
+    A = np.array(M, dtype=complex)
     size = A.shape[-1]
     A.reshape(A.shape[:-2] + (size * size,))[..., ::size + 1] -= 1  # the diagonals of the copy
     svals = np.linalg.svd(A, compute_uv=False)
@@ -295,10 +272,10 @@ def _oracle_column(power: int, phases, tol: float) -> np.ndarray:
 
 
 def fixed_subspace_dims(power: int, ns, lams, l: int, tol: float = 1e-8) -> np.ndarray:
-    """fixed_subspace_dim of the quarter-turn pullback M = psi_pullback_matrix(n, lam, l)
-    to the given power, M at power 1 and the half-turn phi_pullback_matrix(n, lam, l)
-    = M^2 at power 2, of each row (n, lam), as one int64 column, without the dense
-    matrices and without an SVD or an eigendecomposition: O(1) a row.
+    """fixed_subspace_dim of the quarter-turn pullback M = pullback_matrices(1, [n], [lam],
+    l)[0] to the given power, M at power 1 and the half-turn M^2 at power 2, of each
+    row (n, lam), as one int64 column, without the dense matrices and without an SVD
+    or an eigendecomposition: O(1) a row.
 
     The quarter-turn i^r F (F the DFT of `_psi_phase`'s sign) commutes with the
     reversal, so on its even and odd orbit vectors it is i^r C and sign i^(r+1) S

@@ -73,7 +73,7 @@ def _suite_group() -> str:
     center = PolarizedPoint(0.0, 0.0, 1.0)
     for name, m in (("phi^2", motion_power(phi, 2)), ("psi^4", motion_power(psi, 4))):
         _require(m.translation == center, f"{name} is not the unit central translation")
-        _require(m.rotation.A == 1.0 and m.rotation.B == 0.0, f"{name} has a residual rotation")
+        _require(m.turns == 0, f"{name} has a residual rotation")
     _require(motion_power(psi, 2).translation == motion_power(phi, 1).translation,
              "psi^2 does not reproduce phi")
     rng = np.random.default_rng(1001)

@@ -12,8 +12,8 @@ import numpy as np
 
 from heis_spectra.group import (
     PolarizedPoint,
-    UnitaryAutomorphism,
-    apply_unitary,
+    SymplecticMap,
+    apply_symplectic,
     gamma_pi,
     gamma_pi_half,
     motion_apply,
@@ -26,7 +26,6 @@ from heis_spectra.group import (
     standard_mul,
     standard_to_polarized,
     torsion_witness,
-    unitary_compose,
 )
 from heis_spectra.invariants import (
     character_values,
@@ -35,8 +34,7 @@ from heis_spectra.invariants import (
     fixed_subspace_dim,
     gauss_sum,
     gauss_sum_direct,
-    phi_pullback_matrix,
-    psi_pullback_matrix,
+    pullback_matrices,
 )
 from heis_spectra.operator import folland_stein_residual
 from heis_spectra.spectrum import oscillator_eigenvalue, torus_character
@@ -67,15 +65,16 @@ def criterion(num, label):
 def test_dimension_equivalence_sweep():
     start = time.monotonic()
     for n, lam, l in SWEEP:
-        assert fixed_subspace_dim(phi_pullback_matrix(n, lam, l)) == dim_phi_invariant(n, lam, l)
-        assert fixed_subspace_dim(psi_pullback_matrix(n, lam, l)) == dim_psi_invariant(n, lam, l)
+        half, quarter = (pullback_matrices(power, [n], [lam], l)[0] for power in (2, 1))
+        assert fixed_subspace_dim(half) == dim_phi_invariant(n, lam, l)
+        assert fixed_subspace_dim(quarter) == dim_psi_invariant(n, lam, l)
     assert time.monotonic() - start < 60.0
 
 
 @criterion(2, "character reconstruction of the quarter-turn dimension")
 def test_character_reconstruction():
     for n, lam, l in SWEEP:
-        M = psi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(1, [n], [lam], l)[0]
         powers = sum(np.trace(np.linalg.matrix_power(M, m)) for m in range(4))
         avg = powers / 4.0
         assert abs(avg - dim_psi_invariant(n, lam, l)) < 1e-6
@@ -86,14 +85,14 @@ def test_character_reconstruction():
 @criterion(3, "pullback matrices reproduce the pointwise action")
 def test_pullback_matrices_pointwise():
     rng = np.random.default_rng(301)
-    cases = [(phi_generator(), phi_pullback_matrix, lambda l: standard_rect(2 * l)),
-             (psi_generator(), psi_pullback_matrix, lambda l: scaled_square(l))]
-    for gen, builder, lattice_of in cases:
+    cases = [(phi_generator(), 2, lambda l: standard_rect(2 * l)),
+             (psi_generator(), 1, lambda l: scaled_square(l))]
+    for gen, power, lattice_of in cases:
         for l in (1, 2):
             lattice = lattice_of(l)
             for n in (-3, -2, -1, 1, 2, 3):
                 for lam in range(0, 5):
-                    M = builder(n, lam, l).matrix
+                    M = pullback_matrices(power, [n], [lam], l)[0]
                     idxs = [WBIndex(n, a, b, 2 * l)
                             for a in range(abs(n)) for b in range(2 * l)]
                     for _ in range(20):
@@ -187,7 +186,7 @@ def test_group_layer():
     phi, psi = phi_generator(), psi_generator()
     for m in (motion_power(phi, 2), motion_power(psi, 4)):
         assert (m.translation.p, m.translation.q, m.translation.s) == (0.0, 0.0, 1.0)
-        assert (m.rotation.A, m.rotation.B) == (1.0, 0.0)
+        assert m.turns == 0
     rng = np.random.default_rng(1010)
     spec2 = gamma_pi(1)
     for _ in range(100):
@@ -208,16 +207,18 @@ def test_group_layer():
         u = standard_to_polarized(standard_mul(_std(g), _std(h)))
         v = polarized_mul(standard_to_polarized(_std(g)), standard_to_polarized(_std(h)))
         assert max(abs(u.p - v.p), abs(u.q - v.q), abs(u.s - v.s)) <= 1e-12
+    # every rotation of U(1), not only the quarter turns, lifts to an automorphism
+    # and the lifts compose as the angles add
     for _ in range(100):
         theta1, theta2 = rng.uniform(0, 2 * math.pi, size=2)
-        u1 = UnitaryAutomorphism(math.cos(theta1), math.sin(theta1))
-        u2 = UnitaryAutomorphism(math.cos(theta2), math.sin(theta2))
+        u1, u2, u12 = (SymplecticMap(math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
+                       for t in (theta1, theta2, theta1 + theta2))
         g, h = (PolarizedPoint(*rng.uniform(-2, 2, size=3)) for _ in range(2))
-        one = apply_unitary(u1, apply_unitary(u2, g))
-        two = apply_unitary(unitary_compose(u1, u2), g)
+        one = apply_symplectic(u1, apply_symplectic(u2, g))
+        two = apply_symplectic(u12, g)
         assert max(abs(one.p - two.p), abs(one.q - two.q), abs(one.s - two.s)) <= 1e-12
-        gh = apply_unitary(u1, polarized_mul(g, h))
-        hg = polarized_mul(apply_unitary(u1, g), apply_unitary(u1, h))
+        gh = apply_symplectic(u1, polarized_mul(g, h))
+        hg = polarized_mul(apply_symplectic(u1, g), apply_symplectic(u1, h))
         assert max(abs(gh.p - hg.p), abs(gh.q - hg.q), abs(gh.s - hg.s)) <= 1e-12
 
 

@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 from heis_spectra import cli, invariants, spectrum, verify, weil_brezin
 from heis_spectra.cli import MAX_HERMITE_STEPS, MAX_SECTOR_SIZE, main
 from heis_spectra.group import PolarizedPoint, standard_rect
-from heis_spectra.invariants import (_nullity, fixed_subspace_dim, phi_pullback_matrix,
-                                     psi_pullback_matrix)
+from heis_spectra.invariants import _nullity, fixed_subspace_dim, pullback_matrices
 from heis_spectra.spectrum import MAX_COUNT_ENTRIES, MAX_SPECTRUM_LINES, enumerate_spectrum
 from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction
 from heis_spectra.weyl import manifold_tag
@@ -948,12 +947,12 @@ def test_dims_writes_a_huge_level_exactly(capsys):
     assert out.splitlines()[1] == f"-3,{lam},2,2,2,true"
 
 
-def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, power, pullback, tops):
+def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, power, tops):
     # the benchmark's ranges, both signs, N = 2l|n| up to 128 or 256: the orbit blocks write
     # the bytes that one dense SVD of I - M per row writes
     @functools.cache
     def dense_svals(n, lam, l):
-        M = pullback(n, lam, l).matrix
+        M = pullback_matrices(power, [n], [lam], l)[0]
         return svd_of(M.tobytes(), len(M))
 
     @functools.cache
@@ -986,12 +985,12 @@ def _dims_bytes_equal_the_dense_route(capsys, monkeypatch, manifold, power, pull
 
 
 def test_dims_quarter_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", 1, psi_pullback_matrix,
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi2", 1,
                                       ((1, 36), (2, 24), (3, 18), (4, 16)))
 
 
 def test_dims_half_turn_bytes_equal_the_dense_route(capsys, monkeypatch):
-    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", 2, phi_pullback_matrix,
+    _dims_bytes_equal_the_dense_route(capsys, monkeypatch, "gamma-pi", 2,
                                       ((1, 80), (2, 56), (3, 40), (4, 32)))
 
 
@@ -1047,7 +1046,7 @@ def test_dims_counts_a_quarter_turn_row_just_above_the_floor(capsys):
                       "--lam", "2", "--tol", "1e-14")
     assert rc == 0
     assert out == "n,lambda,closed,oracle,character,agree\n7,2,3,3,3,true\n"
-    assert fixed_subspace_dim(psi_pullback_matrix(7, 2, 1), 1e-14) == 3
+    assert fixed_subspace_dim(pullback_matrices(1, [7], [2], 1)[0], 1e-14) == 3
 
 
 def test_runtime_never_imports_scipy():
@@ -1194,10 +1193,14 @@ def test_verify_takes_its_checks_as_columns(monkeypatch):
         monkeypatch.setitem(verify.SUITES, name, run)
     monkeypatch.setattr(weil_brezin, "_psi", counted("_psi", weil_brezin._psi))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    for name in ("phi_pullback_matrix", "psi_pullback_matrix"):
-        monkeypatch.setattr(invariants, name, counted("one-row", getattr(invariants, name)))
-        if hasattr(verify, name):
-            monkeypatch.setattr(verify, name, counted("one-row", getattr(verify, name)))
+    stacks = verify.pullback_matrices
+
+    def counted_stacks(power, ns, lams, l):  # a stack of one row: one matrix at a time
+        if len(ns) == 1:
+            calls.update([(suite[0], "one-row")])
+        return stacks(power, ns, lams, l)
+
+    monkeypatch.setattr(verify, "pullback_matrices", counted_stacks)
     monkeypatch.setattr(verify, "gauss_sum_direct", counted("gauss", verify.gauss_sum_direct))
     results = verify.run_suites(["pullback", "dims", "characters", "gauss"])
     assert all(r.passed for r in results), results

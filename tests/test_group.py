@@ -3,22 +3,24 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heis_spectra.group import (
     BieberbachSpec,
     LatticeSpec,
     PolarizedPoint,
+    RigidMotion,
     StandardPoint,
     SymplecticMap,
-    UnitaryAutomorphism,
     apply_symplectic,
-    apply_unitary,
     gamma_pi,
     gamma_pi_half,
     identity_motion,
     lattice_contains,
     motion_apply,
     motion_compose,
+    motion_coords,
     motion_inverse,
     motion_power,
     phi_generator,
@@ -35,7 +37,6 @@ from heis_spectra.group import (
     standard_to_polarized,
     torsion_witness,
     translation_motion,
-    unitary_compose,
 )
 
 TOL = 1e-12
@@ -104,41 +105,63 @@ def test_coordinate_change_is_homomorphism():
         assert _close(inv, polarized_inverse(standard_to_polarized(a)))
 
 
+def _rotation(theta):
+    """The rotation (p, q) |-> (p cos - q sin, p sin + q cos) by theta as a symplectic map."""
+    return SymplecticMap(math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta))
+
+
+def _turn(r):
+    """The motion i^r with no translation."""
+    return RigidMotion(polarized_identity(), r)
+
+
 def test_unitary_specializations():
     g = PolarizedPoint(1.3, -0.7, 2.1)
-    assert _close(apply_unitary(UnitaryAutomorphism(1.0, 0.0), g), g)
-    h = apply_unitary(UnitaryAutomorphism(-1.0, 0.0), g)
+    assert _close(motion_apply(identity_motion(), g), g)
+    h = motion_apply(_turn(2), g)
     assert _close(h, PolarizedPoint(-1.3, 0.7, 2.1))
-    k = apply_unitary(UnitaryAutomorphism(0.0, 1.0), g)
+    k = motion_apply(_turn(1), g)
     assert _close(k, PolarizedPoint(0.7, 1.3, 2.1 - 1.3 * (-0.7)))
 
 
 def test_unitary_is_automorphism():
+    # every rotation of U(1), not only the quarter turns
     rng = np.random.default_rng(10)
     for _ in range(500):
-        theta = rng.uniform(0, 2 * math.pi)
-        u = UnitaryAutomorphism(math.cos(theta), math.sin(theta))
+        u = _rotation(rng.uniform(0, 2 * math.pi))
         g, h = _rand_point(rng), _rand_point(rng)
-        assert _close(apply_unitary(u, polarized_mul(g, h)),
-                      polarized_mul(apply_unitary(u, g), apply_unitary(u, h)), 1e-11)
+        assert _close(apply_symplectic(u, polarized_mul(g, h)),
+                      polarized_mul(apply_symplectic(u, g), apply_symplectic(u, h)), 1e-11)
 
 
 def test_unitary_composition_matches_complex_multiplication():
+    # the lifts compose as e^(i t1) e^(i t2), and the quarter turns add their counts
     rng = np.random.default_rng(11)
     for _ in range(200):
         t1, t2 = rng.uniform(0, 2 * math.pi, size=2)
-        u = UnitaryAutomorphism(math.cos(t1), math.sin(t1))
-        v = UnitaryAutomorphism(math.cos(t2), math.sin(t2))
-        w = unitary_compose(u, v)
-        z = complex(u.A, u.B) * complex(v.A, v.B)
+        w = _rotation(t1 + t2)
+        z = complex(math.cos(t1), math.sin(t1)) * complex(math.cos(t2), math.sin(t2))
         assert abs(w.A - z.real) <= TOL and abs(w.B - z.imag) <= TOL
         g = _rand_point(rng)
-        assert _close(apply_unitary(w, g), apply_unitary(u, apply_unitary(v, g)), 1e-11)
+        assert _close(apply_symplectic(w, g),
+                      apply_symplectic(_rotation(t1), apply_symplectic(_rotation(t2), g)), 1e-11)
+        r1, r2 = (int(r) for r in rng.integers(0, 4, size=2))
+        turns = motion_compose(_turn(r1), _turn(r2)).turns
+        assert turns == (r1 + r2) % 4 and abs(1j**r1 * 1j**r2 - 1j**turns) <= TOL
+        assert _close(motion_apply(_turn(turns), g),
+                      motion_apply(_turn(r1), motion_apply(_turn(r2), g)), 1e-11)
 
 
 def test_unitary_norm_validated():
+    # a + ib off the unit circle is refused: a^2 + b^2 is the determinant of its map
     with pytest.raises(ValueError):
-        UnitaryAutomorphism(1.0, 1.0)
+        SymplecticMap(1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("turns", [-1, 4, 5, 1.0, 2.5, "1", None])
+def test_a_motion_refuses_turns_outside_zero_to_three(turns):
+    with pytest.raises(ValueError, match="turns must be an integer in 0..3"):
+        RigidMotion(polarized_identity(), turns)
 
 
 def test_symplectic_determinant_validated():
@@ -180,22 +203,30 @@ def test_scaling_map_carries_square_lattice_to_rect():
 
 
 def test_motion_semidirect_product_law():
+    # (t1, U1)(t2, U2) = (t1 * U1(t2), U1 U2) and (t, U)^-1 = (U^-1(t^-1), U^-1): at
+    # every angle, with (t, theta) moving g to t * U(g), and for the motions of the
+    # program, whose angles are quarter turns
+    def move(t, theta, g):
+        return polarized_mul(t, apply_symplectic(_rotation(theta), g))
+
     rng = np.random.default_rng(14)
     for _ in range(300):
         t1, t2 = rng.uniform(0, 2 * math.pi, size=2)
-        m1 = type(identity_motion())(_rand_point(rng),
-                                     UnitaryAutomorphism(math.cos(t1), math.sin(t1)))
-        m2 = type(identity_motion())(_rand_point(rng),
-                                     UnitaryAutomorphism(math.cos(t2), math.sin(t2)))
-        g = _rand_point(rng)
+        a, b, g = _rand_point(rng), _rand_point(rng), _rand_point(rng)
+        assert _close(move(move(a, t1, b), t1 + t2, g), move(a, t1, move(b, t2, g)), 1e-10)
+        inverse = apply_symplectic(_rotation(-t1), polarized_inverse(a))
+        assert _close(move(move(a, t1, inverse), 0.0, g), g, 1e-10)
+        r1, r2 = (int(r) for r in rng.integers(0, 4, size=2))
+        m1, m2 = RigidMotion(a, r1), RigidMotion(b, r2)
         assert _close(motion_apply(motion_compose(m1, m2), g),
                       motion_apply(m1, motion_apply(m2, g)), 1e-10)
         assert _close(motion_apply(motion_compose(m1, motion_inverse(m1)), g), g, 1e-10)
+        assert motion_compose(m1, motion_inverse(m1)).turns == 0
 
 
 def test_phi_squares_to_central_translation():
     sq = motion_power(phi_generator(), 2)
-    assert sq.rotation.A == 1.0 and sq.rotation.B == 0.0
+    assert sq.turns == 0
     assert _close(sq.translation, PolarizedPoint(0.0, 0.0, 1.0), 0.0)
 
 
@@ -203,11 +234,10 @@ def test_psi_powers():
     psi = psi_generator()
     sq = motion_power(psi, 2)
     phi = phi_generator()
-    assert abs(sq.rotation.A - phi.rotation.A) <= TOL
-    assert abs(sq.rotation.B - phi.rotation.B) <= TOL
+    assert sq.turns == phi.turns == 2
     assert _close(sq.translation, phi.translation, 0.0)
     fourth = motion_power(psi, 4)
-    assert fourth.rotation.A == 1.0 and fourth.rotation.B == 0.0
+    assert fourth.turns == 0
     assert _close(fourth.translation, PolarizedPoint(0.0, 0.0, 1.0), 0.0)
 
 
@@ -253,7 +283,7 @@ def test_reduce_rect_spot_check():
     g0, motion = reduce_to_fundamental_domain(standard_rect(1), PolarizedPoint(1.5, 0.25, 0.75))
     assert _close(g0, PolarizedPoint(0.5, 0.25, 0.5))
     assert _close(motion.translation, PolarizedPoint(1.0, 0.0, 0.0))
-    assert motion.rotation.A == 1.0 and motion.rotation.B == 0.0
+    assert motion.turns == 0
 
 
 @pytest.mark.parametrize("spec", [standard_rect(1), standard_rect(3), scaled_square(1), scaled_square(2)])
@@ -331,10 +361,123 @@ def test_torsion_witness_rejects_nonlattice_point():
         torsion_witness(PolarizedPoint(0.5, 0.0, 0.0), gamma_pi(1))
 
 
+def _unitary_lift(a, b):
+    """The float lift of the rotation (p, q) |-> (ap - bq, bp + aq), a^2 + b^2 = 1, as
+    motions took it before they held quarter-turn counts: a reference for their bits."""
+    def lift(g):
+        p, q = g.p, g.q
+        s = g.s + 0.5 * (a * b * (p * p - q * q) + (a * a - b * b - 1.0) * p * q)
+        return PolarizedPoint(a * p - b * q, b * p + a * q, s)
+    return lift
+
+
+# the reference motions: (translation, (a, b)), moving g to translation * lift(g)
+_REF_GENERATORS = {"gamma-pi": (PolarizedPoint(0.0, 0.0, 0.5), (-1.0, 0.0)),
+                   "gamma-pi-half": (PolarizedPoint(0.0, 0.0, 0.25), (0.0, 1.0))}
+_TURN_OF = {(1.0, 0.0): 0, (0.0, 1.0): 1, (-1.0, 0.0): 2, (0.0, -1.0): 3}  # a + ib = i^r
+
+
+def _ref_apply(m, g):
+    t, (a, b) = m
+    return polarized_mul(t, _unitary_lift(a, b)(g))
+
+
+def _ref_compose(m1, m2):
+    (a1, b1), (a2, b2) = m1[1], m2[1]
+    return _ref_apply(m1, m2[0]), (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+
+
+def _ref_power(m, k):
+    if k < 0:
+        t, (a, b) = m
+        return _ref_power((_unitary_lift(a, -b)(polarized_inverse(t)), (a, -b)), -k)
+    out = (polarized_identity(), (1.0, 0.0))
+    for _ in range(k):
+        out = _ref_compose(out, m)
+    return out
+
+
+def _same_motion(m, ref):
+    """Whether a motion equals a reference motion, its translation bit for bit."""
+    return repr(m.translation) == repr(ref[0]) and m.turns == _TURN_OF[ref[1]]
+
+
+def _sweep_points():
+    """The points of the sweeps above, as floats, with their seeds and scales, and
+    points of scale 1e6 and with signed zeros."""
+    points = []
+    for seed, scale in ((7, 5.0), (10, 5.0), (14, 5.0), (15, 8.0), (16, 6.0), (17, 3.0)):
+        rng = np.random.default_rng(seed)
+        points += [PolarizedPoint(*map(float, rng.uniform(-scale, scale, 3)))
+                   for _ in range(200)]
+    rng = np.random.default_rng(20)
+    points += [PolarizedPoint(*map(float, rng.normal(0.0, 1e6, 3))) for _ in range(200)]
+    points += [PolarizedPoint(p, q, s) for p in (0.0, -0.0, 1.5) for q in (0.0, -0.0, -2.5)
+               for s in (0.0, -0.0, 0.75)]
+    return points
+
+
+def test_motions_keep_the_bits_of_the_float_lift():
+    # at each quarter turn, behind no, a central and a general translation, and for
+    # the powers k = -5..5 of both generators, repr telling -0.0 from 0.0
+    points = _sweep_points()
+    for r, rotation in enumerate(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))):
+        for t in (PolarizedPoint(0.0, 0.0, 0.0), PolarizedPoint(0.0, 0.0, 0.25),
+                  PolarizedPoint(1.25, -0.5, 3.0)):
+            m = RigidMotion(t, r)
+            for g in points:
+                assert repr(motion_apply(m, g)) == repr(_ref_apply((t, rotation), g))
+    for spec in (gamma_pi(1), gamma_pi_half(1)):
+        for k in range(-5, 6):
+            m, ref = motion_power(spec.generator, k), _ref_power(_REF_GENERATORS[spec.kind], k)
+            assert _same_motion(m, ref), (spec.kind, k)
+            for g in points[::10]:
+                assert repr(motion_apply(m, g)) == repr(_ref_apply(ref, g))
+
+
+def test_motion_coords_on_arrays_equals_motion_apply_bit_for_bit():
+    rng = np.random.default_rng(21)
+    p = np.concatenate([rng.uniform(-5, 5, 40), [0.0, -0.0, 1e6]])[:, None]
+    q = np.concatenate([rng.uniform(-5, 5, 20), [0.0, -0.0]])[None, :]
+    s = -0.0
+    for r in range(4):
+        for t in (PolarizedPoint(0.0, 0.0, 0.0), PolarizedPoint(1.25, -0.5, 3.0)):
+            m = RigidMotion(t, r)
+            got = np.stack(np.broadcast_arrays(*motion_coords(m, p, q, s)), axis=-1)
+            want = np.array([[tuple(vars(motion_apply(m, PolarizedPoint(pi, qj, s))).values())
+                              for qj in q[0].tolist()] for pi in p[:, 0].tolist()])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_HUGE = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(p=_HUGE, q=_HUGE, s=_HUGE)
+@example(p=1e200, q=0.0, s=0.0)
+@example(p=2e154, q=1.0, s=0.0)
+@example(p=1e300, q=-1e300, s=1e300)
+@example(p=1e300, q=1e8, s=0.0)
+def test_the_generators_move_points_of_any_size(p, q, s):
+    # phi(p, q, s) = (-p, -q, s + 1/2) and psi(p, q, s) = (-q, p, s - pq + 1/4), refused
+    # only where that value is not a float
+    g = PolarizedPoint(p, q, s)
+    h = motion_apply(phi_generator(), g)
+    assert (h.p, h.q, h.s) == (-p, -q, s + 0.5)
+    want = (-q, p, s - p * q + 0.25)
+    if math.isfinite(want[2]):
+        k = motion_apply(psi_generator(), g)
+        assert (k.p, k.q, k.s) == want
+    else:
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            motion_apply(psi_generator(), g)
+
+
 def _reference_reduction(spec, g):
-    """reduce_to_fundamental_domain of a quotient with every coset motion taken by
-    motion_power at the call, as it was before the motions were read from a table."""
-    base, gen = spec.base_lattice, spec.generator
+    """reduce_to_fundamental_domain of a quotient with every coset motion a reference
+    motion, taken by _ref_power at the call, as it was before motions held quarter-turn
+    counts and were read from a table."""
+    base, gen = spec.base_lattice, _REF_GENERATORS[spec.kind]
 
     def box(h):
         sp, sq = base.steps
@@ -345,7 +488,7 @@ def _reference_reduction(spec, g):
     if spec.kind == "gamma-pi":
         best = None
         for k in (0, 1):
-            xi, eta, p0, q0, s_shift = box(motion_apply(motion_power(gen, -k), g))
+            xi, eta, p0, q0, s_shift = box(_ref_apply(_ref_power(gen, -k), g))
             w = s_shift - 0.5 * q0
             frac = w - math.floor(w)
             cand = (frac, k, xi, eta, p0, q0, s_shift)
@@ -357,11 +500,11 @@ def _reference_reduction(spec, g):
         _, k, xi, eta, p0, q0, s_shift = best
         m = math.floor(s_shift - 0.5 * q0)
         return (PolarizedPoint(p0, q0, s_shift - m),
-                motion_compose(motion_power(gen, k),
-                               translation_motion(PolarizedPoint(xi, eta, float(m)))))
+                _ref_compose(_ref_power(gen, k),
+                             (PolarizedPoint(xi, eta, float(m)), (1.0, 0.0))))
     candidates = []
     for k in range(4):
-        xi, eta, p0, q0, s_shift = box(motion_apply(motion_power(gen, -k), g))
+        xi, eta, p0, q0, s_shift = box(_ref_apply(_ref_power(gen, -k), g))
         m = math.floor(s_shift)
         candidates.append(((p0, q0, s_shift - m), k, PolarizedPoint(xi, eta, float(m))))
 
@@ -378,14 +521,14 @@ def _reference_reduction(spec, g):
         if lex_less(cand[0], best[0]):
             best = cand
     trip, k, nu = best
-    return PolarizedPoint(*trip), motion_compose(motion_power(gen, k), translation_motion(nu))
+    return PolarizedPoint(*trip), _ref_compose(_ref_power(gen, k), (nu, (1.0, 0.0)))
 
 
 @pytest.mark.parametrize("spec", [gamma_pi(1), gamma_pi(2), gamma_pi_half(1), gamma_pi_half(2),
                                   gamma_pi_half(3)])
 def test_reduction_reads_the_coset_motions_with_their_bits(spec):
     # the sweeps of the roundtrip and orbit tests above: every (g0, motion) equals the
-    # reference's, which builds each coset motion by motion_power, bit for bit
+    # reference's, which builds each coset motion from the float lift, bit for bit
     sp, sq = spec.base_lattice.steps
     points = []
     for seed, scale in ((16, 6.0), (17, 3.0)):
@@ -399,4 +542,6 @@ def test_reduction_reads_the_coset_motions_with_their_bits(spec):
                                motion_power(spec.generator, int(rng.integers(0, spec.index))))
         points += [g, motion_apply(gamma, g)]
     for g in points:  # repr tells -0.0 from 0.0
-        assert repr(reduce_to_fundamental_domain(spec, g)) == repr(_reference_reduction(spec, g))
+        g0, motion = reduce_to_fundamental_domain(spec, g)
+        ref_g0, ref_motion = _reference_reduction(spec, g)
+        assert repr(g0) == repr(ref_g0) and _same_motion(motion, ref_motion)

@@ -24,7 +24,6 @@ from heis_spectra.invariants import (
     CoefficientVector,
     IllConditionedError,
     _UNITS,
-    PullbackMatrix,
     _EIGENVALUES,
     _PHASES,
     _characters,
@@ -44,9 +43,7 @@ from heis_spectra.invariants import (
     gauss_sum,
     gauss_sum_direct,
     phi_constraint_solve,
-    phi_pullback_matrix,
     psi_constraint_solve,
-    psi_pullback_matrix,
     pullback_matrices,
     sector_multiplicities,
 )
@@ -135,9 +132,9 @@ def test_structured_pullbacks_equal_the_entry_formulas():
     for n, l in SECTORS:
         kernel = _psi_kernel_loop(n, l)
         for lam in range(8):
-            assert np.array_equal(phi_pullback_matrix(n, lam, l).matrix, _phi_loop(n, lam, l))
+            assert np.array_equal(pullback_matrices(2, [n], [lam], l)[0], _phi_loop(n, lam, l))
             want = _psi_prefactor(n, lam, l) * kernel
-            assert np.max(np.abs(psi_pullback_matrix(n, lam, l).matrix - want)) < 1e-12
+            assert np.max(np.abs(pullback_matrices(1, [n], [lam], l)[0] - want)) < 1e-12
 
 
 def _dense_phi(n, lam, l):
@@ -164,20 +161,19 @@ def test_pullback_stacks_equal_the_one_row_builders_bit_for_bit():
     for l in range(1, 5):
         for m in range(1, 32 // (2 * l) + 1):
             ns, lams = zip(*[(n, lam) for n in (m, -m) for lam in range(6)])
-            for power, builder, formula in ((1, psi_pullback_matrix, _dense_psi),
-                                            (2, phi_pullback_matrix, _dense_phi)):
+            for power, formula in ((1, _dense_psi), (2, _dense_phi)):
                 stack = pullback_matrices(power, ns, lams, l)
                 assert stack.shape == (len(ns), 2 * l * m, 2 * l * m)
                 for row, n, lam in zip(stack, ns, lams):
-                    want = formula(n, lam, l).tobytes()
-                    assert row.tobytes() == builder(n, lam, l).matrix.tobytes() == want
+                    one_row = pullback_matrices(power, [n], [lam], l)[0].tobytes()
+                    assert row.tobytes() == one_row == formula(n, lam, l).tobytes()
 
 
 def test_one_row_builders_keep_their_bits():
     # n in +-1..9, lam 0..3, l 1..3
     for n, lam, l in itertools.product([*range(-9, 0), *range(1, 10)], range(4), range(1, 4)):
-        assert phi_pullback_matrix(n, lam, l).matrix.tobytes() == _dense_phi(n, lam, l).tobytes()
-        assert psi_pullback_matrix(n, lam, l).matrix.tobytes() == _dense_psi(n, lam, l).tobytes()
+        assert pullback_matrices(2, [n], [lam], l)[0].tobytes() == _dense_phi(n, lam, l).tobytes()
+        assert pullback_matrices(1, [n], [lam], l)[0].tobytes() == _dense_psi(n, lam, l).tobytes()
 
 
 def test_pullback_stacks_refuse_mixed_sizes_and_bad_rows():
@@ -202,14 +198,15 @@ def test_constraint_bases_span_the_displayed_relations():
     for n, l in [(n, l) for n, l in SECTORS if l <= 3 and abs(n) <= 6] + [(-32, 4)]:
         kernel = _psi_kernel_loop(n, l)
         for lam in range(4):
-            for solver, pullback, closed, rows in (
-                    (phi_constraint_solve, phi_pullback_matrix, dim_phi_invariant,
+            for solver, power, closed, rows in (
+                    (phi_constraint_solve, 2, dim_phi_invariant,
                      _phi_relation_rows(n, lam, l)),
-                    (psi_constraint_solve, psi_pullback_matrix, dim_psi_invariant,
+                    (psi_constraint_solve, 1, dim_psi_invariant,
                      np.eye(kernel.shape[0]) - _psi_prefactor(n, lam, l) * kernel)):
                 basis = solver(n, lam, l)
                 want = null_space(rows)
-                assert len(basis) == want.shape[1] == fixed_subspace_dim(pullback(n, lam, l))
+                M = pullback_matrices(power, [n], [lam], l)[0]
+                assert len(basis) == want.shape[1] == fixed_subspace_dim(M)
                 assert len(basis) == closed(n, lam, l)
                 if basis:
                     V = np.column_stack([v.entries for v in basis])
@@ -238,23 +235,23 @@ def test_psi_kernel_margin_at_large_sector():
     # N = 320: a float phase argument growing like k k'/N leaves the kernel of
     # psi - I near 1e-13; the integer reduction keeps it at rounding level
     n, lam, l = 40, 1, 4
-    M = psi_pullback_matrix(n, lam, l).matrix
+    M = pullback_matrices(1, [n], [lam], l)[0]
     svals = np.linalg.svd(M - np.eye(M.shape[0]), compute_uv=False)
     kernel = svals[-dim_psi_invariant(n, lam, l):]
     assert np.max(kernel) < 1e-14
 
 
 def test_phi_matrix_small_cases():
-    M = phi_pullback_matrix(1, 0, 1).matrix
+    M = pullback_matrices(2, [1], [0], 1)[0]
     assert np.allclose(M, -np.eye(2))
-    M = phi_pullback_matrix(2, 0, 1).matrix
+    M = pullback_matrices(2, [2], [0], 1)[0]
     # column (a=1,b=0) maps to (a=1,b=0) with entry +1
     assert M[2, 2] == 1.0
 
 
 def test_phi_matrix_is_signed_permutation():
     for n, lam, l in SWEEP:
-        M = phi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(2, [n], [lam], l)[0]
         phase = -1.0 if (n + lam) % 2 else 1.0
         for col in range(M.shape[1]):
             nz = np.nonzero(M[:, col])[0]
@@ -264,7 +261,7 @@ def test_phi_matrix_is_signed_permutation():
 
 
 def test_psi_matrix_small_case():
-    M = psi_pullback_matrix(1, 0, 1).matrix
+    M = pullback_matrices(1, [1], [0], 1)[0]
     want = (1j / math.sqrt(2)) * np.array([[1, 1], [1, -1]], dtype=complex)
     assert np.allclose(M, want, atol=1e-14)
     assert abs(np.trace(M)) < 1e-14
@@ -272,12 +269,12 @@ def test_psi_matrix_small_case():
 
 def test_psi_matrix_unitary_and_power_relations():
     for n, lam, l in SWEEP + [(6, 5, 3), (-6, 2, 3), (5, 8, 3)]:
-        M = psi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(1, [n], [lam], l)[0]
         dim = M.shape[0]
         assert np.linalg.norm(M.conj().T @ M - np.eye(dim)) < 1e-10
         M2 = M @ M
         assert np.linalg.norm(M2 @ M2 - np.eye(dim)) < 1e-10
-        Mphi = phi_pullback_matrix(n, lam, l).matrix
+        Mphi = pullback_matrices(2, [n], [lam], l)[0]
         assert np.max(np.abs(M2 - Mphi)) < 1e-10
 
 
@@ -285,8 +282,8 @@ def test_the_half_turn_is_the_quarter_turn_squared():
     # phi = psi^2 on the dense matrices, and so on the oracle's table: the squared
     # eigenvalues of each phase key are e = (-1)^r on C's runs and -e on S's
     for n, lam, l in SWEEP:
-        psi = psi_pullback_matrix(n, lam, l).matrix
-        assert np.abs(phi_pullback_matrix(n, lam, l).matrix - psi @ psi).max() < 1e-12
+        psi = pullback_matrices(1, [n], [lam], l)[0]
+        assert np.abs(pullback_matrices(2, [n], [lam], l)[0] - psi @ psi).max() < 1e-12
     for key, squares in enumerate(_EIGENVALUES**2):
         e = (-1) ** (key >> 1)
         assert squares.tolist() == [e, e, -e, -e]
@@ -294,8 +291,8 @@ def test_the_half_turn_is_the_quarter_turn_squared():
 
 def test_fixed_subspace_dim_basics():
     assert fixed_subspace_dim(np.eye(4)) == 4
-    assert fixed_subspace_dim(phi_pullback_matrix(1, 0, 1)) == 0
-    assert fixed_subspace_dim(psi_pullback_matrix(2, 2, 1)) == 2
+    assert fixed_subspace_dim(pullback_matrices(2, [1], [0], 1)[0]) == 0
+    assert fixed_subspace_dim(pullback_matrices(1, [2], [2], 1)[0]) == 2
 
 
 def test_fixed_subspace_dim_flags_threshold_band():
@@ -309,8 +306,8 @@ def test_a_stack_of_matrices_takes_one_batched_svd():
     # a stack (..., N, N) gives the int64 array of the one-matrix results; the first
     # refusing matrix in row-major order raises its error, that index as .row
     rows = [(n, lam, l) for n, lam, l in SWEEP + LARGER_SECTORS if 2 * l * abs(n) == 4]
-    matrices = [build(*row).matrix for row in rows
-                for build in (phi_pullback_matrix, psi_pullback_matrix)]
+    matrices = [pullback_matrices(power, [n], [lam], l)[0] for n, lam, l in rows
+                for power in (2, 1)]
     dims = fixed_subspace_dim(np.array(matrices).reshape(2, -1, 4, 4))
     assert dims.dtype == np.int64 and dims.shape == (2, len(matrices) // 2)
     assert dims.ravel().tolist() == [fixed_subspace_dim(M) for M in matrices]
@@ -382,7 +379,8 @@ def test_quarter_turn_basis_and_oracle_count_alike_on_real_sectors():
 def test_one_dense_svd_per_psi_sector_and_no_svd_per_half_turn_row():
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         # N = 128: the reference takes one dense SVD of I - M
-        assert fixed_subspace_dim(psi_pullback_matrix(16, 1, 4)) == dim_psi_invariant(16, 1, 4)
+        M = pullback_matrices(1, [16], [1], 4)[0]
+        assert fixed_subspace_dim(M) == dim_psi_invariant(16, 1, 4)
         assert [call.args[0].shape for call in svd.call_args_list] == [(128, 128)]
         svd.reset_mock()
         # the half-turn is e on the reversal's even orbit vectors and -e on its odd
@@ -420,7 +418,7 @@ def test_quarter_turn_splits_into_the_two_orbit_blocks(sector, lam, negative):
     l, m = sector
     dim = 2 * l * m
     n = -m if negative else m
-    M = psi_pullback_matrix(n, lam, l).matrix
+    M = pullback_matrices(1, [n], [lam], l)[0]
     Q = _orbit_basis(n, l)
     assert np.allclose(Q.T @ Q, np.eye(dim), rtol=0, atol=1e-15)
     B = Q.T @ M @ Q
@@ -536,7 +534,7 @@ def test_half_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, negat
     l, m = sector
     n = -m if negative else m
     assert (_outcome(phi_one_row, n, lam, l, tol)
-            == _outcome(fixed_subspace_dim, phi_pullback_matrix(n, lam, l), tol))
+            == _outcome(fixed_subspace_dim, pullback_matrices(2, [n], [lam], l)[0], tol))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -551,7 +549,7 @@ def test_quarter_turn_oracle_counts_and_refuses_as_the_dense_svd(sector, lam, ne
     # 1e-20, and at 1e-14 once N > 22)
     l, m = sector
     n = -m if negative else m
-    M = psi_pullback_matrix(n, lam, l).matrix
+    M = pullback_matrices(1, [n], [lam], l)[0]
     oracle = _outcome(psi_one_row, n, lam, l, tol)
     dense = _outcome(fixed_subspace_dim, M, tol)
     if oracle != dense:
@@ -582,7 +580,8 @@ def test_rank_rule_refuses_a_tol_below_its_floor():
     assert _nullity(svals, 1.01 * floor) == _nullity(svals, 1e-12) == 64
     assert _nullity(np.zeros(4), 1e-300) == 4  # M = I: the floor is 0
     for count in (phi_one_row, psi_one_row,
-                  lambda *args: fixed_subspace_dim(phi_pullback_matrix(*args[:3]), args[3])):
+                  lambda n, lam, l, tol:
+                      fixed_subspace_dim(pullback_matrices(2, [n], [lam], l)[0], tol)):
         with pytest.raises(ValueError, match="floor"):
             count(15, 0, 1, 1e-20)
 
@@ -757,9 +756,10 @@ def test_dim_psi_closed_form():
 
 def test_oracle_equivalence_subset():
     for n, lam, l in SWEEP + LARGER_SECTORS:
-        assert fixed_subspace_dim(phi_pullback_matrix(n, lam, l)) == dim_phi_invariant(n, lam, l)
+        half, quarter = (pullback_matrices(power, [n], [lam], l)[0] for power in (2, 1))
+        assert fixed_subspace_dim(half) == dim_phi_invariant(n, lam, l)
         assert phi_one_row(n, lam, l) == dim_phi_invariant(n, lam, l)
-        assert fixed_subspace_dim(psi_pullback_matrix(n, lam, l)) == dim_psi_invariant(n, lam, l)
+        assert fixed_subspace_dim(quarter) == dim_psi_invariant(n, lam, l)
         assert psi_one_row(n, lam, l) == dim_psi_invariant(n, lam, l)
 
 
@@ -839,7 +839,7 @@ def test_characters_match_matrix_traces():
         values = character_values(*zip(*rows), l)
         mults = sector_multiplicities(values)
         for (n, lam), t, mult in zip(rows, values, mults):
-            M = psi_pullback_matrix(n, lam, l).matrix
+            M = pullback_matrices(1, [n], [lam], l)[0]
             power = np.eye(M.shape[0], dtype=complex)
             for m in range(4):
                 assert abs(np.trace(power) - t[m]) < 1e-9
@@ -875,7 +875,7 @@ def test_phi_constraints_dimensions_and_span():
     for n, lam, l in [(2, 0, 1), (3, 1, 1), (-2, 1, 2), (-1, 0, 1), (4, 2, 1)]:
         basis = phi_constraint_solve(n, lam, l)
         assert len(basis) == dim_phi_invariant(n, lam, l)
-        M = phi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(2, [n], [lam], l)[0]
         if basis:
             V = np.column_stack([v.entries for v in basis])
             assert np.linalg.norm(V.conj().T @ V - np.eye(len(basis))) < 1e-10
@@ -888,7 +888,7 @@ def test_psi_constraints_dimensions_and_span():
     for n, lam, l in [(2, 2, 1), (3, 1, 1), (-2, 0, 1), (2, 1, 2), (-3, 3, 1)]:
         basis = psi_constraint_solve(n, lam, l)
         assert len(basis) == dim_psi_invariant(n, lam, l)
-        M = psi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(1, [n], [lam], l)[0]
         if basis:
             V = np.column_stack([v.entries for v in basis])
             assert np.linalg.norm(V.conj().T @ V - np.eye(len(basis))) < 1e-10
@@ -898,13 +898,12 @@ def test_psi_constraints_dimensions_and_span():
 def test_constraint_span_equals_oracle_eigenspace():
     # projector onto the constraint span vs projector onto the +1 eigenspace
     for n, lam, l in [(2, 0, 1), (-3, 1, 1), (2, 2, 1)]:
-        for solver, builder in ((phi_constraint_solve, phi_pullback_matrix),
-                                (psi_constraint_solve, psi_pullback_matrix)):
+        for solver, power in ((phi_constraint_solve, 2), (psi_constraint_solve, 1)):
             basis = solver(n, lam, l)
             if not basis:
                 continue
             V = np.column_stack([v.entries for v in basis])
-            M = builder(n, lam, l).matrix
+            M = pullback_matrices(power, [n], [lam], l)[0]
             w, vecs = np.linalg.eig(M)
             E = vecs[:, np.abs(w - 1) < 1e-8]
             E, _ = np.linalg.qr(E)
@@ -964,12 +963,11 @@ def test_combination_reads_its_weights_without_a_sort(monkeypatch):
 
 def test_constraint_bases_take_no_svd_and_no_dense_matrix():
     with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
-          mock.patch.object(invariants, "phi_pullback_matrix", wraps=phi_pullback_matrix) as phi,
-          mock.patch.object(invariants, "psi_pullback_matrix", wraps=psi_pullback_matrix) as psi):
+          mock.patch.object(invariants, "pullback_matrices", wraps=pullback_matrices) as dense):
         for n, lam, l in ((128, 1, 1), (-4, 2, 2), (1, 0, 1), (128, 0, 1), (-3, 1, 2), (-5, 3, 1)):
             assert len(phi_constraint_solve(n, lam, l)) == dim_phi_invariant(n, lam, l)
             assert len(psi_constraint_solve(n, lam, l)) == dim_psi_invariant(n, lam, l)
-        assert svd.call_count == phi.call_count == psi.call_count == 0
+        assert svd.call_count == dense.call_count == 0
 
 
 @pytest.mark.parametrize("n,l", [(512, 1), (-256, 2)])
@@ -979,15 +977,15 @@ def test_quarter_turn_basis_at_n_1024(n, l):
     for lam in range(4):
         V = np.column_stack([v.entries for v in psi_constraint_solve(n, lam, l)])
         assert V.shape == (1024, dim_psi_invariant(n, lam, l))
-        M = psi_pullback_matrix(n, lam, l).matrix
+        M = pullback_matrices(1, [n], [lam], l)[0]
         assert np.abs(M @ V - V).max() < 1e-12
         assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-12
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        phi_pullback_matrix(0, 0, 1)
+        pullback_matrices(2, [0], [0], 1)[0]
     with pytest.raises(ValueError):
-        psi_pullback_matrix(1, -1, 1)
+        pullback_matrices(1, [1], [-1], 1)[0]
     with pytest.raises(ValueError):
         dim_psi_invariant(1, 0, 0)
