@@ -12,9 +12,8 @@ On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
 its weights read through `_residue_order`, the closed-form inverse of the index;
 its window is the contiguous run of points m/N within the seed's reach, so each
 dropped term is under tol/10 of sup|psi_lam| and the tail is at most
-~tol sup|psi_lam| sum |c|.  With the N unit vectors as its columns of weights the
-same series gives the whole basis f^{a,b} at a point from one Hermite call
-(`sector_basis_values`).  The dense pullbacks are built as stacks of rows of one
+~tol sup|psi_lam| sum |c|.  Its terms summed by residue give the whole basis
+f^{a,b} at a point from one Hermite call (`sector_basis_values`).  The dense pullbacks are built as stacks of rows of one
 size (`pullback_matrices`), one table per sign of n; the one-row builders are its
 one-row case.  Both invariant bases are reversal orbit vectors
 (`_orbit_basis`): the half-turn's even (e = 1) or odd (e = -1) ones in closed
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import LatticeSpec, symplectic_coords
-from .weil_brezin import _hermite_seed, _residue_series
+from .weil_brezin import _hermite_seed, _residue_series, _residue_sums
 
 
 _EPS = sys.float_info.epsilon
@@ -519,10 +518,10 @@ def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: Lattic
 def sector_basis_values(n: int, lam: int, lattice: LatticeSpec, pt,
                         tol: float = 1e-12) -> np.ndarray:
     """The N = 2l|n| values f^{a,b}(pt) of the sector's basis, a-major, on a quotient's
-    base lattice of covering width 2l, as one complex array: the series of
-    `eigenfunction_combination` with the unit vectors of the basis as its N columns of
-    weights, so one Hermite call, one exp and one product give them all.  It refuses
-    what `eigenfunction_combination` refuses, with ValueError."""
+    base lattice of covering width 2l, as one complex array: the window of
+    `eigenfunction_combination`'s series with its terms summed by residue, so one
+    Hermite call, one exp and two bincounts give them all, in O(window + N) memory.
+    It refuses what `eigenfunction_combination` refuses, with ValueError."""
     l, odd = divmod(lattice.covering_width, 2)
     if odd:
         raise ValueError(f"{lattice} has odd covering width; a sector's basis is indexed "
@@ -533,5 +532,6 @@ def sector_basis_values(n: int, lam: int, lattice: LatticeSpec, pt,
     p, q, s = pt.p, pt.q, pt.s
     if cover is not None:
         p, q, s = symplectic_coords(cover, p, q, s)
-    weights = np.eye(2 * l * abs(n))[_residue_order(n, l)]  # f^{a,b} at residue k
-    return _residue_series(lam, scale, n, weights, p, q, s, tol)
+    values = np.empty(2 * l * abs(n), dtype=complex)
+    values[_residue_order(n, l)] = _residue_sums(lam, scale, n, values.size, p, q, s, tol)
+    return values

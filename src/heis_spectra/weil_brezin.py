@@ -167,15 +167,13 @@ def _series_value(n: int, window, q: float, s: float) -> complex:
         return _finite(complex(np.exp(2j * math.pi * n * s) * total))
 
 
-def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float, s: float,
+def _residue_window(lam: int, scale: float, n: int, size: int, p: float, q: float, s: float,
                     tol: float):
-    """e^{2 pi i n s} Sum_m w_{m mod N} psi_lam(scale (p + m/N)) e^{2 pi i n q m/N},
-    N = len(weights), on the smallest window that keeps the per-residue rule: the
-    m with |scale (p + m/N)| <= R (`_reach`), one Hermite call, one exp and one dot.
-    Weights of shape (N,) give one complex; weights of shape (N, K) give the K
-    series of their columns as an array, from the same seeds and phases.  A phase
-    that overflows, or a value that is not finite, raises ValueError."""
-    size = len(weights)
+    """The window of the series over (1/N)Z, N = size, that keeps the per-residue
+    rule: the m with |scale (p + m/N)| <= R (`_reach`), their seeds
+    psi_lam(scale (p + m/N)) from one Hermite call and their phases
+    e^{2 pi i n q m/N} from one exp, and the factor e^{2 pi i n s}, with p's
+    whole part moved into it.  A phase that overflows raises ValueError."""
     reach = _reach(lam, scale, p, tol)
     _check_phases(n, p, q, s, reach, tol)
     # p = j + f with j whole and f exact: the term m of p is the term m + jN of f,
@@ -188,10 +186,31 @@ def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float,
         raise ValueError(f"the phases at q = {q!r}, s = {s!r} overflow")
     ms = np.arange(m0, m1 + 1)
     seeds = _psi(lam, (scale / size) * (ms + size * f))
-    total = np.dot(weights[ms % size].T * seeds, np.exp((1j * step) * ms))
-    if total.ndim == 0:
-        return _finite(complex(total) * cmath.exp(1j * turn))
-    values = total * cmath.exp(1j * turn)
+    return ms, seeds, np.exp((1j * step) * ms), cmath.exp(1j * turn)
+
+
+def _residue_series(lam: int, scale: float, n: int, weights, p: float, q: float, s: float,
+                    tol: float) -> complex:
+    """e^{2 pi i n s} Sum_m w_{m mod N} psi_lam(scale (p + m/N)) e^{2 pi i n q m/N},
+    N = len(weights), on the window of `_residue_window`, by one dot.  A value that
+    is not finite raises ValueError."""
+    ms, seeds, phases, factor = _residue_window(lam, scale, n, len(weights), p, q, s, tol)
+    return _finite(complex(np.dot(weights[ms % len(weights)] * seeds, phases)) * factor)
+
+
+def _residue_sums(lam: int, scale: float, n: int, size: int, p: float, q: float, s: float,
+                  tol: float) -> np.ndarray:
+    """The N = size series of `_residue_series` whose weights are the unit vectors,
+    as one array indexed by residue: the terms of the window summed by m mod N,
+    two bincounts, in O(window + N) memory.  A value that is not finite raises
+    ValueError."""
+    ms, seeds, phases, factor = _residue_window(lam, scale, n, size, p, q, s, tol)
+    terms = seeds * phases
+    residues = ms % size
+    values = np.empty(size, dtype=complex)
+    values.real = np.bincount(residues, terms.real, size)
+    values.imag = np.bincount(residues, terms.imag, size)
+    values *= factor
     bad = ~np.isfinite(values)
     if bad.any():
         _finite(complex(values[bad][0]))

@@ -1065,6 +1065,41 @@ def test_runtime_never_imports_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_a_command_never_imports_argparse():
+    # the option table parses argv: a fresh interpreter running a dims table
+    # through cli.main loads no argparse
+    code = ("import sys\n"
+            "from heis_spectra import cli\n"
+            "assert cli.main(['dims', '--manifold', 'gamma-pi2', '--n', '3', '--lam', '1']) == 0\n"
+            "print('argparse' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_help_names_every_option_with_its_default():
+    src = Path(__file__).resolve().parent.parent / "src"
+    for name, command in cli.build_parser().items():
+        proc = subprocess.run([sys.executable, "-m", "heis_spectra.cli", name, "--help"],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(f"usage: heis-spectra {name} [-h]")
+        for option in command.options[1:]:
+            # an option's entry is its line, and the next one when its name is long
+            at = next(i for i, line in enumerate(lines)
+                      if line.startswith(f"  --{option.name} "))
+            entry = " ".join(lines[at:at + 2])
+            assert option.help in entry
+            if option.required:
+                assert "(required)" in entry
+            elif option.default is not None:
+                assert f"(default {option.default})" in entry
+
+
 def test_weyl_half_difference_column(capsys):
     rc, out = run_cli(capsys, "weyl", "--manifold", "gamma-pi", "--l", "1",
                       "--alpha", "0", "--samples", "6", "--tmax", "200")

@@ -327,15 +327,45 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
 @given(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 2), st.booleans(),
        st.integers(0, 20), points)
 def test_sector_basis_values_equal_the_basis_functions(n, l, square, lam, pt):
-    # one series with the N unit vectors as weights; each value is the one-point
-    # series of its basis function, within rounding and the tail bound as a
-    # combination with a single unit coefficient
+    # one window summed by residue; each value is the one-point series of its
+    # basis function, within rounding and the tail bound as a combination with a
+    # single unit coefficient
     lattice = scaled_square(l) if square else standard_rect(2 * l)
     got = sector_basis_values(n, lam, lattice, pt)
     want = np.array([wb_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
                      for a in range(abs(n)) for b in range(2 * l)])
     assert got.shape == want.shape == (2 * l * abs(n),) and got.dtype == complex
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 2e-12 * sup_psi(lam))
+
+
+@pytest.mark.parametrize("n,l,lattice,lam", [(2, 1, standard_rect(2), 3), (-3, 1, scaled_square(1), 0),
+                                             (4, 2, standard_rect(4), 6), (-2, 2, scaled_square(2), 7),
+                                             (1, 50, standard_rect(100), 2)])
+def test_sector_basis_values_equal_the_combinations_of_unit_vectors(n, l, lattice, lam):
+    # the same window's terms, summed by residue instead of by one dot per unit
+    # vector: each value is a sum of at most 2 reach + 1 terms of modulus at most
+    # sup|psi_lam| in another order, so they agree within 1e-13 sup|psi_lam|
+    dim = 2 * l * abs(n)
+    rng = np.random.default_rng(11)
+    for pt in (PolarizedPoint(*rng.uniform(-2, 2, 3)) for _ in range(3)):
+        got = sector_basis_values(n, lam, lattice, pt)
+        want = [eigenfunction_combination(CoefficientVector(n, l, unit + 0j), lam, lattice, pt)
+                for unit in np.eye(dim)]
+        assert np.all(np.abs(got - want) <= 1e-13 * sup_psi(lam))
+
+
+def test_sector_basis_values_hold_no_n_by_n_array():
+    # N = 600 at n = 1: a weight matrix of the window by N took 75 MB; the sums by
+    # residue hold the window and N values, about 0.4 MB
+    pt = PolarizedPoint(0.3, -0.7, 0.2)
+    tracemalloc.start()
+    try:
+        values = sector_basis_values(1, 3, standard_rect(600), pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (600,) and np.all(np.isfinite(values))
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("n,l,lattice", [(2, 1, standard_rect(2)), (-9, 2, scaled_square(2))])
