@@ -17,6 +17,7 @@ from __future__ import annotations
 import collections
 import functools
 import io
+import itertools
 import math
 import sys
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ from .group import (
 from .invariants import dims_columns
 from .spectrum import MAX_SPECTRUM_LINES, enumerate_spectrum, oscillator_eigenvalue
 from .verify import available_suites, run_suites
-from .weil_brezin import WBIndex, _point_phase_error, _reach, wb_eigenfunction_grid
+from .weil_brezin import WBIndex, wb_eigenfunction_grid
 from .weyl import (
     _ratio_grid,
     counting_columns,
@@ -150,28 +151,23 @@ def cmd_spectrum(args) -> int:
 
 
 # eigenfunction refuses a grid past this many Hermite recurrence steps: the
-# recurrence runs to order lam once per window length in each block of p-rows,
-# over all the rows of that length, so at most once for each of the 2g p-rows.
-# The largest allowed grid, --grid 1 at lam = 5e5 and n = 1, takes about 4 s
-# (2-core x86 box; at --tol 1e-12 the phase rule of _phase_error takes lam up to
-# about 1.7e5 at n = 1).
+# recurrence runs to order lam once, over the seeds of every row's window, which
+# rows i and i + g share, so 2 grid lam bounds it from above.  The largest allowed
+# grid, --grid 1 at lam = 5e5 and n = 1, takes about 3 s (2-core x86 box).
 MAX_HERMITE_STEPS = 10**6
 
 
-def _phase_error(n: int, lam: int, width: int, tol: float) -> float:
-    """A bound on the error the rounding of the phases puts into a difference of
-    two grid values, relative to the largest.
-
-    eigenfunction refuses an n where this passes --tol.  The series takes
-    e^{2 pi i n y} at y = s, below 2, and at y = (k + off) q on the rectangular
-    cover of width L, where q < L and |k + off| < 3 + reach for the window's
-    reach past the turning point (`_reach`).  The float 2 pi n y is three
-    roundings, off by up to 1.5 eps |2 pi n y|, and a difference such as
-    f(s + 1) - f(s) carries two of them.  So at --tol 1e-12 the grid of nl, l = 1, lam = 0 takes
-    |n| <= 69, and --n 10**300 is refused.
-    """
-    reach = _reach(lam, math.sqrt(2.0 * math.pi * abs(n)), 0.0, tol)
-    return _point_phase_error(n, 2.0, width, 2.0, reach)
+def _grid_block(heads, fields, values) -> str:
+    """The text of a block of grid rows, of values (rows, q, s): for each p its head
+    "p," and for each (q, s) its fields "q,s,", then the value's re and im from one
+    text column, so each distinct float is formatted once."""
+    texts = _text_column(values.view(float).ravel(), "%.17g")
+    table = np.empty((texts.size // 2, 6), dtype=object)
+    table[:, 0] = np.repeat(heads, fields.size)
+    table[:, 1] = np.tile(fields, heads.size)
+    table[:, 2], table[:, 3] = texts[0::2], ","
+    table[:, 4], table[:, 5] = texts[1::2], "\n"
+    return "".join(table.ravel().tolist())
 
 
 def cmd_eigenfunction(args) -> int:
@@ -189,31 +185,25 @@ def cmd_eigenfunction(args) -> int:
     if 2 * args.grid * args.lam > MAX_HERMITE_STEPS:
         raise ValueError(f"the grid would take 2 grid lam = {2 * args.grid * args.lam} Hermite "
                          f"recurrence steps, above the limit of {MAX_HERMITE_STEPS}")
-    if args.n and args.tol > 0 and _phase_error(args.n, args.lam, manifold.covering_width,
-                                                args.tol) > args.tol:
-        raise ValueError(f"|n| = {abs(args.n):.6g} is too large for --tol {args.tol!r}: the "
-                         f"rounding of the phases e^(2 pi i n y) may pass it")
     idx = WBIndex(args.n, args.a, args.b, manifold.covering_width)
     value = oscillator_eigenvalue(args.n, args.lam, args.alpha)
     sp, sq = manifold.steps
     g = args.grid
-    # p and s cover two periods so periodicity is visible inside one file
-    ps = [i * sp / g for i in range(2 * g)]
-    qs = [k * sq / g for k in range(g)]
-    ss = [m / g for m in range(2 * g)]
     # every row is made before the file is opened, so a refused row leaves none
     parts = ["# eigenfunction n=%d a=%d b=%d lambda=%d lattice=%s\n"
              "# eigenvalue=%.17g alpha=%.17g tol=%.17g\np,q,s,re,im\n"
              % (args.n, args.a, args.b, args.lam, manifold_tag(manifold),
                 value, args.alpha, args.tol)]
-    rows = wb_eigenfunction_grid(idx, args.lam, manifold, ps, qs, ss, args.tol)
-    # every row repeats the same (q, s) fields: one template per row, with p and
-    # them baked in, takes the row's values interleaved, re and im of each in turn
-    qs_fields = ["%.17g,%.17g,%%.17g,%%.17g" % (q, s) for q in qs for s in ss]
-    for p, vals in zip(ps, rows):
-        head = "%.17g," % p
-        row = head + ("\n" + head).join(qs_fields) + "\n"
-        parts.append(row % tuple(vals.view(float).ravel().tolist()))
+    rows = wb_eigenfunction_grid(idx, args.lam, manifold, g, args.tol)
+    # p and s cover two periods so periodicity is visible inside one file; the
+    # (q, s) fields are the same in every row, and are written once
+    heads, qs, ss = (np.array(["%.17g," % (i * step / g) for i in range(count)], dtype=object)
+                     for step, count in ((sp, 2 * g), (sq, g), (1.0, 2 * g)))
+    fields = np.add.outer(qs, ss).ravel()
+    size = max(1, _ROWS_AT_ONCE // fields.size)
+    for first in range(0, 2 * g, size):
+        block = np.array(list(itertools.islice(rows, size)))
+        parts.append(_grid_block(heads[first:first + len(block)], fields, block))
     _write_output(args.out, parts)
     return 0
 

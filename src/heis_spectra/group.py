@@ -89,28 +89,19 @@ class SymplecticMap:
         if abs(self.A * self.D - self.B * self.C - 1.0) > 1e-12:
             raise ValueError("AD - BC must equal 1")
 
-    @functools.cached_property
-    def _integral(self) -> bool:
-        """Whether every entry is an integer, as for the quarter turns."""
-        return all(float(v).is_integer() for v in (self.A, self.B, self.C, self.D))
-
 
 def symplectic_coords(m: SymplecticMap, p, q, s):
     """The map on coordinates: floats, or numpy arrays that broadcast together.
 
-    As AD - BC = 1 the correction is also AC q^2/2 + BC pq + BD p^2/2.  A map of
-    integer entries takes it in that form, each coefficient applied before a
-    coordinate, so no product leaves the float range unless the image does (a
-    half-turn adds zero, a quarter-turn -pq).  Any other map, such as
-    `scaling_map`, takes the product above, whose roundings the values on the
-    square lattice carry.
+    As AD - BC = 1 the correction is also AC q^2/2 + BC pq + BD p^2/2, and every
+    map takes it in that form, each coefficient applied before a coordinate: no
+    product leaves the float range unless the image does, a half-turn and
+    `scaling_map` (B = C = 0) add zero, and a quarter-turn adds -pq.
     """
     p_new = m.C * q + m.D * p
     q_new = m.A * q + m.B * p
-    if m._integral:
-        return p_new, q_new, s + (0.5 * m.A * m.C * q * q + m.B * m.C * p * q
-                                  + 0.5 * m.B * m.D * p * p)
-    return p_new, q_new, s + 0.5 * (q_new * p_new - p * q)
+    return p_new, q_new, s + (0.5 * m.A * m.C * q * q + m.B * m.C * p * q
+                              + 0.5 * m.B * m.D * p * p)
 
 
 def apply_symplectic(m: SymplecticMap, g: PolarizedPoint) -> PolarizedPoint:

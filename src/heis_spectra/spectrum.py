@@ -530,4 +530,9 @@ def enumerate_spectrum(manifold: LatticeSpec | BieberbachSpec, alpha: float,
                          f"{MAX_SPECTRUM_LINES}")
     lines = np.concatenate([_torus_lines(lattice, orbits, a, den, rows),
                             _oscillator_lines(f, alpha, tmax)])
-    return lines[np.lexsort([lines[key] for key in ("lam", "n", "nu", "mu", "kind", "value")])]
+    order = np.lexsort([lines[key] for key in ("lam", "n", "nu", "mu", "kind", "value")])
+    # one field at a time, so the sort holds one column more than the table, not a
+    # second table
+    for name in LINE.names:
+        lines[name] = lines[name][order]
+    return lines

@@ -21,26 +21,24 @@ m = r mod N, and the contiguous m with |scale (p + m/N)| within that reach, so
 its tail is at most about tol * sup|psi_lam| * Sum |c| and a point costs one
 Hermite call, one exp and one dot; K combinations at once, such as a sector's
 whole basis (invariants.sector_basis_values), share those seeds and phases and
-take one product.  The seeds depend on p alone (Auslander and Tolimieri, Bull.
-AMS 1, 1979; Janssen, Philips J. Res. 43, 1988), so a grid is
-evaluated in blocks of p-rows of at most about 2^16 values (wb_eigenfunction_grid):
-each row keeps its own window, and the rows of a block that share a window length
-share one Hermite call, one exp of their (rows x q x k) phases and one pairwise
-sum along k; the factor e^{2 pi i n s} is applied in real arithmetic.  Every value
-equals the one-point series of wb_eigenfunction bit for bit, so grid files keep
-their bytes.  Both one-point paths and the grid refuse, with ValueError, a p
-on the cover that is not below 2^52 in magnitude (past it p + k is no longer
-exact) and a value that is not finite.  All three also refuse a point whose
-phases may round past tol, by the bound `_point_phase_error` on its p, q and s:
-the one-point paths (wb_eigenfunction and invariants.eigenfunction_combination) at
-their point, the grid once, at its largest |p|, |q| and |s| on the cover, and a
-CLI grid once more, at p = 2, q = L and s = 2 (cli._phase_error).
+take one product.  Both one-point paths refuse, with ValueError, a p on the cover
+that is not below 2^52 in magnitude (past it p + k is no longer exact), a value
+that is not finite, and a point whose float phases may round past tol, by the
+bound `_point_phase_error` on its p, q and s.
+
+The uniform grid of `eigenfunction --grid g` (wb_eigenfunction_grid) has exact
+phases instead.  On the cover its points are p = i/g, q = L j/g and s = m/g, so
+every phase is a g-th root of unity with an integer exponent, reduced mod g in
+Python ints for any n, and a row's q-sum is the length-g DFT of its seeds summed
+by residue: the Zak transform (Auslander and Tolimieri, Bull. AMS 1, 1979;
+Janssen, Philips J. Res. 43, 1988).  Its seeds' arguments are each one rounding
+of a quotient of integers, its second s-period is its first bit for bit, and it
+refuses only a seed that is not finite; wb_eigenfunction is its float oracle.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
 from collections import deque
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import LatticeSpec, PolarizedPoint, apply_symplectic, scaling_map, symplectic_coords
+from .group import LatticeSpec, PolarizedPoint, apply_symplectic, scaling_map
 from .hermite import _check_order, _psi
 
 
@@ -125,8 +123,7 @@ def _point_phase_error(n: int, p: float, q: float, s: float, reach: float) -> fl
     y = (k + off) q with |k + off| <= |p| + 1 + reach for the window's reach
     (`_reach`); the combination's series splits the same phase at s - q round(p)
     and (m/N) q, within the same bound.  So it is 3 eps 2 pi |n| max(|s|,
-    (|p| + 1 + reach) |q|), and at p = 2, q = L and s = 2 it is the bound of a
-    grid of width L (cli._phase_error).
+    (|p| + 1 + reach) |q|).
     """
     return 3.0 * sys.float_info.epsilon * 2 * math.pi * abs(n) * max(
         abs(s), (abs(p) + 1.0 + reach) * abs(q))
@@ -261,144 +258,89 @@ def _hermite_seed(n: int, width: int, lam: int, lattice: LatticeSpec, tol: float
 
 
 # values a block of grid rows holds at most, as cli._ROWS_AT_ONCE: its (rows, q, s)
-# values and each window length's (rows, q, k) phases
+# values
 _GRID_BLOCK_VALUES = 1 << 16
 
 
-def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, ps, qs, ss,
+def wb_eigenfunction_grid(idx: WBIndex, lam: int, lattice: LatticeSpec, g: int,
                           tol: float = 1e-12):
-    """wb_eigenfunction on the grid ps x qs x ss, in blocks of p-rows.
+    """wb_eigenfunction on the uniform grid of `eigenfunction --grid g`, with exact
+    phases, in blocks of p-rows.
 
-    Returns an iterator that yields, for each p of ps in turn, the complex array
-    of shape (len(qs), len(ss)) of the values at (p, q, s).  A row carried onto
-    the rectangular cover keeps one p, so its seeds are one window; the rows of a
-    block that share a window length share one Hermite call, one exp of their
-    phases and one sum, and every value equals wb_eigenfunction at its point bit
-    for bit.  A grid whose phases may round past tol raises ValueError before the
-    iterator is returned (`_check_phases` at its largest |p|, |q| and |s| on the
-    cover); any other refused row raises its ValueError after the rows before it.
+    The grid is p = i sp/g for i < 2g, q = j sq/g for j < g and s = m/g for m < 2g,
+    (sp, sq) = lattice.steps: two periods in p and s and one in q.  Returns an
+    iterator that yields, for each i in turn, the complex array of shape (g, 2g) of
+    the values at (p_i, q_j, s_m).  On the rectangular cover of width W the point
+    is p = i/g, q = W j/g and s = m/g (the cover map of a square lattice takes
+    i sqrt(2l)/g to i/g and shifts s by 0), so every phase is a g-th root of unity
+    with an integer exponent (`_grid_rows`) and the second s-period is the first
+    bit for bit.  A value differs from wb_eigenfunction's at its point by the float
+    path's rounding: its phase error (`_point_phase_error`), the rounding of its
+    seeds' arguments and of its sum, with a few eps of the grid's own.  A g that is
+    not a positive integer raises ValueError before the iterator is returned; a row
+    whose seeds are not finite raises its ValueError after the rows before it.
     """
-    lam, cover, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
-    ps = np.array([float(p) for p in ps])
-    qs = np.array(qs, dtype=float).reshape(1, -1, 1)
-    ss = np.array(ss, dtype=float).reshape(1, 1, -1)
-    if not (qs.size and ss.size):
-        raise ValueError("qs and ss must not be empty")
-    # the bound grows with |p|, |q| and |s|, so it is largest at the corner of the
-    # largest: of the p a row can take (a p not finite or not below 2^52 on the
-    # cover is refused at its row), and of q and s, where one not finite on the
-    # cover refuses every row
-    with np.errstate(over="ignore", invalid="ignore"):
-        taken = ps if cover is None else symplectic_coords(cover, ps, 0.0, 0.0)[0]
-        corner = (np.abs(ps[np.abs(taken) < _MAX_P]).max(initial=0.0),
-                  np.abs(qs).max(), np.abs(ss).max())
-        if cover is not None:
-            corner = symplectic_coords(cover, *corner)
-    if all(map(math.isfinite, corner)):
-        _check_phases(idx.n, *map(float, corner), _reach(lam, scale, 0.0, tol), tol)
-    return _grid_rows(idx.n, lam, scale, cover, idx.offset, tol, iter(ps), qs, ss)
+    lam, _, scale = _hermite_seed(idx.n, idx.l, lam, lattice, tol)
+    if not isinstance(g, (int, np.integer)) or isinstance(g, bool) or g < 1:
+        raise ValueError(f"g must be a positive integer, not {g!r}")
+    return _grid_rows(idx, lam, scale, int(g), tol)
 
 
-def _grid_windows(lam: int, scale: float, reach: float, off: float, p):
-    """The seed windows of the grid rows p on the cover, one Hermite call per window
-    length: a list of (rows, ks, seeds), rows an index array or, for one length, all
-    rows, and the first row whose seeds are not finite, as (row, ks, xs, seeds), or
-    None.  Row i keeps its own window, k from ceil(-R/scale - p_i - off) to
-    floor(R/scale - p_i - off) as in `_series_window`."""
-    start = np.ceil((-reach - p) - off)
-    lengths = (np.floor((reach - p) - off) - start + 1).astype(int)
-    by_length = dict.fromkeys(lengths.tolist())
-    groups, refusal = [], None
-    for length in by_length:
-        rows = slice(None) if len(by_length) == 1 else np.flatnonzero(lengths == length)
-        ks = start[rows, None] + np.arange(length)
-        xs = (p[rows, None] + ks) + off
-        seeds = _psi(lam, scale * xs)
-        bad = ~np.isfinite(seeds).all(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            row = i if isinstance(rows, slice) else int(rows[i])
-            if refusal is None or row < refusal[0]:
-                refusal = row, ks[i], xs[i], seeds[i]
-        groups.append((rows, ks, seeds))
-    return groups, refusal
+def _root_of_unity(k: int, g: int) -> complex:
+    """e^{2 pi i k/g} as i^quarter e^{i (pi/2) rest/g}, 4k = quarter g + rest, from the
+    cosine and sine of an angle in [0, pi/4], both sqrt(1/2) at pi/4: +-1 and +-i
+    are exact, and the root of g - k is the conjugate of the root of k."""
+    quarter, rest = divmod(4 * k, g)
+    angle = 0.5 * math.pi * min(rest, g - rest) / g
+    cos, sin = (math.cos(angle), math.sin(angle)) if 2 * rest != g else (math.sqrt(0.5),) * 2
+    return (1, 1j, -1, -1j)[quarter] * (complex(sin, cos) if 2 * rest > g else complex(cos, sin))
 
 
-def _grid_values(turn: complex, off: float, q, factor, groups, shape):
-    """The values, of the given (rows, q, s) shape, of grid rows on the cover from
-    their windows (`_grid_windows`), q (rows or 1, q, 1) and the factor e^{2 pi i n s}:
-    one exp of the phases and one sum over k along a contiguous last axis per
-    window length, then the factor in real arithmetic.  Each array is laid out as
-    that of one point (`_series_window`, `_series_value`) with more leading axes, so
-    every float is the same."""
-    total = np.empty(shape[:2], dtype=complex)
-    for rows, ks, seeds in groups:
-        phases = np.exp((q if len(q) == 1 else q[rows]) * (turn * (ks + off))[:, None, :])
-        total[rows] = (seeds.astype(complex)[:, None, :] * phases).sum(axis=-1)
-    # numpy's SIMD complex multiply fuses multiply-adds and can differ from the
-    # scalar product in the last bit (8730 of 20000 random pairs on an X86_V3
-    # build of numpy 2.4); these four real products and two sums match it
-    fr, fi = factor.real, factor.imag
-    tr, ti = total.real[..., None], total.imag[..., None]
-    out = np.empty(shape, dtype=complex)
-    np.multiply(fr, tr, out=out.real)
-    out.real -= fi * ti
-    np.multiply(fr, ti, out=out.imag)
-    out.imag += fi * tr
-    return out
+def _grid_rows(idx: WBIndex, lam: int, scale: float, g: int, tol: float):
+    """The rows of wb_eigenfunction_grid, a block at a time.
 
-
-def _grid_rows(n: int, lam: int, scale: float, cover, off: float, tol: float, ps, qs, ss):
-    """The rows of wb_eigenfunction_grid, a block at a time."""
+    The term k of row i is the point u = i + k g of (1/g)Z, at
+    x_u = u/g + off = (u W|n| + g (a W + sgn(n) b)) / (g W|n|), one rounding of a
+    quotient of Python ints; so rows i and i + g share their seeds, and every row
+    keeps the window rule, the u with |scale x_u| <= R (`_reach`), from one Hermite
+    call.  The phase of the term at q = W j/g is e^{2 pi i n (k + off) q} = w^{r_k j},
+    w = e^{2 pi i/g} and r_k = n W k + sgn(n) a W + b, and the factor e^{2 pi i n s}
+    at s = m/g is w^{n m}; the exponents are reduced mod g in Python ints, exact
+    for any n.  A row's q-sum is then the length-g DFT of its seeds summed by
+    r_k mod g (the Zak transform; Auslander and Tolimieri, Bull. AMS 1, 1979;
+    Janssen, Philips J. Res. 43, 1988): one bincount and one product with the g x g
+    table of w^{(r j) mod g} for the whole grid.  The rows' values times the factor
+    are made a block at a time.
+    """
+    n, width = idx.n, idx.l
     reach = _reach(lam, scale, 0.0, tol)
-    turn = 2j * math.pi * n
-    # a row holds q x s values and at most q x (2 reach + 1) phases
-    size = max(1, _GRID_BLOCK_VALUES // (qs.size * max(ss.size, math.floor(2 * reach) + 1)))
-    flat = bool(np.isfinite(qs).all() and np.isfinite(ss).all())
-
-    def block(p):
-        """The rows of one block, then the refusal of its first refused row; its
-        arrays are freed once its last row has been taken."""
-        q, s = qs, ss
-        if cover is None:
-            finite = np.isfinite(p) & flat
-        else:
-            # the cover map has C = 0, so p' = Cq + Dp is the same at every q; a
-            # coordinate that overflows on the way is refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                p, q, s = symplectic_coords(cover, p[:, None, None], q, s)
-            p = p[:, 0, 0]
-            finite = (np.isfinite(p) & np.isfinite(q).all(axis=(1, 2))
-                      & np.isfinite(s).all(axis=(1, 2)))
-        # a row's checks in the order of one point's: coordinates, p (`_reach`), seeds
-        kept = finite & (np.abs(p) < _MAX_P)
-        stop = p.size if kept.all() else int(kept.argmin())
-        groups, refusal = _grid_windows(lam, scale, reach, off, p[:stop])
-        if refusal is not None:  # the rows before it again, without it
-            stop = refusal[0]
-            groups = _grid_windows(lam, scale, reach, off, p[:stop])[0]
-        if stop:
-            with np.errstate(all="ignore"):  # a value that is not finite is refused below
-                factor = turn * s[:stop]
-                del s  # one (rows, q, s) array less at the block's peak
-                np.exp(factor, out=factor)
-                values = _grid_values(turn, off, q[:stop], factor, groups,
-                                      (stop, qs.size, ss.size))
-            bad = ~np.isfinite(values)
-            row = int(bad.any(axis=(1, 2)).argmax()) if bad.any() else stop
-            yield from values[:row]
-            if row < stop:  # _finite raises at the first value that is not finite
-                _finite(complex(values[row][bad[row]][0]))
-        if refusal is not None:  # _window raises: the row's seeds are not finite
-            _, ks, xs, seeds = refusal
-            _window(n, ks, off, xs, seeds, f"the Hermite seed of order {lam}")
-        if stop < p.size:
-            if not finite[stop]:
-                raise ValueError("coordinates must be finite")
-            _reach(lam, scale, float(p[stop]), tol)
-
-    while chunk := [float(p) for p in itertools.islice(ps, size)]:
-        yield from block(np.array(chunk))
+    roots = np.array([_root_of_unity(k, g) for k in range(g)])
+    table = roots[np.multiply.outer(np.arange(g), np.arange(g)) % g]
+    factor = roots[[n % g * m % g for m in range(g)]]
+    step, shift = n * width % g, ((idx.a if n > 0 else -idx.a) * width + idx.b) % g
+    # x_u = (u N + num) / (g N) with N = W|n|
+    size, num = width * abs(n), g * (idx.a * width + (idx.b if n > 0 else -idx.b))
+    us = range(math.ceil(g * (-reach - idx.offset)), math.floor(g * (reach - idx.offset)) + 1)
+    xs = np.array([(u * size + num) / (g * size) for u in us], dtype=float)
+    seeds = _psi(lam, scale * xs)
+    # u = i0 + k0 g with 0 <= i0 < g: the term k0 of row i0 and k0 - 1 of row i0 + g
+    ks, rows = np.divmod(np.arange(us.start, us.stop), g)
+    residues = (step * ks + shift) % g
+    cells = np.concatenate([rows * g + residues, (rows + g) * g + (residues - step) % g])
+    folded = np.bincount(cells, np.concatenate([seeds, seeds]), 2 * g * g)
+    bad = ~np.isfinite(seeds)
+    stop = int(rows[bad].min()) if bad.any() else 2 * g
+    values = folded.reshape(2 * g, g)[:stop] @ table
+    block = max(1, _GRID_BLOCK_VALUES // (2 * g * g))
+    for first in range(0, stop, block):
+        out = np.empty((min(block, stop - first), g, 2 * g), dtype=complex)
+        np.multiply(values[first:first + block, :, None], factor, out=out[:, :, :g])
+        out[:, :, g:] = out[:, :, :g]
+        yield from out
+    if stop < 2 * g:  # _window raises: the row's seeds are not finite
+        window = rows == stop
+        _window(n, ks[window], idx.offset, xs[window], seeds[window],
+                f"the Hermite seed of order {lam}")
 
 
 def wb_eigenfunction(idx: WBIndex, lam: int, lattice: LatticeSpec, pt: PolarizedPoint,

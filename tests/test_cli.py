@@ -283,9 +283,9 @@ def test_eigenfunction_grid(capsys):
     # pi^{-1/4} theta_3(e^{-pi}) = 1/Gamma(3/4)
     assert abs(rows[(0.0, 0.0, 0.0)] - 1 / math.gamma(0.75)) < 1e-12
     for (p, q, s), val in rows.items():
-        # central period: s and s+1 rows match
+        # central period: s and s+1 rows match, bit for bit
         if s < 1.0:
-            assert abs(rows[(p, q, s + 1.0)] - val) < 1e-12
+            assert rows[(p, q, s + 1.0)] == val
         # lattice invariance: the translate by (1,0,0) lands on another row
         if p < 1.0:
             assert abs(rows[(p + 1.0, q, (s + q) % 1.0)] - val) < 1e-8
@@ -312,7 +312,9 @@ def test_eigenfunction_rejects_bad_requests(capsys):
 @pytest.mark.parametrize("manifold,l,n,lam", [("nl", 1, 1, 170), ("nl", 1, 1, 2000),
                                               ("nprime", 2, -3, 2000)])
 def test_eigenfunction_at_high_levels_writes_finite_rows(capsys, manifold, l, n, lam):
-    # the unnormalised recurrence overflowed here; the normalised one has no cap
+    # the unnormalised recurrence overflowed here; the normalised one has no cap.  At
+    # q = 0 the grid and the float path differ by the rounding of the seeds'
+    # arguments and of the sums, under 1e-13 here
     rc, out = run_cli(capsys, "eigenfunction", "--manifold", manifold, "--l", str(l),
                       "--n", str(n), "--lam", str(lam), "--grid", "1")
     assert rc == 0
@@ -322,7 +324,7 @@ def test_eigenfunction_at_high_levels_writes_finite_rows(capsys, manifold, l, n,
     idx = WBIndex(n, 0, 0, lattice.covering_width)
     for (p, q, s), val in rows.items():
         assert math.isfinite(val.real) and math.isfinite(val.imag)
-        assert val == wb_eigenfunction(idx, lam, lattice, PolarizedPoint(p, q, s))
+        assert abs(val - wb_eigenfunction(idx, lam, lattice, PolarizedPoint(p, q, s))) < 1e-13
 
 
 def _refuse(*args):
@@ -345,39 +347,62 @@ def test_eigenfunction_refuses_a_grid_past_the_row_limit(capsys, monkeypatch):
     assert "2048000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol,grid", [(1e-12, 2), (1e-8, 1)])
-def test_eigenfunction_phase_rule_keeps_the_s_period(capsys, tol, grid):
-    # the largest accepted |n| keeps f(s + 1) = f(s) within tol; one more is refused
-    n = 1
-    while cli._phase_error(2 * n, 0, 1, tol) <= tol:
-        n *= 2
-    low, high = n, 2 * n
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (mid, high) if cli._phase_error(mid, 0, 1, tol) <= tol else (low, mid)
-    rc, out = run_cli(capsys, "eigenfunction", "--manifold", "nl", "--n", str(-low),
-                      "--grid", str(grid), "--tol", repr(tol))
+def _assert_second_s_period_repeats(out, g):
+    """The text of re and im on each line of s >= 1 is that of s - 1, byte for byte."""
+    lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    values = [line.split(",", 3)[3] for line in lines]
+    assert len(values) == 4 * g**3
+    for first in range(0, len(values), 2 * g):  # one (p, q), s = 0 .. 2 - 1/g
+        assert values[first + g:first + 2 * g] == values[first:first + g]
+
+
+@pytest.mark.parametrize("manifold,n", [("nl", "70"), ("nprime", str(-10**6))])
+def test_eigenfunction_takes_an_n_past_the_float_phases(capsys, manifold, n):
+    # the float phases e^(2 pi i n y) may round past the default --tol here, and
+    # both were refused; the exact phases keep the s-period bit for bit
+    rc, out = run_cli(capsys, "eigenfunction", "--manifold", manifold, "--n", n)
     assert rc == 0
+    _assert_second_s_period_repeats(out, 4)
+
+
+def test_eigenfunction_at_n_10_to_300_keeps_the_s_period(capsys):
+    # the float phase 2 pi n s was noise here: the grid once wrote 0.751 at s = 0 and
+    # -0.472+0.584i at s = 1; the exact factor w^(n m mod g) is 1 at both, and the
+    # one term of the window, the seed at 0, is pi^(-1/4)
+    rc, out = run_cli(capsys, "eigenfunction", "--manifold", "nl", "--grid", "1",
+                      "--n", str(10**300))
+    assert rc == 0
+    assert out.splitlines()[0].startswith("# eigenfunction n=1" + "0" * 300 + " a=0")
     rows = _grid_rows(out)
-    peak = max(abs(v) for v in rows.values())
-    pairs = [(v, rows[p, q, s + 1]) for (p, q, s), v in rows.items() if (p, q, s + 1) in rows]
-    assert len(pairs) == 2 * grid**3
-    assert max(abs(a - b) for a, b in pairs) / peak <= tol
-    assert main(["eigenfunction", "--manifold", "nl", "--n", str(high), "--grid", str(grid),
-                 "--tol", repr(tol)]) == 2
-    assert "rounding of the phases" in capsys.readouterr().err
+    assert set(rows.values()) == {math.pi ** -0.25} and len(rows) == 4
+    _assert_second_s_period_repeats(out, 1)
 
 
-def test_eigenfunction_refuses_an_n_past_its_phase_precision(capsys, monkeypatch):
-    # f is 1-periodic in s, but at n = 10^300 the float phase 2 pi n s is noise:
-    # the grid once wrote 0.751 at s = 0 and -0.472+0.584i at s = 1
-    monkeypatch.setattr(cli, "wb_eigenfunction_grid", _refuse)
-    for argv in (["--manifold", "nl", "--grid", "1", "--n", str(10**300)],
-                 ["--manifold", "nprime", "--n", str(-10**6)]):
-        rc = main(["eigenfunction", *argv])
-        out, err = capsys.readouterr()
-        assert (rc, out) == (2, "")
-        assert "rounding of the phases" in err and err.count("\n") == 1, err
+@settings(max_examples=30, deadline=None, database=None)
+@given(manifold=st.sampled_from(["nl", "nprime"]), l=st.integers(1, 4),
+       n=st.one_of(st.integers(-60, 60), st.integers(-10**20, 10**20)).filter(bool),
+       lam=st.integers(0, 30), grid=st.integers(1, 5),
+       rows_at_once=st.sampled_from([1, 7, 1 << 16]), data=st.data())
+def test_eigenfunction_bytes_equal_the_row_template(manifold, l, n, lam, grid, rows_at_once, data):
+    # each line is p, q, s, re and im written with %.17g, the values those of
+    # wb_eigenfunction_grid, whatever the blocks of text; the second s-period
+    # repeats the first
+    width = cli._MANIFOLDS[manifold](l).covering_width
+    a, b = data.draw(st.integers(0, abs(n) - 1)), data.draw(st.integers(0, width - 1))
+    argv = ["eigenfunction", "--manifold", manifold, "--l", str(l), "--n", str(n), "--a", str(a),
+            "--b", str(b), "--lam", str(lam), "--grid", str(grid)]
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "_ROWS_AT_ONCE", rows_at_once), contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    lattice = cli._MANIFOLDS[manifold](l)
+    sp, sq = lattice.steps
+    rows = weil_brezin.wb_eigenfunction_grid(WBIndex(n, a, b, width), lam, lattice, grid)
+    lines = ["%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i * sp / grid, j * sq / grid, m / grid,
+                                                   v.real, v.imag)
+             for i, row in enumerate(rows) for j in range(grid) for m, v in enumerate(row[j])]
+    body = stdout.getvalue().split("p,q,s,re,im\n", 1)[1]
+    assert body == "".join(lines)
+    _assert_second_s_period_repeats(stdout.getvalue(), grid)
 
 
 @pytest.mark.parametrize("name", ["n", "lam"])
@@ -445,25 +470,25 @@ def test_row_limit_admits_the_largest_allowed_sizes(capsys, monkeypatch):
     capsys.readouterr()
 
 
-# sha256 of stdout, recorded when the seeds became the L2-normalised Hermite
-# functions and the window R = sqrt(2 lam + 1) + sqrt(2 ln(10/tol)) over scale
+# sha256 of stdout, recorded when the grid's phases became exact roots of unity
+# and its seeds' arguments one rounding of a quotient of integers
 PINNED_GRIDS = [
     (["--manifold", "nl", "--l", "1", "--n", "1", "--lam", "0", "--grid", "4"],
-     "d4b0cf05ea486ea48696a36e3599e4ef8800768a06ec608725310ed8351c7013"),
+     "ea0ce0bce7ca83531225b5c1b937f29e4e9daf3ce8c804b3dbc3eea7221f0914"),
     (["--manifold", "nl", "--l", "2", "--n", "-3", "--a", "2", "--b", "1", "--lam", "6",
       "--grid", "4"],
-     "ca10329395b649f96f86a9435f684d15ca9dd78bd8df6386926c87b68cda219b"),
+     "157e80c5246f44b3bfc40090e404b9d374e56a283cf88f98464682a949658916"),
     (["--manifold", "nl", "--l", "3", "--n", "2", "--a", "1", "--b", "2", "--lam", "20",
       "--grid", "1", "--alpha", "-0.25"],
-     "0169aad7ab7bfe9c72009e1d85db7e2dffb34595998950ec3455145f0e85c585"),
+     "443d9e79173c5d6e64cc0bac257f6b68c455d0e6b7fbf40ff8cdc85ffe491a47"),
     (["--manifold", "nprime", "--l", "1", "--n", "-1", "--b", "1", "--lam", "0", "--grid", "1"],
-     "c1ca38158c62289d4b9331712b34805b9c6af9b7341e28fc2b204cedc21b8ac5"),
+     "61245df24912bc27821969ccea0c8882a4bc402e6675840bb484e0a2336bf738"),
     (["--manifold", "nprime", "--l", "2", "--n", "3", "--a", "1", "--b", "3", "--lam", "6",
       "--grid", "4", "--alpha", "0.5"],
-     "01ab8a483b4ca7a1b3061bb11013eb61add87a63c91df41c5c6256dcc5fe7548"),
+     "6edfa2313b175aaab3e656ceef24227dd7ba88ccf2c9cf545c1791bbc1237012"),
     (["--manifold", "nprime", "--l", "1", "--n", "-2", "--a", "1", "--b", "1", "--lam", "20",
       "--grid", "4", "--tol", "1e-10"],
-     "67dd2a0d07c2a03a6487d97d8af92b2b5a6dea0569a1c55c5d2f1385ffecf324"),
+     "54aa053285dd57a8e3dab5bb23b5d5e496475f952d12b6ac8729f02459ce5094"),
 ]
 
 
@@ -485,15 +510,19 @@ def _run_in_fresh_processes(argvs, timeout=120, batch=4):
 
 
 def _assert_pinned_in_fresh_processes(pins):
+    """The stdout of each pinned command, checked against its digest."""
     results = _run_in_fresh_processes([argv for argv, _ in pins])
     for (argv, digest), (rc, out, err) in zip(pins, results):
         assert rc == 0, err.decode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
+    return [out for _, out, _ in results]
 
 
 def test_eigenfunction_pinned_bytes_in_fresh_processes():
-    _assert_pinned_in_fresh_processes([(["eigenfunction", *argv], digest)
-                                       for argv, digest in PINNED_GRIDS])
+    outs = _assert_pinned_in_fresh_processes([(["eigenfunction", *argv], digest)
+                                              for argv, digest in PINNED_GRIDS])
+    for (argv, _), out in zip(PINNED_GRIDS, outs):
+        _assert_second_s_period_repeats(out.decode(), int(argv[argv.index("--grid") + 1]))
 
 
 # sha256 of stdout, recorded when the counting core became integer-keyed: line

@@ -1,8 +1,10 @@
 """The series windows against scalar window loops.
 
 `window_loop` sums the window rule's terms one psi_lam seed at a time; a basis
-function must give its floats exactly, compared with ==, and so must a row that
-shares one window.  `reference_eval` is the per-seed loop that the windows
+function must give its floats exactly, compared with ==.  The grid takes its
+phases as exact roots of unity, so it is held to the float series within a
+stated bound of that series' rounding (`oracle_bound`), and to a 50-digit
+series where the float phases lose digits.  `reference_eval` is the per-seed loop that the windows
 replaced, on the unnormalised seeds F_lam = H_lam e^{-y^2/2} with an absolute
 tail bound.  The seeds are now psi_lam = F_lam / sqrt(2^lam lam! sqrt(pi)) and
 tol is relative to sup|psi_lam|, so a basis function must equal that loop's
@@ -17,7 +19,10 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -163,11 +168,61 @@ def axis(size):
     return st.lists(coords, min_size=1, max_size=size)
 
 
-def grid_values(idx, lam, lattice, ps, qs, ss, tol):
-    """wb_eigenfunction_grid's values, flat in the order p, q, s."""
-    rows = list(wb_eigenfunction_grid(idx, lam, lattice, ps, qs, ss, tol))
-    assert all(row.shape == (len(qs), len(ss)) for row in rows)
-    return [complex(v) for row in rows for v in row.ravel()]
+def grid_points(lattice, g):
+    """The points of wb_eigenfunction_grid(..., g) as eigenfunction --grid g writes
+    them, flat in the order p, q, s of its rows."""
+    sp, sq = lattice.steps
+    return [PolarizedPoint(i * sp / g, j * sq / g, m / g)
+            for i in range(2 * g) for j in range(g) for m in range(2 * g)]
+
+
+def grid_array(idx, lam, lattice, g, tol=1e-12):
+    """wb_eigenfunction_grid's rows as one (2g, g, 2g) array."""
+    rows = list(wb_eigenfunction_grid(idx, lam, lattice, g, tol))
+    assert len(rows) == 2 * g and all(row.shape == (g, 2 * g) for row in rows)
+    return np.array(rows)
+
+
+_EPS = np.finfo(float).eps
+
+
+def oracle_bound(idx, lam, lattice, pt, g, tol=1e-12):
+    """A bound on |grid - float series| at the grid point pt, from the float path's
+    window on the cover: T seeds psi_lam(scale x), the sum S of their |.|, and
+    reach = R/scale.
+
+    - phases: the float path's `_point_phase_error` at its point on the cover,
+      times S, and as much again, since on a square lattice the rounding of q on
+      the way to the cover moves each phase as far;
+    - seeds: each float argument x = p + k + off is off by at most
+      eps (|p| + 1 + reach), and |psi_lam'| <= sqrt(2 lam + 2) pi^(-1/4);
+    - sums: (T + g) eps S, for the float path's sum and the grid's fold and DFT.
+    """
+    scale, pt = _cover(lattice, idx.n, pt)
+    reach = (math.sqrt(2 * lam + 1) + math.sqrt(2 * math.log(10 / tol))) / scale
+    xs = pt.p + np.arange(-int(pt.p) - 200, -int(pt.p) + 200) + idx.offset
+    xs = xs[np.abs(xs) <= reach]  # the window, which may be empty
+    size = np.abs(hermite_function(lam, scale * xs)).sum()
+    phase = weil_brezin._point_phase_error(idx.n, pt.p, pt.q, pt.s, reach)
+    seeds = _EPS * (abs(pt.p) + 1 + reach) * scale * math.sqrt(2 * lam + 2) * math.pi**-0.25
+    return size * (2 * phase + (xs.size + g) * _EPS) + xs.size * seeds
+
+
+def _series_only(f, *args):
+    """f(*args) with the one-point phase rule (`weil_brezin._check_phases`) switched
+    off: the series' own floats, for the tests of its arithmetic and its tail at
+    points where the rounding of its phases may pass tol."""
+    with mock.patch.object(weil_brezin, "_check_phases", lambda *_: None):
+        return f(*args)
+
+
+def oracle_misses(idx, lam, lattice, g, grid, picks):
+    """The flat indices among picks where the grid is farther than oracle_bound from
+    the float series (wb_eigenfunction with its phase rule off)."""
+    pts = grid_points(lattice, g)
+    return [at for at in picks
+            if abs(grid.flat[at] - _series_only(wb_eigenfunction, idx, lam, lattice, pts[at]))
+            > oracle_bound(idx, lam, lattice, pts[at], g)]
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -178,7 +233,6 @@ def test_eigenfunction_bit_equal_to_scalar_loop(ef, ps, qs, ss):
     for tol in (1e-12, 1e-10):
         want = [window_loop(idx, lam, lattice, pt, tol) for pt in pts]
         assert [wb_eigenfunction(idx, lam, lattice, pt, tol) for pt in pts] == want
-        assert grid_values(idx, lam, lattice, ps, qs, ss, tol) == want
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -192,67 +246,123 @@ def test_eigenfunction_is_the_normalised_unnormalised_loop(ef, pts):
     assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * sup_psi(lam)
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(eigenfunctions(), st.lists(st.one_of(st.sampled_from([-1.5, 0.0, 2.0]), coords),
-                                  min_size=1, max_size=3), axis(6), axis(4))
-def test_row_reuses_window_bit_equal(ef, ps, qs, ss):
-    # the rows of a block that share a window length share one Hermite call, a
-    # repeated p included; each value still equals its own loop
-    idx, lam, lattice = ef
-    pts = [PolarizedPoint(p, q, s) for p in ps for q in qs for s in ss]
-    psi = weil_brezin._psi
-    for tol in (1e-12, 1e-10):
-        calls = []
-        with mock.patch.object(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args)):
-            got = grid_values(idx, lam, lattice, ps, qs, ss, tol)
-        lengths = {len(window_ks(idx, lam, lattice, PolarizedPoint(p, 0.0, 0.0), tol)[2])
-                   for p in ps}
-        assert len(calls) == len(lengths)  # one block: at most 3 rows of 24 values
-        assert got == [window_loop(idx, lam, lattice, pt, tol) for pt in pts]
+@st.composite
+def grid_cases(draw):
+    """(index, level, lattice, g) with |n| <= 60, any residues, l <= 4, lam <= 30 and
+    g <= 8."""
+    n = draw(st.integers(1, 60)) * draw(st.sampled_from([1, -1]))
+    l = draw(st.integers(1, 4))
+    lattice = draw(st.sampled_from([standard_rect(l), scaled_square(l)]))
+    width = lattice.covering_width
+    idx = WBIndex(n, draw(st.integers(0, abs(n) - 1)), draw(st.integers(0, width - 1)), width)
+    return idx, draw(st.integers(0, 30)), lattice, draw(st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(grid_cases(), st.data())
+def test_the_exact_grid_is_the_float_series_within_its_rounding(case, data):
+    # at up to 24 of its points the grid is the float series within oracle_bound; its
+    # seeds are one Hermite call, which rows i and i + g share, and its second
+    # s-period is the first bit for bit
+    idx, lam, lattice, g = case
+    psi, calls = weil_brezin._psi, []
+    with mock.patch.object(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args)):
+        grid = grid_array(idx, lam, lattice, g)
+    assert len(calls) == 1
+    assert grid[:, :, g:].tobytes() == grid[:, :, :g].tobytes()
+    picks = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=24))
+    assert oracle_misses(idx, lam, lattice, g, grid, picks) == []
+
+
+@pytest.mark.parametrize("lattice,n,a,b,lam,g", [(standard_rect(2), 3, 1, 0, 2, 4),
+                                                 (scaled_square(1), -2, 1, 0, 0, 3),
+                                                 (standard_rect(3), 41, 5, 1, 6, 2)])
+def test_an_offset_off_by_one_fails_the_oracle(lattice, n, a, b, lam, g):
+    # the negative control of the comparison above: the grid of (n, a, b) is not the
+    # float series of (n, a, b + 1) within oracle_bound at most of its points
+    width = lattice.covering_width
+    grid = grid_array(WBIndex(n, a, b, width), lam, lattice, g)
+    assert oracle_misses(WBIndex(n, a, b, width), lam, lattice, g, grid, range(grid.size)) == []
+    misses = oracle_misses(WBIndex(n, a, b + 1, width), lam, lattice, g, grid, range(grid.size))
+    assert len(misses) > grid.size // 2
+
+
+def exact_grid_value(idx, lam, lattice, g, i, j, m):
+    """The series at the grid point (i, j, m) to 50 digits (mpmath), from its exact
+    coordinates on the cover, p = i/g, q = W j/g and s = m/g, over every term with
+    |scale x| <= sqrt(2 lam + 1) + 12, past which each is under 1e-31."""
+    with mpmath.workdps(50):
+        n, width, pi = idx.n, idx.l, mpmath.mp.pi
+        p, q, s = mpmath.mpf(i) / g, mpmath.mpf(width * j) / g, mpmath.mpf(m) / g
+        off = mpmath.mpf(idx.a) / abs(n) + mpmath.mpf(idx.b) / (width * n)
+        scale = (mpmath.sqrt(2 * pi * abs(n)) if lattice.kind == "standard-rect"
+                 else 2 * mpmath.sqrt(pi * lattice.l * abs(n)))
+        reach = (math.sqrt(2 * lam + 1) + 12) / float(scale)
+        total = mpmath.mpc(0)
+        for k in range(math.floor(-reach - float(p + off)) - 1,
+                       math.ceil(reach - float(p + off)) + 2):
+            y = scale * (p + k + off)
+            total += (mpmath.hermite(lam, y) * mpmath.exp(-y * y / 2)
+                      * mpmath.expjpi(2 * n * (k + off) * q))
+        norm = mpmath.sqrt(2**lam * mpmath.factorial(lam) * mpmath.sqrt(pi))
+        return complex(total * mpmath.expjpi(2 * n * s) / norm)
+
+
+@pytest.mark.parametrize("lattice,n,a,b,lam,g", [(standard_rect(1), 40, 7, 0, 0, 4),
+                                                 (standard_rect(2), -53, 11, 1, 3, 6),
+                                                 (scaled_square(1), 47, 20, 1, 2, 5),
+                                                 (scaled_square(2), -60, 33, 3, 5, 8),
+                                                 (standard_rect(3), 41, 0, 2, 1, 7)])
+def test_the_exact_grid_against_a_50_digit_series(lattice, n, a, b, lam, g):
+    # at |n| >= 40 and tol = 1e-15 the float phases may round past tol, so the
+    # one-point path refuses these points; the grid takes them, and at its four
+    # largest values of the second p- and s-periods it is within 1e-14 max|f| of
+    # the 50-digit series, and closer to it than the float path (its rule off)
+    idx, tol = WBIndex(n, a, b, lattice.covering_width), 1e-15
+    grid = grid_array(idx, lam, lattice, g, tol)
+    top = np.argsort(-np.abs(grid[g:, :, g:]).ravel(), kind="stable")[:4]
+    pts = [(g + int(i), int(j), g + int(m))
+           for i, j, m in zip(*np.unravel_index(top, (g, g, g)))]
+    sp, sq = lattice.steps
+    errors = []
+    for i, j, m in pts:
+        pt = PolarizedPoint(i * sp / g, j * sq / g, m / g)
+        with pytest.raises(ValueError, match="may round by"):
+            wb_eigenfunction(idx, lam, lattice, pt, tol)
+        want = exact_grid_value(idx, lam, lattice, g, i, j, m)
+        errors.append((abs(grid[i, j, m] - want),
+                       abs(_series_only(wb_eigenfunction, idx, lam, lattice, pt, tol) - want)))
+    exact, floats = np.max(errors, axis=0)
+    assert exact <= 1e-14 * np.abs(grid).max()
+    assert exact < floats
 
 
 def test_rows_of_a_block_differ_in_window_length():
-    # p a quarter apart on nl: the windows of 6 and 7 terms are two Hermite calls
-    idx, lattice, ps = WBIndex(1, 0, 0, 1), standard_rect(1), [0.0, 0.25, 0.5, 0.75]
-    lengths = [len(window_ks(idx, 0, lattice, PolarizedPoint(p, 0.0, 0.0))[2]) for p in ps]
-    assert lengths == [7, 7, 6, 7]
+    # p a quarter apart on nl: windows of 7 and 6 terms; the grid's seeds are one
+    # Hermite call at the 27 points u = i + 4k of (1/4)Z in the window, the terms
+    # of rows 0..3, which rows 4..7 share, and each row is its own window's series
+    idx, lattice = WBIndex(1, 0, 0, 1), standard_rect(1)
+    pts = grid_points(lattice, 4)
+    lengths = [len(window_ks(idx, 0, lattice, pts[32 * i])[2]) for i in range(8)]
+    assert lengths == [7, 7, 6, 7] * 2
     psi, calls = weil_brezin._psi, []
     with mock.patch.object(weil_brezin, "_psi", lambda *args: calls.append(args) or psi(*args)):
-        got = grid_values(idx, 0, lattice, ps, [0.0, 0.5], [0.25], 1e-12)
-    assert [y.shape for _, y in calls] == [(3, 7), (1, 6)]
-    assert got == [window_loop(idx, 0, lattice, PolarizedPoint(p, q, 0.25))
-                   for p in ps for q in (0.0, 0.5)]
+        grid = grid_array(idx, 0, lattice, 4)
+    assert [y.shape for _, y in calls] == [(27,)]
+    for at, pt in enumerate(pts):
+        assert abs(grid.flat[at] - window_loop(idx, 0, lattice, pt)) <= oracle_bound(
+            idx, 0, lattice, pt, 4)
 
 
-def _bits(values):
-    return np.array(values, dtype=complex).tobytes()
-
-
-def _series_only(f, *args):
-    """f(*args) with the one-point phase rule (`weil_brezin._check_phases`) switched
-    off: the series' own floats, for the tests of its arithmetic and its tail at
-    points where the rounding of its phases may pass tol."""
-    with mock.patch.object(weil_brezin, "_check_phases", lambda *_: None):
-        return f(*args)
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(eigenfunctions(),
-       st.lists(st.one_of(st.sampled_from([-1e6, 1e6, -1.5, 0.0, 2.0, 1e12]), coords),
-                min_size=1, max_size=8),
-       axis(4), axis(3), st.integers(1, 100))
-def test_grid_blocks_equal_the_one_point_series_bit_for_bit(ef, ps, qs, ss, block):
-    # unsorted, repeated and far-apart p, in blocks of a few values, so one grid
-    # spans several blocks and a block's rows differ in window length; the bytes of
-    # every value, the sign of a zero included, are those of wb_eigenfunction (both
-    # with the phase rule off, as it refuses p = 1e6 and 1e12)
-    idx, lam, lattice = ef
-    for tol in (1e-12, 1e-10, 1e-8):
-        want = [_series_only(wb_eigenfunction, idx, lam, lattice, PolarizedPoint(p, q, s), tol)
-                for p in ps for q in qs for s in ss]
-        with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
-            rows = list(_series_only(wb_eigenfunction_grid, idx, lam, lattice, ps, qs, ss, tol))
-        assert _bits(rows) == _bits(want)
+@settings(max_examples=40, deadline=None, database=None)
+@given(grid_cases(), st.integers(1, 200))
+def test_grid_blocks_give_the_same_bits_at_any_block_size(case, block):
+    # blocks of a few values, so one grid spans many blocks: the bytes of every
+    # value, the sign of a zero included, do not depend on the block
+    idx, lam, lattice, g = case
+    want = grid_array(idx, lam, lattice, g).tobytes()
+    with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
+        assert grid_array(idx, lam, lattice, g).tobytes() == want
 
 
 @pytest.mark.parametrize("block", [1 << 14, 1 << 16])
@@ -260,17 +370,14 @@ def test_grid_blocks_equal_the_one_point_series_bit_for_bit(ef, ps, qs, ss, bloc
 def test_grid_memory_is_set_by_the_block(block, lattice):
     # the grid of eigenfunction --grid 48: 4 * 48^3 values, 7.1 MB as complex, but
     # a block holds at most `block` values and the peak stays below 80 bytes for
-    # each: its values and factor e^(2 pi i n s), 16 bytes each, a real
-    # temporary, and the block before, which the last row taken holds
+    # each: its values, 16 bytes each, the block before, which the last row taken
+    # holds, and the grid's (2g, g) q-sums and g x g table of roots
     g = 48
-    sp, sq = lattice.steps
-    ps = [i * sp / g for i in range(2 * g)]
-    qs, ss = [k * sq / g for k in range(g)], [m / g for m in range(2 * g)]
     idx = WBIndex(1, 0, 0, lattice.covering_width)
     with mock.patch.object(weil_brezin, "_GRID_BLOCK_VALUES", block):
         tracemalloc.start()
         try:
-            for row in wb_eigenfunction_grid(idx, 2, lattice, ps, qs, ss):
+            for row in wb_eigenfunction_grid(idx, 2, lattice, g):
                 assert row.shape == (g, 2 * g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -278,24 +385,28 @@ def test_grid_memory_is_set_by_the_block(block, lattice):
     assert peak < 80 * block < 16 * 4 * g**3
 
 
-def test_grid_refuses_empty_axes_and_nonfinite_coordinates():
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 8, 12, 24, 79])
+def test_the_roots_of_unity_keep_their_symmetries(g):
+    # within 2 eps of e^(2 pi i k/g); +-1 and +-i exact, and the root of g - k the
+    # conjugate of the root of k
+    roots = np.array([weil_brezin._root_of_unity(k, g) for k in range(g)])
+    with mpmath.workdps(30):
+        exact = np.array([complex(mpmath.expjpi(mpmath.mpf(2 * k) / g)) for k in range(g)])
+    assert np.abs(roots - exact).max() <= 2 * _EPS
+    assert all(roots[-k % g] == roots[k].conjugate() for k in range(g))
+    for quarter, unit in enumerate((1, 1j, -1, -1j)):
+        if quarter * g % 4 == 0:
+            assert roots[quarter * g // 4] == unit
+
+
+def test_grid_refuses_a_size_that_is_not_a_positive_integer():
     idx, lattice = WBIndex(2, 1, 3, 4), scaled_square(2)
-    for qs, ss in (([], [0.0]), ([0.0], [])):
-        with pytest.raises(ValueError, match="must not be empty"):
-            wb_eigenfunction_grid(idx, 1, lattice, [0.0], qs, ss)
-    for ps, qs, ss in (([math.inf], [0.0], [0.0]), ([0.0], [math.nan], [0.0]),
-                       ([0.0], [0.0], [-math.inf]), ([0.0], [1e308], [0.0])):
-        for lat in (lattice, standard_rect(4)):
-            if lat.kind == "standard-rect" and qs == [1e308]:
-                continue  # no rescaling, so q stays finite
-            with pytest.raises(ValueError, match="coordinates must be finite"):
-                list(wb_eigenfunction_grid(idx, 1, lat, ps, qs, ss))
-    # a refused row raises after the rows before it in its block
-    for lat in (lattice, standard_rect(4)):
-        rows = wb_eigenfunction_grid(idx, 1, lat, [0.0, math.inf, 0.0], [0.0], [0.0])
-        assert next(rows).shape == (1, 1)
-        with pytest.raises(ValueError, match="coordinates must be finite"):
-            next(rows)
+    for g in (0, -1, 1.5, 4.0, True, None):
+        with pytest.raises(ValueError, match="positive integer"):
+            wb_eigenfunction_grid(idx, 1, lattice, g)
+    assert next(wb_eigenfunction_grid(idx, 1, lattice, np.int64(1))).shape == (1, 2)
+    with pytest.raises(ValueError, match="covering width"):
+        wb_eigenfunction_grid(idx, 1, standard_rect(2), 1)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -597,8 +708,7 @@ def test_the_phase_rule_refuses_where_its_bound_passes_tol(tol):
 
 def test_points_of_the_benchmark_range_are_taken_with_their_bits():
     # |p|, |q| <= 3, |s| <= 4, |n| <= 4, lam <= 6 and l <= 3, at the corners: the phase
-    # rule takes every point, on both paths, a basis function's value is the grid
-    # path's bit for bit, and four pinned values keep their bits
+    # rule takes every point, on both paths, and four pinned values keep their bits
     corners = [PolarizedPoint(p, q, s) for p in (-3.0, 3.0) for q in (-3.0, 3.0)
                for s in (-4.0, 4.0)]
     for l, square, n, lam in itertools.product((1, 2, 3), (False, True),
@@ -609,8 +719,7 @@ def test_points_of_the_benchmark_range_are_taken_with_their_bits():
         coef = CoefficientVector(n, l, np.arange(2 * l * abs(n)) + 1j)
         combination_lattice = scaled_square(l) if square else standard_rect(2 * l)
         for pt in corners:
-            grid = next(wb_eigenfunction_grid(idx, lam, lattice, [pt.p], [pt.q], [pt.s]))
-            assert _bits([wb_eigenfunction(idx, lam, lattice, pt)]) == grid.tobytes()
+            wb_eigenfunction(idx, lam, lattice, pt)
             eigenfunction_combination(coef, lam, combination_lattice, pt)
     pinned = [
         (eigenfunction_combination(CoefficientVector(-4, 2, np.arange(16) + 1j), 6,
@@ -630,50 +739,30 @@ def test_points_of_the_benchmark_range_are_taken_with_their_bits():
 
 
 def test_a_grid_value_that_is_not_finite_is_refused():
-    # the grid refuses such a value as the one-point path does, with ValueError at
-    # its row after the rows before it, and no RuntimeWarning: at s = 1e308 the
-    # factor e^{2 pi i n s} overflows, and at q = 2e306 the phases of the row
-    # p = -20 (k about 20) overflow where those of p = 0 and 0.5 (|k| <= 4) do not
-    # (both paths refuse these points first by their phase rule, the grid before its
-    # first row; without the rule their series refuse them as not finite)
+    # the grid's phases are roots of unity, so its value is not finite only where a
+    # seed is: with the seed at x = 5/4 (u = 5 of g = 4, the term k = 1 of row 1 and
+    # k = 0 of row 5) made inf, the grid yields row 0, then refuses row 1 with
+    # ValueError, and no RuntimeWarning; the one-point path refuses a far point by
+    # its phase rule, and without the rule its series refuses the value as not finite
     idx, lattice = WBIndex(1, 0, 0, 1), standard_rect(1)
     for pt in (PolarizedPoint(0.0, 0.25, 1e308), PolarizedPoint(-20.0, 2e306, 0.1)):
         with pytest.raises(ValueError, match="may round by"):
             wb_eigenfunction(idx, 0, lattice, pt)
-        with pytest.raises(ValueError, match="may round by"):
-            wb_eigenfunction_grid(idx, 0, lattice, [pt.p], [pt.q], [pt.s])
         with pytest.raises(ValueError, match="not finite"):
             _series_only(wb_eigenfunction, idx, 0, lattice, pt)
-    with pytest.raises(ValueError, match="not finite"):
-        list(_series_only(wb_eigenfunction_grid, idx, 0, lattice, [0.0], [0.25], [1e308]))
-    rows = _series_only(wb_eigenfunction_grid, idx, 0, lattice, [0.0, 0.5, -20.0, 1.0], [2e306],
-                        [0.0, 0.1])
-    for p in (0.0, 0.5):
-        want = [[_series_only(wb_eigenfunction, idx, 0, lattice, PolarizedPoint(p, 2e306, s))
-                 for s in (0.0, 0.1)]]
-        assert next(rows).tobytes() == np.array(want).tobytes()
-    with pytest.raises(ValueError, match="not finite"):
-        next(rows)
+    psi = weil_brezin._psi
 
+    def overflowing(lam, y):
+        seeds = psi(lam, y)
+        seeds[y == 1.25 * math.sqrt(2 * math.pi)] = math.inf
+        return seeds
 
-def test_a_grid_whose_phases_carry_no_digits_is_refused_before_its_rows():
-    # the grid takes the one-point rule once, at its largest |p|, |q| and |s| on the
-    # cover, so it refuses the point the one-point path refuses, before any row
-    idx, lattice = WBIndex(2, 1, 1, 2), standard_rect(2)
-    with pytest.raises(ValueError, match="may round by 3.32e\\+286"):
-        wb_eigenfunction(idx, 1, lattice, PolarizedPoint(0.3, 1e300, 0.1))
-    with pytest.raises(ValueError, match="may round by 3.32e\\+286"):
-        next(wb_eigenfunction_grid(idx, 1, lattice, [0.3], [1e300], [0.1]))
-    # one far value on any axis refuses the whole grid, on the square cover too
-    for ps, qs, ss in (([0.0, 0.3], [0.25, 1e300], [0.1]), ([0.0, 1e12], [0.375], [0.1]),
-                       ([0.0], [0.25], [0.1, 1e300])):
-        for lat in (lattice, scaled_square(1)):
-            with pytest.raises(ValueError, match="may round by"):
-                wb_eigenfunction_grid(WBIndex(2, 1, 1, 2), 1, lat, ps, qs, ss)
-    # a grid of the points the one-point path takes is taken, with their bits
-    pts = [PolarizedPoint(p, q, s) for p in (-3.0, 0.3) for q in (0.25, 3.0) for s in (0.1, 4.0)]
-    rows = wb_eigenfunction_grid(idx, 1, lattice, [-3.0, 0.3], [0.25, 3.0], [0.1, 4.0])
-    assert _bits(list(rows)) == _bits([wb_eigenfunction(idx, 1, lattice, pt) for pt in pts])
+    with mock.patch.object(weil_brezin, "_psi", overflowing), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = wb_eigenfunction_grid(idx, 0, lattice, 4)
+        assert next(rows).shape == (4, 8)
+        with pytest.raises(ValueError, match=r"not finite at x = 1\.25"):
+            next(rows)
 
 
 @pytest.mark.parametrize("lattice,p", [(standard_rect(2), 1e300), (scaled_square(1), -1e300),
@@ -691,11 +780,6 @@ def test_a_point_past_exact_shifts_is_refused(lattice, p):
         eigenfunction_combination(coef, 2, lattice, pt)
     with pytest.raises(ValueError, match="below 2\\^52"):
         sector_basis_values(2, 2, lattice, pt)
-    rows = wb_eigenfunction_grid(WBIndex(2, 1, 1, 2), 2, lattice, [0.5, p, 0.0], [0.25], [0.1])
-    assert next(rows)[0, 0] == wb_eigenfunction(WBIndex(2, 1, 1, 2), 2, lattice,
-                                                PolarizedPoint(0.5, 0.25, 0.1))
-    with pytest.raises(ValueError, match="below 2\\^52"):
-        next(rows)
 
 
 def test_a_far_point_keeps_its_short_window():
