@@ -34,14 +34,14 @@ def _psi(lam: int, y: np.ndarray) -> np.ndarray:
         return c * np.exp(-0.5 * y * y)
     g = np.exp(-0.5 * y * y / lam)
     gy, gg = g * y, g * g
-    prev, cur = np.full_like(y, c), (math.sqrt(2.0) * c) * gy
+    prev, cur = c, (math.sqrt(2.0) * c) * gy  # psi_0 before its Gaussian: c at every y
     shift = 0
     for k in range(1, lam):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * gy * cur - math.sqrt(k / (k + 1)) * gg * prev
         if k % 64 == 0:
             e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
             prev, cur, shift = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e
-    return np.ldexp(cur, shift)
+    return np.ldexp(cur, shift) if lam > 64 else cur  # shift is 0 until k = 64
 
 
 def hermite_poly(lam: int, y):

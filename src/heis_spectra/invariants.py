@@ -7,14 +7,17 @@ k = 2l a + sgn(n) b mod N (`_sector_index`), and on that index the generators
 are exact Fourier objects: the quarter-turn pullback is i^(n+lam) F for n > 0
 and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
 half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
-On the same k an invariant combination sum c^{a,b} f^{a,b} is one series over
-(1/N)Z with c^{a,b} at residue k (f^{a,b} has offset k/N up to a whole step),
-its weights read through `_residue_order`, the closed-form inverse of the index;
-its window is the contiguous run of points m/N within the seed's reach, so each
-dropped term is under tol/10 of sup|psi_lam| and the tail is at most
-~tol sup|psi_lam| sum |c|.  Its terms summed by residue give the whole basis
-f^{a,b} at a point from one Hermite call (`sector_basis_values`).  The dense pullbacks are built as stacks of rows of one
-size (`pullback_matrices`), one table per sign of n; the one-row builders are its
+On the same k the basis f^{a,b} at a point is one series over (1/N)Z summed by
+residue, f^{a,b} at residue k (its offset is k/N up to a whole step): one window,
+the contiguous run of points m/N within the seed's reach, one Hermite call and
+one exp (`sector_basis_values`), from the one-point kernel of `weil_brezin`,
+which takes the point onto the rectangular cover and reduces its phases in
+integers, so any finite point is taken.  An invariant combination
+sum c^{a,b} f^{a,b} is those sums times c read in residue order through
+`_residue_order`, the closed-form inverse of the index; each dropped term is
+under tol/10 of sup|psi_lam| and the tail is at most ~tol sup|psi_lam| sum |c|.
+The dense pullbacks are built as stacks of rows of one size
+(`pullback_matrices`), one table per sign of n; the one-row builders are its
 one-row case.  Both invariant bases are reversal orbit vectors
 (`_orbit_basis`): the half-turn's even (e = 1) or odd (e = -1) ones in closed
 form, the quarter-turn's from the kernels of its two real orbit blocks (below).
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import LatticeSpec, symplectic_coords
-from .weil_brezin import _hermite_seed, _residue_series, _residue_sums
+from .group import LatticeSpec
+from .weil_brezin import _finite, _hermite_seed, _residue_sums
 
 
 _EPS = sys.float_info.epsilon
@@ -502,36 +505,34 @@ def psi_constraint_solve(n: int, lam: int, l: int) -> list[CoefficientVector]:
 
 def eigenfunction_combination(coef: CoefficientVector, lam: int, lattice: LatticeSpec,
                               pt, tol: float = 1e-12) -> complex:
-    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient, as one series
-    over (1/N)Z with c^{a,b} at residue k (`_residue_series`); a point whose p on the
-    cover is not below 2^52 in magnitude, whose phases may round past tol
-    (`weil_brezin._point_phase_error`), or whose value is not finite, raises
-    ValueError."""
-    lam, cover, scale = _hermite_seed(coef.n, 2 * coef.l, lam, lattice, tol)
-    p, q, s = pt.p, pt.q, pt.s
-    if cover is not None:
-        p, q, s = symplectic_coords(cover, p, q, s)
-    weights = coef.entries[_residue_order(coef.n, coef.l)]  # c at residue k
-    return _residue_series(lam, scale, coef.n, weights, p, q, s, tol)
+    """Evaluate sum_{a,b} c^{a,b} f^{a,b} at pt on the given quotient: one series over
+    (1/N)Z with c^{a,b} at residue k, the coefficients read in residue order times the
+    sums of `sector_basis_values`.  It refuses what `sector_basis_values` refuses,
+    with ValueError."""
+    lam, scale = _hermite_seed(coef.n, 2 * coef.l, lam, lattice, tol)
+    sums, factor = _residue_sums(lam, scale, coef.n, lattice, 0, 1, pt, tol)
+    return _finite(complex(coef.entries[_residue_order(coef.n, coef.l)] @ sums) * factor)
 
 
 def sector_basis_values(n: int, lam: int, lattice: LatticeSpec, pt,
                         tol: float = 1e-12) -> np.ndarray:
     """The N = 2l|n| values f^{a,b}(pt) of the sector's basis, a-major, on a quotient's
-    base lattice of covering width 2l, as one complex array: the window of
-    `eigenfunction_combination`'s series with its terms summed by residue, so one
-    Hermite call, one exp and two bincounts give them all, in O(window + N) memory.
-    It refuses what `eigenfunction_combination` refuses, with ValueError."""
+    base lattice of covering width 2l, as one complex array: the terms of one window
+    over (1/N)Z summed by residue (`weil_brezin._residue_sums`), so one Hermite call
+    and one exp give them all, in O(window + N) memory.  A coordinate that is not
+    finite, a p on the cover that is not below 2^52 in magnitude and a value that is
+    not finite raise ValueError."""
     l, odd = divmod(lattice.covering_width, 2)
     if odd:
         raise ValueError(f"{lattice} has odd covering width; a sector's basis is indexed "
                          f"on a quotient's base lattice, of width 2l")
     if n == 0:
         raise ValueError("n must be nonzero")
-    lam, cover, scale = _hermite_seed(n, 2 * l, lam, lattice, tol)
-    p, q, s = pt.p, pt.q, pt.s
-    if cover is not None:
-        p, q, s = symplectic_coords(cover, p, q, s)
+    lam, scale = _hermite_seed(n, 2 * l, lam, lattice, tol)
     values = np.empty(2 * l * abs(n), dtype=complex)
-    values[_residue_order(n, l)] = _residue_sums(lam, scale, n, values.size, p, q, s, tol)
+    sums, factor = _residue_sums(lam, scale, n, lattice, 0, 1, pt, tol)
+    values[_residue_order(n, l)] = sums * factor
+    bad = ~np.isfinite(values)
+    if bad.any():
+        _finite(complex(values[bad][0]))
     return values

@@ -147,6 +147,16 @@ def _suite_weil_brezin() -> str:
             a = wb_eigenfunction(idx, 1, lattice, shift)
             b = wb_eigenfunction(idx, 1, lattice, pt)
             _require(abs(a - b) < 1e-8, "lattice invariance failed")
+    # n = 10^6 at a dyadic point near a seed centre, whose translates are exact floats:
+    # the phases 2 pi n y pass 1e6, and each is reduced in integers
+    idx, lattice = WBIndex(10**6, 0, 0, 1), standard_rect(1)
+    pt = PolarizedPoint(2**-13, 0.25, 0.375)
+    val = wb_eigenfunction(idx, 1, lattice, pt)
+    _require(abs(val) > 0.1, "the value at n = 10^6 vanished")
+    for i, k, m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 3, 1)):
+        shift = polarized_mul(PolarizedPoint(float(i), float(k), float(m)), pt)
+        _require(abs(wb_eigenfunction(idx, 1, lattice, shift) - val) < 1e-12,
+                 "lattice invariance failed at n = 10^6")
     seed = lambda x: math.exp(-math.pi * (x - 0.2) ** 2)
     for n in (1, -2):
         idx = WBIndex(n, 0, 0, 2)

@@ -1079,14 +1079,26 @@ def test_dims_counts_a_quarter_turn_row_just_above_the_floor(capsys):
 
 
 def test_runtime_never_imports_scipy():
-    # scipy is only a test oracle: a fresh interpreter running a dims table and a
-    # constraint solve, lazy imports included, must not load any of it
+    # scipy, mpmath, fractions and decimal are only test oracles: a fresh interpreter
+    # running a dims table, a constraint solve, the three one-point paths and the
+    # weil-brezin suite, lazy imports included, must not load any of them (a Fraction
+    # alone adds about 2 ms to every fresh import)
     code = ("import sys\n"
+            "import numpy as np\n"
             "from heis_spectra import cli\n"
-            "from heis_spectra.invariants import psi_constraint_solve\n"
+            "from heis_spectra.group import PolarizedPoint, scaled_square\n"
+            "from heis_spectra.invariants import (CoefficientVector, eigenfunction_combination,\n"
+            "                                     psi_constraint_solve, sector_basis_values)\n"
+            "from heis_spectra.weil_brezin import WBIndex, wb_eigenfunction\n"
             "assert cli.main(['dims', '--manifold', 'gamma-pi2', '--n', '3', '--lam', '1']) == 0\n"
             "assert len(psi_constraint_solve(3, 1, 2)) == 4\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "pt, lattice = PolarizedPoint(0.3, 1e300, -0.7), scaled_square(1)\n"
+            "wb_eigenfunction(WBIndex(-3, 1, 1, 2), 2, lattice, pt)\n"
+            "eigenfunction_combination(CoefficientVector(-3, 1, np.ones(6) + 0j), 2, lattice, pt)\n"
+            "sector_basis_values(-3, 2, lattice, pt)\n"
+            "assert cli.main(['verify', '--suite', 'weil-brezin']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'mpmath', 'fractions', 'decimal')))\n")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
