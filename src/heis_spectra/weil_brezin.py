@@ -140,10 +140,10 @@ def _zak_point(n: int, lattice: LatticeSpec, c: int, d: int, pt, reach: float):
     finite, or a p on the cover not below 2^52 in magnitude, raises ValueError."""
     width = lattice.covering_width
     size = width * abs(n)
-    try:
-        P, Dp = float(pt.p).as_integer_ratio()
-        Q, Dq = float(pt.q).as_integer_ratio()
-        S, Ds = float(pt.s).as_integer_ratio()
+    try:  # + 0.0 makes an int or a numpy scalar a float, more cheaply than float()
+        P, Dp = (pt.p + 0.0).as_integer_ratio()
+        Q, Dq = (pt.q + 0.0).as_integer_ratio()
+        S, Ds = (pt.s + 0.0).as_integer_ratio()
     except (OverflowError, ValueError):
         raise ValueError(f"coordinates must be finite, got ({pt.p!r}, {pt.q!r}, {pt.s!r})") \
             from None

@@ -42,7 +42,6 @@ from heis_spectra.group import (
     gamma_pi,
     gamma_pi_half,
     motion_apply,
-    polarized_mul,
     scaled_square,
     scaling_map,
     standard_rect,
