@@ -30,9 +30,14 @@ def _check_order(lam) -> int:
 def _psi(lam: int, y: np.ndarray) -> np.ndarray:
     """psi_lam on an array by the spread recurrence; lam is already checked."""
     c = math.pi ** -0.25
+    g = np.square(y)  # -y^2/2, scaled in place
+    g *= -0.5
     if lam == 0:
-        return c * np.exp(-0.5 * y * y)
-    g = np.exp(-0.5 * y * y / lam)
+        g = np.exp(g)
+        g *= c
+        return g
+    g /= lam
+    g = np.exp(g)
     gy, gg = g * y, g * g
     prev, cur = c, (math.sqrt(2.0) * c) * gy  # psi_0 before its Gaussian: c at every y
     shift = 0

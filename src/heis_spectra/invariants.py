@@ -8,16 +8,15 @@ are exact Fourier objects: the quarter-turn pullback is i^(n+lam) F for n > 0
 and i^(n+3 lam) conj(F) for n < 0, F the unitary DFT of size N, and the
 half-turn, its square, is the reversal k -> -k with sign (-1)^(n+lam).
 On the same k the basis f^{a,b} at a point is one series over (1/N)Z summed by
-residue, f^{a,b} at residue k (its offset is k/N up to a whole step): one window,
-the contiguous run of points m/N within the seed's reach, one Hermite call and
-one exp (`sector_basis_values`), from the one-point kernel of `weil_brezin`,
-which takes the point onto the rectangular cover and reduces its phases in
-integers, so any finite point is taken.  An invariant combination
-sum c^{a,b} f^{a,b} is those sums times c read in residue order through
-`_residue_order`, the closed-form inverse of the index; each dropped term is
-under tol/10 of sup|psi_lam| and the tail is at most ~tol sup|psi_lam| sum |c|.
-The dense pullbacks are built as stacks of rows of one size
-(`pullback_matrices`), one table per sign of n; the one-row builders are its
+residue, f^{a,b} at residue k (its offset is k/N up to a whole step): one window, the
+contiguous run of points m/N within the seed's reach, one Hermite call and one exp
+(`sector_basis_values`), from the one-point kernel of `weil_brezin`, which takes the
+point onto the rectangular cover and reduces its phases in integers, so any finite
+point is taken.  An invariant combination sum c^{a,b} f^{a,b} is those sums times c
+read in residue order through `_residue_order`, the closed-form inverse of the index;
+each dropped term is under tol/10 of sup|psi_lam| and the tail is at most
+~tol sup|psi_lam| sum |c|.  The dense pullbacks are built as stacks of rows of one
+size (`pullback_matrices`), one table per sign of n; the one-row builders are its
 one-row case.  Both invariant bases are reversal orbit vectors
 (`_orbit_basis`): the half-turn's even (e = 1) or odd (e = -1) ones in closed
 form, the quarter-turn's from the kernels of its two real orbit blocks (below).

@@ -21,19 +21,18 @@ e^{2 pi i (n s + sgn(n) q m/L)}, and m runs over c + dZ: d = N and c = aL + sgn(
 give one basis function (wb_eigenfunction, weil_brezin_eval), d = 1 every residue at
 once, summed by m mod N (`_residue_sums`; invariants.sector_basis_values and
 eigenfunction_combination).  The kernel reduces the point once, in Python ints from
-`float.as_integer_ratio`: the term nearest x = 0 has its x = p + m/N as one
-rounding of a quotient of integers, and the others x + u/e, so the seeds'
-arguments lose no digits to |p|, and term u of the window has the phase
-e^{2 pi i (alpha + beta u)}, alpha and beta each one rounding of an exact rational
-in [0, 1).  A phase is then within 2 pi eps (3 + 2|u|), about
-2 pi eps (1 + window length), whatever p, q, s and n are (the reduction of an
-argument by a long integer constant; Payne and Hanek, SIGNUM Newsletter 18, 1983).
-A basis function's value is then within
+`float.as_integer_ratio`: the term nearest x = 0 has its x = p + m/N as one rounding
+of a quotient of integers, and the others x + u/e, so the seeds' arguments lose no
+digits to |p|, and term u of the window has the phase e^{2 pi i (alpha + beta u)},
+alpha and beta each one rounding of an exact rational in [0, 1).  A phase is then
+within 2 pi eps (3 + 2|u|), about 2 pi eps (1 + window length), whatever p, q, s and
+n are (the reduction of an argument by a long integer constant; Payne and Hanek,
+SIGNUM Newsletter 18, 1983).  A basis function's value is then within
 eps Sum_u [|psi_u| (2 pi (3 + 2|u|) + T) + 3 |psi'(y_u)| (|y_u| + |y_0|)] of the
-exact series over its T window terms at y_u = scale x_u, plus the Hermite
-recurrence's own rounding: a few eps max|f| near a seed centre.
-A coordinate that is not finite, a p on the cover that is not below 2^52 in
-magnitude, and a seed or a value that is not finite raise ValueError.
+exact series over its T window terms at y_u = scale x_u, plus the Hermite recurrence's
+own rounding: a few eps max|f| near a seed centre.  A coordinate that is not finite, a
+p on the cover that is not below 2^52 in magnitude, and a seed or a value that is not
+finite raise ValueError.
 
 The uniform grid of `eigenfunction --grid g` (wb_eigenfunction_grid) takes the same
 exact phases a whole grid at a time.  On the cover its points are p = i/g,
@@ -217,10 +216,11 @@ def _residue_sums(lam: int, scale: float, n: int, lattice: LatticeSpec, c: int, 
 def weil_brezin_eval(idx: WBIndex, g, pt: PolarizedPoint, tol: float = 1e-12) -> complex:
     """Truncated evaluation of the series for a seed g of unknown decay.
 
-    g is called on one float at a time.  The window u = -K .. K about the term
-    nearest x = 0 (`_zak_point`) grows from K = 2 until both edge terms are at most
-    tol/10 of the largest term seen; past _MAX_WINDOW terms it raises
-    TruncationError.  A seed that is not finite raises ValueError.
+    g is called on one float at a time.  The window u = -K .. K about the term nearest
+    x = 0 (`_zak_point`) grows from K = 2 until both edge terms are at most tol/10 of
+    the largest term seen; past _MAX_WINDOW terms it raises TruncationError.  A
+    coordinate that is not finite, a p not below 2^52 in magnitude, and a seed or a
+    value that is not finite raise ValueError, as in the Hermite paths.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -317,10 +317,10 @@ def _grid_rows(idx: WBIndex, lam: int, scale: float, g: int, tol: float):
     roots = np.array([_root_of_unity(k, g) for k in range(g)])
     table = roots[np.multiply.outer(np.arange(g), np.arange(g)) % g]
     factor = roots[[n % g * m % g for m in range(g)]]
-    step, shift = n * width % g, ((idx.a if n > 0 else -idx.a) * width + idx.b) % g
-    # x_u = (u N + num) / (g N) with N = W|n|
-    size, num = width * abs(n), g * (idx.a * width + (idx.b if n > 0 else -idx.b))
-    us = range(math.ceil(g * (-reach - idx.offset)), math.floor(g * (reach - idx.offset)) + 1)
+    # x_u = (u N + g c) / (g N): the basis function's terms m in c + NZ (`_basis_terms`)
+    c, size = _basis_terms(idx)
+    step, shift, num = n * width % g, (c if n > 0 else -c) % g, g * c
+    us = range(math.ceil(g * (-reach - c / size)), math.floor(g * (reach - c / size)) + 1)
     xs = np.array([(u * size + num) / (g * size) for u in us], dtype=float)
     seeds = _psi(lam, scale * xs)
     # u = i0 + k0 g with 0 <= i0 < g: the term k0 of row i0 and k0 - 1 of row i0 + g

@@ -493,23 +493,19 @@ def test_combination_equals_per_index_sum(n, l, square, lam, pt, data):
     entries = np.array([complex(*data.draw(st.tuples(parts, parts))) for _ in range(dim)])
     coef = CoefficientVector(n, l, entries)
     norm = norm_factor(lam)
-    want, scale, floor = 0j, 0.0, dim * 2.0**-1074
+    want, scale = 0j, 0.0
     for a in range(abs(n)):
         for b in range(2 * l):
             c = entries[a * 2 * l + b]
             if c != 0:
-                ref = reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam, lattice, pt)
-                term = c * norm * ref
+                term = c * norm * reference_eigenfunction(WBIndex(n, a, b, 2 * l), lam,
+                                                          lattice, pt)
                 want += term
                 scale += abs(term)
-                floor += 2.0**-1074 * (abs(ref) + 2)
     # one series over all residues sums in another order and keeps every row some
-    # residue needs, so it agrees within rounding and the tail bound; a coefficient
-    # near the smallest subnormal loses its relative digits in a product, so each
-    # product adds up to a subnormal step, times the reference's |value| for c norm
+    # residue needs, so it agrees within rounding and the tail bound
     got = eigenfunction_combination(coef, lam, lattice, pt)
-    assert abs(got - want) <= (1e-13 * scale + 2e-12 * sup_psi(lam) * np.sum(np.abs(entries))
-                               + floor)
+    assert abs(got - want) <= 1e-13 * scale + 2e-12 * sup_psi(lam) * np.sum(np.abs(entries))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -612,7 +608,7 @@ def test_every_residue_keeps_the_window_open(monkeypatch):
             p = float(cover_fractions(lattice, n, PolarizedPoint(p, 0.0, 0.0), reach)[0])
             ms = np.round((ys / scale - p) * N).astype(int)
             assert np.array_equal(ms, np.arange(ms[0], ms[-1] + 1))
-            assert np.allclose(ys, scale * (p + ms / N), rtol=0, atol=1e-12)
+            assert np.allclose(ys, scale * (p + ms / N), rtol=0, atol=1e-13)
             assert np.all(np.abs(ys) <= reach)
             for dropped in (np.arange(ms[0] - N, ms[0]), np.arange(ms[-1] + 1, ms[-1] + N + 1)):
                 y = scale * (p + dropped / N)  # the first dropped term of every residue
